@@ -10,10 +10,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
-from .corpus import build_dictionary, count_ngrams, read_ngram_db, write_dictionary, write_ngram_db
+from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, read_ngram_db,
+                     write_dictionary, write_ngram_db)
 from .dataset import (
+    DatasetSplit,
+    TrainingTuple,
+    Vocabulary,
     filter_ngrams,
     read_dataset,
     read_vocabulary,
@@ -24,6 +29,7 @@ from .dataset import (
     write_vocabulary,
 )
 from .embeddings import (
+    EmbeddingTable,
     export_embeddings,
     read_embeddings_text,
     write_embeddings_binary,
@@ -32,6 +38,9 @@ from .embeddings import (
 from .evaluation import (
     DEFAULT_CLASSES_FILE,
     DEFAULT_PAIRS_FILE,
+    EquivalencePair,
+    GoldClass,
+    TestReport,
     load_equivalence_pairs,
     load_gold_classes,
     emit_report,
@@ -39,7 +48,7 @@ from .evaluation import (
     run_standard_suite,
 )
 from .manifest import build_manifest, file_sha256, write_manifest
-from .model import ModelHyper, load_checkpoint
+from .model import ModelHyper, ModelParams, load_checkpoint
 from .training import (
     EpochLog,
     NonFiniteGradientError,
@@ -56,6 +65,13 @@ EXIT_DIVERGED = 3
 
 PAPER_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
+# eval's threshold flags (dest name -> default), also the settings grid scores with
+THRESHOLD_DEFAULTS = {
+    "membership_thresholds": "0.70,0.80",
+    "distinction_thresholds": "0.70,0.80",
+    "equivalence_thresholds": "0.85,0.95",
+}
+
 
 class InputError(Exception):
     pass
@@ -71,20 +87,130 @@ def _read_corpus_lines(path: Path) -> list[str]:
     return [line for line in text.splitlines() if line.strip()]
 
 
+# Stage functions, shared by the stage commands and `grid`: each takes its
+# in-memory inputs, the parsed flags and its output paths, writes the stage's
+# files and returns its result with its manifest config.
+
+
+def ingest_stage(lines: list[str], args: argparse.Namespace, db_path: Path,
+                 dict_path: Path) -> tuple[NGramDatabase, Dictionary, dict]:
+    db = count_ngrams(lines, workers=args.threads)
+    dictionary = build_dictionary(db)
+    write_ngram_db(db, db_path)
+    write_dictionary(dictionary, dict_path)
+    return db, dictionary, {"threads": args.threads}
+
+
+def qualifying_tuples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
+                      args: argparse.Namespace) -> tuple[Vocabulary, list[TrainingTuple]]:
+    """The |V|-dependent half of the dataset stage; `grid` runs it once per |V|."""
+    vocab = select_vocabulary(dictionary, vocab_size)
+    tuples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
+    if not tuples:
+        raise InputError(f"no 5-grams qualify for vocabulary size {vocab_size}; "
+                         "try a larger vocabulary or --include-boundary")
+    return vocab, tuples
+
+
+def dataset_stage(tuples: list[TrainingTuple], vocab: Vocabulary, fraction: float,
+                  args: argparse.Namespace, out_path: Path,
+                  vocab_path: Path) -> tuple[DatasetSplit, dict]:
+    split = split_dataset(tuples, validation_ratio=args.validation_ratio,
+                          fraction=fraction, seed=args.seed)
+    write_dataset(split, vocab, out_path)
+    write_vocabulary(vocab, vocab_path)
+    return split, {
+        "vocab_size": vocab.size,
+        "fraction": fraction,
+        "validation_ratio": args.validation_ratio,
+        "seed": args.seed,
+        "include_boundary": args.include_boundary,
+    }
+
+
+def train_stage(split: DatasetSplit, vocab_size: int, vocab_hash: str,
+                args: argparse.Namespace, checkpoint_path: Path, log_path: Path,
+                on_start: Callable[[dict], None] | None = None,
+                on_epoch: Callable[[EpochLog], None] | None = None,
+                ) -> tuple[ModelParams, list[EpochLog], dict]:
+    """Train, rewriting the run log after every epoch.
+
+    `on_start` receives the config before the first epoch, so a run that
+    diverges still leaves its manifest behind.
+    """
+    hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim,
+                       sigmoid_logits=args.sigmoid_logits)
+    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                      learning_rate=args.learning_rate, seed=args.seed,
+                      deterministic=args.deterministic)
+    config = {
+        "epochs": cfg.epochs,
+        "batch_size": cfg.batch_size,
+        "learning_rate": cfg.learning_rate,
+        "beta1": cfg.beta1,
+        "beta2": cfg.beta2,
+        "epsilon": cfg.epsilon,
+        "seed": cfg.seed,
+        "emb_dim": hyper.d_in,
+        "ctx_dim": hyper.d_ctx,
+        "sigmoid_logits": hyper.sigmoid_logits,
+        "vocab_size": hyper.vocab_size,
+    }
+    if on_start is not None:
+        on_start(config)
+    logs: list[EpochLog] = []
+
+    def record(entry: EpochLog) -> None:
+        logs.append(entry)
+        write_run_log(logs, log_path)
+        if on_epoch is not None:
+            on_epoch(entry)
+
+    params, _ = train(split, hyper, cfg, checkpoint_path=checkpoint_path,
+                      vocab_hash=vocab_hash, on_epoch=record)
+    return params, logs, config
+
+
+def export_stage(params: ModelParams, vocab: Vocabulary, checkpoint_path: Path,
+                 args: argparse.Namespace, out_path: Path) -> tuple[EmbeddingTable, dict]:
+    table = export_embeddings(params, vocab, manifest_hash=file_sha256(checkpoint_path),
+                              source=args.source)
+    write_embeddings_text(table, out_path)
+    write_embeddings_binary(table, out_path.with_suffix(out_path.suffix + ".bin"))
+    return table, {"source": args.source}
+
+
+def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
+               args: argparse.Namespace) -> tuple[list[TestReport], dict]:
+    """Score the standard suite. The report embeds the run's manifest, so
+    the caller writes it with `emit_report` once the manifest is built."""
+    config = {name: getattr(args, name) for name in THRESHOLD_DEFAULTS}
+    reports = run_standard_suite(
+        table, classes, pairs,
+        **{name: _parse_thresholds(text) for name, text in config.items()},
+    )
+    return reports, config
+
+
+def _parse_thresholds(text: str) -> list[float]:
+    values = [float(x) for x in text.split(",") if x]
+    for value in values:
+        if not 0.0 < value < 1.0:
+            raise InputError(f"threshold out of range (0, 1): {value}")
+    return values
+
+
 def cmd_ingest(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     lines = _read_corpus_lines(corpus_path)
     if not lines:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
-    db = count_ngrams(lines, workers=args.threads)
-    dictionary = build_dictionary(db)
     db_path = Path(args.out_db)
     dict_path = Path(args.out_dict)
-    write_ngram_db(db, db_path)
-    write_dictionary(dictionary, dict_path)
+    db, dictionary, config = ingest_stage(lines, args, db_path, dict_path)
     manifest = build_manifest(
         "ingest",
-        {"threads": args.threads, "out_db": str(db_path), "out_dict": str(dict_path)},
+        {**config, "out_db": str(db_path), "out_dict": str(dict_path)},
         {"corpus": corpus_path},
         args.deterministic,
     )
@@ -101,36 +227,12 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     if not db_path.is_file():
         raise InputError(f"5-gram database not readable: {db_path}")
     db = read_ngram_db(db_path)
-    dictionary = build_dictionary(db)
-    try:
-        vocab = select_vocabulary(dictionary, args.vocab_size)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    tuples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
-    if not tuples:
-        raise InputError(
-            f"no 5-grams qualify for vocabulary size {args.vocab_size}; "
-            "try a larger vocabulary or --include-boundary"
-        )
-    split = split_dataset(tuples, validation_ratio=args.validation_ratio,
-                          fraction=args.fraction, seed=args.seed)
+    vocab, tuples = qualifying_tuples(db, build_dictionary(db), args.vocab_size, args)
     out_path = Path(args.out)
-    vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
-    write_dataset(split, vocab, out_path)
-    write_vocabulary(vocab, vocab_path)
-    manifest = build_manifest(
-        "dataset",
-        {
-            "vocab_size": args.vocab_size,
-            "fraction": args.fraction,
-            "validation_ratio": args.validation_ratio,
-            "seed": args.seed,
-            "include_boundary": args.include_boundary,
-            "out": str(out_path),
-        },
-        {"db": db_path},
-        args.deterministic,
-    )
+    split, config = dataset_stage(tuples, vocab, args.fraction, args, out_path,
+                                  out_path.with_suffix(out_path.suffix + ".vocab.tsv"))
+    manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
+                              args.deterministic)
     write_manifest(manifest, out_path.with_suffix(out_path.suffix + ".manifest.json"))
     print(f"qualifying 5-grams: {len(tuples)}")
     print(f"train tuples: {len(split.train)}")
@@ -143,51 +245,21 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not dataset_path.is_file():
         raise InputError(f"dataset not readable: {dataset_path}")
     split, meta = read_dataset(dataset_path)
-    hyper = ModelHyper(
-        vocab_size=meta["vocab_size"],
-        d_in=args.emb_dim,
-        d_ctx=args.ctx_dim,
-        sigmoid_logits=args.sigmoid_logits,
-    )
-    cfg = TrainConfig(
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        deterministic=args.deterministic,
-    )
     checkpoint_path = Path(args.out_checkpoint)
-    log_path = Path(args.out_log)
-    logs: list[EpochLog] = []
+
+    def write_config(config: dict) -> None:
+        manifest = build_manifest("train", {**config, "out_checkpoint": str(checkpoint_path)},
+                                  {"dataset": dataset_path}, args.deterministic)
+        write_manifest(manifest,
+                       checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json"))
 
     def live(entry: EpochLog) -> None:
         print(f"{entry.epoch}\t{entry.train_loss:.6f}"
               f"\t{entry.validation_loss:.6f}\t{entry.wall_seconds:.3f}")
-        logs.append(entry)
-        write_run_log(logs, log_path)
 
-    manifest = build_manifest(
-        "train",
-        {
-            "epochs": cfg.epochs,
-            "batch_size": cfg.batch_size,
-            "learning_rate": cfg.learning_rate,
-            "beta1": cfg.beta1,
-            "beta2": cfg.beta2,
-            "epsilon": cfg.epsilon,
-            "seed": cfg.seed,
-            "emb_dim": hyper.d_in,
-            "ctx_dim": hyper.d_ctx,
-            "sigmoid_logits": hyper.sigmoid_logits,
-            "vocab_size": hyper.vocab_size,
-            "out_checkpoint": str(checkpoint_path),
-        },
-        {"dataset": dataset_path},
-        args.deterministic,
-    )
-    write_manifest(manifest, checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json"))
-    train(split, hyper, cfg, checkpoint_path=checkpoint_path,
-          vocab_hash=meta["vocab_hash"], on_epoch=live)
+    _, logs, _ = train_stage(split, meta["vocab_size"], meta["vocab_hash"], args,
+                             checkpoint_path, Path(args.out_log),
+                             on_start=write_config, on_epoch=live)
     summary = timing_report(logs)
     print(f"avg secs/epoch: {summary.avg_seconds_per_epoch:.3f}")
     print(f"total secs: {summary.total_seconds:.3f}")
@@ -207,28 +279,17 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"vocabulary/checkpoint mismatch: {vocab_path} does not hash to "
             f"the vocabulary this checkpoint was trained on"
         )
-    table = export_embeddings(params, vocab, manifest_hash=file_sha256(checkpoint_path),
-                              source=args.source)
     out_path = Path(args.out)
-    write_embeddings_text(table, out_path)
-    write_embeddings_binary(table, out_path.with_suffix(out_path.suffix + ".bin"))
+    table, config = export_stage(params, vocab, checkpoint_path, args, out_path)
     manifest = build_manifest(
         "export",
-        {"source": args.source, "out": str(out_path)},
+        {**config, "out": str(out_path)},
         {"checkpoint": checkpoint_path, "vocab": vocab_path},
         args.deterministic,
     )
     write_manifest(manifest, out_path.with_suffix(out_path.suffix + ".manifest.json"))
     print(f"exported {len(table.words)} x {table.dim} embeddings")
     return EXIT_OK
-
-
-def _parse_thresholds(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x]
-    for value in values:
-        if not 0.0 < value < 1.0:
-            raise InputError(f"threshold out of range (0, 1): {value}")
-    return values
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -241,95 +302,57 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = read_embeddings_text(emb_path)
     classes = load_gold_classes(classes_path)
     pairs = load_equivalence_pairs(pairs_path)
-    reports = run_standard_suite(
-        table, classes, pairs,
-        membership_thresholds=_parse_thresholds(args.membership_thresholds),
-        distinction_thresholds=_parse_thresholds(args.distinction_thresholds),
-        equivalence_thresholds=_parse_thresholds(args.equivalence_thresholds),
-    )
+    reports, config = eval_stage(table, classes, pairs, args)
     manifest = build_manifest(
         "eval",
-        {
-            "membership_thresholds": args.membership_thresholds,
-            "distinction_thresholds": args.distinction_thresholds,
-            "equivalence_thresholds": args.equivalence_thresholds,
-            "out": str(args.out),
-        },
+        {**config, "out": str(args.out)},
         {"embeddings": emb_path, "classes": classes_path, "pairs": pairs_path},
         args.deterministic,
     )
     out_json = Path(args.out)
-    out_text = out_json.with_suffix(".txt")
-    emit_report(reports, manifest, out_json, out_text)
+    emit_report(reports, manifest, out_json, out_json.with_suffix(".txt"))
     write_manifest(manifest, out_json.with_suffix(out_json.suffix + ".manifest.json"))
     print(format_report_table(reports), end="")
     return EXIT_OK
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
+    """Ingest once, then run the other stages for every |V| x fraction cell;
+    a cell's manifest config is the union of the stage configs."""
     corpus_path = Path(args.corpus)
     lines = _read_corpus_lines(corpus_path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]
+    if not vocab_sizes or not fractions:
+        raise InputError("grid needs at least one vocabulary size and one fraction")
     for fraction in fractions:
         if fraction not in PAPER_FRACTIONS:
             raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
-
-    db = count_ngrams(lines, workers=args.threads)
-    dictionary = build_dictionary(db)
-    db_path = out_dir / "ngrams.tsv"
-    write_ngram_db(db, db_path)
-    write_dictionary(dictionary, out_dir / "dictionary.tsv")
+    classes = load_gold_classes(args.classes)
+    pairs = load_equivalence_pairs(args.pairs)
+    db, dictionary, ingest_config = ingest_stage(lines, args, out_dir / "ngrams.tsv",
+                                                 out_dir / "dictionary.tsv")
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:
-        try:
-            vocab = select_vocabulary(dictionary, vocab_size)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        tuples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
-        if not tuples:
-            raise InputError(f"no 5-grams qualify at vocabulary size {vocab_size}")
+        vocab, tuples = qualifying_tuples(db, dictionary, vocab_size, args)
         for fraction in fractions:
             cell = out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}"
             cell.mkdir(exist_ok=True)
-            split = split_dataset(tuples, validation_ratio=args.validation_ratio,
-                                  fraction=fraction, seed=args.seed)
-            write_dataset(split, vocab, cell / "dataset.tsv")
-            write_vocabulary(vocab, cell / "vocab.tsv")
-            hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim,
-                               d_ctx=args.ctx_dim, sigmoid_logits=args.sigmoid_logits)
-            cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                              learning_rate=args.learning_rate, seed=args.seed,
-                              deterministic=args.deterministic)
-            params, logs = train(split, hyper, cfg,
-                                 checkpoint_path=cell / "model.ckpt",
-                                 vocab_hash=vocabulary_hash(vocab))
-            write_run_log(logs, cell / "run_log.tsv")
-            table = export_embeddings(params, vocab,
-                                      manifest_hash=file_sha256(cell / "model.ckpt"))
-            write_embeddings_text(table, cell / "embeddings.txt")
-            write_embeddings_binary(table, cell / "embeddings.txt.bin")
-            classes = load_gold_classes(args.classes)
-            pairs = load_equivalence_pairs(args.pairs)
-            reports = run_standard_suite(table, classes, pairs)
-            cell_manifest = build_manifest(
-                "grid-cell",
-                {
-                    "vocab_size": vocab_size,
-                    "fraction": fraction,
-                    "epochs": cfg.epochs,
-                    "batch_size": cfg.batch_size,
-                    "learning_rate": cfg.learning_rate,
-                    "seed": cfg.seed,
-                    "emb_dim": hyper.d_in,
-                    "ctx_dim": hyper.d_ctx,
-                },
-                {"corpus": corpus_path},
-                args.deterministic,
-            )
+            split, dataset_config = dataset_stage(tuples, vocab, fraction, args,
+                                                  cell / "dataset.tsv", cell / "vocab.tsv")
+            params, logs, train_config = train_stage(split, vocab.size, vocabulary_hash(vocab),
+                                                     args, cell / "model.ckpt",
+                                                     cell / "run_log.tsv")
+            table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
+                                                cell / "embeddings.txt")
+            reports, eval_config = eval_stage(table, classes, pairs, args)
+            config = {**ingest_config, **dataset_config, **train_config,
+                      **export_config, **eval_config}
+            cell_manifest = build_manifest("grid-cell", config, {"corpus": corpus_path},
+                                           args.deterministic)
             emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
             write_manifest(cell_manifest, cell / "manifest.json")
             summary = timing_report(logs)
@@ -343,15 +366,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
         fh.write("vocab_size\tfraction\ttrain_tuples\tavg_secs_epoch\ttrain_loss\tval_loss\n")
         for row in summary_rows:
             fh.write(f"{row[0]}\t{row[1]}\t{row[2]}\t{row[3]:.3f}\t{row[4]:.6f}\t{row[5]:.6f}\n")
+    # The cells differ only in |V| and fraction, so the last cell's config
+    # with those two replaced by the grid's lists describes the whole run.
     grid_manifest = build_manifest(
         "grid",
         {
+            **{key: value for key, value in config.items() if key not in ("vocab_size", "fraction")},
             "vocab_sizes": args.vocab_sizes,
             "fractions": args.fractions,
-            "epochs": args.epochs,
-            "batch_size": args.batch_size,
-            "learning_rate": args.learning_rate,
-            "seed": args.seed,
+            "classes": str(args.classes),
+            "pairs": str(args.pairs),
             "out_dir": str(out_dir),
         },
         {"corpus": corpus_path},
@@ -432,9 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("embeddings")
     p.add_argument("--classes", default=str(DEFAULT_CLASSES_FILE))
     p.add_argument("--pairs", default=str(DEFAULT_PAIRS_FILE))
-    p.add_argument("--membership-thresholds", default="0.70,0.80")
-    p.add_argument("--distinction-thresholds", default="0.70,0.80")
-    p.add_argument("--equivalence-thresholds", default="0.85,0.95")
+    for name, default in THRESHOLD_DEFAULTS.items():
+        p.add_argument("--" + name.replace("_", "-"), default=default)
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -451,7 +474,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     _add_model_flags(p)
     _add_common(p)
-    p.set_defaults(func=cmd_grid)
+    # grid exports and scores every cell like `export` and `eval` do by default
+    p.set_defaults(func=cmd_grid, source="output", **THRESHOLD_DEFAULTS)
 
     return parser
 

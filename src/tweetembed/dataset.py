@@ -177,7 +177,11 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
 
 
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
-    """Parse a dataset file; returns the split and its header metadata."""
+    """Parse a dataset file; returns the split and its header metadata.
+
+    The model indexes its weights with the ids unchecked, so any id out of
+    range (context [0, |V| + 4), target [0, |V|)) is a ValueError here.
+    """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -187,11 +191,24 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
                 raise ValueError(f"{path}: malformed dataset header field {part!r}")
             key, value = part[1:].split("=", 1)
             meta[key] = value
+        missing = [f"#{key}=" for key in ("vocab_size", "vocab_hash", "seed", "validation_ratio",
+                                          "fraction", "validation", "train") if key not in meta]
+        if missing:
+            raise ValueError(f"{path}: dataset header lacks {', '.join(missing)}")
         n_val = int(meta["validation"])
         n_train = int(meta["train"])
+        vocab_size = int(meta["vocab_size"])
+        n_ids = vocab_size + len(BOUNDARY_TOKENS)
         rows: list[TrainingTuple] = []
-        for line in fh:
-            c1, c2, c4, c5, target = (int(x) for x in line.rstrip("\n").split("\t"))
+        for lineno, line in enumerate(fh, start=2):
+            try:
+                c1, c2, c4, c5, target = map(int, line.split("\t"))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: expected 5 integer fields ({exc})") from None
+            if not (0 <= c1 < n_ids and 0 <= c2 < n_ids and 0 <= c4 < n_ids
+                    and 0 <= c5 < n_ids and 0 <= target < vocab_size):
+                raise ValueError(f"{path}:{lineno}: id out of range (context ids in "
+                                 f"[0, {n_ids}), target in [0, {vocab_size})): {line.split()}")
             rows.append(TrainingTuple((c1, c2, c4, c5), target))
     if len(rows) != n_val + n_train:
         raise ValueError(f"{path}: row count does not match header block sizes")
@@ -203,7 +220,7 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
         validation_ratio=float(meta["validation_ratio"]),
     )
     parsed = {
-        "vocab_size": int(meta["vocab_size"]),
+        "vocab_size": vocab_size,
         "vocab_hash": meta["vocab_hash"],
     }
     return split, parsed

@@ -175,6 +175,8 @@ def read_embeddings_text(path: Path | str, manifest_hash: str = "") -> Embedding
         words: list[str] = []
         vectors = np.empty((n, dim), dtype=np.float64)
         for i, line in enumerate(fh):
+            if i == n:
+                raise ValueError(f"{path}: header promised {n} rows, found more")
             parts = line.rstrip("\n").split(" ")
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}:{i + 2}: expected {dim + 1} fields")

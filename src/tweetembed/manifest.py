@@ -43,8 +43,3 @@ def write_manifest(manifest: dict, path: Path | str) -> None:
     with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
-
-
-def read_manifest(path: Path | str) -> dict:
-    with Path(path).open("r", encoding="utf-8") as fh:
-        return json.load(fh)

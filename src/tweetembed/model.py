@@ -1,12 +1,15 @@
 """The five-layer center-word predictor and its exact gradients.
 
-Forward pass for one example: the four context word ids index a shared
-input embedding matrix; the four embeddings are concatenated in context
-order (i-2, i-1, i+1, i+2, so relative position is preserved); a sigmoid
-dense layer maps the concatenation down to the context width; a dense
-output layer projects onto the vocabulary; softmax normalizes. The rows
-appended to the input matrix hold the four boundary tokens, which can
-appear in context positions but are never prediction targets.
+Forward pass over a batch of B examples, one row each: the four context
+word ids of a row index a shared input embedding matrix; the four
+embeddings are concatenated in context order (i-2, i-1, i+1, i+2, so
+relative position is preserved); a sigmoid dense layer maps the
+concatenation down to the context width; a dense output layer projects
+onto the vocabulary; softmax normalizes each row. The rows appended to the
+input matrix hold the four boundary tokens, which can appear in context
+positions but are never prediction targets. Ids are not range-checked
+here; `dataset.read_dataset` rejects out-of-range ids at the input
+boundary.
 
 The columns of the output projection are the word embeddings exported
 downstream. By default the projection feeds the softmax directly;
@@ -57,10 +60,6 @@ class ModelHyper:
         if self.d_in < 1 or self.d_ctx < 1:
             raise ValueError("embedding widths must be positive")
 
-    @property
-    def n_context(self) -> int:
-        return N_CONTEXT
-
 
 @dataclass
 class ModelParams:
@@ -94,14 +93,14 @@ class Gradients:
 
 @dataclass
 class ForwardTrace:
-    """Every intermediate of a single-example forward pass."""
+    """Every intermediate of a batched forward pass, one row per example."""
 
-    input_embeds: np.ndarray  # (4, d_in)
-    merged: np.ndarray        # (4 * d_in,)
-    ctx_pre: np.ndarray       # (d_ctx,)
-    ctx_act: np.ndarray       # (d_ctx,)
-    logits: np.ndarray        # (|V|,), the values fed to the softmax
-    probs: np.ndarray         # (|V|,)
+    input_embeds: np.ndarray  # (B, 4, d_in)
+    merged: np.ndarray        # (B, 4 * d_in)
+    ctx_pre: np.ndarray       # (B, d_ctx)
+    ctx_act: np.ndarray       # (B, d_ctx)
+    logits: np.ndarray        # (B, |V|), the values fed to the softmax
+    probs: np.ndarray         # (B, |V|)
 
 
 def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
@@ -145,51 +144,16 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
-def _forward_batch(params: ModelParams, contexts: np.ndarray):
-    """Batched forward pass; contexts is an int array of shape (B, 4)."""
+def forward(params: ModelParams, contexts: np.ndarray) -> ForwardTrace:
+    """Run a batch through the network; contexts is an int array of shape (B, 4)."""
     embeds = params.w_input[contexts]                       # (B, 4, d_in)
     merged = embeds.reshape(contexts.shape[0], -1)          # (B, 4 * d_in)
     ctx_pre = merged @ params.w_ctx + params.b_ctx
     ctx_act = sigmoid(ctx_pre)
     out_pre = ctx_act @ params.w_output + params.b_out
     logits = sigmoid(out_pre) if params.hyper.sigmoid_logits else out_pre
-    probs = softmax(logits)
-    return embeds, merged, ctx_pre, ctx_act, out_pre, logits, probs
-
-
-def _check_context(params: ModelParams, context: Sequence[int]) -> np.ndarray:
-    ids = np.asarray(context, dtype=np.int64)
-    if ids.shape != (N_CONTEXT,):
-        raise ValueError(f"context must hold exactly {N_CONTEXT} token ids")
-    n_rows = params.hyper.vocab_size + N_BOUNDARY
-    if ids.min() < 0 or ids.max() >= n_rows:
-        raise ValueError(f"context id out of range [0, {n_rows}): {ids.tolist()}")
-    return ids
-
-
-def forward(params: ModelParams, context: Sequence[int]) -> ForwardTrace:
-    """Run one example through the network and keep every intermediate."""
-    ids = _check_context(params, context)
-    embeds, merged, ctx_pre, ctx_act, _, logits, probs = _forward_batch(params, ids[None, :])
-    return ForwardTrace(
-        input_embeds=embeds[0],
-        merged=merged[0],
-        ctx_pre=ctx_pre[0],
-        ctx_act=ctx_act[0],
-        logits=logits[0],
-        probs=probs[0],
-    )
-
-
-def loss(probs: np.ndarray, target: int) -> float:
-    """Cross entropy -ln(probs[target]), clamped at LOSS_FLOOR."""
-    if not 0 <= target < probs.shape[-1]:
-        raise ValueError(f"target id {target} out of range for {probs.shape[-1]} classes")
-    p = float(probs[target])
-    if p < LOSS_FLOOR:
-        logger.warning("target probability %.3g clamped to %.0e before log", p, LOSS_FLOOR)
-        p = LOSS_FLOOR
-    return -math.log(p)
+    return ForwardTrace(input_embeds=embeds, merged=merged, ctx_pre=ctx_pre,
+                        ctx_act=ctx_act, logits=logits, probs=softmax(logits))
 
 
 def as_arrays(tuples: Sequence[TrainingTuple]) -> tuple[np.ndarray, np.ndarray]:
@@ -199,7 +163,8 @@ def as_arrays(tuples: Sequence[TrainingTuple]) -> tuple[np.ndarray, np.ndarray]:
     return contexts, targets
 
 
-def _batch_loss(probs: np.ndarray, targets: np.ndarray) -> float:
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
     picked = probs[np.arange(targets.shape[0]), targets]
     clamped = np.maximum(picked, LOSS_FLOOR)
     n_clamped = int((picked < LOSS_FLOOR).sum())
@@ -217,8 +182,8 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     total = 0.0
     for start in range(0, n, batch_size):
         stop = min(start + batch_size, n)
-        probs = _forward_batch(params, contexts[start:stop])[6]
-        total += _batch_loss(probs, targets[start:stop]) * (stop - start)
+        probs = forward(params, contexts[start:stop]).probs
+        total += cross_entropy(probs, targets[start:stop]) * (stop - start)
     return total / n
 
 
@@ -232,10 +197,11 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
     batch = targets.shape[0]
     if batch == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    embeds, merged, _, ctx_act, _, logits, probs = _forward_batch(params, contexts)
-    mean_loss = _batch_loss(probs, targets)
+    trace = forward(params, contexts)
+    merged, ctx_act, logits = trace.merged, trace.ctx_act, trace.logits
+    mean_loss = cross_entropy(trace.probs, targets)
 
-    d_logits = probs.copy()
+    d_logits = trace.probs.copy()
     d_logits[np.arange(batch), targets] -= 1.0
     d_logits /= batch
     if params.hyper.sigmoid_logits:
@@ -262,14 +228,6 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
         b_out=g_b_out,
     )
     return grads, mean_loss
-
-
-def backward(params: ModelParams, batch: Sequence[TrainingTuple]) -> tuple[Gradients, float]:
-    """Gradient of mean cross entropy over a batch of training tuples."""
-    if not batch:
-        raise ValueError("backward pass needs a non-empty batch")
-    contexts, targets = as_arrays(batch)
-    return backward_arrays(params, contexts, targets)
 
 
 def save_checkpoint(params: ModelParams, path: Path | str, seed: int,

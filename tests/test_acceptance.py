@@ -27,11 +27,9 @@ from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
     as_arrays,
-    backward,
+    backward_arrays,
     evaluate,
-    forward,
     init_params,
-    loss,
 )
 from tweetembed.training import TrainConfig, timing_report, train
 
@@ -94,12 +92,13 @@ def test_criterion_1_gradient_correctness():
         for _ in range(6)
     ]
 
+    contexts, targets = as_arrays(batch)
+
     def mean_loss():
-        return sum(loss(forward(params, t.context).probs, t.target)
-                   for t in batch) / len(batch)
+        return evaluate(params, contexts, targets)
 
     started = time.perf_counter()
-    grads, _ = backward(params, batch)
+    grads, _ = backward_arrays(params, contexts, targets)
     h = 1e-4
     worst = 0.0
     for name in PARAM_FIELDS:

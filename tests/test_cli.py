@@ -332,6 +332,123 @@ class TestGrid:
         assert "fraction" in capsys.readouterr().err
 
 
+STAGE_SETTINGS = ["--seed", "5", "--deterministic"]
+DATASET_SETTINGS = ["--validation-ratio", "0.2", "--include-boundary"]
+TRAIN_SETTINGS = ["--epochs", "2", "--batch-size", "32", "--learning-rate", "0.01",
+                  "--emb-dim", "8", "--ctx-dim", "8", "--sigmoid-logits"]
+
+
+@pytest.fixture
+def staged_and_grid(bigger_corpus, tmp_path):
+    """The same flags run once as the five stage commands and once as a
+    one-cell grid; returns the staged directory and the grid directory."""
+    staged = tmp_path / "staged"
+    staged.mkdir()
+    ds = staged / "dataset.tsv"
+    emb = staged / "embeddings.txt"
+    for argv in (
+        ["ingest", str(bigger_corpus), "--out-db", str(staged / "ngrams.tsv"),
+         "--out-dict", str(staged / "dictionary.tsv")],
+        ["dataset", str(staged / "ngrams.tsv"), "--vocab-size", "6", "--fraction", "0.5",
+         "--out", str(ds), *DATASET_SETTINGS],
+        ["train", str(ds), "--out-checkpoint", str(staged / "model.ckpt"),
+         "--out-log", str(staged / "run_log.tsv"), *TRAIN_SETTINGS],
+        ["export", str(staged / "model.ckpt"), "--vocab", str(ds) + ".vocab.tsv",
+         "--out", str(emb)],
+        ["eval", str(emb), "--out", str(staged / "report.json")],
+    ):
+        assert main([*argv, *STAGE_SETTINGS]) == EXIT_OK
+    grid = tmp_path / "grid"
+    assert main(["grid", str(bigger_corpus), "--out-dir", str(grid), "--vocab-sizes", "6",
+                 "--fractions", "0.5", *DATASET_SETTINGS, *TRAIN_SETTINGS,
+                 *STAGE_SETTINGS]) == EXIT_OK
+    return staged, grid
+
+
+class TestGridMatchesStages:
+    def test_cell_files_are_byte_identical(self, staged_and_grid):
+        staged, grid = staged_and_grid
+        cell = grid / "v6_f050"
+        same = {
+            "ngrams.tsv": grid / "ngrams.tsv",
+            "dictionary.tsv": grid / "dictionary.tsv",
+            "dataset.tsv": cell / "dataset.tsv",
+            "dataset.tsv.vocab.tsv": cell / "vocab.tsv",
+            "model.ckpt": cell / "model.ckpt",
+            "run_log.tsv": cell / "run_log.tsv",
+            "embeddings.txt": cell / "embeddings.txt",
+            "embeddings.txt.bin": cell / "embeddings.txt.bin",
+            "report.txt": cell / "report.txt",
+        }
+        for name, path in same.items():
+            assert (staged / name).read_bytes() == path.read_bytes(), name
+
+    def test_manifests_record_every_staged_setting(self, staged_and_grid):
+        staged, grid = staged_and_grid
+        cell_config = json.loads((grid / "v6_f050" / "manifest.json").read_text())["config"]
+        grid_config = json.loads((grid / "grid.manifest.json").read_text())["config"]
+        for manifest in sorted(staged.glob("*.manifest.json")):
+            for key, value in json.loads(manifest.read_text())["config"].items():
+                if key.startswith("out"):  # output paths differ between the two runs
+                    continue
+                assert cell_config[key] == value, (manifest.name, key)
+                if key not in ("vocab_size", "fraction"):
+                    assert grid_config[key] == value, (manifest.name, key)
+        assert grid_config["sigmoid_logits"] is True
+        assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ("6", "0.5")
+
+
+def _edit_first_row(dataset, edit):
+    header, row, *rest = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = edit(row.rstrip("\n").split("\t"))
+    dataset.write_text(header + "\t".join(fields) + "\n" + "".join(rest), encoding="utf-8")
+
+
+def _drop_header_key(dataset, key):
+    header, *rows = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    kept = [f for f in header.rstrip("\n").split("\t") if not f.startswith(f"#{key}=")]
+    dataset.write_text("\t".join(kept) + "\n" + "".join(rows), encoding="utf-8")
+
+
+def _extra_embedding_row(tmp_path):
+    emb = tmp_path / "emb.txt"
+    emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\ndia 0.5 0.6\n", encoding="utf-8")
+    return ["eval", str(emb), "--out", str(tmp_path / "report.json")]
+
+
+# Case -> (how to break the dataset, or None to read a bad embeddings file
+# instead; text the error must carry). The dataset has |V| = 6, so context
+# ids run 0..9 and targets 0..5.
+MALFORMED_INPUTS = {
+    "negative context id": (lambda ds: _edit_first_row(ds, lambda f: ["-1", *f[1:]]),
+                            "out of range"),
+    "context id past the boundary rows": (
+        lambda ds: _edit_first_row(ds, lambda f: ["10", *f[1:]]), "out of range"),
+    "target equal to |V|": (lambda ds: _edit_first_row(ds, lambda f: [*f[:4], "6"]),
+                            "out of range"),
+    "row with four fields": (lambda ds: _edit_first_row(ds, lambda f: f[:4]),
+                             "5 integer fields"),
+    "header without #train=": (lambda ds: _drop_header_key(ds, "train"), "#train="),
+    "embeddings with more rows than the header": (None, "rows"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_path, capsys):
+    breaks_dataset, message = MALFORMED_INPUTS[case]
+    if breaks_dataset is None:
+        argv = _extra_embedding_row(tmp_path)
+    else:
+        breaks_dataset(prepared_dataset)
+        argv = ["train", str(prepared_dataset), "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
+                "--emb-dim", "8", "--ctx-dim", "8"]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert "Traceback" not in err
+
+
 class TestSubprocessEntry:
     def test_module_invocation_works(self, two_tweet_corpus, tmp_path):
         env = dict(os.environ)

@@ -10,12 +10,12 @@ from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
     as_arrays,
-    backward,
+    backward_arrays,
+    cross_entropy,
     evaluate,
     forward,
     init_params,
     load_checkpoint,
-    loss,
     save_checkpoint,
     sigmoid,
     softmax,
@@ -26,6 +26,11 @@ def tiny_hyper(**kwargs):
     defaults = dict(vocab_size=8, d_in=4, d_ctx=4)
     defaults.update(kwargs)
     return ModelHyper(**defaults)
+
+
+def one(context):
+    """A batch of size 1 holding one context."""
+    return np.array([context], dtype=np.int64)
 
 
 def zero_params(hyper):
@@ -70,49 +75,40 @@ class TestInit:
 class TestForward:
     def test_zero_weights_give_uniform_distribution(self):
         params = zero_params(tiny_hyper())
-        trace = forward(params, (0, 1, 2, 3))
-        np.testing.assert_allclose(trace.probs, np.full(8, 1 / 8), atol=1e-12)
+        trace = forward(params, one((0, 1, 2, 3)))
+        np.testing.assert_allclose(trace.probs[0], np.full(8, 1 / 8), atol=1e-12)
 
     def test_probabilities_normalize(self):
         params = init_params(tiny_hyper(vocab_size=50, d_in=6, d_ctx=5), seed=9)
-        trace = forward(params, (3, 1, 53, 52))
+        trace = forward(params, one((3, 1, 53, 52)))
         assert abs(trace.probs.sum() - 1.0) < 1e-6
         assert np.all(trace.probs > 0) and np.all(trace.probs < 1)
         assert np.all(trace.ctx_act > 0) and np.all(trace.ctx_act < 1)
 
     def test_concatenation_is_order_sensitive(self):
         params = init_params(tiny_hyper(), seed=4)
-        a = forward(params, (0, 1, 2, 3))
-        b = forward(params, (3, 2, 1, 0))
+        a = forward(params, one((0, 1, 2, 3)))
+        b = forward(params, one((3, 2, 1, 0)))
         assert not np.array_equal(a.merged, b.merged)
-        c = forward(params, (5, 5, 5, 5))
-        d = forward(params, (5, 5, 5, 5))
+        c = forward(params, one((5, 5, 5, 5)))
+        d = forward(params, one((5, 5, 5, 5)))
         np.testing.assert_array_equal(c.merged, d.merged)
 
     def test_merged_concatenates_in_context_order(self):
         params = init_params(tiny_hyper(), seed=4)
-        trace = forward(params, (7, 2, 0, 11))
+        trace = forward(params, one((7, 2, 0, 11)))
         expected = np.concatenate([params.w_input[i] for i in (7, 2, 0, 11)])
-        np.testing.assert_array_equal(trace.merged, expected)
-
-    def test_out_of_range_ids_rejected(self):
-        params = init_params(tiny_hyper(), seed=4)
-        with pytest.raises(ValueError):
-            forward(params, (0, 1, 2, 12))
-        with pytest.raises(ValueError):
-            forward(params, (-1, 1, 2, 3))
-        with pytest.raises(ValueError):
-            forward(params, (0, 1, 2))
+        np.testing.assert_array_equal(trace.merged[0], expected)
 
     def test_deterministic(self):
         params = init_params(tiny_hyper(), seed=4)
-        a = forward(params, (1, 2, 3, 4))
-        b = forward(params, (1, 2, 3, 4))
+        a = forward(params, one((1, 2, 3, 4)))
+        b = forward(params, one((1, 2, 3, 4)))
         np.testing.assert_array_equal(a.probs, b.probs)
 
     def test_sigmoid_logits_mode_bounds_logits(self):
         params = init_params(tiny_hyper(sigmoid_logits=True), seed=4)
-        trace = forward(params, (0, 1, 2, 3))
+        trace = forward(params, one((0, 1, 2, 3)))
         assert np.all(trace.logits > 0) and np.all(trace.logits < 1)
         assert abs(trace.probs.sum() - 1.0) < 1e-6
 
@@ -132,35 +128,29 @@ class TestSoftmaxAndLoss:
         np.testing.assert_allclose(sigmoid(x), 1 / (1 + np.exp(-x)), atol=1e-12)
 
     def test_uniform_loss_is_log_vocab(self):
-        probs = np.full(2048, 1 / 2048)
-        assert loss(probs, 17) == pytest.approx(math.log(2048), abs=1e-9)
-        assert loss(probs, 17) == pytest.approx(7.6246, abs=1e-4)
+        probs = np.full((1, 2048), 1 / 2048)
+        assert cross_entropy(probs, np.array([17])) == pytest.approx(math.log(2048), abs=1e-9)
+        assert cross_entropy(probs, np.array([17])) == pytest.approx(7.6246, abs=1e-4)
 
     def test_certain_prediction_has_zero_loss(self):
-        probs = np.zeros(4)
-        probs[2] = 1.0
-        assert loss(probs, 2) == 0.0
+        probs = np.zeros((1, 4))
+        probs[0, 2] = 1.0
+        assert cross_entropy(probs, np.array([2])) == 0.0
 
-    def test_zero_probability_clamped(self):
-        probs = np.zeros(4)
-        probs[0] = 1.0
-        assert loss(probs, 3) == pytest.approx(-math.log(LOSS_FLOOR))
-
-    def test_target_out_of_range(self):
-        with pytest.raises(ValueError):
-            loss(np.full(4, 0.25), 4)
+    def test_zero_probability_clamped(self, caplog):
+        probs = np.zeros((1, 4))
+        probs[0, 0] = 1.0
+        assert cross_entropy(probs, np.array([3])) == pytest.approx(-math.log(LOSS_FLOOR))
+        assert "1 target probabilities clamped" in caplog.text
 
 
 def numeric_gradient(params, batch, name, h=1e-4):
-    """Central finite differences through the forward+loss path only."""
+    """Central finite differences through `evaluate` (forward + cross entropy) only."""
     arr = getattr(params, name)
+    contexts, targets = as_arrays(batch)
 
     def mean_loss():
-        total = 0.0
-        for t in batch:
-            trace = forward(params, t.context)
-            total += loss(trace.probs, t.target)
-        return total / len(batch)
+        return evaluate(params, contexts, targets)
 
     grad = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
@@ -191,7 +181,7 @@ class TestBackward:
         params = init_params(hyper, seed=3)
         rng = np.random.default_rng(0)
         batch = random_batch(rng, hyper, 7)
-        grads, _ = backward(params, batch)
+        grads, _ = backward_arrays(params, *as_arrays(batch))
         for name in PARAM_FIELDS:
             numeric = numeric_gradient(params, batch, name)
             analytic = getattr(grads, name)
@@ -200,13 +190,13 @@ class TestBackward:
 
     def test_shared_input_gradient_sparsity(self):
         params = init_params(tiny_hyper(), seed=5)
-        grads, _ = backward(params, [TrainingTuple((0, 3, 7, 10), 2)])
+        grads, _ = backward_arrays(params, one((0, 3, 7, 10)), np.array([2]))
         nonzero_rows = {int(i) for i in np.nonzero(grads.w_input.any(axis=1))[0]}
         assert nonzero_rows == {0, 3, 7, 10}
 
     def test_repeated_context_id_accumulates(self):
         params = init_params(tiny_hyper(), seed=5)
-        grads, _ = backward(params, [TrainingTuple((6, 6, 6, 6), 2)])
+        grads, _ = backward_arrays(params, one((6, 6, 6, 6)), np.array([2]))
         nonzero_rows = {int(i) for i in np.nonzero(grads.w_input.any(axis=1))[0]}
         assert nonzero_rows == {6}
 
@@ -214,8 +204,8 @@ class TestBackward:
         params = init_params(tiny_hyper(), seed=6)
         rng = np.random.default_rng(2)
         batch = random_batch(rng, params.hyper, 5)
-        once, loss_once = backward(params, batch)
-        twice, loss_twice = backward(params, batch + batch)
+        once, loss_once = backward_arrays(params, *as_arrays(batch))
+        twice, loss_twice = backward_arrays(params, *as_arrays(batch + batch))
         assert loss_once == pytest.approx(loss_twice)
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(getattr(once, name), getattr(twice, name), atol=1e-12)
@@ -223,17 +213,17 @@ class TestBackward:
     def test_empty_batch_rejected(self):
         params = init_params(tiny_hyper(), seed=6)
         with pytest.raises(ValueError):
-            backward(params, [])
+            backward_arrays(params, *as_arrays([]))
 
     def test_small_step_reduces_single_example_loss(self):
         params = init_params(tiny_hyper(), seed=8)
-        example = TrainingTuple((1, 2, 3, 4), 5)
-        before = loss(forward(params, example.context).probs, example.target)
-        grads, _ = backward(params, [example])
+        contexts, targets = one((1, 2, 3, 4)), np.array([5])
+        before = cross_entropy(forward(params, contexts).probs, targets)
+        grads, _ = backward_arrays(params, contexts, targets)
         step = 0.05  # well below the quadratic-approximation breakdown here
         for name in PARAM_FIELDS:
             getattr(params, name)[...] -= step * getattr(grads, name)
-        after = loss(forward(params, example.context).probs, example.target)
+        after = cross_entropy(forward(params, contexts).probs, targets)
         assert after < before
 
 
@@ -244,7 +234,8 @@ class TestEvaluate:
         rng = np.random.default_rng(7)
         batch = random_batch(rng, hyper, 23)
         contexts, targets = as_arrays(batch)
-        expected = np.mean([loss(forward(params, t.context).probs, t.target) for t in batch])
+        expected = np.mean([cross_entropy(forward(params, contexts[i:i + 1]).probs,
+                                          targets[i:i + 1]) for i in range(len(batch))])
         assert evaluate(params, contexts, targets, batch_size=5) == pytest.approx(expected)
 
     def test_empty_rejected(self):
