@@ -1,11 +1,18 @@
-"""Run manifests: enough resolved configuration to reproduce any run."""
+"""Run manifests: enough resolved configuration to reproduce any run.
+
+Also the file helpers the artifact writers share: content hashing and
+atomic replacement.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import IO, Iterator
 
 from . import __version__
 
@@ -16,6 +23,25 @@ def file_sha256(path: Path | str) -> str:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def atomic_write(path: Path | str, mode: str = "w", **open_kwargs) -> Iterator[IO]:
+    """Write `path` through a temp file beside it, moved into place only on success.
+
+    The temp file is `<name>.tmp` in the same directory, so `os.replace` is
+    an atomic rename: a process that dies mid-write leaves the previous
+    file intact. On any error the temp file is removed.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, **open_kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def build_manifest(subcommand: str, config: dict, inputs: dict[str, Path | str],

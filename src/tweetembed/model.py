@@ -11,6 +11,17 @@ positions but are never prediction targets. Ids are not range-checked
 here; `dataset.read_dataset` rejects out-of-range ids at the input
 boundary.
 
+The loss is the mean cross entropy, -ln p_target per row. `evaluate`
+computes it as logsumexp(logits) - logit_target, streaming the rows in
+blocks of about 2^20 logits (8 MB of float64 at any |V|), so it never
+builds the probability matrix and its memory does not grow with the
+dataset. The training step (`backward_arrays`) needs the probabilities for
+the gradient and reads its loss from them. Both clamp the target
+probability at LOSS_FLOOR in the same way. The hot paths write into as few
+full-width arrays as they can, but perform the same IEEE operations in the
+same order as the textbook forms kept in `tests/oracles.py`, so training
+yields the same parameters to the bit.
+
 The columns of the output projection are the word embeddings exported
 downstream. By default the projection feeds the softmax directly;
 `sigmoid_logits=True` squashes it through a sigmoid first, which bounds
@@ -26,6 +37,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,12 +46,17 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import TrainingTuple
+from .manifest import atomic_write
 
 logger = logging.getLogger(__name__)
 
 N_CONTEXT = 4
 N_BOUNDARY = 4
 LOSS_FLOOR = 1e-12
+# -ln(LOSS_FLOOR): a row's loss is capped here, i.e. p_target is clamped at LOSS_FLOOR.
+MAX_NLL = float(-np.log(LOSS_FLOOR))
+# `evaluate` streams about this many logits per block.
+EVAL_BLOCK_LOGITS = 2 ** 20
 
 CHECKPOINT_MAGIC = b"EMBCKPT1"
 PARAM_FIELDS = ("w_input", "w_ctx", "b_ctx", "w_output", "b_out")
@@ -103,55 +120,75 @@ class ForwardTrace:
     probs: np.ndarray         # (B, |V|)
 
 
+def _param_shapes(hyper: ModelHyper) -> dict[str, tuple[int, ...]]:
+    """The shape of each parameter array, in PARAM_FIELDS order."""
+    return {
+        "w_input": (hyper.vocab_size + N_BOUNDARY, hyper.d_in),
+        "w_ctx": (N_CONTEXT * hyper.d_in, hyper.d_ctx),
+        "b_ctx": (hyper.d_ctx,),
+        "w_output": (hyper.d_ctx, hyper.vocab_size),
+        "b_out": (hyper.vocab_size,),
+    }
+
+
 def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
     Each matrix is drawn from U(-limit, limit) with
-    limit = sqrt(6 / (fan_in + fan_out)) for that matrix's own shape.
+    limit = sqrt(6 / (fan_in + fan_out)) for that matrix's own shape,
+    in PARAM_FIELDS order.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def glorot(rows: int, cols: int) -> np.ndarray:
-        limit = math.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-limit, limit, size=(rows, cols))
+    def glorot(shape: tuple[int, ...]) -> np.ndarray:
+        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
+        return rng.uniform(-limit, limit, size=shape)
 
-    return ModelParams(
-        hyper=hyper,
-        w_input=glorot(hyper.vocab_size + N_BOUNDARY, hyper.d_in),
-        w_ctx=glorot(N_CONTEXT * hyper.d_in, hyper.d_ctx),
-        b_ctx=np.zeros(hyper.d_ctx),
-        w_output=glorot(hyper.d_ctx, hyper.vocab_size),
-        b_out=np.zeros(hyper.vocab_size),
-    )
+    arrays = {name: glorot(shape) if len(shape) == 2 else np.zeros(shape)
+              for name, shape in _param_shapes(hyper).items()}
+    return ModelParams(hyper=hyper, **arrays)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function.
+
+    With e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e) otherwise,
+    so exp never overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    out /= 1.0 + e
     return out
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability."""
+    """Row-wise softmax with max subtraction for stability, in one new array."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    out = logits - logits.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def _forward_to_logits(params: ModelParams, contexts: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass up to the softmax input: (embeds, merged, ctx_pre, ctx_act, logits)."""
+    embeds = params.w_input[contexts]                       # (B, 4, d_in)
+    merged = embeds.reshape(contexts.shape[0], -1)          # (B, 4 * d_in)
+    ctx_pre = merged @ params.w_ctx
+    ctx_pre += params.b_ctx
+    ctx_act = sigmoid(ctx_pre)
+    logits = ctx_act @ params.w_output
+    logits += params.b_out
+    if params.hyper.sigmoid_logits:
+        logits = sigmoid(logits)
+    return embeds, merged, ctx_pre, ctx_act, logits
 
 
 def forward(params: ModelParams, contexts: np.ndarray) -> ForwardTrace:
     """Run a batch through the network; contexts is an int array of shape (B, 4)."""
-    embeds = params.w_input[contexts]                       # (B, 4, d_in)
-    merged = embeds.reshape(contexts.shape[0], -1)          # (B, 4 * d_in)
-    ctx_pre = merged @ params.w_ctx + params.b_ctx
-    ctx_act = sigmoid(ctx_pre)
-    out_pre = ctx_act @ params.w_output + params.b_out
-    logits = sigmoid(out_pre) if params.hyper.sigmoid_logits else out_pre
+    embeds, merged, ctx_pre, ctx_act, logits = _forward_to_logits(params, contexts)
     return ForwardTrace(input_embeds=embeds, merged=merged, ctx_pre=ctx_pre,
                         ctx_act=ctx_act, logits=logits, probs=softmax(logits))
 
@@ -163,27 +200,57 @@ def as_arrays(tuples: Sequence[TrainingTuple]) -> tuple[np.ndarray, np.ndarray]:
     return contexts, targets
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
-    picked = probs[np.arange(targets.shape[0]), targets]
-    clamped = np.maximum(picked, LOSS_FLOOR)
-    n_clamped = int((picked < LOSS_FLOOR).sum())
+def _clamp_nll(nll: np.ndarray) -> int:
+    """Cap each row loss -ln p_target at MAX_NLL in place; returns how many were capped.
+
+    This is the LOSS_FLOOR clamp on p_target: -ln max(p, LOSS_FLOOR).
+    """
+    n_clamped = int(np.count_nonzero(nll > MAX_NLL))
+    np.minimum(nll, MAX_NLL, out=nll)
+    return n_clamped
+
+
+def _warn_clamped(n_clamped: int) -> None:
     if n_clamped:
         logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
-    return float(-np.log(clamped).mean())
+
+
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
+    with np.errstate(divide="ignore"):
+        nll = -np.log(probs[np.arange(targets.shape[0]), targets])
+    _warn_clamped(_clamp_nll(nll))
+    return float(nll.mean())
 
 
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
-             batch_size: int = 4096) -> float:
-    """Mean cross entropy over a dataset, evaluated in chunks."""
+             batch_size: int | None = None) -> float:
+    """Mean cross entropy over a dataset, streamed in blocks of rows.
+
+    Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
+    computed in place on the block's logits; no probability matrix is
+    built. A block holds max(1, 2^20 // |V|) rows, about 2^20 logits or
+    8 MB, so memory is bounded independently of the dataset size.
+    `batch_size` overrides the block's row count. The LOSS_FLOOR clamp
+    warns at most once per call, with the count over all blocks.
+    """
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    rows = batch_size or max(1, EVAL_BLOCK_LOGITS // params.hyper.vocab_size)
     total = 0.0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        probs = forward(params, contexts[start:stop]).probs
-        total += cross_entropy(probs, targets[start:stop]) * (stop - start)
+    n_clamped = 0
+    for start in range(0, n, rows):
+        stop = min(start + rows, n)
+        logits = _forward_to_logits(params, contexts[start:stop])[-1]
+        top = logits.max(axis=1)
+        nll = top - logits[np.arange(stop - start), targets[start:stop]]
+        logits -= top[:, None]
+        np.exp(logits, out=logits)
+        nll += np.log(logits.sum(axis=1))
+        n_clamped += _clamp_nll(nll)
+        total += float(nll.sum())
+    _warn_clamped(n_clamped)
     return total / n
 
 
@@ -201,14 +268,14 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
     merged, ctx_act, logits = trace.merged, trace.ctx_act, trace.logits
     mean_loss = cross_entropy(trace.probs, targets)
 
-    d_logits = trace.probs.copy()
-    d_logits[np.arange(batch), targets] -= 1.0
-    d_logits /= batch
+    # The trace is local and the loss is taken, so its probs become d_logits.
+    d_out_pre = trace.probs
+    d_out_pre[np.arange(batch), targets] -= 1.0
+    d_out_pre /= batch
     if params.hyper.sigmoid_logits:
         # logits = sigmoid(out_pre), so chain through the logistic derivative
-        d_out_pre = d_logits * logits * (1.0 - logits)
-    else:
-        d_out_pre = d_logits
+        d_out_pre *= logits
+        d_out_pre *= 1.0 - logits
 
     g_w_output = ctx_act.T @ d_out_pre
     g_b_out = d_out_pre.sum(axis=0)
@@ -239,7 +306,8 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
     the array table (name + shape, in PARAM_FIELDS order); then the raw
     array buffers, row-major little-endian float64, concatenated in table
     order. The file contains no timestamps, so identical runs produce
-    identical bytes.
+    identical bytes. The file is replaced atomically, so a crash mid-write
+    keeps the previous checkpoint.
     """
     header = {
         "format": 1,
@@ -258,8 +326,7 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
         ],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    path = Path(path)
-    with path.open("wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
@@ -268,23 +335,77 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
             fh.write(arr.tobytes())
 
 
+_HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")
+_HYPER_KEYS = ("vocab_size", "d_in", "d_ctx", "sigmoid_logits")
+
+
+def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper, dict[str, tuple[int, ...]]]:
+    """Decode and validate a checkpoint header; raises ValueError naming what is wrong."""
+    try:
+        header = json.loads(blob.decode("utf-8"))
+    except ValueError as exc:  # also UnicodeDecodeError
+        raise ValueError(f"{path}: unreadable checkpoint header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    missing = [key for key in _HEADER_KEYS if key not in header]
+    if missing:
+        raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    if header["format"] != 1:
+        raise ValueError(f"{path}: unsupported checkpoint format {header['format']!r}")
+    if header["dtype"] != "<f8":
+        raise ValueError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
+    raw = header["hyper"]
+    if not isinstance(raw, dict) or sorted(raw) != sorted(_HYPER_KEYS):
+        raise ValueError(f"{path}: checkpoint hyper must have exactly {', '.join(_HYPER_KEYS)}")
+    sizes = [raw[key] for key in _HYPER_KEYS[:3]]
+    if not all(type(size) is int for size in sizes) or type(raw["sigmoid_logits"]) is not bool:
+        raise ValueError(f"{path}: checkpoint hyper has a value of the wrong type: {raw}")
+    hyper = ModelHyper(**raw)
+    shapes = _param_shapes(hyper)
+    table = header["arrays"]
+    names = ([entry.get("name") if isinstance(entry, dict) else None for entry in table]
+             if isinstance(table, list) else None)
+    if names != list(PARAM_FIELDS):
+        raise ValueError(f"{path}: checkpoint array names {names} are not {list(PARAM_FIELDS)}")
+    for entry, (name, shape) in zip(table, shapes.items()):
+        if entry.get("shape") != list(shape):
+            raise ValueError(f"{path}: array {name} has shape {entry.get('shape')}, "
+                             f"but hyper implies {list(shape)}")
+    return header, hyper, shapes
+
+
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
-    """Read a checkpoint; returns the parameters and the header metadata."""
+    """Read a checkpoint; returns the parameters and the header metadata.
+
+    Raises ValueError unless the file is exactly what `save_checkpoint`
+    writes: the magic, a header with every key, format 1, dtype "<f8",
+    the arrays named in PARAM_FIELDS order with the shapes the header's
+    hyperparameters imply, and no byte after the last array.
+    """
     path = Path(path)
     with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        hyper = ModelHyper(**header["hyper"])
-        arrays = {}
-        for entry in header["arrays"]:
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            buf = fh.read(count * 8)
-            if len(buf) != count * 8:
-                raise ValueError(f"{path}: truncated array {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        raw_len = fh.read(4)
+        if len(raw_len) != 4:
+            raise ValueError(f"{path}: truncated checkpoint (no header length)")
+        (header_len,) = struct.unpack("<I", raw_len)
+        body_start = len(CHECKPOINT_MAGIC) + 4 + header_len
+        if body_start > size:
+            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
+                             f"header length says {header_len})")
+        header, hyper, shapes = _parse_header(fh.read(header_len), path)
+        expected = body_start + 8 * sum(math.prod(shape) for shape in shapes.values())
+        if size < expected:
+            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
+                             f"header implies {expected})")
+        if size > expected:
+            raise ValueError(f"{path}: {size - expected} trailing bytes after the last array")
+        arrays = {
+            name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
+            for name, shape in shapes.items()
+        }
     params = ModelParams(hyper=hyper, **arrays)
     return params, header

@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataset import DatasetSplit
+from .manifest import atomic_write
 from .model import (
     PARAM_FIELDS,
     Gradients,
@@ -83,6 +84,11 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
 
     m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g^2
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - b1^t).
+
+    Each matrix's update runs in two scratch arrays, in the operation order
+    of the formula above, so the result is bit-identical to evaluating it
+    with temporaries. The bias correction stays on m and v (not folded into
+    the step size), so eps keeps its meaning.
     """
     state.t += 1
     t = state.t
@@ -92,13 +98,20 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
         m = state.m[name]
         v = state.v[name]
+        step = np.multiply(g, 1.0 - cfg.beta1)        # (1 - b1) g
         m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
+        m += step
+        np.multiply(g, g, out=step)                    # (1 - b2) g^2
+        step *= 1.0 - cfg.beta2
         v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        v += step
+        np.divide(m, 1.0 - cfg.beta1 ** t, out=step)   # lr * m_hat
+        step *= cfg.learning_rate
+        denom = np.divide(v, 1.0 - cfg.beta2 ** t)     # sqrt(v_hat) + eps
+        np.sqrt(denom, out=denom)
+        denom += cfg.epsilon
+        step /= denom
+        getattr(params, name)[...] -= step
 
 
 def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
@@ -166,9 +179,11 @@ def timing_report(logs: Sequence[EpochLog]) -> TimingSummary:
 
 
 def write_run_log(logs: Sequence[EpochLog], path: Path | str) -> None:
-    """Line-delimited records `epoch<TAB>train_loss<TAB>val_loss<TAB>secs`."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    """Line-delimited records `epoch<TAB>train_loss<TAB>val_loss<TAB>secs`.
+
+    Written atomically, so a crash mid-write keeps the previous epoch's log.
+    """
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for entry in logs:
             fh.write(
                 f"{entry.epoch}\t{entry.train_loss:.6f}"

@@ -8,6 +8,11 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from tweetembed.model import PARAM_FIELDS
+from tweetembed.training import NonFiniteGradientError
+
 PADS = ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")
 
 
@@ -125,3 +130,57 @@ def oracle_topological(words, vectors, word_classes) -> tuple[int, int]:
         if min(same) > max(diff):
             passed += 1
     return evaluated, passed
+
+
+def oracle_permutation(n: int, seed: int) -> list[int]:
+    """Fisher-Yates over scalar SplitMix64 draws, one Python-int draw per swap."""
+    mask = (1 << 64) - 1
+    state = seed & mask
+    idx = list(range(n))
+    for i in range(n - 1, 0, -1):
+        state = (state + 0x9E3779B97F4A7C15) & mask
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        z ^= z >> 31
+        j = z % (i + 1)
+        idx[i], idx[j] = idx[j], idx[i]
+    return idx
+
+
+def oracle_sigmoid(x):
+    """Logistic function by boolean masks, each side with its own temporaries."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def oracle_softmax(logits):
+    """Row-wise softmax with one fresh array per step."""
+    logits = np.asarray(logits, dtype=np.float64)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def oracle_adam_step(params, grads, state, cfg):
+    """Textbook bias-corrected Adam (Kingma & Ba), with m_hat and v_hat spelled out."""
+    state.t += 1
+    t = state.t
+    for name in PARAM_FIELDS:
+        g = getattr(grads, name)
+        if not np.all(np.isfinite(g)):
+            raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
+        m = state.m[name]
+        v = state.v[name]
+        m *= cfg.beta1
+        m += (1.0 - cfg.beta1) * g
+        v *= cfg.beta2
+        v += (1.0 - cfg.beta2) * (g * g)
+        m_hat = m / (1.0 - cfg.beta1 ** t)
+        v_hat = v / (1.0 - cfg.beta2 ** t)
+        getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)

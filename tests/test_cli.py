@@ -410,40 +410,77 @@ def _drop_header_key(dataset, key):
     dataset.write_text("\t".join(kept) + "\n" + "".join(rows), encoding="utf-8")
 
 
-def _extra_embedding_row(tmp_path):
+def _train_on(break_dataset):
+    """Case builder: break the prepared dataset, then train on it."""
+    def argv(dataset, tmp_path):
+        break_dataset(dataset)
+        return ["train", str(dataset), "--out-checkpoint", str(tmp_path / "m.ckpt"),
+                "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
+                "--emb-dim", "8", "--ctx-dim", "8"]
+    return argv
+
+
+def _extra_embedding_row(dataset, tmp_path):
     emb = tmp_path / "emb.txt"
     emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\ndia 0.5 0.6\n", encoding="utf-8")
     return ["eval", str(emb), "--out", str(tmp_path / "report.json")]
 
 
-# Case -> (how to break the dataset, or None to read a bad embeddings file
-# instead; text the error must carry). The dataset has |V| = 6, so context
-# ids run 0..9 and targets 0..5.
+def _export_broken_checkpoint(edit_header=None, cut=None, tail=b""):
+    """Case builder: rewrite a valid checkpoint (header edit, truncation or
+    appended bytes), then export from it."""
+    def argv(dataset, tmp_path):
+        ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+        data = ckpt.read_bytes()
+        header_len = int.from_bytes(data[8:12], "little")
+        header = json.loads(data[12:12 + header_len])
+        if edit_header is not None:
+            edit_header(header)
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        data = (data[:8] + len(blob).to_bytes(4, "little") + blob
+                + data[12 + header_len:] + tail)
+        ckpt.write_bytes(data[:cut])
+        return ["export", str(ckpt), "--vocab", str(vocab_path),
+                "--out", str(tmp_path / "emb.txt")]
+    return argv
+
+
+# Case -> (build the failing argv from the prepared dataset and tmp_path;
+# text the error must carry). The dataset has |V| = 6, so context ids run
+# 0..9 and targets 0..5.
 MALFORMED_INPUTS = {
-    "negative context id": (lambda ds: _edit_first_row(ds, lambda f: ["-1", *f[1:]]),
+    "negative context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["-1", *f[1:]])),
                             "out of range"),
     "context id past the boundary rows": (
-        lambda ds: _edit_first_row(ds, lambda f: ["10", *f[1:]]), "out of range"),
-    "target equal to |V|": (lambda ds: _edit_first_row(ds, lambda f: [*f[:4], "6"]),
+        _train_on(lambda ds: _edit_first_row(ds, lambda f: ["10", *f[1:]])), "out of range"),
+    "target equal to |V|": (_train_on(lambda ds: _edit_first_row(ds, lambda f: [*f[:4], "6"])),
                             "out of range"),
-    "row with four fields": (lambda ds: _edit_first_row(ds, lambda f: f[:4]),
+    "row with four fields": (_train_on(lambda ds: _edit_first_row(ds, lambda f: f[:4])),
                              "5 integer fields"),
-    "header without #train=": (lambda ds: _drop_header_key(ds, "train"), "#train="),
-    "embeddings with more rows than the header": (None, "rows"),
+    "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
+    "embeddings with more rows than the header": (_extra_embedding_row, "rows"),
+    "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
+                                       "4 trailing bytes"),
+    "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),
+                            "format 2"),
+    "checkpoint dtype <f4": (_export_broken_checkpoint(lambda h: h.update(dtype="<f4")),
+                             "dtype '<f4'"),
+    "checkpoint header without hyper": (_export_broken_checkpoint(lambda h: h.pop("hyper")),
+                                        "lacks hyper"),
+    "checkpoint shorter than its length field": (_export_broken_checkpoint(cut=10),
+                                                 "no header length"),
+    "checkpoint cut inside an array": (_export_broken_checkpoint(cut=-8), "truncated"),
+    "checkpoint arrays out of order": (
+        _export_broken_checkpoint(lambda h: h["arrays"].reverse()), "array names"),
+    "checkpoint shape not implied by hyper": (
+        _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
 }
 
 
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_path, capsys):
-    breaks_dataset, message = MALFORMED_INPUTS[case]
-    if breaks_dataset is None:
-        argv = _extra_embedding_row(tmp_path)
-    else:
-        breaks_dataset(prepared_dataset)
-        argv = ["train", str(prepared_dataset), "--out-checkpoint", str(tmp_path / "m.ckpt"),
-                "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
-                "--emb-dim", "8", "--ctx-dim", "8"]
-    assert main(argv) == EXIT_INPUT
+    build_argv, message = MALFORMED_INPUTS[case]
+    assert main(build_argv(prepared_dataset, tmp_path)) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err

@@ -15,8 +15,9 @@ from tweetembed.dataset import (
     write_dataset,
     write_vocabulary,
 )
+from tweetembed.rng import permutation
 
-from oracles import oracle_filter
+from oracles import oracle_filter, oracle_permutation
 
 
 def small_dictionary():
@@ -163,6 +164,13 @@ class TestSplitDataset:
     def test_nonempty_blocks_at_twenty(self):
         split = split_dataset(make_tuples(20))
         assert split.validation and split.train
+
+
+class TestPermutation:
+    @pytest.mark.parametrize("n", [0, 1, 2, 13190])
+    def test_matches_scalar_splitmix_oracle(self, n):
+        for seed in (0, 1, 13, 2**63 + 7, 2**64 - 5):
+            assert permutation(n, seed) == oracle_permutation(n, seed)
 
 
 class TestFiles:

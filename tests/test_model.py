@@ -7,6 +7,7 @@ from tweetembed.dataset import TrainingTuple
 from tweetembed.model import (
     CHECKPOINT_MAGIC,
     LOSS_FLOOR,
+    MAX_NLL,
     PARAM_FIELDS,
     ModelHyper,
     as_arrays,
@@ -20,6 +21,8 @@ from tweetembed.model import (
     sigmoid,
     softmax,
 )
+
+from oracles import oracle_sigmoid, oracle_softmax
 
 
 def tiny_hyper(**kwargs):
@@ -127,6 +130,17 @@ class TestSoftmaxAndLoss:
         x = np.linspace(-30, 30, 101)
         np.testing.assert_allclose(sigmoid(x), 1 / (1 + np.exp(-x)), atol=1e-12)
 
+    def test_bit_identical_to_reference_implementations(self):
+        rng = np.random.default_rng(3)
+        edges = np.array([0.0, -0.0, 745.0, -745.0, 1000.0, -1000.0, np.nan, 1.0])
+        rows = np.vstack([edges, edges[::-1], np.roll(edges, 3), edges * 0.5,
+                          rng.normal(0.0, 5.0, (6, 8)), rng.normal(0.0, 300.0, (6, 8))])
+        for x in (rows, rows[4], edges[:6]):
+            assert np.array_equal(sigmoid(x), oracle_sigmoid(x), equal_nan=True)
+            assert np.array_equal(softmax(x), oracle_softmax(x), equal_nan=True)
+        for x in (np.float64(-0.0), np.float64(745.0), np.float64(np.nan)):
+            assert np.array_equal(sigmoid(x), oracle_sigmoid(x), equal_nan=True)
+
     def test_uniform_loss_is_log_vocab(self):
         probs = np.full((1, 2048), 1 / 2048)
         assert cross_entropy(probs, np.array([17])) == pytest.approx(math.log(2048), abs=1e-9)
@@ -228,15 +242,31 @@ class TestBackward:
 
 
 class TestEvaluate:
-    def test_matches_per_example_mean(self):
-        hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3)
-        params = init_params(hyper, seed=1)
+    def test_matches_per_example_mean(self, caplog):
+        # batch_size None is the |V|-derived block (all 23 rows in one); 5 and
+        # 4 leave a short last block. The clamped case pins one target's logit
+        # far below the rest, so every row with that target, in several
+        # blocks, hits LOSS_FLOOR, and evaluate still warns once.
         rng = np.random.default_rng(7)
-        batch = random_batch(rng, hyper, 23)
-        contexts, targets = as_arrays(batch)
-        expected = np.mean([cross_entropy(forward(params, contexts[i:i + 1]).probs,
-                                          targets[i:i + 1]) for i in range(len(batch))])
-        assert evaluate(params, contexts, targets, batch_size=5) == pytest.approx(expected)
+        for sigmoid_logits, clamped in ((False, False), (True, False), (False, True)):
+            hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3, sigmoid_logits=sigmoid_logits)
+            params = init_params(hyper, seed=1)
+            contexts, targets = as_arrays(random_batch(rng, hyper, 23))
+            if clamped:
+                params.b_out[targets[0]] = -100.0
+            expected = np.mean([cross_entropy(forward(params, contexts[i:i + 1]).probs,
+                                              targets[i:i + 1]) for i in range(23)])
+            n_clamped = int((targets == targets[0]).sum())
+            if clamped:
+                assert n_clamped > 1 and expected > n_clamped * MAX_NLL / 23
+            for batch_size in (None, 5, 4):
+                caplog.clear()
+                got = evaluate(params, contexts, targets, batch_size=batch_size)
+                assert abs(got - expected) <= 1e-12 * expected, (sigmoid_logits, batch_size)
+                warnings = [r.getMessage() for r in caplog.records]
+                assert warnings == (
+                    [f"{n_clamped} target probabilities clamped to 1e-12 before log"]
+                    if clamped else [])
 
     def test_empty_rejected(self):
         params = init_params(tiny_hyper(), seed=1)

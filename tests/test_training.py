@@ -1,8 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import tweetembed.manifest
+import tweetembed.model
+import tweetembed.training
 from tweetembed.corpus import build_dictionary, count_ngrams
 from tweetembed.dataset import (
     filter_ngrams,
@@ -30,6 +34,8 @@ from tweetembed.training import (
     train,
     write_run_log,
 )
+
+from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax
 
 
 def tiny_hyper():
@@ -74,6 +80,26 @@ class TestAdamStep:
             results.append({name: getattr(params, name).copy() for name in PARAM_FIELDS})
         for name in PARAM_FIELDS:
             np.testing.assert_array_equal(results[0][name], results[1][name])
+
+    def test_bit_identical_to_textbook_adam(self):
+        rng = np.random.default_rng(4)
+        hyper = ModelHyper(vocab_size=30, d_in=5, d_ctx=6)
+        cfg = TrainConfig(learning_rate=0.01)
+        fast, slow = init_params(hyper, seed=9), init_params(hyper, seed=9)
+        fast_state, slow_state = AdamState.for_params(fast), AdamState.for_params(slow)
+        for _ in range(5):
+            grads = Gradients(**{name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2),
+                                                  getattr(fast, name).shape)
+                                 for name in PARAM_FIELDS})
+            grads.b_ctx[0] = 0.0
+            grads.b_ctx[1] = -0.0
+            adam_step(fast, grads, fast_state, cfg)
+            oracle_adam_step(slow, grads, slow_state, cfg)
+            for name in PARAM_FIELDS:
+                assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+                assert np.array_equal(fast_state.m[name], slow_state.m[name]), name
+                assert np.array_equal(fast_state.v[name], slow_state.v[name]), name
+        assert fast_state.t == slow_state.t == 5
 
     def test_non_finite_gradient_names_matrix(self):
         params = init_params(tiny_hyper(), seed=3)
@@ -151,6 +177,79 @@ class TestTrain:
                   TrainConfig(epochs=5, batch_size=16, seed=3, learning_rate=1000.0),
                   checkpoint_path=diverging)
         assert diverging.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("sigmoid_logits", [False, True])
+    def test_hot_path_bytes_match_reference_implementations(self, sigmoid_logits,
+                                                            tmp_path, monkeypatch):
+        # Guard for hot-path rewrites: swapping softmax, sigmoid and adam_step
+        # for their textbook forms must not change one byte of the checkpoint.
+        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4, sigmoid_logits=sigmoid_logits)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=21, deterministic=True)
+        fast, slow = tmp_path / "fast.ckpt", tmp_path / "slow.ckpt"
+        _, fast_logs = train(toy_split(), hyper, cfg, checkpoint_path=fast)
+        monkeypatch.setattr(tweetembed.model, "softmax", oracle_softmax)
+        monkeypatch.setattr(tweetembed.model, "sigmoid", oracle_sigmoid)
+        monkeypatch.setattr(tweetembed.training, "adam_step", oracle_adam_step)
+        _, slow_logs = train(toy_split(), hyper, cfg, checkpoint_path=slow)
+        assert fast.read_bytes() == slow.read_bytes()
+        assert fast_logs == slow_logs
+
+    @pytest.mark.parametrize("failing", ["model.ckpt", "run_log.tsv"])
+    def test_write_failing_midway_keeps_previous_file(self, failing, tmp_path, monkeypatch):
+        # The second write of `failing` raises after its first 16 bytes reach
+        # the disk; the epoch-1 file must survive intact, with no temp file left.
+        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=3, deterministic=True)
+
+        def run(out_dir, epochs):
+            out_dir.mkdir()
+            logs = []
+
+            def record(entry):
+                logs.append(entry)
+                write_run_log(logs, out_dir / "run_log.tsv")
+
+            train(toy_split(), hyper, dataclasses.replace(cfg, epochs=epochs),
+                  checkpoint_path=out_dir / "model.ckpt", on_epoch=record)
+            return out_dir
+
+        reference = run(tmp_path / "reference", 1)
+        opened = []
+
+        class BrokenWrites:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:16])
+                self.fh.flush()
+                raise OSError("disk full")
+
+        def flaky_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path.name == failing + ".tmp":
+                opened.append(path)
+                if len(opened) == 2:
+                    return BrokenWrites(fh)
+            return fh
+
+        monkeypatch.setattr(tweetembed.manifest, "open", flaky_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run(tmp_path / "broken", 3)
+        broken = tmp_path / "broken"
+        assert len(opened) == 2
+        assert sorted(p.name for p in broken.iterdir()) == ["model.ckpt", "run_log.tsv"]
+        assert (broken / failing).read_bytes() == (reference / failing).read_bytes()
+        if failing == "model.ckpt":
+            load_checkpoint(broken / failing)
+        else:
+            assert [e.epoch for e in read_run_log(broken / failing)] == [1]
 
     def test_epoch_callback_streams_logs(self):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
