@@ -2,7 +2,9 @@
 
 Stages communicate through files so expensive steps can be reused across
 experiment cells. Every run writes a manifest next to its main output.
-Exit codes: 0 success, 2 input error, 3 training divergence.
+Exit codes: 0 success, 2 input error (including any OSError: a missing,
+unreadable or unwritable path, or a directory where a file belongs),
+3 training divergence.
 """
 
 from __future__ import annotations
@@ -12,12 +14,13 @@ import sys
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
+
 from . import __version__
 from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, read_ngram_db,
                      write_dictionary, write_ngram_db)
 from .dataset import (
     DatasetSplit,
-    TrainingTuple,
     Vocabulary,
     filter_ngrams,
     read_dataset,
@@ -47,7 +50,7 @@ from .evaluation import (
     format_report_table,
     run_standard_suite,
 )
-from .manifest import build_manifest, file_sha256, write_manifest
+from .manifest import atomic_write, build_manifest, file_sha256, write_manifest
 from .model import ModelHyper, ModelParams, load_checkpoint
 from .training import (
     EpochLog,
@@ -78,13 +81,7 @@ class InputError(Exception):
 
 
 def _read_corpus_lines(path: Path) -> list[str]:
-    if not path.is_file():
-        raise InputError(f"corpus file not readable: {path}")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"corpus file not readable: {path} ({exc})") from exc
-    return [line for line in text.splitlines() if line.strip()]
+    return [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
 
 
 # Stage functions, shared by the stage commands and `grid`: each takes its
@@ -101,21 +98,21 @@ def ingest_stage(lines: list[str], args: argparse.Namespace, db_path: Path,
     return db, dictionary, {"threads": args.threads}
 
 
-def qualifying_tuples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
-                      args: argparse.Namespace) -> tuple[Vocabulary, list[TrainingTuple]]:
+def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
+                        args: argparse.Namespace) -> tuple[Vocabulary, np.ndarray]:
     """The |V|-dependent half of the dataset stage; `grid` runs it once per |V|."""
     vocab = select_vocabulary(dictionary, vocab_size)
-    tuples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
-    if not tuples:
+    examples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
+    if len(examples) == 0:
         raise InputError(f"no 5-grams qualify for vocabulary size {vocab_size}; "
                          "try a larger vocabulary or --include-boundary")
-    return vocab, tuples
+    return vocab, examples
 
 
-def dataset_stage(tuples: list[TrainingTuple], vocab: Vocabulary, fraction: float,
+def dataset_stage(examples: np.ndarray, vocab: Vocabulary, fraction: float,
                   args: argparse.Namespace, out_path: Path,
                   vocab_path: Path) -> tuple[DatasetSplit, dict]:
-    split = split_dataset(tuples, validation_ratio=args.validation_ratio,
+    split = split_dataset(examples, validation_ratio=args.validation_ratio,
                           fraction=fraction, seed=args.seed)
     write_dataset(split, vocab, out_path)
     write_vocabulary(vocab, vocab_path)
@@ -224,17 +221,15 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     db_path = Path(args.db)
-    if not db_path.is_file():
-        raise InputError(f"5-gram database not readable: {db_path}")
     db = read_ngram_db(db_path)
-    vocab, tuples = qualifying_tuples(db, build_dictionary(db), args.vocab_size, args)
+    vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     out_path = Path(args.out)
-    split, config = dataset_stage(tuples, vocab, args.fraction, args, out_path,
+    split, config = dataset_stage(examples, vocab, args.fraction, args, out_path,
                                   out_path.with_suffix(out_path.suffix + ".vocab.tsv"))
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
                               args.deterministic)
     write_manifest(manifest, out_path.with_suffix(out_path.suffix + ".manifest.json"))
-    print(f"qualifying 5-grams: {len(tuples)}")
+    print(f"qualifying 5-grams: {len(examples)}")
     print(f"train tuples: {len(split.train)}")
     print(f"validation tuples: {len(split.validation)}")
     return EXIT_OK
@@ -242,8 +237,6 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = Path(args.dataset)
-    if not dataset_path.is_file():
-        raise InputError(f"dataset not readable: {dataset_path}")
     split, meta = read_dataset(dataset_path)
     checkpoint_path = Path(args.out_checkpoint)
 
@@ -269,9 +262,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     checkpoint_path = Path(args.checkpoint)
     vocab_path = Path(args.vocab)
-    for path in (checkpoint_path, vocab_path):
-        if not path.is_file():
-            raise InputError(f"input not readable: {path}")
     params, header = load_checkpoint(checkpoint_path)
     vocab = read_vocabulary(vocab_path)
     if header.get("vocab_hash") and header["vocab_hash"] != vocabulary_hash(vocab):
@@ -296,9 +286,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
     emb_path = Path(args.embeddings)
     classes_path = Path(args.classes)
     pairs_path = Path(args.pairs)
-    for path in (emb_path, classes_path, pairs_path):
-        if not path.is_file():
-            raise InputError(f"input not readable: {path}")
     table = read_embeddings_text(emb_path)
     classes = load_gold_classes(classes_path)
     pairs = load_equivalence_pairs(pairs_path)
@@ -337,11 +324,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:
-        vocab, tuples = qualifying_tuples(db, dictionary, vocab_size, args)
+        vocab, examples = qualifying_examples(db, dictionary, vocab_size, args)
         for fraction in fractions:
             cell = out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}"
             cell.mkdir(exist_ok=True)
-            split, dataset_config = dataset_stage(tuples, vocab, fraction, args,
+            split, dataset_config = dataset_stage(examples, vocab, fraction, args,
                                                   cell / "dataset.tsv", cell / "vocab.tsv")
             params, logs, train_config = train_stage(split, vocab.size, vocabulary_hash(vocab),
                                                      args, cell / "model.ckpt",
@@ -362,7 +349,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 logs[-1].train_loss, logs[-1].validation_loss,
             ))
     summary_path = out_dir / "summary.tsv"
-    with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vocab_size\tfraction\ttrain_tuples\tavg_secs_epoch\ttrain_loss\tval_loss\n")
         for row in summary_rows:
             fh.write(f"{row[0]}\t{row[1]}\t{row[2]}\t{row[3]:.3f}\t{row[4]:.6f}\t{row[5]:.6f}\n")
@@ -485,7 +472,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, FileNotFoundError, PermissionError) as exc:
+    except (InputError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TrainingDiverged, NonFiniteGradientError) as exc:

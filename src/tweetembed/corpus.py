@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .manifest import atomic_write
+
 HANDLE_TOKEN = "T_HANDLE"
 LINK_TOKEN = "LINK"
 
@@ -166,14 +168,15 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
     Rows are `w1..w5<TAB>count`, sorted lexicographically by the tokens so
     output bytes do not depend on counting order.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#total_tweets={db.total_tweets}\t#total_tokens={db.total_tokens}\n")
         for gram in sorted(db.records):
             fh.write("\t".join(gram) + f"\t{db.records[gram]}\n")
 
 
 def read_ngram_db(path: Path | str) -> NGramDatabase:
+    """Parse a 5-gram database; a repeated 5-gram row or counts that do not
+    sum to the header's #total_tokens is a ValueError."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -183,18 +186,24 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
         total_tweets = int(tweets_part.removeprefix("#total_tweets="))
         total_tokens = int(tokens_part.removeprefix("#total_tokens="))
         records: dict[FiveGram, int] = {}
-        for lineno, line in enumerate(fh, start=2):
+        n_rows = 0
+        for n_rows, line in enumerate(fh, start=1):
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 6:
-                raise ValueError(f"{path}:{lineno}: expected 6 columns, got {len(fields)}")
+                raise ValueError(f"{path}:{n_rows + 1}: expected 6 columns, got {len(fields)}")
             records[tuple(fields[:5])] = int(fields[5])
+    if len(records) != n_rows:
+        raise ValueError(f"{path}: {n_rows - len(records)} repeated 5-gram rows")
+    counted = sum(records.values())
+    if counted != total_tokens:
+        raise ValueError(f"{path}: 5-gram counts sum to {counted}, "
+                         f"header says #total_tokens={total_tokens}")
     return NGramDatabase(records, total_tweets, total_tokens)
 
 
 def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:
     """TSV `word<TAB>frequency<TAB>rank`, rank ascending from 0."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for rank, (word, freq) in enumerate(dictionary.entries):
             fh.write(f"{word}\t{freq}\t{rank}\n")
 

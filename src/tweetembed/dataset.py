@@ -1,22 +1,24 @@
-"""Vocabulary selection, training-tuple filtering, deterministic splits."""
+"""Vocabulary selection, training-example filtering, deterministic splits.
+
+A set of training examples is one (N, 5) int64 array, one example per row,
+with columns `c1 c2 c4 c5 target`: the ids of the context words at
+positions i-2, i-1, i+1, i+2, then the id of the center word. The dataset
+file stores the same rows.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import math
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase
+from .manifest import atomic_write
 from .rng import permutation
-
-
-class TrainingTuple(NamedTuple):
-    """Four context word ids (positions i-2, i-1, i+1, i+2) and the target id."""
-
-    context: tuple[int, int, int, int]
-    target: int
 
 
 @dataclass
@@ -66,19 +68,19 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
 
 
 def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
-                  include_boundary: bool = False) -> list[TrainingTuple]:
-    """Training tuples for every distinct qualifying 5-gram.
+                  include_boundary: bool = False) -> np.ndarray:
+    """One example row `c1 c2 c4 c5 target` for every distinct qualifying 5-gram.
 
     A 5-gram qualifies when its center word and all four context tokens
     are in the vocabulary; with include_boundary, context tokens may also
     be boundary tokens (mapped to the reserved ids). Counts do not
-    replicate tuples: each distinct 5-gram yields exactly one tuple.
-    Output is ordered by the 5-gram's tokens, so it is independent of
-    counting order.
+    replicate rows: each distinct 5-gram yields exactly one row. Rows are
+    ordered by the 5-gram's tokens, so they are independent of counting
+    order. Returns shape (0, 5) when nothing qualifies.
     """
     boundary_ok = frozenset(BOUNDARY_TOKENS) if include_boundary else frozenset()
     word_to_id = vocab.word_to_id
-    out: list[TrainingTuple] = []
+    ids: list[int] = []
     for gram in sorted(db.records):
         target = word_to_id.get(gram[2])
         if target is None:
@@ -93,49 +95,51 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
                     break
             context.append(token_id)
         if len(context) == 4:
-            out.append(TrainingTuple((context[0], context[1], context[2], context[3]), target))
-    return out
+            ids += context
+            ids.append(target)
+    return np.array(ids, dtype=np.int64).reshape(-1, 5)
 
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/validation tuple lists plus the parameters that made them."""
+    """Disjoint train/validation example arrays plus the parameters that made them.
 
-    train: list[TrainingTuple]
-    validation: list[TrainingTuple]
+    `train` and `validation` are (N, 5) int64 arrays of rows
+    `c1 c2 c4 c5 target` (see the module docstring).
+    """
+
+    train: np.ndarray
+    validation: np.ndarray
     seed: int
     fraction: float
     validation_ratio: float
 
 
-def split_dataset(tuples: Sequence[TrainingTuple], validation_ratio: float = 0.1,
+def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
                   fraction: float = 1.0, seed: int = 13) -> DatasetSplit:
     """Deterministic validation/train split with optional train subsampling.
 
-    The tuples are permuted by the explicit seeded shuffle (see rng module),
-    the first floor(validation_ratio * n) become validation, and the train
-    set is the first floor(fraction * remaining) of the rest. Validation is
-    therefore identical across fractions for a fixed seed, and a smaller
-    fraction's train set is a prefix of a larger one's.
+    The example rows are permuted by the explicit seeded shuffle (see rng
+    module), the first floor(validation_ratio * n) become validation, and
+    the train set is the first floor(fraction * remaining) of the rest.
+    Validation is therefore identical across fractions for a fixed seed,
+    and a smaller fraction's train set is a prefix of a larger one's.
     """
-    if not tuples:
-        raise ValueError("cannot split an empty tuple list")
+    if len(examples) == 0:
+        raise ValueError("cannot split an empty example set")
     if not 0.0 < validation_ratio < 1.0:
         raise ValueError(f"validation_ratio must be in (0, 1), got {validation_ratio}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    order = permutation(len(tuples), seed)
-    shuffled = [tuples[i] for i in order]
+    shuffled = examples[permutation(len(examples), seed)]
     n_val = math.floor(validation_ratio * len(shuffled))
-    validation = shuffled[:n_val]
-    pool = shuffled[n_val:]
-    train = pool[: math.floor(fraction * len(pool))]
-    return DatasetSplit(train, validation, seed, fraction, validation_ratio)
+    n_train = math.floor(fraction * (len(shuffled) - n_val))
+    return DatasetSplit(shuffled[n_val : n_val + n_train], shuffled[:n_val], seed, fraction,
+                        validation_ratio)
 
 
 def write_vocabulary(vocab: Vocabulary, path: Path | str) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for i, word in enumerate(vocab.words):
             fh.write(f"{word}\t{i}\n")
 
@@ -159,8 +163,7 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
     file: vocabulary size and hash, shuffle seed, validation ratio,
     fraction, and the two block lengths.
     """
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"#vocab_size={vocab.size}"
             f"\t#vocab_hash={vocabulary_hash(vocab)}"
@@ -171,16 +174,18 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
             f"\t#train={len(split.train)}\n"
         )
         for block in (split.validation, split.train):
-            for item in block:
-                c1, c2, c4, c5 = item.context
-                fh.write(f"{c1}\t{c2}\t{c4}\t{c5}\t{item.target}\n")
+            for c1, c2, c4, c5, target in block.tolist():
+                fh.write(f"{c1}\t{c2}\t{c4}\t{c5}\t{target}\n")
 
 
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
     """Parse a dataset file; returns the split and its header metadata.
 
+    The body is parsed in one pass into an (N, 5) int64 array; the split's
+    blocks are views of it. A row that is not 5 integers is a ValueError.
     The model indexes its weights with the ids unchecked, so any id out of
-    range (context [0, |V| + 4), target [0, |V|)) is a ValueError here.
+    range (context [0, |V| + 4), target [0, |V|)) is a ValueError here too,
+    naming the first offending line.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
@@ -199,18 +204,24 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
         n_train = int(meta["train"])
         vocab_size = int(meta["vocab_size"])
         n_ids = vocab_size + len(BOUNDARY_TOKENS)
-        rows: list[TrainingTuple] = []
-        for lineno, line in enumerate(fh, start=2):
+        with warnings.catch_warnings():
+            # An empty body warns and parses as shape (0, 1); the checks below cover it.
+            warnings.simplefilter("ignore", UserWarning)
             try:
-                c1, c2, c4, c5, target = map(int, line.split("\t"))
+                rows = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
             except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: expected 5 integer fields ({exc})") from None
-            if not (0 <= c1 < n_ids and 0 <= c2 < n_ids and 0 <= c4 < n_ids
-                    and 0 <= c5 < n_ids and 0 <= target < vocab_size):
-                raise ValueError(f"{path}:{lineno}: id out of range (context ids in "
-                                 f"[0, {n_ids}), target in [0, {vocab_size})): {line.split()}")
-            rows.append(TrainingTuple((c1, c2, c4, c5), target))
-    if len(rows) != n_val + n_train:
+                raise ValueError(f"{path}: expected 5 integer fields ({exc})") from None
+    if rows.size == 0:
+        rows = rows.reshape(0, 5)
+    if rows.shape[1] != 5:
+        raise ValueError(f"{path}: expected 5 integer fields, got {rows.shape[1]}")
+    bad = ((rows[:, :4] < 0) | (rows[:, :4] >= n_ids)).any(axis=1)
+    bad |= (rows[:, 4] < 0) | (rows[:, 4] >= vocab_size)
+    if bad.any():
+        first = int(bad.argmax())
+        raise ValueError(f"{path}:{first + 2}: id out of range (context ids in "
+                         f"[0, {n_ids}), target in [0, {vocab_size})): {rows[first].tolist()}")
+    if n_val < 0 or n_train < 0 or len(rows) != n_val + n_train:
         raise ValueError(f"{path}: row count does not match header block sizes")
     split = DatasetSplit(
         train=rows[n_val:],

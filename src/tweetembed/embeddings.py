@@ -11,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import Vocabulary
+from .manifest import atomic_write
 from .model import ModelParams
 
 TABLE_MAGIC = b"EMBTBL01"
@@ -161,8 +162,7 @@ def nearest(table: EmbeddingTable, word: str, k: int) -> list[tuple[str, float]]
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:
     """Plain-text interchange layout: "<n> <dim>" header, then one word
     per line followed by its vector components at six decimals."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.words)} {table.dim}\n")
         for word, vec in zip(table.words, table.vectors):
             fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
@@ -198,8 +198,7 @@ def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
         "manifest_hash": table.manifest_hash,
     }
     blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    path = Path(path)
-    with path.open("wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(TABLE_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)

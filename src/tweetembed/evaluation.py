@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,6 +30,7 @@ import numpy as np
 
 from .corpus import normalize_token
 from .embeddings import EmbeddingTable
+from .manifest import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -271,18 +272,6 @@ def topological_consistency_test(table: EmbeddingTable,
                       score, zero_excluded)
 
 
-def _report_dict(report: TestReport) -> dict:
-    return {
-        "name": report.name,
-        "threshold": report.threshold,
-        "coverage": report.coverage,
-        "covered_pairs": report.covered_pairs,
-        "passed": report.passed,
-        "score": report.score,
-        "excluded_zero_vectors": report.excluded_zero_vectors,
-    }
-
-
 def format_report_table(reports: Sequence[TestReport]) -> str:
     """Aligned text table, one row per (test, threshold) report."""
     header = ("test", "threshold", "coverage", "covered", "passed", "score", "zero_excl")
@@ -308,34 +297,20 @@ def emit_report(reports: Sequence[TestReport], manifest: dict,
     """Write the machine-readable report and, optionally, the text table."""
     payload = {
         "manifest": manifest,
-        "reports": [_report_dict(r) for r in reports],
+        "reports": [asdict(r) for r in reports],
     }
-    json_path = Path(json_path)
-    with json_path.open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(json_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
     if text_path is not None:
-        text_path = Path(text_path)
-        with text_path.open("w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(text_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(format_report_table(reports))
 
 
 def parse_report(json_path: Path | str) -> tuple[dict, list[TestReport]]:
     with Path(json_path).open("r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    reports = [
-        TestReport(
-            name=d["name"],
-            threshold=d["threshold"],
-            coverage=d["coverage"],
-            covered_pairs=d["covered_pairs"],
-            passed=d["passed"],
-            score=d["score"],
-            excluded_zero_vectors=d["excluded_zero_vectors"],
-        )
-        for d in payload["reports"]
-    ]
-    return payload["manifest"], reports
+    return payload["manifest"], [TestReport(**d) for d in payload["reports"]]
 
 
 def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],

@@ -66,6 +66,6 @@ def build_manifest(subcommand: str, config: dict, inputs: dict[str, Path | str],
 
 
 def write_manifest(manifest: dict, path: Path | str) -> None:
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")

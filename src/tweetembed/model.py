@@ -41,11 +41,9 @@ import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .dataset import TrainingTuple
 from .manifest import atomic_write
 
 logger = logging.getLogger(__name__)
@@ -191,13 +189,6 @@ def forward(params: ModelParams, contexts: np.ndarray) -> ForwardTrace:
     embeds, merged, ctx_pre, ctx_act, logits = _forward_to_logits(params, contexts)
     return ForwardTrace(input_embeds=embeds, merged=merged, ctx_pre=ctx_pre,
                         ctx_act=ctx_act, logits=logits, probs=softmax(logits))
-
-
-def as_arrays(tuples: Sequence[TrainingTuple]) -> tuple[np.ndarray, np.ndarray]:
-    """Pack tuples into (contexts, targets) int64 arrays."""
-    contexts = np.array([t.context for t in tuples], dtype=np.int64).reshape(-1, N_CONTEXT)
-    targets = np.array([t.target for t in tuples], dtype=np.int64)
-    return contexts, targets
 
 
 def _clamp_nll(nll: np.ndarray) -> int:

@@ -13,11 +13,11 @@ import numpy as np
 from .dataset import DatasetSplit
 from .manifest import atomic_write
 from .model import (
+    N_CONTEXT,
     PARAM_FIELDS,
     Gradients,
     ModelHyper,
     ModelParams,
-    as_arrays,
     backward_arrays,
     evaluate,
     init_params,
@@ -120,7 +120,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
           ) -> tuple[ModelParams, list[EpochLog]]:
     """Full training loop.
 
-    Per epoch: reshuffle the train tuples with a seed derived from
+    Per epoch: reshuffle the train examples with a seed derived from
     (cfg.seed, epoch), apply Adam over mini-batches, then evaluate mean
     cross entropy on the full train and validation sets and emit an
     EpochLog. A checkpoint is written after every successful epoch; on
@@ -129,12 +129,15 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible.
     """
-    if not split.train:
+    if len(split.train) == 0:
         raise ValueError("training split is empty")
     params = init_params(hyper, cfg.seed)
     state = AdamState.for_params(params)
-    train_ctx, train_tgt = as_arrays(split.train)
-    val_ctx, val_tgt = (as_arrays(split.validation) if split.validation else (None, None))
+    # Sliced once into contiguous arrays: every batch and evaluation reads them.
+    train_ctx = np.ascontiguousarray(split.train[:, :N_CONTEXT])
+    train_tgt = np.ascontiguousarray(split.train[:, N_CONTEXT])
+    val_ctx = np.ascontiguousarray(split.validation[:, :N_CONTEXT])
+    val_tgt = np.ascontiguousarray(split.validation[:, N_CONTEXT])
 
     initial_loss = evaluate(params, train_ctx, train_tgt)
     n = train_tgt.shape[0]
@@ -147,9 +150,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
             grads, _ = backward_arrays(params, train_ctx[sel], train_tgt[sel])
             adam_step(params, grads, state, cfg)
         train_loss = evaluate(params, train_ctx, train_tgt)
-        val_loss = (
-            evaluate(params, val_ctx, val_tgt) if val_tgt is not None else math.nan
-        )
+        val_loss = evaluate(params, val_ctx, val_tgt) if len(val_tgt) else math.nan
         wall = 0.0 if cfg.deterministic else time.perf_counter() - started
         if not math.isfinite(train_loss) or train_loss > 10.0 * initial_loss:
             raise TrainingDiverged(

@@ -14,7 +14,7 @@ import pytest
 
 from tweetembed import cli
 from tweetembed.corpus import build_dictionary, count_ngrams, extract_5grams, tokenize_tweet
-from tweetembed.dataset import TrainingTuple, filter_ngrams, select_vocabulary, split_dataset
+from tweetembed.dataset import filter_ngrams, select_vocabulary, split_dataset
 from tweetembed.embeddings import export_embeddings
 from tweetembed.evaluation import (
     class_distinction_test,
@@ -26,7 +26,6 @@ from tweetembed.evaluation import (
 from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
-    as_arrays,
     backward_arrays,
     evaluate,
     init_params,
@@ -86,13 +85,9 @@ def test_criterion_1_gradient_correctness():
     hyper = ModelHyper(vocab_size=32, d_in=8, d_ctx=8)
     params = init_params(hyper, seed=5)
     rng = np.random.default_rng(1)
-    batch = [
-        TrainingTuple(tuple(int(x) for x in rng.integers(0, 36, 4)),
-                      int(rng.integers(0, 32)))
-        for _ in range(6)
-    ]
-
-    contexts, targets = as_arrays(batch)
+    rows = np.array([[*rng.integers(0, 36, 4), rng.integers(0, 32)] for _ in range(6)],
+                    dtype=np.int64)
+    contexts, targets = rows[:, :4], rows[:, 4]
 
     def mean_loss():
         return evaluate(params, contexts, targets)
@@ -140,10 +135,10 @@ def test_criterion_2_pipeline_oracle():
 
     top = select_vocabulary(dictionary, 6)
     tuples = filter_ngrams(db, top)
-    reconstructed = set()
-    for t in tuples:
-        c1, c2, c4, c5 = (top.id_to_word(i) for i in t.context)
-        reconstructed.add((c1, c2, top.id_to_word(t.target), c4, c5))
+    reconstructed = {
+        tuple(top.id_to_word(i) for i in (c1, c2, target, c4, c5))
+        for c1, c2, c4, c5, target in tuples.tolist()
+    }
     filter_ok = reconstructed == oracle_filter(db.records, top.words)
     elapsed = time.perf_counter() - started
 
@@ -185,9 +180,8 @@ def test_criterion_5_learning_sanity(full_run):
     split, params, logs, elapsed = full_run
     target = math.log(256)
     epoch1_val = logs[0].validation_loss
-    train_ctx, train_tgt = as_arrays(split.train)
     initial = evaluate(init_params(ModelHyper(**HYPER), FULL_CFG["seed"]),
-                       train_ctx, train_tgt)
+                       split.train[:, :4], split.train[:, 4])
     final = logs[-1].train_loss
     band_ok = abs(epoch1_val - target) / target < 0.05
     halved_ok = final < 0.5 * initial

@@ -1,11 +1,17 @@
+import contextlib
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
 from tweetembed.corpus import read_dictionary, read_ngram_db
@@ -13,6 +19,8 @@ from tweetembed.dataset import Vocabulary, read_dataset, vocabulary_hash, write_
 from tweetembed.evaluation import parse_report
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
 from tweetembed.training import read_run_log
+
+from synth import zipf_corpus
 
 
 @pytest.fixture
@@ -116,8 +124,8 @@ class TestDataset:
         _, quarter_path = make_dataset(db_path, tmp_path / "quarter", 6, "--fraction", "0.25")
         full, _ = read_dataset(full_path)
         quarter, _ = read_dataset(quarter_path)
-        assert full.validation == quarter.validation
-        assert full.train[: len(quarter.train)] == quarter.train
+        assert np.array_equal(full.validation, quarter.validation)
+        assert np.array_equal(full.train[: len(quarter.train)], quarter.train)
 
     def test_identical_invocations_identical_files(self, bigger_corpus, tmp_path):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -130,6 +138,22 @@ class TestDataset:
         rc, _ = make_dataset(db_path, tmp_path, 32768)
         assert rc == EXIT_INPUT
         assert "32768" in capsys.readouterr().err
+
+    def test_deterministic_bytes_are_pinned(self, tmp_path):
+        # Both files hold only tokens and integers, so these hashes hold on
+        # every platform; a change to them is a change of file format.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(zipf_corpus(500, seed=8, vocab_types=400)) + "\n",
+                          encoding="utf-8")
+        rc, db, _ = ingest(corpus, tmp_path, "--deterministic")
+        assert rc == EXIT_OK
+        rc, out = make_dataset(db, tmp_path, 64, "--include-boundary", "--validation-ratio", "0.2",
+                               "--fraction", "0.75", "--seed", "5", "--deterministic")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == (
+            "7916819330e997b0e56a57bebc2322bbf9e63a2a2416c667ebd924668289c14d")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "21887ca62d1a34d44fc3f583cb7de02c3b21f1ec4b630da6f4bf79827afa89ce")
 
     def test_vocab_sidecar_written(self, bigger_corpus, tmp_path):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -445,6 +469,43 @@ def _export_broken_checkpoint(edit_header=None, cut=None, tail=b""):
     return argv
 
 
+def _directory_at(command, option):
+    """Case builder: a valid `command` whose `option` path is an existing directory."""
+    def argv(dataset, tmp_path):
+        directory = tmp_path / "a_directory"
+        directory.mkdir()
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("olá mundo\n", encoding="utf-8")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", encoding="utf-8")
+        ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+        base = {
+            "ingest": ["ingest", corpus, "--out-dict", tmp_path / "dict.tsv"],
+            "train": ["train", dataset, "--out-log", tmp_path / "log.tsv", "--epochs", "1",
+                      "--emb-dim", "8", "--ctx-dim", "8", "--out-checkpoint", tmp_path / "m.ckpt"],
+            "export": ["export", ckpt, "--vocab", vocab_path],
+            "eval": ["eval", emb],
+            "grid": ["grid", corpus, "--out-dir", tmp_path / "grid", "--vocab-sizes", "2",
+                     "--fractions", "1.0"],
+        }[command]
+        return [str(arg) for arg in base] + [option, str(directory)]
+    return argv
+
+
+def _dataset_from_db(edit_body):
+    """Case builder: ingest a small corpus, rewrite the 5-gram DB body, run dataset."""
+    def argv(dataset, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("a b c d e\nb c d e a\n", encoding="utf-8")
+        rc, db, _ = ingest(corpus, tmp_path)
+        assert rc == EXIT_OK
+        header, *body = db.read_text(encoding="utf-8").splitlines(keepends=True)
+        db.write_text(header + "".join(edit_body(body)), encoding="utf-8")
+        return ["dataset", str(db), "--vocab-size", "3", "--include-boundary",
+                "--out", str(tmp_path / "ds.tsv")]
+    return argv
+
+
 # Case -> (build the failing argv from the prepared dataset and tmp_path;
 # text the error must carry). The dataset has |V| = 6, so context ids run
 # 0..9 and targets 0..5.
@@ -474,6 +535,16 @@ MALFORMED_INPUTS = {
         _export_broken_checkpoint(lambda h: h["arrays"].reverse()), "array names"),
     "checkpoint shape not implied by hyper": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
+    "eval --out is a directory": (_directory_at("eval", "--out"), "Is a directory"),
+    "export --out is a directory": (_directory_at("export", "--out"), "Is a directory"),
+    "ingest --out-db is a directory": (_directory_at("ingest", "--out-db"), "Is a directory"),
+    "train --out-checkpoint is a directory": (_directory_at("train", "--out-checkpoint"),
+                                              "Is a directory"),
+    "grid --classes is a directory": (_directory_at("grid", "--classes"), "Is a directory"),
+    "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
+                                      "repeated 5-gram"),
+    "5-gram DB counts not summing to #total_tokens": (
+        _dataset_from_db(lambda body: body[1:]), "#total_tokens="),
 }
 
 
@@ -484,6 +555,67 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def valid_dataset_lines(tmp_path_factory):
+    """A valid |V| = 6 dataset file, as lists of tab-separated fields per line."""
+    tmp_path = tmp_path_factory.mktemp("valid")
+    rng = np.random.default_rng(17)
+    words = ["casa", "bola", "rua", "sol", "mar", "luz"]
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("".join(" ".join(rng.choice(words, size=6)) + "\n" for _ in range(40)),
+                      encoding="utf-8")
+    _, db, _ = ingest(corpus, tmp_path)
+    _, out = make_dataset(db, tmp_path, 6)
+    return [line.split("\t") for line in out.read_text(encoding="utf-8").splitlines()]
+
+
+# Header values stay small: a header may declare any |V| it likes, and train
+# allocates the model that |V| implies before reading a single row.
+HEADER_VALUES = st.sampled_from(["", "x", "1.5", "-1", "0", "5", "7", "99"])
+ROW_VALUES = st.sampled_from(["", "x", "1.5", " ", "0x1", "1e3", str(2 ** 70), "-0"]) | (
+    st.integers(-3, 12).map(str))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_dataset_trains_or_exits_2(valid_dataset_lines, data):
+    lines = [list(fields) for fields in valid_dataset_lines]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")  # line 0 is the header
+        fields = lines[i]
+        kind = data.draw(st.sampled_from(["drop field", "duplicate field", "set field",
+                                          "drop line", "duplicate line"]), label="kind")
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, list(fields))
+        elif fields:
+            j = data.draw(st.integers(0, len(fields) - 1), label="field")
+            if kind == "drop field":
+                del fields[j]
+            elif kind == "duplicate field":
+                fields.insert(j, fields[j])
+            elif i == 0:
+                key = fields[j].partition("=")[0]
+                fields[j] = f"{key}={data.draw(HEADER_VALUES, label='header value')}"
+            else:
+                fields[j] = data.draw(ROW_VALUES, label="row value")
+        if not lines:
+            break
+    text = "".join("\t".join(fields) + "\n" for fields in lines)
+    text = text[:data.draw(st.none() | st.integers(0, len(text)), label="truncate at")]
+    with tempfile.TemporaryDirectory() as tmp:
+        dataset = Path(tmp) / "dataset.tsv"
+        dataset.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["train", str(dataset), "--out-checkpoint", str(Path(tmp) / "m.ckpt"),
+                       "--out-log", str(Path(tmp) / "log.tsv"), "--epochs", "1",
+                       "--emb-dim", "4", "--ctx-dim", "4"])
+    assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 class TestSubprocessEntry:

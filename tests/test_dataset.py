@@ -1,10 +1,11 @@
 import random
 
+import numpy as np
 import pytest
 
 from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams
 from tweetembed.dataset import (
-    TrainingTuple,
+    DatasetSplit,
     Vocabulary,
     filter_ngrams,
     read_dataset,
@@ -54,21 +55,22 @@ class TestFilterNGrams:
     def test_boundary_grams_rejected_by_default(self):
         db = count_ngrams(["a b"])  # every window touches a pad
         vocab = Vocabulary(["a", "b"])
-        assert filter_ngrams(db, vocab) == []
+        empty = filter_ngrams(db, vocab)
+        assert empty.shape == (0, 5) and empty.dtype == np.int64
 
     def test_boundary_flag_admits_padded_windows(self):
         db = count_ngrams(["a b"])
         vocab = Vocabulary(["a", "b"])
-        tuples = filter_ngrams(db, vocab, include_boundary=True)
-        assert len(tuples) == 2
+        rows = filter_ngrams(db, vocab, include_boundary=True)
+        assert len(rows) == 2
         # window centered on "a": <PAD_L1> <PAD_L2> a b <PAD_R1>
-        assert TrainingTuple((2, 3, 1, 4), 0) in tuples
+        assert [2, 3, 1, 4, 0] in rows.tolist()
 
     def test_distinct_gram_yields_one_tuple_regardless_of_count(self):
         db = count_ngrams(["a b c a b"] * 7)
         vocab = Vocabulary(["a", "b", "c"])
-        tuples = filter_ngrams(db, vocab)
-        assert tuples == [TrainingTuple((0, 1, 0, 1), 2)]
+        rows = filter_ngrams(db, vocab)
+        assert rows.tolist() == [[0, 1, 0, 1, 2]]
 
     def test_growing_vocabulary_never_shrinks_output(self):
         db = random_db(3)
@@ -77,10 +79,8 @@ class TestFilterNGrams:
         for size in (2, 4, 6, 8):
             vocab = select_vocabulary(dictionary, size)
             grams = {
-                tuple(vocab.id_to_word(i) for i in (t.context[0], t.context[1]))
-                + (vocab.id_to_word(t.target),)
-                + tuple(vocab.id_to_word(i) for i in (t.context[2], t.context[3]))
-                for t in filter_ngrams(db, vocab)
+                tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
+                for c1, c2, c4, c5, target in filter_ngrams(db, vocab).tolist()
             }
             token_sets.append(grams)
         for smaller, larger in zip(token_sets, token_sets[1:]):
@@ -91,26 +91,31 @@ class TestFilterNGrams:
         db = random_db(8)
         dictionary = build_dictionary(db)
         vocab = select_vocabulary(dictionary, 5)
-        tuples = filter_ngrams(db, vocab, include_boundary=include_boundary)
-        reconstructed = set()
-        for t in tuples:
-            c1, c2, c4, c5 = (vocab.id_to_word(i) for i in t.context)
-            reconstructed.add((c1, c2, vocab.id_to_word(t.target), c4, c5))
+        rows = filter_ngrams(db, vocab, include_boundary=include_boundary)
+        reconstructed = {
+            tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
+            for c1, c2, c4, c5, target in rows.tolist()
+        }
         assert reconstructed == oracle_filter(db.records, vocab.words, include_boundary)
-        assert len(tuples) == len(reconstructed)  # no duplicates
+        assert len(rows) == len(reconstructed)  # no duplicates
 
     def test_tuples_round_trip_to_database_grams(self):
         db = random_db(21)
         vocab = select_vocabulary(build_dictionary(db), 6)
-        for t in filter_ngrams(db, vocab, include_boundary=True):
-            c1, c2, c4, c5 = (vocab.id_to_word(i) for i in t.context)
-            gram = (c1, c2, vocab.id_to_word(t.target), c4, c5)
+        for c1, c2, c4, c5, target in filter_ngrams(db, vocab, include_boundary=True).tolist():
+            gram = tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
             assert gram in db.records
 
 
 def make_tuples(n):
-    return [TrainingTuple((i % 7, (i + 1) % 7, (i + 2) % 7, (i + 3) % 7), i % 5)
-            for i in range(n)]
+    return np.array([(i % 7, (i + 1) % 7, (i + 2) % 7, (i + 3) % 7, i % 5) for i in range(n)],
+                    dtype=np.int64)
+
+
+def assert_splits_equal(a, b):
+    assert np.array_equal(a.train, b.train)
+    assert np.array_equal(a.validation, b.validation)
+    assert (a.seed, a.fraction, a.validation_ratio) == (b.seed, b.fraction, b.validation_ratio)
 
 
 class TestSplitDataset:
@@ -126,31 +131,32 @@ class TestSplitDataset:
     def test_same_seed_same_split(self):
         a = split_dataset(make_tuples(60), seed=42)
         b = split_dataset(make_tuples(60), seed=42)
-        assert a == b
+        assert_splits_equal(a, b)
 
     def test_different_seed_different_order(self):
         a = split_dataset(make_tuples(200), seed=1)
         b = split_dataset(make_tuples(200), seed=2)
-        assert a.train != b.train
+        assert not np.array_equal(a.train, b.train)
 
     def test_partition_is_exact(self):
         tuples = make_tuples(83)
         split = split_dataset(tuples, validation_ratio=0.2, fraction=1.0, seed=9)
         assert len(split.validation) + len(split.train) == len(tuples)
-        assert sorted(split.validation + split.train) == sorted(tuples)
+        assert (sorted(np.concatenate([split.validation, split.train]).tolist())
+                == sorted(tuples.tolist()))
 
     def test_validation_fixed_across_fractions(self):
         tuples = make_tuples(120)
         splits = [split_dataset(tuples, fraction=f, seed=5)
                   for f in (0.25, 0.5, 0.75, 1.0)]
         for s in splits[1:]:
-            assert s.validation == splits[0].validation
+            assert np.array_equal(s.validation, splits[0].validation)
 
     def test_smaller_fraction_is_prefix_of_larger(self):
         tuples = make_tuples(120)
         quarter = split_dataset(tuples, fraction=0.25, seed=5)
         full = split_dataset(tuples, fraction=1.0, seed=5)
-        assert full.train[: len(quarter.train)] == quarter.train
+        assert np.array_equal(full.train[: len(quarter.train)], quarter.train)
 
     @pytest.mark.parametrize("ratio", [0.0, 1.0, -0.3, 1.5])
     def test_bad_validation_ratio(self, ratio):
@@ -159,11 +165,11 @@ class TestSplitDataset:
 
     def test_empty_input(self):
         with pytest.raises(ValueError):
-            split_dataset([])
+            split_dataset(np.empty((0, 5), dtype=np.int64))
 
     def test_nonempty_blocks_at_twenty(self):
         split = split_dataset(make_tuples(20))
-        assert split.validation and split.train
+        assert len(split.validation) and len(split.train)
 
 
 class TestPermutation:
@@ -182,9 +188,19 @@ class TestFiles:
         path = tmp_path / "dataset.tsv"
         write_dataset(split, vocab, path)
         loaded, meta = read_dataset(path)
-        assert loaded == split
+        assert_splits_equal(loaded, split)
+        assert loaded.train.dtype == np.int64
         assert meta["vocab_size"] == 6
         assert meta["vocab_hash"] == vocabulary_hash(vocab)
+
+    def test_empty_blocks_round_trip_without_warning(self, tmp_path, recwarn):
+        empty = np.empty((0, 5), dtype=np.int64)
+        split = DatasetSplit(empty, empty, seed=1, fraction=1.0, validation_ratio=0.1)
+        path = tmp_path / "dataset.tsv"
+        write_dataset(split, Vocabulary(["a", "b"]), path)
+        loaded, _ = read_dataset(path)
+        assert loaded.train.shape == loaded.validation.shape == (0, 5)
+        assert not recwarn.list
 
     def test_vocabulary_round_trip(self, tmp_path):
         vocab = Vocabulary(["um", "dois", "três"])

@@ -3,14 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from tweetembed.dataset import TrainingTuple
 from tweetembed.model import (
     CHECKPOINT_MAGIC,
     LOSS_FLOOR,
     MAX_NLL,
     PARAM_FIELDS,
     ModelHyper,
-    as_arrays,
     backward_arrays,
     cross_entropy,
     evaluate,
@@ -161,7 +159,7 @@ class TestSoftmaxAndLoss:
 def numeric_gradient(params, batch, name, h=1e-4):
     """Central finite differences through `evaluate` (forward + cross entropy) only."""
     arr = getattr(params, name)
-    contexts, targets = as_arrays(batch)
+    contexts, targets = batch
 
     def mean_loss():
         return evaluate(params, contexts, targets)
@@ -181,11 +179,13 @@ def numeric_gradient(params, batch, name, h=1e-4):
 
 
 def random_batch(rng, hyper, size):
-    return [
-        TrainingTuple(tuple(int(x) for x in rng.integers(0, hyper.vocab_size + 4, 4)),
-                      int(rng.integers(0, hyper.vocab_size)))
-        for _ in range(size)
-    ]
+    """(contexts, targets) int64 arrays; each row's context ids are drawn before its target."""
+    contexts, targets = [], []
+    for _ in range(size):
+        contexts.append(rng.integers(0, hyper.vocab_size + 4, 4))
+        targets.append(rng.integers(0, hyper.vocab_size))
+    return (np.array(contexts, dtype=np.int64).reshape(-1, 4),
+            np.array(targets, dtype=np.int64))
 
 
 class TestBackward:
@@ -195,7 +195,7 @@ class TestBackward:
         params = init_params(hyper, seed=3)
         rng = np.random.default_rng(0)
         batch = random_batch(rng, hyper, 7)
-        grads, _ = backward_arrays(params, *as_arrays(batch))
+        grads, _ = backward_arrays(params, *batch)
         for name in PARAM_FIELDS:
             numeric = numeric_gradient(params, batch, name)
             analytic = getattr(grads, name)
@@ -217,9 +217,10 @@ class TestBackward:
     def test_duplicated_batch_keeps_mean_gradient(self):
         params = init_params(tiny_hyper(), seed=6)
         rng = np.random.default_rng(2)
-        batch = random_batch(rng, params.hyper, 5)
-        once, loss_once = backward_arrays(params, *as_arrays(batch))
-        twice, loss_twice = backward_arrays(params, *as_arrays(batch + batch))
+        contexts, targets = random_batch(rng, params.hyper, 5)
+        once, loss_once = backward_arrays(params, contexts, targets)
+        twice, loss_twice = backward_arrays(params, np.concatenate([contexts, contexts]),
+                                            np.concatenate([targets, targets]))
         assert loss_once == pytest.approx(loss_twice)
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(getattr(once, name), getattr(twice, name), atol=1e-12)
@@ -227,7 +228,8 @@ class TestBackward:
     def test_empty_batch_rejected(self):
         params = init_params(tiny_hyper(), seed=6)
         with pytest.raises(ValueError):
-            backward_arrays(params, *as_arrays([]))
+            backward_arrays(params, np.empty((0, 4), dtype=np.int64),
+                            np.empty(0, dtype=np.int64))
 
     def test_small_step_reduces_single_example_loss(self):
         params = init_params(tiny_hyper(), seed=8)
@@ -251,7 +253,7 @@ class TestEvaluate:
         for sigmoid_logits, clamped in ((False, False), (True, False), (False, True)):
             hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3, sigmoid_logits=sigmoid_logits)
             params = init_params(hyper, seed=1)
-            contexts, targets = as_arrays(random_batch(rng, hyper, 23))
+            contexts, targets = random_batch(rng, hyper, 23)
             if clamped:
                 params.b_out[targets[0]] = -100.0
             expected = np.mean([cross_entropy(forward(params, contexts[i:i + 1]).probs,

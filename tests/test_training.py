@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 import tweetembed.manifest
 import tweetembed.model
 import tweetembed.training
+from tweetembed.cli import EXIT_INPUT, EXIT_OK, main
 from tweetembed.corpus import build_dictionary, count_ngrams
 from tweetembed.dataset import (
     filter_ngrams,
@@ -17,7 +17,6 @@ from tweetembed.model import (
     PARAM_FIELDS,
     Gradients,
     ModelHyper,
-    as_arrays,
     evaluate,
     init_params,
     load_checkpoint,
@@ -130,8 +129,7 @@ class TestTrain:
         split = toy_split()
         hyper = ModelHyper(vocab_size=5, d_in=8, d_ctx=8)
         params = init_params(hyper, seed=11)
-        ctx, tgt = as_arrays(split.validation)
-        val0 = evaluate(params, ctx, tgt)
+        val0 = evaluate(params, split.validation[:, :4], split.validation[:, 4])
         assert abs(val0 - math.log(5)) / math.log(5) < 0.05
 
     def test_one_epoch_one_log(self):
@@ -146,7 +144,7 @@ class TestTrain:
 
     def test_empty_train_split_rejected(self):
         split = toy_split()
-        split.train = []
+        split.train = split.train[:0]
         with pytest.raises(ValueError):
             train(split, ModelHyper(vocab_size=5), TrainConfig(epochs=1))
 
@@ -194,26 +192,48 @@ class TestTrain:
         assert fast.read_bytes() == slow.read_bytes()
         assert fast_logs == slow_logs
 
-    @pytest.mark.parametrize("failing", ["model.ckpt", "run_log.tsv"])
+    @pytest.mark.parametrize("failing", [
+        "model.ckpt", "run_log.tsv", "ngrams.tsv", "dictionary.tsv", "dataset.tsv",
+        "dataset.tsv.vocab.tsv", "dataset.tsv.manifest.json", "embeddings.txt",
+        "embeddings.txt.bin", "report.json", "report.txt", "grid/summary.tsv",
+    ])
     def test_write_failing_midway_keeps_previous_file(self, failing, tmp_path, monkeypatch):
-        # The second write of `failing` raises after its first 16 bytes reach
-        # the disk; the epoch-1 file must survive intact, with no temp file left.
-        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
-        cfg = TrainConfig(epochs=3, batch_size=16, seed=3, deterministic=True)
+        # A second pipeline run over the first one's files, on another corpus,
+        # seed and threshold, breaks the write of `failing` after its first 16
+        # bytes reach the disk: the command exits 2, the first run's file
+        # survives intact and no temp file is left.
+        train_flags = ["--epochs", "1", "--batch-size", "16", "--emb-dim", "4", "--ctx-dim", "4"]
 
-        def run(out_dir, epochs):
-            out_dir.mkdir()
-            logs = []
+        def pipeline(out, seed):
+            rng = np.random.default_rng(seed)
+            corpus = tmp_path / f"corpus{seed}.txt"
+            corpus.write_text("".join(" ".join(rng.choice(list("abcdef"), size=7)) + "\n"
+                                      for _ in range(30)), encoding="utf-8")
+            for argv in (
+                ["ingest", corpus, "--out-db", out / "ngrams.tsv",
+                 "--out-dict", out / "dictionary.tsv"],
+                ["dataset", out / "ngrams.tsv", "--vocab-size", "5", "--include-boundary",
+                 "--out", out / "dataset.tsv"],
+                ["train", out / "dataset.tsv", "--out-checkpoint", out / "model.ckpt",
+                 "--out-log", out / "run_log.tsv", *train_flags],
+                ["export", out / "model.ckpt", "--vocab", out / "dataset.tsv.vocab.tsv",
+                 "--out", out / "embeddings.txt"],
+                ["eval", out / "embeddings.txt", "--membership-thresholds", f"0.{seed}",
+                 "--out", out / "report.json"],
+                ["grid", corpus, "--out-dir", out / "grid", "--vocab-sizes", "5",
+                 "--fractions", "1.0", "--include-boundary", *train_flags],
+            ):
+                rc = main([str(arg) for arg in argv] + ["--seed", str(seed), "--deterministic"])
+                if rc != EXIT_OK:
+                    return rc
+            return EXIT_OK
 
-            def record(entry):
-                logs.append(entry)
-                write_run_log(logs, out_dir / "run_log.tsv")
-
-            train(toy_split(), hyper, dataclasses.replace(cfg, epochs=epochs),
-                  checkpoint_path=out_dir / "model.ckpt", on_epoch=record)
-            return out_dir
-
-        reference = run(tmp_path / "reference", 1)
+        out, other = tmp_path / "out", tmp_path / "other"
+        out.mkdir()
+        other.mkdir()
+        assert pipeline(out, 3) == pipeline(other, 4) == EXIT_OK
+        previous = (out / failing).read_bytes()
+        assert previous != (other / failing).read_bytes()
         opened = []
 
         class BrokenWrites:
@@ -233,23 +253,16 @@ class TestTrain:
 
         def flaky_open(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            if path.name == failing + ".tmp":
+            if path == out / (failing + ".tmp"):
                 opened.append(path)
-                if len(opened) == 2:
-                    return BrokenWrites(fh)
+                return BrokenWrites(fh)
             return fh
 
         monkeypatch.setattr(tweetembed.manifest, "open", flaky_open, raising=False)
-        with pytest.raises(OSError, match="disk full"):
-            run(tmp_path / "broken", 3)
-        broken = tmp_path / "broken"
-        assert len(opened) == 2
-        assert sorted(p.name for p in broken.iterdir()) == ["model.ckpt", "run_log.tsv"]
-        assert (broken / failing).read_bytes() == (reference / failing).read_bytes()
-        if failing == "model.ckpt":
-            load_checkpoint(broken / failing)
-        else:
-            assert [e.epoch for e in read_run_log(broken / failing)] == [1]
+        assert pipeline(out, 4) == EXIT_INPUT
+        assert len(opened) == 1
+        assert (out / failing).read_bytes() == previous
+        assert not list(out.rglob("*.tmp"))
 
     def test_epoch_callback_streams_logs(self):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
