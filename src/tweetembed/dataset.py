@@ -182,7 +182,8 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
     """Parse a dataset file; returns the split and its header metadata.
 
     The body is parsed in one pass into an (N, 5) int64 array; the split's
-    blocks are views of it. A row that is not 5 integers is a ValueError.
+    blocks are views of it. A row that is not 5 integers (a float, an empty
+    line) is a ValueError.
     The model indexes its weights with the ids unchecked, so any id out of
     range (context [0, |V| + 4), target [0, |V|)) is a ValueError here too,
     naming the first offending line.
@@ -204,13 +205,28 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
         n_train = int(meta["train"])
         vocab_size = int(meta["vocab_size"])
         n_ids = vocab_size + len(BOUNDARY_TOKENS)
+        body_start = fh.tell()
         with warnings.catch_warnings():
             # An empty body warns and parses as shape (0, 1); the checks below cover it.
             warnings.simplefilter("ignore", UserWarning)
+            # Older numpy versions truncate a float such as "1.5" or "nan" in
+            # an int column and only warn; that is a malformed row here.
+            warnings.simplefilter("error", DeprecationWarning)
             try:
                 rows = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-            except ValueError as exc:
+            except (ValueError, DeprecationWarning) as exc:
                 raise ValueError(f"{path}: expected 5 integer fields ({exc})") from None
+        # loadtxt skips empty lines, which are malformed rows too: a body with
+        # more lines than rows has one.
+        fh.seek(body_start)
+        n_lines, last = 0, "\n"
+        for chunk in iter(lambda: fh.read(1 << 20), ""):
+            n_lines += chunk.count("\n")
+            last = chunk[-1]
+        if n_lines + (last != "\n") != len(rows):
+            fh.seek(body_start)
+            lineno = next(i for i, line in enumerate(fh, start=2) if line == "\n")
+            raise ValueError(f"{path}:{lineno}: expected 5 integer fields, got an empty line")
     if rows.size == 0:
         rows = rows.reshape(0, 5)
     if rows.shape[1] != 5:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -518,6 +519,13 @@ MALFORMED_INPUTS = {
                             "out of range"),
     "row with four fields": (_train_on(lambda ds: _edit_first_row(ds, lambda f: f[:4])),
                              "5 integer fields"),
+    "float context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["1.5", *f[1:]])),
+                         "5 integer fields"),
+    "nan context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["nan", *f[1:]])),
+                       "5 integer fields"),
+    "empty line before the first row": (
+        _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
+        ":2: expected 5 integer fields, got an empty line"),
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
     "embeddings with more rows than the header": (_extra_embedding_row, "rows"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
@@ -616,6 +624,11 @@ def test_mutated_dataset_trains_or_exits_2(valid_dataset_lines, data):
                        "--emb-dim", "4", "--ctx-dim", "4"])
     assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()
+    # A body line that is empty or has a field that is not an integer never trains.
+    body = text.partition("\n")[2].split("\n")[:-1]
+    if any(not re.fullmatch(r"\s*[+-]?[0-9]+\s*", field)
+           for line in body for field in line.split("\t")):
+        assert rc == EXIT_INPUT, text
 
 
 class TestSubprocessEntry:

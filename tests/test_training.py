@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -118,6 +119,24 @@ def toy_split(seed=13):
     return split_dataset(tuples, validation_ratio=0.2, fraction=1.0, seed=seed)
 
 
+class BrokenWrites:
+    """A file whose first write puts 16 bytes on disk, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:16])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
 class TestTrain:
     def test_loss_decreases_on_toy_language(self):
         hyper = ModelHyper(vocab_size=5, d_in=8, d_ctx=8)
@@ -197,7 +216,8 @@ class TestTrain:
         "dataset.tsv.vocab.tsv", "dataset.tsv.manifest.json", "embeddings.txt",
         "embeddings.txt.bin", "report.json", "report.txt", "grid/summary.tsv",
     ])
-    def test_write_failing_midway_keeps_previous_file(self, failing, tmp_path, monkeypatch):
+    def test_write_failing_midway_keeps_previous_file(self, failing, tmp_path, monkeypatch,
+                                                       capsys):
         # A second pipeline run over the first one's files, on another corpus,
         # seed and threshold, breaks the write of `failing` after its first 16
         # bytes reach the disk: the command exits 2, the first run's file
@@ -236,21 +256,6 @@ class TestTrain:
         assert previous != (other / failing).read_bytes()
         opened = []
 
-        class BrokenWrites:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(data[:16])
-                self.fh.flush()
-                raise OSError("disk full")
-
         def flaky_open(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
             if path == out / (failing + ".tmp"):
@@ -259,10 +264,56 @@ class TestTrain:
             return fh
 
         monkeypatch.setattr(tweetembed.manifest, "open", flaky_open, raising=False)
+        capsys.readouterr()
         assert pipeline(out, 4) == EXIT_INPUT
+        assert "disk full" in capsys.readouterr().err
         assert len(opened) == 1
         assert (out / failing).read_bytes() == previous
         assert not list(out.rglob("*.tmp"))
+
+    @pytest.mark.parametrize("failing", ["model.ckpt", "run_log.tsv"])
+    def test_write_failing_in_a_later_epoch_keeps_last_good_file(self, failing, tmp_path,
+                                                                  monkeypatch):
+        # The second write of `failing` within one run raises after its first
+        # 16 bytes reach the disk; the epoch-1 file must survive intact, with
+        # no temp file left.
+        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
+        cfg = TrainConfig(epochs=3, batch_size=16, seed=3, deterministic=True)
+
+        def run(out_dir, epochs):
+            out_dir.mkdir()
+            logs = []
+
+            def record(entry):
+                logs.append(entry)
+                write_run_log(logs, out_dir / "run_log.tsv")
+
+            train(toy_split(), hyper, dataclasses.replace(cfg, epochs=epochs),
+                  checkpoint_path=out_dir / "model.ckpt", on_epoch=record)
+            return out_dir
+
+        reference = run(tmp_path / "reference", 1)
+        opened = []
+
+        def flaky_open(path, *args, **kwargs):
+            fh = open(path, *args, **kwargs)
+            if path.name == failing + ".tmp":
+                opened.append(path)
+                if len(opened) == 2:
+                    return BrokenWrites(fh)
+            return fh
+
+        monkeypatch.setattr(tweetembed.manifest, "open", flaky_open, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            run(tmp_path / "broken", 3)
+        broken = tmp_path / "broken"
+        assert len(opened) == 2
+        assert sorted(p.name for p in broken.iterdir()) == ["model.ckpt", "run_log.tsv"]
+        assert (broken / failing).read_bytes() == (reference / failing).read_bytes()
+        if failing == "model.ckpt":
+            load_checkpoint(broken / failing)
+        else:
+            assert [e.epoch for e in read_run_log(broken / failing)] == [1]
 
     def test_epoch_callback_streams_logs(self):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
