@@ -81,7 +81,7 @@ class InputError(Exception):
 
 
 def _read_corpus_lines(path: Path) -> list[str]:
-    return [line for line in path.read_text(encoding="utf-8").splitlines() if line.strip()]
+    return path.read_text(encoding="utf-8").splitlines()
 
 
 # Stage functions, shared by the stage commands and `grid`: each takes its
@@ -89,13 +89,14 @@ def _read_corpus_lines(path: Path) -> list[str]:
 # files and returns its result with its manifest config.
 
 
-def ingest_stage(lines: list[str], args: argparse.Namespace, db_path: Path,
-                 dict_path: Path) -> tuple[NGramDatabase, Dictionary, dict]:
-    db = count_ngrams(lines, workers=args.threads)
+def ingest_stage(lines: list[str], db_path: Path,
+                 dict_path: Path) -> tuple[NGramDatabase, Dictionary]:
+    """Count the corpus's 5-grams in one process; the stage has no settings."""
+    db = count_ngrams(lines)
     dictionary = build_dictionary(db)
     write_ngram_db(db, db_path)
     write_dictionary(dictionary, dict_path)
-    return db, dictionary, {"threads": args.threads}
+    return db, dictionary
 
 
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
@@ -199,15 +200,14 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
-    lines = _read_corpus_lines(corpus_path)
-    if not lines:
-        print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
     db_path = Path(args.out_db)
     dict_path = Path(args.out_dict)
-    db, dictionary, config = ingest_stage(lines, args, db_path, dict_path)
+    db, dictionary = ingest_stage(_read_corpus_lines(corpus_path), db_path, dict_path)
+    if db.total_tweets == 0:
+        print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
     manifest = build_manifest(
         "ingest",
-        {**config, "out_db": str(db_path), "out_dict": str(dict_path)},
+        {"out_db": str(db_path), "out_dict": str(dict_path)},
         {"corpus": corpus_path},
         args.deterministic,
     )
@@ -319,8 +319,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
-    db, dictionary, ingest_config = ingest_stage(lines, args, out_dir / "ngrams.tsv",
-                                                 out_dir / "dictionary.tsv")
+    db, dictionary = ingest_stage(lines, out_dir / "ngrams.tsv", out_dir / "dictionary.tsv")
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:
@@ -336,8 +335,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
                                                 cell / "embeddings.txt")
             reports, eval_config = eval_stage(table, classes, pairs, args)
-            config = {**ingest_config, **dataset_config, **train_config,
-                      **export_config, **eval_config}
+            config = {**dataset_config, **train_config, **export_config, **eval_config}
             cell_manifest = build_manifest("grid-cell", config, {"corpus": corpus_path},
                                            args.deterministic)
             emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
@@ -377,8 +375,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--deterministic", action="store_true",
                         help="zero timestamps/timings so outputs are byte-reproducible")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker processes for 5-gram counting")
+    # Ignored: counting runs in one process; kept so existing command lines parse.
+    parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
 
 def _add_model_flags(parser: argparse.ArgumentParser) -> None:
@@ -472,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError) as exc:
+    except (InputError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TrainingDiverged, NonFiniteGradientError) as exc:

@@ -8,10 +8,9 @@ left attached, so "ronaldo" and "ronaldo!" remain distinct tokens.
 from __future__ import annotations
 
 import collections
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .manifest import atomic_write
 
@@ -81,50 +80,23 @@ class NGramDatabase:
     total_tokens: int
 
 
-def _count_shard(lines: Iterable[str]) -> tuple[collections.Counter, int, int]:
+def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
+    """Aggregate 5-gram occurrence counts over a stream of raw tweets, in
+    one process.
+
+    Whitespace-only tweets contribute nothing and are not counted in
+    total_tweets.
+    """
     counts: collections.Counter = collections.Counter()
     tweets = 0
     tokens = 0
-    for line in lines:
+    for line in tweet_stream:
         toks = tokenize_tweet(line)
         if not toks:
             continue
         tweets += 1
         tokens += len(toks)
         counts.update(extract_5grams(toks))
-    return counts, tweets, tokens
-
-
-def _shards(stream: Iterable[str], size: int) -> Iterator[list[str]]:
-    batch: list[str] = []
-    for line in stream:
-        batch.append(line)
-        if len(batch) >= size:
-            yield batch
-            batch = []
-    if batch:
-        yield batch
-
-
-def count_ngrams(tweet_stream: Iterable[str], workers: int = 1,
-                 shard_size: int = 20000) -> NGramDatabase:
-    """Aggregate 5-gram occurrence counts over a stream of raw tweets.
-
-    Whitespace-only tweets contribute nothing and are not counted in
-    total_tweets. With workers > 1, contiguous shards are counted in
-    parallel and the partial counts merged; the merge is commutative and
-    associative, so the result is identical to a sequential count.
-    """
-    if workers <= 1:
-        counts, tweets, tokens = _count_shard(tweet_stream)
-    else:
-        counts = collections.Counter()
-        tweets = tokens = 0
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for part, tw, tk in pool.map(_count_shard, _shards(tweet_stream, shard_size)):
-                counts.update(part)
-                tweets += tw
-                tokens += tk
     return NGramDatabase(dict(counts), tweets, tokens)
 
 
@@ -141,9 +113,6 @@ class Dictionary:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def words(self) -> list[str]:
-        return [word for word, _ in self.entries]
 
 
 def build_dictionary(db: NGramDatabase) -> Dictionary:
@@ -175,8 +144,8 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
 
 
 def read_ngram_db(path: Path | str) -> NGramDatabase:
-    """Parse a 5-gram database; a repeated 5-gram row or counts that do not
-    sum to the header's #total_tokens is a ValueError."""
+    """Parse a 5-gram database; a repeated 5-gram row, a count below 1 or
+    counts that do not sum to the header's #total_tokens is a ValueError."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
@@ -191,7 +160,10 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
             fields = line.rstrip("\n").split("\t")
             if len(fields) != 6:
                 raise ValueError(f"{path}:{n_rows + 1}: expected 6 columns, got {len(fields)}")
-            records[tuple(fields[:5])] = int(fields[5])
+            count = int(fields[5])
+            if count < 1:
+                raise ValueError(f"{path}:{n_rows + 1}: 5-gram count {count} is below 1")
+            records[tuple(fields[:5])] = count
     if len(records) != n_rows:
         raise ValueError(f"{path}: {n_rows - len(records)} repeated 5-gram rows")
     counted = sum(records.values())

@@ -124,7 +124,8 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     (cfg.seed, epoch), apply Adam over mini-batches, then evaluate mean
     cross entropy on the full train and validation sets and emit an
     EpochLog. A checkpoint is written after every successful epoch; on
-    divergence (train loss non-finite or above 10x the fresh-init loss)
+    divergence (train loss non-finite or above 10 ln|V|, ten times the
+    loss of a uniform prediction, which a fresh model is close to)
     training aborts and the last good checkpoint stays on disk. With
     cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible.
@@ -139,7 +140,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     val_ctx = np.ascontiguousarray(split.validation[:, :N_CONTEXT])
     val_tgt = np.ascontiguousarray(split.validation[:, N_CONTEXT])
 
-    initial_loss = evaluate(params, train_ctx, train_tgt)
+    limit = 10.0 * math.log(hyper.vocab_size)
     n = train_tgt.shape[0]
     logs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -152,10 +153,10 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
         train_loss = evaluate(params, train_ctx, train_tgt)
         val_loss = evaluate(params, val_ctx, val_tgt) if len(val_tgt) else math.nan
         wall = 0.0 if cfg.deterministic else time.perf_counter() - started
-        if not math.isfinite(train_loss) or train_loss > 10.0 * initial_loss:
+        if not math.isfinite(train_loss) or train_loss > limit:
             raise TrainingDiverged(
                 f"train loss {train_loss:.4f} at epoch {epoch} "
-                f"(initial {initial_loss:.4f}); keeping last good checkpoint"
+                f"(limit 10 ln|V| = {limit:.4f}); keeping last good checkpoint"
             )
         entry = EpochLog(epoch, train_loss, val_loss, wall)
         logs.append(entry)

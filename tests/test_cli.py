@@ -83,6 +83,17 @@ class TestIngest:
         assert manifest["timestamp"] == ""
         assert len(manifest["inputs"]["corpus"]["sha256"]) == 64
 
+    def test_threads_flag_is_accepted_and_ignored(self, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(zipf_corpus(300, seed=3)) + "\n", encoding="utf-8")
+        rc1, db1, dict1 = ingest(corpus, tmp_path / "one", "--deterministic")
+        rc2, db2, dict2 = ingest(corpus, tmp_path / "two", "--deterministic", "--threads", "2")
+        assert rc1 == rc2 == EXIT_OK
+        assert db1.read_bytes() == db2.read_bytes()
+        assert dict1.read_bytes() == dict2.read_bytes()
+        manifest = json.loads(db2.with_suffix(".tsv.manifest.json").read_text(encoding="utf-8"))
+        assert "threads" not in manifest["config"]
+
 
 @pytest.fixture
 def bigger_corpus(tmp_path):
@@ -435,6 +446,13 @@ def _drop_header_key(dataset, key):
     dataset.write_text("\t".join(kept) + "\n" + "".join(rows), encoding="utf-8")
 
 
+def _set_header_key(dataset, key, value):
+    header, *rows = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    fields = [f"#{key}={value}" if f.startswith(f"#{key}=") else f
+              for f in header.rstrip("\n").split("\t")]
+    dataset.write_text("\t".join(fields) + "\n" + "".join(rows), encoding="utf-8")
+
+
 def _train_on(break_dataset):
     """Case builder: break the prepared dataset, then train on it."""
     def argv(dataset, tmp_path):
@@ -527,6 +545,11 @@ MALFORMED_INPUTS = {
         _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
         ":2: expected 5 integer fields, got an empty line"),
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
+    # No address space holds the arrays of this |V|, so the allocation fails
+    # at once; a |V| whose model could fit in RAM must never be tried here.
+    "header declaring an unallocatable |V|": (
+        _train_on(lambda ds: _set_header_key(ds, "vocab_size", "1000000000000000")),
+        "Unable to allocate"),
     "embeddings with more rows than the header": (_extra_embedding_row, "rows"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
@@ -553,6 +576,10 @@ MALFORMED_INPUTS = {
                                       "repeated 5-gram"),
     "5-gram DB counts not summing to #total_tokens": (
         _dataset_from_db(lambda body: body[1:]), "#total_tokens="),
+    "5-gram DB count below 1": (  # 0 and 2 keep the sum
+        _dataset_from_db(lambda body: [body[0].replace("\t1\n", "\t0\n"),
+                                       body[1].replace("\t1\n", "\t2\n"), *body[2:]]),
+        ":2: 5-gram count 0 is below 1"),
 }
 
 
@@ -630,6 +657,71 @@ def test_mutated_dataset_trains_or_exits_2(valid_dataset_lines, data):
            for line in body for field in line.split("\t")):
         assert rc == EXIT_INPUT, text
 
+
+
+@pytest.fixture(scope="module")
+def valid_ngram_db_lines(tmp_path_factory):
+    """A valid 5-gram database, as lists of tab-separated fields per line."""
+    tmp_path = tmp_path_factory.mktemp("valid_db")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c d e\nb c d e a\na a b\nc d\n", encoding="utf-8")
+    _, db, _ = ingest(corpus, tmp_path)
+    return [line.split("\t") for line in db.read_text(encoding="utf-8").splitlines()]
+
+
+DB_HEADER_VALUES = st.sampled_from(["", "x", "1.5", "-1", "0", "4", "15", str(2 ** 70)])
+DB_COUNTS = st.sampled_from(["0", "-1", "1.5", "x", "1", "2"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
+    lines = [list(fields) for fields in valid_ngram_db_lines]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")  # line 0 is the header
+        fields = lines[i]
+        kind = data.draw(st.sampled_from(["drop line", "duplicate line", "swap lines",
+                                          "drop field", "duplicate field", "swap fields",
+                                          "set value"]), label="kind")
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, list(fields))
+        elif kind == "swap lines":
+            k = data.draw(st.integers(0, len(lines) - 1), label="other line")
+            lines[i], lines[k] = lines[k], lines[i]
+        elif fields:
+            j = data.draw(st.integers(0, len(fields) - 1), label="field")
+            if kind == "drop field":
+                del fields[j]
+            elif kind == "duplicate field":
+                fields.insert(j, fields[j])
+            elif kind == "swap fields":
+                k = data.draw(st.integers(0, len(fields) - 1), label="other field")
+                fields[j], fields[k] = fields[k], fields[j]
+            elif i == 0:
+                key = fields[j].partition("=")[0]
+                fields[j] = f"{key}={data.draw(DB_HEADER_VALUES, label='header value')}"
+            else:
+                fields[-1] = data.draw(DB_COUNTS, label="count")
+        if not lines:
+            break
+    text = "".join("\t".join(fields) + "\n" for fields in lines)
+    text = text[:data.draw(st.none() | st.integers(0, len(text)), label="truncate at")]
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp) / "ngrams.tsv"
+        db.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["dataset", str(db), "--vocab-size", "3", "--include-boundary",
+                       "--out", str(Path(tmp) / "dataset.tsv")])
+    assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    # A complete body line whose count is not a positive integer never passes.
+    body = text.partition("\n")[2].split("\n")[:-1]
+    if any(not re.fullmatch(r"[0-9]+", line.rpartition("\t")[2])
+           or int(line.rpartition("\t")[2]) < 1 for line in body):
+        assert rc == EXIT_INPUT, text
 
 class TestSubprocessEntry:
     def test_module_invocation_works(self, two_tweet_corpus, tmp_path):

@@ -148,13 +148,6 @@ class TestCountNGrams:
         assert db.total_tweets == tweets_n
         assert db.total_tokens == tokens_n
 
-    def test_parallel_workers_match_sequential(self):
-        rnd = random.Random(9)
-        tweets = [" ".join(rnd.choices("abcdef", k=rnd.randint(1, 6))) for _ in range(500)]
-        seq = count_ngrams(tweets)
-        par = count_ngrams(tweets, workers=2, shard_size=64)
-        assert seq == par
-
 
 class TestBuildDictionary:
     def test_center_counting(self):

@@ -180,9 +180,10 @@ class TestTrain:
         assert all(entry.wall_seconds == 0.0 for entry in outputs[0][0])
 
     def test_divergence_keeps_last_good_checkpoint(self, tmp_path):
-        # lr=1000 survives epoch 1 and trips the 10x-initial guard at epoch 2,
-        # so the checkpoint on disk must be the epoch-1 state. A separate
-        # one-epoch run with the same seed reproduces that state exactly.
+        # lr=1000 survives epoch 1 (loss 10.49) and trips the 10 ln|V| = 16.09
+        # guard at epoch 2 (loss 17.76), so the checkpoint on disk must be the
+        # epoch-1 state. A separate one-epoch run with the same seed
+        # reproduces that state exactly.
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         reference = tmp_path / "reference.ckpt"
         train(toy_split(), hyper,
