@@ -78,26 +78,12 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
     ordered by the 5-gram's tokens, so they are independent of counting
     order. Returns shape (0, 5) when nothing qualifies.
     """
-    boundary_ok = frozenset(BOUNDARY_TOKENS) if include_boundary else frozenset()
-    word_to_id = vocab.word_to_id
-    ids: list[int] = []
-    for gram in sorted(db.records):
-        target = word_to_id.get(gram[2])
-        if target is None:
-            continue
-        context: list[int] = []
-        for tok in (gram[0], gram[1], gram[3], gram[4]):
-            token_id = word_to_id.get(tok)
-            if token_id is None:
-                if tok in boundary_ok:
-                    token_id = vocab.boundary_id(tok)
-                else:
-                    break
-            context.append(token_id)
-        if len(context) == 4:
-            ids += context
-            ids.append(target)
-    return np.array(ids, dtype=np.int64).reshape(-1, 5)
+    lookup = np.array([vocab.word_to_id.get(token, -1) for token in db.types], dtype=np.int32)
+    if include_boundary:
+        lookup[db.boundary_ids()] = [vocab.boundary_id(pad) for pad in BOUNDARY_TOKENS]
+    ids = lookup[db.records[:, [0, 1, 3, 4, 2]]]
+    keep = (ids >= 0).all(axis=1) & (ids[:, 4] < vocab.size)
+    return ids[keep].astype(np.int64)
 
 
 @dataclass

@@ -206,12 +206,20 @@ def _warn_clamped(n_clamped: int) -> None:
         logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
 
 
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
+def _mean_nll(probs: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
+    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at
+    LOSS_FLOOR, and how many rows were clamped."""
     with np.errstate(divide="ignore"):
         nll = -np.log(probs[np.arange(targets.shape[0]), targets])
-    _warn_clamped(_clamp_nll(nll))
-    return float(nll.mean())
+    n_clamped = _clamp_nll(nll)
+    return float(nll.mean()), n_clamped
+
+
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
+    mean, n_clamped = _mean_nll(probs, targets)
+    _warn_clamped(n_clamped)
+    return mean
 
 
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
@@ -257,7 +265,8 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
         raise ValueError("backward pass needs a non-empty batch")
     trace = forward(params, contexts)
     merged, ctx_act, logits = trace.merged, trace.ctx_act, trace.logits
-    mean_loss = cross_entropy(trace.probs, targets)
+    # No clamp warning per batch: the epoch's evaluate calls report theirs.
+    mean_loss, _ = _mean_nll(trace.probs, targets)
 
     # The trace is local and the loss is taken, so its probs become d_logits.
     d_out_pre = trace.probs

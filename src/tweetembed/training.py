@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,6 +23,7 @@ from .model import (
     evaluate,
     init_params,
     save_checkpoint,
+    _param_shapes,
 )
 from .rng import derive_seed, permutation
 
@@ -114,6 +116,19 @@ def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
         getattr(params, name)[...] -= step
 
 
+def _check_fits_in_memory(hyper: ModelHyper) -> None:
+    """MemoryError when training this model would need more than physical memory.
+
+    Training holds four float64 arrays per parameter: the parameters, their
+    gradients and Adam's two moments.
+    """
+    needed = 4 * 8 * sum(math.prod(shape) for shape in _param_shapes(hyper).values())
+    physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > physical:
+        raise MemoryError(f"a |V|={hyper.vocab_size} model needs {needed} bytes for parameters, "
+                          f"gradients and Adam moments; physical memory is {physical} bytes")
+
+
 def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
           checkpoint_path: Path | str | None = None, vocab_hash: str = "",
           on_epoch: Callable[[EpochLog], None] | None = None,
@@ -128,10 +143,12 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     loss of a uniform prediction, which a fresh model is close to)
     training aborts and the last good checkpoint stays on disk. With
     cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
-    byte-reproducible.
+    byte-reproducible. A model larger than physical memory is a
+    MemoryError before anything is allocated.
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
+    _check_fits_in_memory(hyper)
     params = init_params(hyper, cfg.seed)
     state = AdamState.for_params(params)
     # Sliced once into contiguous arrays: every batch and evaluation reads them.

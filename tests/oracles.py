@@ -184,3 +184,9 @@ def oracle_adam_step(params, grads, state, cfg):
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
         getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def db_records(db) -> dict[tuple[str, ...], int]:
+    """An NGramDatabase's rows as {token tuple: count}, the oracles' form."""
+    return {tuple(db.types[i] for i in row): count
+            for row, count in zip(db.records.tolist(), db.counts.tolist())}

@@ -11,6 +11,8 @@ words the plausible targets are roughly the subset members.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 
 from tweetembed.evaluation import GoldClass
@@ -59,3 +61,20 @@ def zipf_corpus(n_tweets: int, seed: int, vocab_types: int = 2000,
         picks = rng.choice(vocab_types, size=length, p=probs)
         tweets.append(" ".join(words[picks]))
     return tweets
+
+
+# Tokens that are not plain ASCII words: accents, an emoji, "İ" (whose
+# lower() is two code points) and "ß", handles and links that become
+# placeholders, the placeholders themselves and pad spellings written in a
+# tweet, which must stay distinct from the real boundary tokens.
+NON_ASCII_TOKENS = ("não", "NÃO", "é", "É", "😀", "İ", "ß", "@ana", "@Bia", "http://x.pt",
+                    "HTTPS://Y.PT", "T_HANDLE", "LINK", "<pad_l1>", "<PAD_R2>", "bom", "dia!",
+                    "=)")
+
+
+def non_ascii_corpus(n_tweets: int, seed: int) -> list[str]:
+    """Tweets of 0-7 tokens from NON_ASCII_TOKENS; about one in eight is
+    blank and one in eight has a single token."""
+    rnd = random.Random(seed)
+    return [" ".join(rnd.choices(NON_ASCII_TOKENS, k=rnd.randint(0, 7)))
+            for _ in range(n_tweets)]

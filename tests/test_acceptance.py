@@ -32,7 +32,7 @@ from tweetembed.model import (
 )
 from tweetembed.training import TrainConfig, timing_report, train
 
-from oracles import oracle_count, oracle_dictionary, oracle_filter
+from oracles import db_records, oracle_count, oracle_dictionary, oracle_filter
 from synth import class_corpus, class_gold, zipf_corpus
 
 
@@ -127,7 +127,7 @@ def test_criterion_2_pipeline_oracle():
     started = time.perf_counter()
     db = count_ngrams(tweets)
     records, n_tweets, n_tokens = oracle_count(tweets)
-    counts_ok = (db.records == records and db.total_tweets == n_tweets
+    counts_ok = (db_records(db) == records and db.total_tweets == n_tweets
                  and db.total_tokens == n_tokens)
 
     dictionary = build_dictionary(db)
@@ -139,7 +139,7 @@ def test_criterion_2_pipeline_oracle():
         tuple(top.id_to_word(i) for i in (c1, c2, target, c4, c5))
         for c1, c2, c4, c5, target in tuples.tolist()
     }
-    filter_ok = reconstructed == oracle_filter(db.records, top.words)
+    filter_ok = reconstructed == oracle_filter(db_records(db), top.words)
     elapsed = time.perf_counter() - started
 
     ok = counts_ok and dict_ok and filter_ok and elapsed < 5.0

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -21,7 +22,8 @@ from tweetembed.evaluation import parse_report
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
 from tweetembed.training import read_run_log
 
-from synth import zipf_corpus
+from oracles import db_records
+from synth import non_ascii_corpus, zipf_corpus
 
 
 @pytest.fixture
@@ -68,7 +70,7 @@ class TestIngest:
         rc, db_path, _ = ingest(corpus, tmp_path)
         assert rc == EXIT_OK
         assert "empty" in capsys.readouterr().err
-        assert read_ngram_db(db_path).records == {}
+        assert db_records(read_ngram_db(db_path)) == {}
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc, _, _ = ingest(tmp_path / "nope.txt", tmp_path)
@@ -123,7 +125,7 @@ class TestDataset:
         dictionary = read_dictionary(tmp_path / "dictionary.tsv")
         top4 = {w for w, _ in dictionary.entries[:4]}
         expected = sum(
-            1 for gram in db.records
+            1 for gram in db_records(db)
             if gram[2] in top4 and all(t in top4 for t in (gram[0], gram[1], gram[3], gram[4]))
         )
         split, meta = read_dataset(out)
@@ -166,6 +168,33 @@ class TestDataset:
             "7916819330e997b0e56a57bebc2322bbf9e63a2a2416c667ebd924668289c14d")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "21887ca62d1a34d44fc3f583cb7de02c3b21f1ec4b630da6f4bf79827afa89ce")
+
+    def test_non_ascii_bytes_are_pinned(self, tmp_path):
+        # Accents, an emoji, "İ", "ß", handles, links, a pad spelling written
+        # in a tweet, one-token tweets and blank lines: the files order rows
+        # by code point, which is also UTF-8 byte order.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(non_ascii_corpus(300, seed=21)) + "\n", encoding="utf-8")
+        rc, db, dic = ingest(corpus, tmp_path, "--deterministic")
+        assert rc == EXIT_OK
+        rc, out = make_dataset(db, tmp_path, 10, "--include-boundary", "--deterministic")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(db.read_bytes()).hexdigest() == (
+            "1b1d1357acb7a9cab4c754c4457dc2c7cea7b2e884b8cdf8f6f349278131ecd0")
+        assert hashlib.sha256(dic.read_bytes()).hexdigest() == (
+            "f2519597dcdf536a9ab3e0918352e4d8314ed964febce658cea784af682252e1")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "2992a1a445981444f05a1e0594d674ef90c8b2264e03350188031ec657f3fdfc")
+
+    def test_reordered_ngram_db_gives_the_same_dataset(self, bigger_corpus, tmp_path):
+        _, db_path, _ = ingest(bigger_corpus, tmp_path)
+        header, *body = db_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(body)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(body), encoding="utf-8")
+        _, a = make_dataset(db_path, tmp_path / "sorted", 5, "--include-boundary")
+        _, b = make_dataset(shuffled, tmp_path / "shuffled", 5, "--include-boundary")
+        assert a.read_bytes() == b.read_bytes()
 
     def test_vocab_sidecar_written(self, bigger_corpus, tmp_path):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -545,11 +574,12 @@ MALFORMED_INPUTS = {
         _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
         ":2: expected 5 integer fields, got an empty line"),
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
-    # No address space holds the arrays of this |V|, so the allocation fails
-    # at once; a |V| whose model could fit in RAM must never be tried here.
+    # No machine's memory holds the arrays of this |V|, so train refuses it
+    # before allocating; a |V| whose model could fit in RAM must never be
+    # tried here.
     "header declaring an unallocatable |V|": (
         _train_on(lambda ds: _set_header_key(ds, "vocab_size", "1000000000000000")),
-        "Unable to allocate"),
+        "physical memory is"),
     "embeddings with more rows than the header": (_extra_embedding_row, "rows"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),

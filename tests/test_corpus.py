@@ -1,5 +1,9 @@
+import collections
 import random
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +25,10 @@ from tweetembed.corpus import (
     write_dictionary,
     write_ngram_db,
 )
+from tweetembed.dataset import filter_ngrams, select_vocabulary
 
-from oracles import oracle_count, oracle_dictionary
+from oracles import db_records, oracle_count, oracle_dictionary, oracle_filter
+from synth import NON_ASCII_TOKENS
 
 tweet_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)),
@@ -112,19 +118,19 @@ class TestExtract5Grams:
 class TestCountNGrams:
     def test_duplicate_tweets_aggregate(self):
         db = count_ngrams(["oi", "oi"])
-        assert db.records == {(PAD_L1, PAD_L2, "oi", PAD_R1, PAD_R2): 2}
+        assert db_records(db) == {(PAD_L1, PAD_L2, "oi", PAD_R1, PAD_R2): 2}
         assert db.total_tweets == 2
         assert db.total_tokens == 2
 
     def test_two_tweets_hand_enumerated(self):
         db = count_ngrams(["a b", "b a"])
         assert len(db.records) == 4
-        assert all(count == 1 for count in db.records.values())
+        assert all(count == 1 for count in db_records(db).values())
 
     def test_counts_sum_to_total_tokens(self):
         tweets = ["um dois três", "um", "", "dois dois"]
         db = count_ngrams(tweets)
-        assert sum(db.records.values()) == db.total_tokens == 6
+        assert sum(db_records(db).values()) == db.total_tokens == 6
         assert db.total_tweets == 3  # the blank line is skipped
 
     @given(st.lists(tweet_text, max_size=15), st.randoms(use_true_random=False))
@@ -134,7 +140,7 @@ class TestCountNGrams:
         rnd.shuffle(shuffled)
         a = count_ngrams(tweets)
         b = count_ngrams(shuffled)
-        assert a.records == b.records
+        assert db_records(a) == db_records(b)
         assert a.total_tokens == b.total_tokens
         assert a.total_tweets == b.total_tweets
 
@@ -144,9 +150,22 @@ class TestCountNGrams:
         tweets = [" ".join(rnd.choices(vocab, k=rnd.randint(0, 9))) for _ in range(100)]
         db = count_ngrams(tweets)
         records, tweets_n, tokens_n = oracle_count(tweets)
-        assert db.records == records
+        assert db_records(db) == records
         assert db.total_tweets == tweets_n
         assert db.total_tokens == tokens_n
+
+    def test_rows_ascend_with_many_types(self):
+        # 33000 types need 16-bit ids, so the rows sort on two packed keys
+        # and a key would overflow if it held a fourth column.
+        rnd = random.Random(6)
+        words = [f"t{i}" for i in range(33000)]
+        rnd.shuffle(words)
+        tweets = [" ".join(words[i : i + 6]) for i in range(0, len(words), 6)]
+        tweets += [" ".join(rnd.choices(words, k=6)) for _ in range(2000)]
+        db = count_ngrams(tweets)
+        expected = collections.Counter(g for t in tweets for g in extract_5grams(t.split()))
+        assert len(db.types) == 33004
+        assert list(db_records(db).items()) == sorted(expected.items())
 
 
 class TestBuildDictionary:
@@ -174,7 +193,7 @@ class TestBuildDictionary:
         tweets = [" ".join(rnd.choices(["x", "y", "zz", "=)"], k=rnd.randint(1, 8)))
                   for _ in range(80)]
         db = count_ngrams(tweets)
-        assert build_dictionary(db).entries == oracle_dictionary(db.records)
+        assert build_dictionary(db).entries == oracle_dictionary(db_records(db))
 
     def test_boundary_tokens_excluded(self):
         db = count_ngrams(["a b c"])
@@ -188,7 +207,8 @@ class TestFiles:
         path = tmp_path / "ngrams.tsv"
         write_ngram_db(db, path)
         loaded = read_ngram_db(path)
-        assert loaded == db
+        assert db_records(loaded) == db_records(db)
+        assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
         header = path.read_text(encoding="utf-8").splitlines()[0]
         assert header == f"#total_tweets={db.total_tweets}\t#total_tokens={db.total_tokens}"
 
@@ -207,8 +227,49 @@ class TestFiles:
         write_dictionary(dictionary, path)
         assert read_dictionary(path).entries == dictionary.entries
 
+    def test_count_beyond_64_bits_rejected(self, tmp_path):
+        path = tmp_path / "ngrams.tsv"
+        path.write_text(f"#total_tweets=1\t#total_tokens={2 ** 64}\n"
+                        f"{PAD_L1}\t{PAD_L2}\ta\t{PAD_R1}\t{PAD_R2}\t{2 ** 64}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="64 bits"):
+            read_ngram_db(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
         path.write_text("no header\n", encoding="utf-8")
         with pytest.raises(ValueError):
             read_ngram_db(path)
+
+
+non_ascii_tweets = st.lists(st.lists(st.sampled_from(NON_ASCII_TOKENS), max_size=7).map(" ".join),
+                            max_size=20)
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_ascii_tweets, st.integers(1, 12))
+def test_id_arrays_match_the_oracles(tweets, vocab_size):
+    db = count_ngrams(tweets)
+    records, n_tweets, n_tokens = oracle_count(tweets)
+    assert db_records(db) == records
+    assert (db.total_tweets, db.total_tokens) == (n_tweets, n_tokens)
+    assert db.records.dtype == np.int32 and db.records.shape == (len(records), 5)
+    grams = list(db_records(db))
+    assert grams == sorted(records)  # rows ascend in token order
+    dictionary = build_dictionary(db)
+    assert dictionary.entries == oracle_dictionary(records)
+    if dictionary.entries:
+        vocab = select_vocabulary(dictionary, min(vocab_size, len(dictionary)))
+        for include_boundary in (False, True):
+            rows = filter_ngrams(db, vocab, include_boundary=include_boundary)
+            got = [tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
+                   for c1, c2, c4, c5, target in rows.tolist()]
+            assert got == sorted(oracle_filter(records, vocab.words, include_boundary))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"
+        write_ngram_db(db, first)
+        loaded = read_ngram_db(first)
+        write_ngram_db(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+    assert loaded.types == sorted(set(loaded.types))
+    assert np.array_equal(loaded.records, db.records) and np.array_equal(loaded.counts, db.counts)
+    assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)

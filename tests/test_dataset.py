@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams
+from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams, read_ngram_db
 from tweetembed.dataset import (
     DatasetSplit,
     Vocabulary,
@@ -18,7 +18,7 @@ from tweetembed.dataset import (
 )
 from tweetembed.rng import permutation
 
-from oracles import oracle_filter, oracle_permutation
+from oracles import db_records, oracle_filter, oracle_permutation
 
 
 def small_dictionary():
@@ -96,15 +96,30 @@ class TestFilterNGrams:
             tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
             for c1, c2, c4, c5, target in rows.tolist()
         }
-        assert reconstructed == oracle_filter(db.records, vocab.words, include_boundary)
+        assert reconstructed == oracle_filter(db_records(db), vocab.words, include_boundary)
         assert len(rows) == len(reconstructed)  # no duplicates
+
+    def test_boundary_token_as_center_is_never_a_word(self, tmp_path):
+        # A hand-written database may put a boundary token in the center.
+        path = tmp_path / "ngrams.tsv"
+        path.write_text("#total_tweets=1\t#total_tokens=3\n"
+                        "<PAD_L1>\t<PAD_L2>\ta\tb\t<PAD_R1>\t1\n"
+                        "<PAD_L2>\ta\tb\t<PAD_R1>\t<PAD_R2>\t1\n"
+                        "a\tb\t<PAD_R1>\t<PAD_R2>\t<PAD_R2>\t1\n", encoding="utf-8")
+        db = read_ngram_db(path)
+        dictionary = build_dictionary(db)
+        assert dictionary.entries == [("a", 1), ("b", 1)]
+        vocab = select_vocabulary(dictionary, 2)
+        assert filter_ngrams(db, vocab, include_boundary=True).tolist() == [
+            [2, 3, 1, 4, 0], [3, 0, 4, 5, 1]]
 
     def test_tuples_round_trip_to_database_grams(self):
         db = random_db(21)
         vocab = select_vocabulary(build_dictionary(db), 6)
+        records = db_records(db)
         for c1, c2, c4, c5, target in filter_ngrams(db, vocab, include_boundary=True).tolist():
             gram = tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
-            assert gram in db.records
+            assert gram in records
 
 
 def make_tuples(n):

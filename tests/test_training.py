@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from tweetembed.training import (
 )
 
 from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax
+from synth import zipf_corpus
 
 
 def tiny_hyper():
@@ -315,6 +317,43 @@ class TestTrain:
             load_checkpoint(broken / failing)
         else:
             assert [e.epoch for e in read_run_log(broken / failing)] == [1]
+
+    def test_clamping_run_warns_at_most_twice_per_epoch(self, caplog):
+        # At learning rate 1000 most target probabilities fall below
+        # LOSS_FLOOR, yet at |V| = 32 the clamped loss (at most 27.6) stays
+        # under the 10 ln|V| = 34.7 divergence limit, so both epochs run.
+        db = count_ngrams(zipf_corpus(300, seed=3, vocab_types=60))
+        vocab = select_vocabulary(build_dictionary(db), 32)
+        split = split_dataset(filter_ngrams(db, vocab, include_boundary=True),
+                              validation_ratio=0.2, seed=1)
+        hyper = ModelHyper(vocab_size=32, d_in=4, d_ctx=4)
+        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=1000.0, seed=3)
+        assert len(split.train) > 10 * cfg.batch_size  # many batches per epoch
+
+        def clamp_warnings():
+            return sum("clamped" in r.getMessage() for r in caplog.records)
+
+        seen = []
+        with caplog.at_level(logging.WARNING, logger="tweetembed.model"):
+            train(split, hyper, cfg, on_epoch=lambda _: seen.append(clamp_warnings()))
+        per_epoch = [seen[0], seen[1] - seen[0]]
+        assert all(1 <= n <= 2 for n in per_epoch), per_epoch
+
+    def test_model_larger_than_physical_memory_exits_2(self, tmp_path, monkeypatch, capsys):
+        dataset = tmp_path / "dataset.tsv"
+        dataset.write_text("#vocab_size=2048\t#vocab_hash=x\t#seed=1\t#validation_ratio=0.1"
+                           "\t#fraction=1.0\t#validation=0\t#train=1\n0\t1\t2\t3\t4\n",
+                           encoding="utf-8")
+        # Report 1 MiB of physical memory: 256 pages of 4 KiB.
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(tweetembed.training.os, "sysconf", pages.__getitem__)
+        ckpt = tmp_path / "model.ckpt"
+        rc = main(["train", str(dataset), "--out-checkpoint", str(ckpt),
+                   "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1"])
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert "physical memory is 1048576 bytes" in err and "Traceback" not in err
+        assert not ckpt.exists()
 
     def test_epoch_callback_streams_logs(self):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
