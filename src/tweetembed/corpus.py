@@ -277,15 +277,3 @@ def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         for rank, (word, freq) in enumerate(dictionary.entries):
             fh.write(f"{word}\t{freq}\t{rank}\n")
-
-
-def read_dictionary(path: Path | str) -> Dictionary:
-    path = Path(path)
-    entries: list[tuple[str, int]] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            word, freq, rank = line.rstrip("\n").split("\t")
-            if int(rank) != lineno:
-                raise ValueError(f"{path}: rank column out of order at line {lineno + 1}")
-            entries.append((word, int(freq)))
-    return Dictionary(entries)

@@ -45,11 +45,6 @@ class Vocabulary:
     def boundary_id(self, token: str) -> int:
         return self.size + BOUNDARY_TOKENS.index(token)
 
-    def id_to_word(self, token_id: int) -> str:
-        if token_id < self.size:
-            return self.words[token_id]
-        return BOUNDARY_TOKENS[token_id - self.size]
-
 
 def select_vocabulary(dictionary: Dictionary, size: int) -> Vocabulary:
     if size < 1:

@@ -1,4 +1,4 @@
-"""Embedding extraction, cosine similarity, nearest-neighbor queries, file I/O."""
+"""Embedding extraction and the text and binary embedding files."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -17,75 +16,31 @@ from .model import ModelParams
 TABLE_MAGIC = b"EMBTBL01"
 
 
-class ZeroVectorError(ValueError):
-    """Cosine similarity is undefined for an all-zero vector."""
-
-
-class UnknownWordError(KeyError):
-    """Query word absent from the table; carries close spellings as a hint."""
-
-    def __init__(self, word: str, suggestions: list[str]):
-        hint = f"; did you mean: {', '.join(suggestions)}" if suggestions else ""
-        super().__init__(f"unknown word {word!r}{hint}")
-        self.word = word
-        self.suggestions = suggestions
-
-
 @dataclass
 class EmbeddingTable:
-    """Immutable word -> vector lookup with precomputed unit vectors.
+    """Word -> vector table: one row per word, no word twice, finite entries.
 
-    One row per vocabulary word. Rows whose vector is all zeros are flagged
-    and excluded from similarity queries.
+    `index` maps each word to its row.
     """
 
     words: list[str]
     vectors: np.ndarray
     manifest_hash: str = ""
-    _index: dict[str, int] = field(init=False, repr=False)
-    _units: np.ndarray = field(init=False, repr=False)
-    _zero: np.ndarray = field(init=False, repr=False)
+    index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if len(self.words) != self.vectors.shape[0]:
             raise ValueError("word list and vector matrix disagree on row count")
         if not np.all(np.isfinite(self.vectors)):
             raise ValueError("embedding table contains non-finite entries")
-        self._index = {w: i for i, w in enumerate(self.words)}
-        norms = np.linalg.norm(self.vectors, axis=1)
-        self._zero = norms == 0.0
-        safe = np.where(self._zero, 1.0, norms)
-        self._units = self.vectors / safe[:, None]
+        self.index = {w: i for i, w in enumerate(self.words)}
+        if len(self.index) != len(self.words):
+            repeated = next(w for i, w in enumerate(self.words) if self.index[w] != i)
+            raise ValueError(f"embedding table lists the word {repeated!r} more than once")
 
     @property
     def dim(self) -> int:
         return self.vectors.shape[1]
-
-    @property
-    def metadata(self) -> dict:
-        return {
-            "vocab_size": len(self.words),
-            "dim": self.dim,
-            "manifest_hash": self.manifest_hash,
-        }
-
-    def __contains__(self, word: str) -> bool:
-        return word in self._index
-
-    def row(self, word: str) -> int:
-        return self._index[word]
-
-    def vector(self, word: str) -> np.ndarray:
-        return self.vectors[self._index[word]]
-
-    def is_zero(self, word: str) -> bool:
-        return bool(self._zero[self._index[word]])
-
-    def unit(self, word: str) -> np.ndarray:
-        i = self._index[word]
-        if self._zero[i]:
-            raise ZeroVectorError(f"word {word!r} has an all-zero vector")
-        return self._units[i]
 
 
 def export_embeddings(params: ModelParams, vocab: Vocabulary,
@@ -107,56 +62,6 @@ def export_embeddings(params: ModelParams, vocab: Vocabulary,
     else:
         raise ValueError(f"unknown embedding source {source!r}")
     return EmbeddingTable(list(vocab.words), vectors, manifest_hash)
-
-
-def cosine(u: Sequence[float] | np.ndarray, v: Sequence[float] | np.ndarray) -> float:
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValueError(f"vector lengths differ: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
-        raise ZeroVectorError("cosine undefined for a zero vector")
-    return float(np.dot(u, v) / (nu * nv))
-
-
-def _within_edit1(a: str, b: str) -> bool:
-    if a == b:
-        return True
-    la, lb = len(a), len(b)
-    if abs(la - lb) > 1:
-        return False
-    if la == lb:
-        return sum(x != y for x, y in zip(a, b)) == 1
-    if la > lb:
-        a, b, la, lb = b, a, lb, la
-    i = 0
-    while i < la and a[i] == b[i]:
-        i += 1
-    return a[i:] == b[i + 1 :]
-
-
-def nearest(table: EmbeddingTable, word: str, k: int) -> list[tuple[str, float]]:
-    """Exact top-k neighbors by cosine, descending; ties broken by word order.
-
-    The query word itself and any zero-vector rows are excluded. Unknown
-    words raise UnknownWordError listing in-table spellings within edit
-    distance one.
-    """
-    if word not in table:
-        suggestions = sorted(w for w in table.words if _within_edit1(word, w))
-        raise UnknownWordError(word, suggestions)
-    if not 1 <= k < len(table.words):
-        raise ValueError(f"k must be in [1, {len(table.words) - 1}], got {k}")
-    query = table.unit(word)
-    sims = table._units @ query
-    row = table.row(word)
-    candidates = [
-        j for j in range(len(table.words)) if j != row and not table._zero[j]
-    ]
-    candidates.sort(key=lambda j: (-sims[j], table.words[j]))
-    return [(table.words[j], float(sims[j])) for j in candidates[:k]]
 
 
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:

@@ -15,6 +15,21 @@ Three threshold tests plus one threshold-free test:
 Every test scores only the covered pairs (both words embedded); coverage
 is reported separately. Pairs touching an all-zero vector cannot be
 scored; they are excluded and counted in the report.
+
+All four tests read one matrix. `run_standard_suite` gathers the gold
+words (class members and equivalence-pair words), normalizes only their
+rows of the table and takes all their cosines with one matrix product.
+Each test is then a mask over that matrix: membership is the within-class
+upper triangle, distinction the cross-class upper triangle, equivalence
+one cell per listed pair (repeated pairs count again), and topological
+consistency compares, row by row, the least similar same-class word with
+the most similar cross-class word.
+
+A matrix product over a different set of words may round a cosine
+differently in its last bit. So a cosine exactly equal to a threshold, or
+two exactly equal cosines in the topological test, may compare either
+way; checks against a reference implementation use vectors whose cosines
+do not tie.
 """
 
 from __future__ import annotations
@@ -22,7 +37,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from itertools import combinations
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -85,46 +99,38 @@ class TestReport:
     excluded_zero_vectors: int = 0
 
 
-def load_gold_classes(path: Path | str) -> list[GoldClass]:
-    """TSV `class_name<TAB>word`, one membership per line; '#' comments
-    allowed. Words get the same normalization as the corpus pipeline."""
-    path = Path(path)
-    ordered: dict[str, list[str]] = {}
+def _read_tab_pairs(path: Path) -> list[tuple[str, str]]:
+    """The two tab-separated fields of each line; blank and '#' lines skipped."""
+    out: list[tuple[str, str]] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            name, word = line.split("\t")
-            token = normalize_token(word.strip())
-            members = ordered.setdefault(name, [])
-            if token not in members:
-                members.append(token)
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, "
+                                 f"got {len(fields)}")
+            out.append((fields[0], fields[1]))
+    return out
+
+
+def load_gold_classes(path: Path | str) -> list[GoldClass]:
+    """TSV `class_name<TAB>word`, one membership per line; '#' comments
+    allowed. Words get the same normalization as the corpus pipeline."""
+    ordered: dict[str, list[str]] = {}
+    for name, word in _read_tab_pairs(Path(path)):
+        token = normalize_token(word.strip())
+        members = ordered.setdefault(name, [])
+        if token not in members:
+            members.append(token)
     return [GoldClass(name, tuple(members)) for name, members in ordered.items()]
 
 
 def load_equivalence_pairs(path: Path | str) -> list[EquivalencePair]:
     """TSV `left<TAB>right`; '#' comments allowed."""
-    path = Path(path)
-    pairs: list[EquivalencePair] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            left, right = line.split("\t")
-            pairs.append(EquivalencePair(normalize_token(left.strip()),
-                                         normalize_token(right.strip())))
-    return pairs
-
-
-def coverage(pairs: Sequence[tuple[str, str]], table: EmbeddingTable,
-             ) -> tuple[float, list[tuple[str, str]]]:
-    """Fraction of pairs with both words embedded, plus that covered subset."""
-    if not pairs:
-        raise ValueError("coverage needs at least one pair")
-    covered = [(a, b) for a, b in pairs if a in table and b in table]
-    return len(covered) / len(pairs), covered
+    return [EquivalencePair(normalize_token(left.strip()), normalize_token(right.strip()))
+            for left, right in _read_tab_pairs(Path(path))]
 
 
 def _check_threshold(threshold: float) -> None:
@@ -132,144 +138,29 @@ def _check_threshold(threshold: float) -> None:
         raise ValueError(f"threshold must be in (0, 1), got {threshold}")
 
 
-def _pair_cosine(table: EmbeddingTable, a: str, b: str) -> float | None:
-    """Cosine of a covered pair, or None when a zero vector blocks scoring."""
-    i, j = table.row(a), table.row(b)
-    if table._zero[i] or table._zero[j]:
-        return None
-    return float(table._units[i] @ table._units[j])
+def _pair_reports(name: str, thresholds: Iterable[float], cos: np.ndarray,
+                  present: np.ndarray, usable: np.ndarray, left: np.ndarray,
+                  right: np.ndarray, above: bool) -> list[TestReport]:
+    """One report per threshold over the gold pairs (left[k], right[k]).
 
-
-def _score_pairs(name: str, table: EmbeddingTable, pairs: Sequence[tuple[str, str]],
-                 threshold: float, passes) -> TestReport:
-    cov, covered = coverage(pairs, table)
-    excluded = 0
-    scored = 0
-    passed = 0
-    for a, b in covered:
-        cos = _pair_cosine(table, a, b)
-        if cos is None:
-            excluded += 1
-            continue
-        scored += 1
-        if passes(cos, threshold):
-            passed += 1
-    score = passed / scored if scored else None
-    if score is None:
-        logger.warning("%s@%.2f: no scorable pairs (coverage %.3f)", name, threshold, cov)
-    return TestReport(name, threshold, cov, scored, passed, score, excluded)
-
-
-def membership_pairs(classes: Sequence[GoldClass]) -> list[tuple[str, str]]:
-    """All unordered within-class pairs, de-duplicated across classes."""
-    seen: set[tuple[str, str]] = set()
-    for cls in classes:
-        for a, b in combinations(cls.members, 2):
-            seen.add((a, b) if a <= b else (b, a))
-    return sorted(seen)
-
-
-def distinction_pairs(classes: Sequence[GoldClass]) -> list[tuple[str, str]]:
-    """All unordered cross-class pairs.
-
-    Duplicates are removed, as are pairs joining a word with itself or
-    with a word it shares any class with (a word may belong to several
-    classes, and such pairs are not known to be distinct).
+    A pair passes when its cosine is strictly above the threshold (or
+    strictly below it when `above` is False).
     """
-    word_classes: dict[str, set[str]] = {}
-    for cls in classes:
-        for word in cls.members:
-            word_classes.setdefault(word, set()).add(cls.name)
-    seen: set[tuple[str, str]] = set()
-    for ci, cj in combinations(classes, 2):
-        for a in ci.members:
-            for b in cj.members:
-                if a == b or not word_classes[a].isdisjoint(word_classes[b]):
-                    continue
-                seen.add((a, b) if a <= b else (b, a))
-    return sorted(seen)
-
-
-def class_membership_test(table: EmbeddingTable, classes: Sequence[GoldClass],
-                          threshold: float) -> TestReport:
-    """Within-class pairs pass when cosine is strictly above the threshold."""
-    _check_threshold(threshold)
-    for cls in classes:
-        present = [w for w in cls.members if w in table]
-        if len(present) < 2:
-            logger.info("class %s has fewer than 2 covered members", cls.name)
-    pairs = membership_pairs(classes)
-    return _score_pairs("class_membership", table, pairs, threshold,
-                        lambda cos, thr: cos > thr)
-
-
-def class_distinction_test(table: EmbeddingTable, classes: Sequence[GoldClass],
-                           threshold: float) -> TestReport:
-    """Cross-class pairs pass (true negative) when cosine is strictly below."""
-    _check_threshold(threshold)
-    if len(classes) < 2:
-        raise ValueError("class distinction needs at least 2 classes")
-    pairs = distinction_pairs(classes)
-    return _score_pairs("class_distinction", table, pairs, threshold,
-                        lambda cos, thr: cos < thr)
-
-
-def word_equivalence_test(table: EmbeddingTable, pairs: Sequence[EquivalencePair],
-                          threshold: float) -> TestReport:
-    """Equivalence pairs pass when cosine is strictly above the threshold."""
-    _check_threshold(threshold)
-    raw = [(p.left, p.right) for p in pairs]
-    return _score_pairs("word_equivalence", table, raw, threshold,
-                        lambda cos, thr: cos > thr)
-
-
-def topological_consistency_test(table: EmbeddingTable,
-                                 classes: Sequence[GoldClass]) -> TestReport:
-    """Threshold-free neighborhood test.
-
-    A covered word passes when its minimum same-class cosine exceeds its
-    maximum different-class cosine. Words with no covered same-class peer
-    or no covered different-class word are skipped (and logged). The score
-    is invariant under per-vector positive rescaling.
-    """
-    word_classes: dict[str, set[str]] = {}
-    for cls in classes:
-        for word in cls.members:
-            word_classes.setdefault(word, set()).add(cls.name)
-    gold_words = sorted(word_classes)
-
-    zero_excluded = sum(1 for w in gold_words if w in table and table.is_zero(w))
-    covered = [w for w in gold_words if w in table and not table.is_zero(w)]
-    covered_set = set(covered)
-    classes_with_two = sum(
-        1 for cls in classes if sum(1 for w in cls.members if w in covered_set) >= 2
-    )
-    if len(classes) < 2 or classes_with_two < 2:
-        raise ValueError("topological consistency needs >= 2 classes with >= 2 covered members")
-
-    units = np.stack([table._units[table.row(w)] for w in covered])
-    sims = units @ units.T
-    evaluated = 0
-    passed = 0
-    skipped = 0
-    for i, word in enumerate(covered):
-        mine = word_classes[word]
-        same = [j for j, other in enumerate(covered)
-                if j != i and word_classes[other] & mine]
-        diff = [j for j, other in enumerate(covered)
-                if j != i and not word_classes[other] & mine]
-        if not same or not diff:
-            skipped += 1
-            continue
-        evaluated += 1
-        if sims[i, same].min() > sims[i, diff].max():
-            passed += 1
-    if skipped:
-        logger.info("topological consistency skipped %d words without peers", skipped)
-    cov = len(covered) / len(gold_words) if gold_words else 0.0
-    score = passed / evaluated if evaluated else None
-    return TestReport("topological_consistency", None, cov, evaluated, passed,
-                      score, zero_excluded)
+    covered = int(np.count_nonzero(present[left] & present[right]))
+    sims = cos[left, right][usable[left] & usable[right]]
+    reports = []
+    for threshold in thresholds:
+        _check_threshold(threshold)
+        if len(left) == 0:
+            raise ValueError("coverage needs at least one pair")
+        cov = covered / len(left)
+        passed = int(np.count_nonzero(sims > threshold if above else sims < threshold))
+        score = passed / len(sims) if len(sims) else None
+        if score is None:
+            logger.warning("%s@%.2f: no scorable pairs (coverage %.3f)", name, threshold, cov)
+        reports.append(TestReport(name, threshold, cov, len(sims), passed, score,
+                                  covered - len(sims)))
+    return reports
 
 
 def format_report_table(reports: Sequence[TestReport]) -> str:
@@ -307,32 +198,74 @@ def emit_report(reports: Sequence[TestReport], manifest: dict,
             fh.write(format_report_table(reports))
 
 
-def parse_report(json_path: Path | str) -> tuple[dict, list[TestReport]]:
-    with Path(json_path).open("r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    return payload["manifest"], [TestReport(**d) for d in payload["reports"]]
-
-
 def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],
                        pairs: Sequence[EquivalencePair],
                        membership_thresholds: Iterable[float] = MEMBERSHIP_THRESHOLDS,
                        distinction_thresholds: Iterable[float] = DISTINCTION_THRESHOLDS,
                        equivalence_thresholds: Iterable[float] = EQUIVALENCE_THRESHOLDS,
                        ) -> list[TestReport]:
-    """All four tests at their default threshold pairs.
+    """All four tests, each at its thresholds (the defaults are the paper's).
 
-    The topological test is skipped (with a warning) when its coverage
-    precondition cannot be met on the given table.
+    Raises ValueError for a threshold outside (0, 1), for distinction
+    thresholds with fewer than 2 classes, and for a threshold test with no
+    pairs. The topological test is skipped (with a warning) when its
+    coverage precondition cannot be met on the given table.
     """
-    reports: list[TestReport] = []
-    for thr in membership_thresholds:
-        reports.append(class_membership_test(table, classes, thr))
-    for thr in distinction_thresholds:
-        reports.append(class_distinction_test(table, classes, thr))
-    for thr in equivalence_thresholds:
-        reports.append(word_equivalence_test(table, pairs, thr))
-    try:
-        reports.append(topological_consistency_test(table, classes))
-    except ValueError as exc:
-        logger.warning("topological consistency not run: %s", exc)
+    words = sorted({w for cls in classes for w in cls.members}
+                   | {w for pair in pairs for w in (pair.left, pair.right)})
+    col = {w: i for i, w in enumerate(words)}
+    member = np.zeros((len(words), len(classes)), dtype=bool)
+    for j, cls in enumerate(classes):
+        member[[col[w] for w in cls.members], j] = True
+    rows = np.array([table.index.get(w, -1) for w in words], dtype=np.intp)
+    present = rows >= 0
+    vectors = table.vectors[rows[present]]
+    norms = np.linalg.norm(vectors, axis=1)
+    zero = np.zeros(len(words), dtype=bool)
+    zero[present] = norms == 0.0
+    usable = present & ~zero
+    units = vectors[norms != 0.0] / norms[norms != 0.0, None]
+    cos = np.zeros((len(words), len(words)))
+    cos[np.ix_(usable, usable)] = units @ units.T
+
+    for cls, covered in zip(classes, np.count_nonzero(member & present[:, None], axis=0)):
+        if covered < 2:
+            logger.info("class %s has fewer than 2 covered members", cls.name)
+    shared = member @ member.T
+    in_class = member.any(axis=1)
+    reports = _pair_reports("class_membership", membership_thresholds, cos, present, usable,
+                            *np.nonzero(np.triu(shared, 1)), above=True)
+    distinction_thresholds = tuple(distinction_thresholds)
+    if distinction_thresholds and len(classes) < 2:
+        raise ValueError("class distinction needs at least 2 classes")
+    cross = np.triu(~shared & in_class[:, None] & in_class[None, :], 1)
+    reports += _pair_reports("class_distinction", distinction_thresholds, cos, present, usable,
+                             *np.nonzero(cross), above=False)
+    left = np.array([col[pair.left] for pair in pairs], dtype=np.intp)
+    right = np.array([col[pair.right] for pair in pairs], dtype=np.intp)
+    reports += _pair_reports("word_equivalence", equivalence_thresholds, cos, present, usable,
+                             left, right, above=True)
+
+    # Topological consistency: a covered class word passes when its least
+    # similar same-class peer is closer than its most similar other word.
+    scored = usable & in_class
+    if len(classes) < 2 or np.count_nonzero((member & scored[:, None]).sum(axis=0) >= 2) < 2:
+        logger.warning("topological consistency not run: topological consistency needs "
+                       ">= 2 classes with >= 2 covered members")
+        return reports
+    peers = shared & scored[None, :]
+    np.fill_diagonal(peers, False)
+    others = ~shared & scored[None, :]
+    evaluated = scored & peers.any(axis=1) & others.any(axis=1)
+    passes = np.where(peers, cos, np.inf).min(axis=1) > np.where(others, cos, -np.inf).max(axis=1)
+    n_scored = int(np.count_nonzero(scored))
+    n_evaluated = int(np.count_nonzero(evaluated))
+    n_passed = int(np.count_nonzero(evaluated & passes))
+    if n_evaluated < n_scored:
+        logger.info("topological consistency skipped %d words without peers",
+                    n_scored - n_evaluated)
+    reports.append(TestReport(
+        "topological_consistency", None, n_scored / int(np.count_nonzero(in_class)),
+        n_evaluated, n_passed, n_passed / n_evaluated if n_evaluated else None,
+        int(np.count_nonzero(in_class & zero))))
     return reports

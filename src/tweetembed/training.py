@@ -184,19 +184,6 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     return params, logs
 
 
-@dataclass
-class TimingSummary:
-    avg_seconds_per_epoch: float
-    total_seconds: float
-
-
-def timing_report(logs: Sequence[EpochLog]) -> TimingSummary:
-    if not logs:
-        raise ValueError("timing report needs at least one epoch log")
-    total = sum(entry.wall_seconds for entry in logs)
-    return TimingSummary(avg_seconds_per_epoch=total / len(logs), total_seconds=total)
-
-
 def write_run_log(logs: Sequence[EpochLog], path: Path | str) -> None:
     """Line-delimited records `epoch<TAB>train_loss<TAB>val_loss<TAB>secs`.
 

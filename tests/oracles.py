@@ -95,20 +95,6 @@ def oracle_cosine(u, v) -> float:
     return dot / (nu * nv)
 
 
-def oracle_nearest(words: list[str], vectors, query: str, k: int) -> list[tuple[str, float]]:
-    qv = vectors[words.index(query)]
-    scored = []
-    for w, v in zip(words, vectors):
-        if w == query:
-            continue
-        if all(x == 0.0 for x in v):
-            continue
-        scored.append((w, oracle_cosine(qv, v)))
-    scored.sort(key=lambda item: item[0])
-    scored.sort(key=lambda item: item[1], reverse=True)
-    return [(w, s) for w, s in scored[:k]]
-
-
 def oracle_topological(words, vectors, word_classes) -> tuple[int, int]:
     """(evaluated, passed) by direct definition, all cosines via oracle_cosine."""
     usable = [w for w in words if any(x != 0.0 for x in vectors[words.index(w)])
@@ -130,6 +116,51 @@ def oracle_topological(words, vectors, word_classes) -> tuple[int, int]:
         if min(same) > max(diff):
             passed += 1
     return evaluated, passed
+
+
+def oracle_suite(words, vectors, classes, pairs, membership, distinction, equivalence):
+    """The standard suite's reports as tuples of TestReport fields, by
+    direct definition over pair lists, with every cosine from oracle_cosine.
+
+    `classes` maps a class name to its members and `pairs` lists the
+    equivalence pairs as (left, right). A test with no pairs at all divides
+    by zero.
+    """
+    vec = dict(zip(words, vectors))
+
+    def scorable(w):
+        return w in vec and any(x != 0.0 for x in vec[w])
+
+    word_classes: dict[str, set[str]] = {}
+    for name, members in classes.items():
+        for w in members:
+            word_classes.setdefault(w, set()).add(name)
+    gold = sorted(word_classes)
+    within = [(a, b) for a in gold for b in gold if a < b and word_classes[a] & word_classes[b]]
+    across = [(a, b) for a in gold for b in gold
+              if a < b and not word_classes[a] & word_classes[b]]
+
+    def threshold_reports(name, pair_list, thresholds, passes):
+        covered = [(a, b) for a, b in pair_list if a in vec and b in vec]
+        cosines = [oracle_cosine(vec[a], vec[b]) for a, b in covered
+                   if scorable(a) and scorable(b)]
+        out = []
+        for t in thresholds:
+            passed = sum(1 for c in cosines if passes(c, t))
+            out.append((name, t, len(covered) / len(pair_list), len(cosines), passed,
+                        passed / len(cosines) if cosines else None, len(covered) - len(cosines)))
+        return out
+
+    reports = (threshold_reports("class_membership", within, membership, lambda c, t: c > t)
+               + threshold_reports("class_distinction", across, distinction, lambda c, t: c < t)
+               + threshold_reports("word_equivalence", pairs, equivalence, lambda c, t: c > t))
+    usable = [w for w in gold if scorable(w)]
+    if sum(1 for members in classes.values() if sum(w in usable for w in members) >= 2) >= 2:
+        evaluated, passed = oracle_topological(words, vectors, word_classes)
+        zero = sum(1 for w in gold if w in vec and not scorable(w))
+        reports.append(("topological_consistency", None, len(usable) / len(gold), evaluated,
+                        passed, passed / evaluated if evaluated else None, zero))
+    return reports
 
 
 def oracle_permutation(n: int, seed: int) -> list[int]:
@@ -184,6 +215,14 @@ def oracle_adam_step(params, grads, state, cfg):
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
         getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def example_grams(vocab, examples) -> list[tuple[str, ...]]:
+    """Training example rows (c1 c2 c4 c5 target ids) as 5-gram token
+    tuples, in row order; ids past the words are the four pads."""
+    tokens = [*vocab.words, *PADS]
+    return [tuple(tokens[i] for i in (c1, c2, target, c4, c5))
+            for c1, c2, c4, c5, target in examples.tolist()]
 
 
 def db_records(db) -> dict[tuple[str, ...], int]:

@@ -16,13 +16,7 @@ from tweetembed import cli
 from tweetembed.corpus import build_dictionary, count_ngrams, extract_5grams, tokenize_tweet
 from tweetembed.dataset import filter_ngrams, select_vocabulary, split_dataset
 from tweetembed.embeddings import export_embeddings
-from tweetembed.evaluation import (
-    class_distinction_test,
-    class_membership_test,
-    run_standard_suite,
-    topological_consistency_test,
-    word_equivalence_test,
-)
+from tweetembed.evaluation import run_standard_suite
 from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
@@ -30,9 +24,9 @@ from tweetembed.model import (
     evaluate,
     init_params,
 )
-from tweetembed.training import TrainConfig, timing_report, train
+from tweetembed.training import TrainConfig, train
 
-from oracles import db_records, oracle_count, oracle_dictionary, oracle_filter
+from oracles import db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter
 from synth import class_corpus, class_gold, zipf_corpus
 
 
@@ -135,10 +129,7 @@ def test_criterion_2_pipeline_oracle():
 
     top = select_vocabulary(dictionary, 6)
     tuples = filter_ngrams(db, top)
-    reconstructed = {
-        tuple(top.id_to_word(i) for i in (c1, c2, target, c4, c5))
-        for c1, c2, c4, c5, target in tuples.tolist()
-    }
+    reconstructed = set(example_grams(top, tuples))
     filter_ok = reconstructed == oracle_filter(db_records(db), top.words)
     elapsed = time.perf_counter() - started
 
@@ -229,17 +220,19 @@ def test_criterion_7_intrinsic_test_recovery(class_tuples, full_run):
     table = export_embeddings(params, vocab)
     gold = class_gold()
 
-    membership = class_membership_test(table, gold, 0.70)
-    distinction = class_distinction_test(table, gold, 0.80)
-    topological = topological_consistency_test(table, gold)
+    reports = {(r.name, r.threshold): r
+               for r in run_standard_suite(table, gold, _synth_pairs(vocab))}
+    membership = reports[("class_membership", 0.70)]
+    distinction = reports[("class_distinction", 0.80)]
+    topological = reports[("topological_consistency", None)]
 
     mono_ok = True
-    mem_hi = class_membership_test(table, gold, 0.80)
+    mem_hi = reports[("class_membership", 0.80)]
     mono_ok &= mem_hi.score <= membership.score
-    dis_lo = class_distinction_test(table, gold, 0.70)
+    dis_lo = reports[("class_distinction", 0.70)]
     mono_ok &= dis_lo.score <= distinction.score  # true negatives rise with threshold
-    eq_lo = word_equivalence_test(table, [p for p in _synth_pairs(vocab)], 0.85)
-    eq_hi = word_equivalence_test(table, [p for p in _synth_pairs(vocab)], 0.95)
+    eq_lo = reports[("word_equivalence", 0.85)]
+    eq_hi = reports[("word_equivalence", 0.95)]
     if eq_lo.score is not None and eq_hi.score is not None:
         mono_ok &= eq_hi.score <= eq_lo.score
 
@@ -304,7 +297,7 @@ def test_criterion_9_throughput_scaling_shape():
             hyper = ModelHyper(vocab_size=size, d_in=32, d_ctx=32)
             cfg = TrainConfig(epochs=2, batch_size=256, seed=5)
             _, logs = train(split, hyper, cfg)
-            avg_secs[(size, fraction)] = timing_report(logs).avg_seconds_per_epoch
+            avg_secs[(size, fraction)] = sum(e.wall_seconds for e in logs) / len(logs)
 
     monotone_in_fraction = all(
         avg_secs[(size, a)] < avg_secs[(size, b)]

@@ -16,14 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
-from tweetembed.corpus import read_dictionary, read_ngram_db
+from tweetembed.corpus import read_ngram_db
 from tweetembed.dataset import Vocabulary, read_dataset, vocabulary_hash, write_vocabulary
-from tweetembed.evaluation import parse_report
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
 from tweetembed.training import read_run_log
 
 from oracles import db_records
-from synth import non_ascii_corpus, zipf_corpus
+from synth import class_corpus, class_gold, non_ascii_corpus, zipf_corpus
 
 
 @pytest.fixture
@@ -50,10 +49,8 @@ class TestIngest:
         assert db.total_tweets == 2
         assert db.total_tokens == 7
         assert len(db.records) == 7
-        dictionary = read_dictionary(dict_path)
-        assert dictionary.entries == [
-            ("olá", 3), ("LINK", 1), ("T_HANDLE", 1), ("mundo", 1), ("veja", 1),
-        ]
+        assert dict_path.read_text(encoding="utf-8") == (
+            "olá\t3\t0\nLINK\t1\t1\nT_HANDLE\t1\t2\nmundo\t1\t3\nveja\t1\t4\n")
         out = capsys.readouterr().out
         assert "distinct 5-grams: 7" in out
         assert "dictionary entries: 5" in out
@@ -122,8 +119,8 @@ class TestDataset:
         rc, out = make_dataset(db_path, tmp_path, 4)
         assert rc == EXIT_OK
         db = read_ngram_db(db_path)
-        dictionary = read_dictionary(tmp_path / "dictionary.tsv")
-        top4 = {w for w, _ in dictionary.entries[:4]}
+        dictionary = (tmp_path / "dictionary.tsv").read_text(encoding="utf-8").splitlines()
+        top4 = {line.split("\t")[0] for line in dictionary[:4]}
         expected = sum(
             1 for gram in db_records(db)
             if gram[2] in top4 and all(t in top4 for t in (gram[0], gram[1], gram[3], gram[4]))
@@ -302,12 +299,12 @@ class TestExportAndEval:
         rc = main(["eval", str(emb), "--classes", str(classes), "--pairs", str(pairs),
                    "--out", str(report_path)])
         assert rc == EXIT_OK
-        _, reports = parse_report(report_path)
-        by_key = {(r.name, r.threshold): r for r in reports}
-        assert by_key[("class_membership", 0.70)].score == 1.0
-        assert by_key[("class_distinction", 0.80)].score == 1.0
-        assert by_key[("topological_consistency", None)].score == 1.0
-        assert by_key[("word_equivalence", 0.85)].coverage == 0.5
+        reports = json.loads(report_path.read_text(encoding="utf-8"))["reports"]
+        by_key = {(r["name"], r["threshold"]): r for r in reports}
+        assert by_key[("class_membership", 0.70)]["score"] == 1.0
+        assert by_key[("class_distinction", 0.80)]["score"] == 1.0
+        assert by_key[("topological_consistency", None)]["score"] == 1.0
+        assert by_key[("word_equivalence", 0.85)]["coverage"] == 0.5
         out = capsys.readouterr().out
         assert "class_membership" in out
 
@@ -322,8 +319,8 @@ class TestExportAndEval:
                    "--equivalence-thresholds", "0.9",
                    "--out", str(report_path)])
         assert rc == EXIT_OK
-        _, reports = parse_report(report_path)
-        assert [(r.name, r.threshold) for r in reports] == [
+        reports = json.loads(report_path.read_text(encoding="utf-8"))["reports"]
+        assert [(r["name"], r["threshold"]) for r in reports] == [
             ("class_membership", 0.5),
             ("class_distinction", 0.6),
             ("word_equivalence", 0.9),
@@ -347,10 +344,10 @@ class TestExportAndEval:
         report_path = tmp_path / "report.json"
         main(["eval", str(emb), "--classes", str(classes), "--pairs", str(pairs),
               "--out", str(report_path)])
-        manifest, reports = parse_report(report_path)
-        assert manifest["subcommand"] == "eval"
+        payload = json.loads(report_path.read_text(encoding="utf-8"))
+        assert payload["manifest"]["subcommand"] == "eval"
         assert (tmp_path / "report.txt").is_file()
-        assert len(reports) == 7
+        assert len(payload["reports"]) == 7
 
     def test_deterministic_export_and_eval_reruns_identical(self, tmp_path):
         ckpt, vocab_path, classes, pairs = clustered_checkpoint(tmp_path)
@@ -369,6 +366,45 @@ class TestExportAndEval:
             assert main(list(eval_argv)) == EXIT_OK
             blobs.append([path.read_bytes() for path in outputs])
         assert blobs[0] == blobs[1]
+
+    def test_deterministic_reports_are_pinned(self, tmp_path):
+        # A staged ingest -> dataset -> train -> export -> eval run on the
+        # class-structured corpus, scored against its own gold classes. The
+        # pass counts rest on trained floats, so a BLAS that rounds
+        # differently could move one; these hashes were taken with numpy
+        # and OpenBLAS on x86-64.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(class_corpus(400, seed=6, n_classes=4, words_per_class=8,
+                                                  subset_size=4)) + "\n", encoding="utf-8")
+        gold = class_gold(n_classes=4, words_per_class=8)
+        classes = tmp_path / "classes.tsv"
+        classes.write_text("".join(f"{cls.name}\t{w}\n" for cls in gold for w in cls.members),
+                           encoding="utf-8")
+        pairs = tmp_path / "pairs.tsv"
+        pairs.write_text("".join(f"{cls.members[0]}\t{cls.members[1]}\n"
+                                 f"{cls.members[2]}\t{gold[0].members[3]}\n" for cls in gold),
+                         encoding="utf-8")
+        ds = tmp_path / "dataset.tsv"
+        emb = tmp_path / "embeddings.txt"
+        report = tmp_path / "report.json"
+        for argv in (
+            ["ingest", str(corpus), "--out-db", str(tmp_path / "ngrams.tsv"),
+             "--out-dict", str(tmp_path / "dictionary.tsv")],
+            ["dataset", str(tmp_path / "ngrams.tsv"), "--vocab-size", "24", "--out", str(ds)],
+            ["train", str(ds), "--out-checkpoint", str(tmp_path / "model.ckpt"),
+             "--out-log", str(tmp_path / "run_log.tsv"), "--epochs", "3", "--batch-size", "64",
+             "--learning-rate", "0.01", "--emb-dim", "8", "--ctx-dim", "8"],
+            ["export", str(tmp_path / "model.ckpt"), "--vocab", str(ds) + ".vocab.tsv",
+             "--out", str(emb)],
+            ["eval", str(emb), "--classes", str(classes), "--pairs", str(pairs),
+             "--out", str(report)],
+        ):
+            assert main([*argv, "--deterministic"]) == EXIT_OK
+        reports = json.loads(report.read_text(encoding="utf-8"))["reports"]
+        assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode("utf-8")).hexdigest() == (
+            "87903d5b4ec9901a9ec7331fc06084937038f3b5b4092a17b6aa4f5dc5fcfa3e")
+        assert hashlib.sha256((tmp_path / "report.txt").read_bytes()).hexdigest() == (
+            "80e72d8e108a13bf62a2364019da8a17d93f0e20654386a1b806100c625b08bd")
 
 
 class TestGrid:
@@ -492,10 +528,19 @@ def _train_on(break_dataset):
     return argv
 
 
-def _extra_embedding_row(dataset, tmp_path):
-    emb = tmp_path / "emb.txt"
-    emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\ndia 0.5 0.6\n", encoding="utf-8")
-    return ["eval", str(emb), "--out", str(tmp_path / "report.json")]
+def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=None):
+    """Case builder: eval an embeddings file, against gold files when given."""
+    def argv(dataset, tmp_path):
+        emb = tmp_path / "emb.txt"
+        emb.write_text(embeddings, encoding="utf-8")
+        args = ["eval", str(emb), "--out", str(tmp_path / "report.json")]
+        for flag, text in (("--classes", classes), ("--pairs", pairs)):
+            if text is not None:
+                path = tmp_path / f"{flag[2:]}.tsv"
+                path.write_text(text, encoding="utf-8")
+                args += [flag, str(path)]
+        return args
+    return argv
 
 
 def _export_broken_checkpoint(edit_header=None, cut=None, tail=b""):
@@ -580,7 +625,14 @@ MALFORMED_INPUTS = {
     "header declaring an unallocatable |V|": (
         _train_on(lambda ds: _set_header_key(ds, "vocab_size", "1000000000000000")),
         "physical memory is"),
-    "embeddings with more rows than the header": (_extra_embedding_row, "rows"),
+    "embeddings with more rows than the header": (
+        _eval_on("2 2\nolá 0.1 0.2\nbom 0.3 0.4\ndia 0.5 0.6\n"), "rows"),
+    "embeddings repeating a word": (_eval_on("3 2\nmonday 1 0\ntuesday 0 1\nmonday 0 1\n"),
+                                    "'monday' more than once"),
+    "--classes line without a tab": (_eval_on(classes="months\tjaneiro\nfevereiro\n"),
+                                     "classes.tsv:2: expected 2 tab-separated fields, got 1"),
+    "--pairs line with two tabs": (_eval_on(pairs="pq\tporque\tporquê\n"),
+                                   "pairs.tsv:1: expected 2 tab-separated fields, got 3"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
     "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),
@@ -752,6 +804,76 @@ def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
     if any(not re.fullmatch(r"[0-9]+", line.rpartition("\t")[2])
            or int(line.rpartition("\t")[2]) < 1 for line in body):
         assert rc == EXIT_INPUT, text
+
+@pytest.fixture(scope="module")
+def valid_embedding_lines(tmp_path_factory):
+    """An exported embeddings file, as lists of space-separated fields per
+    line, and gold files that cover its words."""
+    tmp_path = tmp_path_factory.mktemp("valid_emb")
+    ckpt, vocab_path, classes, pairs = clustered_checkpoint(tmp_path)
+    emb = tmp_path / "emb.txt"
+    assert main(["export", str(ckpt), "--vocab", str(vocab_path), "--out", str(emb)]) == EXIT_OK
+    return [line.split(" ") for line in emb.read_text(encoding="utf-8").splitlines()], classes, pairs
+
+
+# Header values stay small: eval allocates the rows and columns the header declares.
+EMB_HEADER_VALUES = st.sampled_from(["", "x", "1.5", "-1", "0", "1", "3", "6", "7"])
+EMB_WORDS = st.sampled_from(["", "a1", "b3", "zz", "olá"])
+EMB_VALUES = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "1e300", "1e-320", "0",
+                              "-0.0", "0x1", "1_0"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_embeddings_evaluate_or_exit_2(valid_embedding_lines, data):
+    valid_lines, classes, pairs = valid_embedding_lines
+    lines = [list(fields) for fields in valid_lines]
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        i = data.draw(st.integers(0, len(lines) - 1), label="line")  # line 0 is the header
+        fields = lines[i]
+        kind = data.draw(st.sampled_from(["drop line", "duplicate line", "swap lines",
+                                          "copy word", "drop field", "duplicate field",
+                                          "set value"]), label="kind")
+        k = data.draw(st.integers(0, len(lines) - 1), label="other line")
+        if kind == "drop line":
+            del lines[i]
+        elif kind == "duplicate line":
+            lines.insert(i, list(fields))
+        elif kind == "swap lines":
+            lines[i], lines[k] = lines[k], lines[i]
+        elif kind == "copy word":
+            if fields and lines[k]:
+                fields[0] = lines[k][0]
+        elif fields:
+            j = data.draw(st.integers(0, len(fields) - 1), label="field")
+            if kind == "drop field":
+                del fields[j]
+            elif kind == "duplicate field":
+                fields.insert(j, fields[j])
+            elif i == 0:
+                fields[j] = data.draw(EMB_HEADER_VALUES, label="header value")
+            elif j == 0:
+                fields[j] = data.draw(EMB_WORDS, label="word")
+            else:
+                fields[j] = data.draw(EMB_VALUES, label="value")
+        if not lines:
+            break
+    text = "".join(" ".join(fields) + "\n" for fields in lines)
+    text = text[:data.draw(st.none() | st.integers(0, len(text)), label="truncate at")]
+    with tempfile.TemporaryDirectory() as tmp:
+        emb = Path(tmp) / "emb.txt"
+        emb.write_text(text, encoding="utf-8")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["eval", str(emb), "--classes", str(classes), "--pairs", str(pairs),
+                       "--out", str(Path(tmp) / "report.json")])
+    assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    # A file that lists a word twice never evaluates.
+    words = [line.split(" ")[0] for line in text.partition("\n")[2].split("\n")[:-1]]
+    if len(set(words)) != len(words):
+        assert rc == EXIT_INPUT, text
+
 
 class TestSubprocessEntry:
     def test_module_invocation_works(self, two_tweet_corpus, tmp_path):

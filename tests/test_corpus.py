@@ -19,7 +19,6 @@ from tweetembed.corpus import (
     build_dictionary,
     count_ngrams,
     extract_5grams,
-    read_dictionary,
     read_ngram_db,
     tokenize_tweet,
     write_dictionary,
@@ -27,7 +26,7 @@ from tweetembed.corpus import (
 )
 from tweetembed.dataset import filter_ngrams, select_vocabulary
 
-from oracles import db_records, oracle_count, oracle_dictionary, oracle_filter
+from oracles import db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter
 from synth import NON_ASCII_TOKENS
 
 tweet_text = st.text(
@@ -225,7 +224,9 @@ class TestFiles:
         dictionary = build_dictionary(db)
         path = tmp_path / "dictionary.tsv"
         write_dictionary(dictionary, path)
-        assert read_dictionary(path).entries == dictionary.entries
+        rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [(word, int(freq)) for word, freq, _ in rows] == dictionary.entries
+        assert [int(rank) for _, _, rank in rows] == list(range(len(rows)))
 
     def test_count_beyond_64_bits_rejected(self, tmp_path):
         path = tmp_path / "ngrams.tsv"
@@ -261,9 +262,8 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
         vocab = select_vocabulary(dictionary, min(vocab_size, len(dictionary)))
         for include_boundary in (False, True):
             rows = filter_ngrams(db, vocab, include_boundary=include_boundary)
-            got = [tuple(vocab.id_to_word(i) for i in (c1, c2, target, c4, c5))
-                   for c1, c2, c4, c5, target in rows.tolist()]
-            assert got == sorted(oracle_filter(records, vocab.words, include_boundary))
+            expected = sorted(oracle_filter(records, vocab.words, include_boundary))
+            assert example_grams(vocab, rows) == expected
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"
         write_ngram_db(db, first)

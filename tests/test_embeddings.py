@@ -1,26 +1,16 @@
-import math
-
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from tweetembed.dataset import Vocabulary
 from tweetembed.embeddings import (
     EmbeddingTable,
-    UnknownWordError,
-    ZeroVectorError,
-    cosine,
     export_embeddings,
-    nearest,
     read_embeddings_binary,
     read_embeddings_text,
     write_embeddings_binary,
     write_embeddings_text,
 )
 from tweetembed.model import ModelHyper, init_params
-
-from oracles import oracle_cosine, oracle_nearest
 
 
 def table_from(words, rows):
@@ -34,9 +24,8 @@ class TestExport:
         params.w_output[...] = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         vocab = Vocabulary(["um", "dois", "três"])
         table = export_embeddings(params, vocab)
-        np.testing.assert_array_equal(table.vector("um"), [1.0, 4.0])
-        np.testing.assert_array_equal(table.vector("dois"), [2.0, 5.0])
-        np.testing.assert_array_equal(table.vector("três"), [3.0, 6.0])
+        assert table.index == {"um": 0, "dois": 1, "três": 2}
+        np.testing.assert_array_equal(table.vectors, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
 
     def test_row_count_excludes_boundary_tokens(self):
         hyper = ModelHyper(vocab_size=6, d_in=4, d_ctx=4)
@@ -62,109 +51,7 @@ class TestExport:
     def test_metadata_carries_manifest_hash(self):
         params = init_params(ModelHyper(vocab_size=2, d_in=4, d_ctx=4), seed=0)
         table = export_embeddings(params, Vocabulary(["a", "b"]), manifest_hash="cafe")
-        assert table.metadata == {"vocab_size": 2, "dim": 4, "manifest_hash": "cafe"}
-
-
-finite_vec = st.lists(
-    st.floats(min_value=-100, max_value=100, allow_nan=False),
-    min_size=3, max_size=3,
-).filter(lambda v: any(abs(x) > 1e-6 for x in v))
-
-
-class TestCosine:
-    def test_self_similarity(self):
-        assert cosine([1.0, 2.0, -3.0], [1.0, 2.0, -3.0]) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        assert cosine([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_hand_value(self):
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
-        assert cosine([1.0, 1.0], [1.0, 0.0]) == pytest.approx(0.7071, abs=1e-4)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(ZeroVectorError):
-            cosine([0.0, 0.0], [1.0, 0.0])
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            cosine([1.0, 2.0], [1.0, 2.0, 3.0])
-
-    @given(finite_vec, finite_vec)
-    def test_symmetry(self, u, v):
-        assert cosine(u, v) == pytest.approx(cosine(v, u), abs=1e-12)
-
-    @given(finite_vec, finite_vec, st.floats(min_value=1e-3, max_value=1e3))
-    def test_positive_scale_invariance(self, u, v, alpha):
-        scaled = [alpha * x for x in u]
-        assert cosine(scaled, v) == pytest.approx(cosine(u, v), abs=1e-9)
-
-    @given(finite_vec, finite_vec)
-    def test_range_and_oracle_agreement(self, u, v):
-        got = cosine(u, v)
-        assert -1.0 - 1e-9 <= got <= 1.0 + 1e-9
-        assert got == pytest.approx(oracle_cosine(u, v), abs=1e-9)
-
-
-class TestNearest:
-    def test_identical_vector_ranks_first_with_cosine_one(self):
-        table = table_from(["a", "b", "c"], [[1, 0], [2, 0], [0, 1]])
-        result = nearest(table, "a", 2)
-        assert result[0] == ("b", pytest.approx(1.0))
-
-    def test_full_ranking(self):
-        table = table_from(["a", "b", "c", "d"],
-                           [[1, 0], [0.9, 0.1], [0, 1], [-1, 0]])
-        result = nearest(table, "a", 3)
-        assert [w for w, _ in result] == ["b", "c", "d"]
-
-    def test_orthogonal_ties_break_lexicographically(self):
-        table = table_from(["q", "x", "m", "a"],
-                           [[1, 0, 0], [0, 1, 0], [0, 0, 1], [0, 1, 1]])
-        result = nearest(table, "q", 3)
-        assert [w for w, _ in result] == ["a", "m", "x"]
-        assert all(s == pytest.approx(0.0) for _, s in result)
-
-    def test_matches_brute_force(self):
-        rng = np.random.default_rng(33)
-        words = [f"w{i:03d}" for i in range(60)]
-        vectors = rng.normal(size=(60, 8))
-        table = EmbeddingTable(words, vectors)
-        for query in ("w000", "w031", "w059"):
-            got = nearest(table, query, 10)
-            expected = oracle_nearest(words, [list(v) for v in vectors], query, 10)
-            assert [w for w, _ in got] == [w for w, _ in expected]
-            for (_, a), (_, b) in zip(got, expected):
-                assert a == pytest.approx(b, abs=1e-9)
-
-    def test_unknown_word_suggests_close_spellings(self):
-        table = table_from(["gato", "pato", "rato"], [[1, 0], [0, 1], [1, 1]])
-        with pytest.raises(UnknownWordError) as exc:
-            nearest(table, "gata", 1)
-        assert exc.value.suggestions == ["gato"]
-
-    def test_k_bounds(self):
-        table = table_from(["a", "b"], [[1, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            nearest(table, "a", 0)
-        with pytest.raises(ValueError):
-            nearest(table, "a", 2)
-
-    def test_zero_vector_candidates_excluded(self):
-        table = table_from(["a", "b", "z"], [[1, 0], [1, 1], [0, 0]])
-        result = nearest(table, "a", 2)
-        assert [w for w, _ in result] == ["b"]
-
-    def test_neighbor_set_invariant_under_per_vector_scaling(self):
-        rng = np.random.default_rng(5)
-        vectors = rng.normal(size=(20, 4))
-        words = [f"w{i}" for i in range(20)]
-        plain = EmbeddingTable(words, vectors)
-        scales = rng.uniform(0.1, 10.0, size=20)[:, None]
-        scaled = EmbeddingTable(words, vectors * scales)
-        for query in words[:5]:
-            assert [w for w, _ in nearest(plain, query, 5)] == \
-                   [w for w, _ in nearest(scaled, query, 5)]
+        assert (len(table.words), table.dim, table.manifest_hash) == (2, 4, "cafe")
 
 
 class TestTextFile:

@@ -31,7 +31,6 @@ from tweetembed.training import (
     TrainingDiverged,
     adam_step,
     read_run_log,
-    timing_report,
     train,
     write_run_log,
 )
@@ -369,22 +368,6 @@ class TestTrain:
               checkpoint_path=path, vocab_hash="deadbeef")
         _, header = load_checkpoint(path)
         assert header["vocab_hash"] == "deadbeef"
-
-
-class TestTimingReport:
-    def test_mean_and_total(self):
-        logs = [EpochLog(i + 1, 1.0, 1.0, 4.0) for i in range(3)]
-        report = timing_report(logs)
-        assert report.avg_seconds_per_epoch == pytest.approx(4.0)
-        assert report.total_seconds == pytest.approx(12.0)
-
-    def test_single_epoch(self):
-        report = timing_report([EpochLog(1, 1.0, 1.0, 2.5)])
-        assert report.avg_seconds_per_epoch == report.total_seconds == pytest.approx(2.5)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            timing_report([])
 
 
 class TestRunLog:
