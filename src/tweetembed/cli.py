@@ -42,6 +42,9 @@ from .embeddings import (
 from .evaluation import (
     DEFAULT_CLASSES_FILE,
     DEFAULT_PAIRS_FILE,
+    DISTINCTION_THRESHOLDS,
+    EQUIVALENCE_THRESHOLDS,
+    MEMBERSHIP_THRESHOLDS,
     EquivalencePair,
     GoldClass,
     TestReport,
@@ -68,11 +71,13 @@ EXIT_DIVERGED = 3
 
 PAPER_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 
-# eval's threshold flags (dest name -> default), also the settings grid scores with
+# eval's threshold flags (dest name -> default, e.g. "0.70,0.80"), also the
+# settings grid scores with; manifests record the strings
 THRESHOLD_DEFAULTS = {
-    "membership_thresholds": "0.70,0.80",
-    "distinction_thresholds": "0.70,0.80",
-    "equivalence_thresholds": "0.85,0.95",
+    name: ",".join(f"{threshold:.2f}" for threshold in thresholds)
+    for name, thresholds in (("membership_thresholds", MEMBERSHIP_THRESHOLDS),
+                             ("distinction_thresholds", DISTINCTION_THRESHOLDS),
+                             ("equivalence_thresholds", EQUIVALENCE_THRESHOLDS))
 }
 
 
@@ -181,21 +186,14 @@ def export_stage(params: ModelParams, vocab: Vocabulary, checkpoint_path: Path,
 def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
                args: argparse.Namespace) -> tuple[list[TestReport], dict]:
     """Score the standard suite. The report embeds the run's manifest, so
-    the caller writes it with `emit_report` once the manifest is built."""
+    the caller writes it with `emit_report` once the manifest is built.
+    `run_standard_suite` rejects a threshold outside (0, 1)."""
     config = {name: getattr(args, name) for name in THRESHOLD_DEFAULTS}
     reports = run_standard_suite(
         table, classes, pairs,
-        **{name: _parse_thresholds(text) for name, text in config.items()},
+        **{name: [float(x) for x in text.split(",") if x] for name, text in config.items()},
     )
     return reports, config
-
-
-def _parse_thresholds(text: str) -> list[float]:
-    values = [float(x) for x in text.split(",") if x]
-    for value in values:
-        if not 0.0 < value < 1.0:
-            raise InputError(f"threshold out of range (0, 1): {value}")
-    return values
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:

@@ -109,18 +109,3 @@ def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
         fh.write(blob)
         fh.write(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
 
-
-def read_embeddings_binary(path: Path | str) -> EmbeddingTable:
-    path = Path(path)
-    with path.open("rb") as fh:
-        magic = fh.read(len(TABLE_MAGIC))
-        if magic != TABLE_MAGIC:
-            raise ValueError(f"{path}: not an embedding table (bad magic {magic!r})")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        n, dim = header["shape"]
-        buf = fh.read(n * dim * 8)
-        if len(buf) != n * dim * 8:
-            raise ValueError(f"{path}: truncated vector block")
-        vectors = np.frombuffer(buf, dtype="<f8").reshape(n, dim).copy()
-    return EmbeddingTable(header["words"], vectors, header["manifest_hash"])

@@ -219,7 +219,11 @@ def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],
         member[[col[w] for w in cls.members], j] = True
     rows = np.array([table.index.get(w, -1) for w in words], dtype=np.intp)
     present = rows >= 0
+    # Each row scaled by a power of two so its largest |entry| is in [0.5, 1):
+    # exact for normal numbers, and the norm then neither overflows nor underflows.
     vectors = table.vectors[rows[present]]
+    _, exponents = np.frexp(np.abs(vectors).max(axis=1, initial=0.0))
+    vectors = np.ldexp(vectors, -exponents[:, None])
     norms = np.linalg.norm(vectors, axis=1)
     zero = np.zeros(len(words), dtype=bool)
     zero[present] = norms == 0.0

@@ -15,12 +15,13 @@ The loss is the mean cross entropy, -ln p_target per row. `evaluate`
 computes it as logsumexp(logits) - logit_target, streaming the rows in
 blocks of about 2^20 logits (8 MB of float64 at any |V|), so it never
 builds the probability matrix and its memory does not grow with the
-dataset. The training step (`backward_arrays`) needs the probabilities for
-the gradient and reads its loss from them. Both clamp the target
-probability at LOSS_FLOOR in the same way. The hot paths write into as few
-full-width arrays as they can, but perform the same IEEE operations in the
-same order as the textbook forms kept in `tests/oracles.py`, so training
-yields the same parameters to the bit.
+dataset. `cross_entropy` takes the same clamped loss from a probability
+matrix. The training step (`backward_arrays`) builds the probabilities for
+the gradient only and returns it in the parameters' own layout: one flat
+vector with a view per array (`ModelParams`). The hot paths write into as
+few full-width arrays as they can, but perform the same IEEE operations in
+the same order as the textbook forms kept in `tests/oracles.py`, so
+training yields the same parameters to the bit.
 
 The columns of the output projection are the word embeddings exported
 downstream. By default the projection feeds the softmax directly;
@@ -39,7 +40,7 @@ import logging
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -76,34 +77,46 @@ class ModelHyper:
             raise ValueError("embedding widths must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Weight matrices and biases; shapes are fixed by the hyperparameters.
+    """Weight matrices and biases, all views of one float64 vector.
+
+    `flat` holds every parameter in PARAM_FIELDS order, each array
+    row-major; it is the checkpoint body and the vector Adam updates. The
+    named arrays are views of it, fixed at construction, with shapes set
+    by the hyperparameters:
 
     w_input:  (|V| + 4, d_in), shared across the four context positions,
               last four rows are the boundary tokens.
     w_ctx:    (4 * d_in, d_ctx) with bias b_ctx (d_ctx,).
     w_output: (d_ctx, |V|) with bias b_out (|V|,); columns are the
               exported word embeddings.
+
+    Without `flat`, every entry is zero. The same layout also holds the
+    gradients and Adam's two moments. Assign into an array (`[...] =`);
+    rebinding one raises, since the new array would not be part of `flat`.
     """
 
     hyper: ModelHyper
-    w_input: np.ndarray
-    w_ctx: np.ndarray
-    b_ctx: np.ndarray
-    w_output: np.ndarray
-    b_out: np.ndarray
+    flat: np.ndarray | None = None
+    w_input: np.ndarray = field(init=False, repr=False)
+    w_ctx: np.ndarray = field(init=False, repr=False)
+    b_ctx: np.ndarray = field(init=False, repr=False)
+    w_output: np.ndarray = field(init=False, repr=False)
+    b_out: np.ndarray = field(init=False, repr=False)
 
-
-@dataclass
-class Gradients:
-    """Loss gradients, one array per parameter, same shapes as ModelParams."""
-
-    w_input: np.ndarray
-    w_ctx: np.ndarray
-    b_ctx: np.ndarray
-    w_output: np.ndarray
-    b_out: np.ndarray
+    def __post_init__(self) -> None:
+        size = param_count(self.hyper)
+        flat = np.zeros(size) if self.flat is None else self.flat
+        if flat.shape != (size,) or flat.dtype != np.float64 or not flat.flags.c_contiguous:
+            raise ValueError(f"flat parameters must be {size} contiguous float64 values, "
+                             f"got shape {flat.shape} of {flat.dtype}")
+        object.__setattr__(self, "flat", flat)
+        start = 0
+        for name, shape in _param_shapes(self.hyper).items():
+            stop = start + math.prod(shape)
+            object.__setattr__(self, name, flat[start:stop].reshape(shape))
+            start = stop
 
 
 @dataclass
@@ -129,6 +142,11 @@ def _param_shapes(hyper: ModelHyper) -> dict[str, tuple[int, ...]]:
     }
 
 
+def param_count(hyper: ModelHyper) -> int:
+    """How many float64 values the parameters hold, all arrays together."""
+    return sum(math.prod(shape) for shape in _param_shapes(hyper).values())
+
+
 def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
     """Glorot-uniform weights, zero biases, deterministic per seed.
 
@@ -138,13 +156,13 @@ def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
     """
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    def glorot(shape: tuple[int, ...]) -> np.ndarray:
-        limit = math.sqrt(6.0 / (shape[0] + shape[1]))
-        return rng.uniform(-limit, limit, size=shape)
-
-    arrays = {name: glorot(shape) if len(shape) == 2 else np.zeros(shape)
-              for name, shape in _param_shapes(hyper).items()}
-    return ModelParams(hyper=hyper, **arrays)
+    params = ModelParams(hyper)
+    for name in PARAM_FIELDS:
+        arr = getattr(params, name)
+        if arr.ndim == 2:
+            limit = math.sqrt(6.0 / (arr.shape[0] + arr.shape[1]))
+            arr[...] = rng.uniform(-limit, limit, size=arr.shape)
+    return params
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -206,20 +224,15 @@ def _warn_clamped(n_clamped: int) -> None:
         logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
 
 
-def _mean_nll(probs: np.ndarray, targets: np.ndarray) -> tuple[float, int]:
-    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at
-    LOSS_FLOOR, and how many rows were clamped."""
+def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
+    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR.
+
+    The per-example reference for `evaluate`, from a probability matrix.
+    """
     with np.errstate(divide="ignore"):
         nll = -np.log(probs[np.arange(targets.shape[0]), targets])
-    n_clamped = _clamp_nll(nll)
-    return float(nll.mean()), n_clamped
-
-
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR."""
-    mean, n_clamped = _mean_nll(probs, targets)
-    _warn_clamped(n_clamped)
-    return mean
+    _warn_clamped(_clamp_nll(nll))
+    return float(nll.mean())
 
 
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
@@ -254,8 +267,9 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
 
 
 def backward_arrays(params: ModelParams, contexts: np.ndarray,
-                    targets: np.ndarray) -> tuple[Gradients, float]:
-    """Exact gradient of mean cross entropy over a packed batch.
+                    targets: np.ndarray) -> ModelParams:
+    """Exact gradient of mean cross entropy over a packed batch, in the
+    parameters' layout.
 
     The shared input matrix accumulates contributions from all four
     context positions; rows for ids absent from the batch stay zero.
@@ -265,10 +279,8 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
         raise ValueError("backward pass needs a non-empty batch")
     trace = forward(params, contexts)
     merged, ctx_act, logits = trace.merged, trace.ctx_act, trace.logits
-    # No clamp warning per batch: the epoch's evaluate calls report theirs.
-    mean_loss, _ = _mean_nll(trace.probs, targets)
 
-    # The trace is local and the loss is taken, so its probs become d_logits.
+    # The trace is local, so its probs become d_logits.
     d_out_pre = trace.probs
     d_out_pre[np.arange(batch), targets] -= 1.0
     d_out_pre /= batch
@@ -277,24 +289,16 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
         d_out_pre *= logits
         d_out_pre *= 1.0 - logits
 
-    g_w_output = ctx_act.T @ d_out_pre
-    g_b_out = d_out_pre.sum(axis=0)
+    grads = ModelParams(params.hyper)
+    np.matmul(ctx_act.T, d_out_pre, out=grads.w_output)
+    d_out_pre.sum(axis=0, out=grads.b_out)
     d_act = d_out_pre @ params.w_output.T
     d_ctx_pre = d_act * ctx_act * (1.0 - ctx_act)
-    g_w_ctx = merged.T @ d_ctx_pre
-    g_b_ctx = d_ctx_pre.sum(axis=0)
+    np.matmul(merged.T, d_ctx_pre, out=grads.w_ctx)
+    d_ctx_pre.sum(axis=0, out=grads.b_ctx)
     d_merged = d_ctx_pre @ params.w_ctx.T
-    g_w_input = np.zeros_like(params.w_input)
-    np.add.at(g_w_input, contexts.ravel(), d_merged.reshape(-1, params.hyper.d_in))
-
-    grads = Gradients(
-        w_input=g_w_input,
-        w_ctx=g_w_ctx,
-        b_ctx=g_b_ctx,
-        w_output=g_w_output,
-        b_out=g_b_out,
-    )
-    return grads, mean_loss
+    np.add.at(grads.w_input, contexts.ravel(), d_merged.reshape(-1, params.hyper.d_in))
+    return grads
 
 
 def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
@@ -303,9 +307,9 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
 
     Layout: 8-byte magic "EMBCKPT1"; little-endian uint32 header length;
     UTF-8 JSON header with the hyperparameters, seed, vocabulary hash and
-    the array table (name + shape, in PARAM_FIELDS order); then the raw
-    array buffers, row-major little-endian float64, concatenated in table
-    order. The file contains no timestamps, so identical runs produce
+    the array table (name + shape, in PARAM_FIELDS order); then `flat` as
+    little-endian float64, which is the arrays row-major, concatenated in
+    table order. The file contains no timestamps, so identical runs produce
     identical bytes. The file is replaced atomically, so a crash mid-write
     keeps the previous checkpoint.
     """
@@ -330,16 +334,14 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        for name in PARAM_FIELDS:
-            arr = np.ascontiguousarray(getattr(params, name), dtype="<f8")
-            fh.write(arr.tobytes())
+        fh.write(params.flat.astype("<f8", copy=False).tobytes())
 
 
 _HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")
 _HYPER_KEYS = ("vocab_size", "d_in", "d_ctx", "sigmoid_logits")
 
 
-def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper, dict[str, tuple[int, ...]]]:
+def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper]:
     """Decode and validate a checkpoint header; raises ValueError naming what is wrong."""
     try:
         header = json.loads(blob.decode("utf-8"))
@@ -361,17 +363,16 @@ def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper, dict[str, 
     if not all(type(size) is int for size in sizes) or type(raw["sigmoid_logits"]) is not bool:
         raise ValueError(f"{path}: checkpoint hyper has a value of the wrong type: {raw}")
     hyper = ModelHyper(**raw)
-    shapes = _param_shapes(hyper)
     table = header["arrays"]
     names = ([entry.get("name") if isinstance(entry, dict) else None for entry in table]
              if isinstance(table, list) else None)
     if names != list(PARAM_FIELDS):
         raise ValueError(f"{path}: checkpoint array names {names} are not {list(PARAM_FIELDS)}")
-    for entry, (name, shape) in zip(table, shapes.items()):
+    for entry, (name, shape) in zip(table, _param_shapes(hyper).items()):
         if entry.get("shape") != list(shape):
             raise ValueError(f"{path}: array {name} has shape {entry.get('shape')}, "
                              f"but hyper implies {list(shape)}")
-    return header, hyper, shapes
+    return header, hyper
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
@@ -396,16 +397,12 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
         if body_start > size:
             raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
                              f"header length says {header_len})")
-        header, hyper, shapes = _parse_header(fh.read(header_len), path)
-        expected = body_start + 8 * sum(math.prod(shape) for shape in shapes.values())
+        header, hyper = _parse_header(fh.read(header_len), path)
+        expected = body_start + 8 * param_count(hyper)
         if size < expected:
             raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
                              f"header implies {expected})")
         if size > expected:
             raise ValueError(f"{path}: {size - expected} trailing bytes after the last array")
-        arrays = {
-            name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8").reshape(shape).copy()
-            for name, shape in shapes.items()
-        }
-    params = ModelParams(hyper=hyper, **arrays)
-    return params, header
+        flat = np.frombuffer(fh.read(expected - body_start), dtype="<f8").astype(np.float64)
+    return ModelParams(hyper, flat), header

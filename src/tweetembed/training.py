@@ -16,14 +16,13 @@ from .manifest import atomic_write
 from .model import (
     N_CONTEXT,
     PARAM_FIELDS,
-    Gradients,
     ModelHyper,
     ModelParams,
     backward_arrays,
     evaluate,
     init_params,
+    param_count,
     save_checkpoint,
-    _param_shapes,
 )
 from .rng import derive_seed, permutation
 
@@ -50,18 +49,15 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators (keyed by parameter name) and step count."""
+    """First/second moment accumulators, in the parameters' layout, and step count."""
 
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: ModelParams
+    v: ModelParams
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(
-            m={name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS},
-            v={name: np.zeros_like(getattr(params, name)) for name in PARAM_FIELDS},
-        )
+        return cls(m=ModelParams(params.hyper), v=ModelParams(params.hyper))
 
 
 @dataclass
@@ -80,40 +76,42 @@ class TrainingDiverged(RuntimeError):
     """Training loss exploded or went non-finite; the last good checkpoint is kept."""
 
 
-def adam_step(params: ModelParams, grads: Gradients, state: AdamState,
+def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
               cfg: TrainConfig) -> None:
     """One bias-corrected Adam update, applied to the parameters in place.
 
     m <- b1 m + (1 - b1) g;  v <- b2 v + (1 - b2) g^2
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps), with m_hat = m / (1 - b1^t).
 
-    Each matrix's update runs in two scratch arrays, in the operation order
-    of the formula above, so the result is bit-identical to evaluating it
-    with temporaries. The bias correction stays on m and v (not folded into
-    the step size), so eps keeps its meaning.
+    Adam is elementwise, so it runs once over the flat vectors, in two
+    scratch arrays and in the operation order of the formula above; the
+    result is bit-identical to evaluating it per matrix with temporaries.
+    The bias correction stays on m and v (not folded into the step size),
+    so eps keeps its meaning.
     """
     state.t += 1
     t = state.t
-    for name in PARAM_FIELDS:
-        g = getattr(grads, name)
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
-        m = state.m[name]
-        v = state.v[name]
-        step = np.multiply(g, 1.0 - cfg.beta1)        # (1 - b1) g
-        m *= cfg.beta1
-        m += step
-        np.multiply(g, g, out=step)                    # (1 - b2) g^2
-        step *= 1.0 - cfg.beta2
-        v *= cfg.beta2
-        v += step
-        np.divide(m, 1.0 - cfg.beta1 ** t, out=step)   # lr * m_hat
-        step *= cfg.learning_rate
-        denom = np.divide(v, 1.0 - cfg.beta2 ** t)     # sqrt(v_hat) + eps
-        np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
-        step /= denom
-        getattr(params, name)[...] -= step
+    g = grads.flat
+    if not np.all(np.isfinite(g)):
+        name = next(name for name in PARAM_FIELDS
+                    if not np.all(np.isfinite(getattr(grads, name))))
+        raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
+    m = state.m.flat
+    v = state.v.flat
+    step = np.multiply(g, 1.0 - cfg.beta1)        # (1 - b1) g
+    m *= cfg.beta1
+    m += step
+    np.multiply(g, g, out=step)                    # (1 - b2) g^2
+    step *= 1.0 - cfg.beta2
+    v *= cfg.beta2
+    v += step
+    np.divide(m, 1.0 - cfg.beta1 ** t, out=step)   # lr * m_hat
+    step *= cfg.learning_rate
+    denom = np.divide(v, 1.0 - cfg.beta2 ** t)     # sqrt(v_hat) + eps
+    np.sqrt(denom, out=denom)
+    denom += cfg.epsilon
+    step /= denom
+    params.flat[...] -= step
 
 
 def _check_fits_in_memory(hyper: ModelHyper) -> None:
@@ -122,7 +120,7 @@ def _check_fits_in_memory(hyper: ModelHyper) -> None:
     Training holds four float64 arrays per parameter: the parameters, their
     gradients and Adam's two moments.
     """
-    needed = 4 * 8 * sum(math.prod(shape) for shape in _param_shapes(hyper).values())
+    needed = 4 * 8 * param_count(hyper)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise MemoryError(f"a |V|={hyper.vocab_size} model needs {needed} bytes for parameters, "
@@ -165,7 +163,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
         order = np.asarray(permutation(n, derive_seed(cfg.seed, epoch)), dtype=np.int64)
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            grads, _ = backward_arrays(params, train_ctx[sel], train_tgt[sel])
+            grads = backward_arrays(params, train_ctx[sel], train_tgt[sel])
             adam_step(params, grads, state, cfg)
         train_loss = evaluate(params, train_ctx, train_tgt)
         val_loss = evaluate(params, val_ctx, val_tgt) if len(val_tgt) else math.nan

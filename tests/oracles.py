@@ -206,8 +206,8 @@ def oracle_adam_step(params, grads, state, cfg):
         g = getattr(grads, name)
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
-        m = state.m[name]
-        v = state.v[name]
+        m = getattr(state.m, name)
+        v = getattr(state.v, name)
         m *= cfg.beta1
         m += (1.0 - cfg.beta1) * g
         v *= cfg.beta2

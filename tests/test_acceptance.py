@@ -87,7 +87,7 @@ def test_criterion_1_gradient_correctness():
         return evaluate(params, contexts, targets)
 
     started = time.perf_counter()
-    grads, _ = backward_arrays(params, contexts, targets)
+    grads = backward_arrays(params, contexts, targets)
     h = 1e-4
     worst = 0.0
     for name in PARAM_FIELDS:
@@ -287,28 +287,34 @@ def test_criterion_9_throughput_scaling_shape():
     dictionary = build_dictionary(db)
     vocab_sizes = (64, 256, 1024)
     fractions = (0.25, 0.5, 1.0)
-    avg_secs = {}
+    cells = {}
     for size in vocab_sizes:
         vocab = select_vocabulary(dictionary, size)
         tuples = filter_ngrams(db, vocab)
         for fraction in fractions:
             split = split_dataset(tuples, validation_ratio=0.1,
                                   fraction=fraction, seed=13)
-            hyper = ModelHyper(vocab_size=size, d_in=32, d_ctx=32)
-            cfg = TrainConfig(epochs=2, batch_size=256, seed=5)
+            cells[(size, fraction)] = (split, ModelHyper(vocab_size=size, d_in=32, d_ctx=32))
+    # Each cell is timed by its fastest of three one-epoch runs, taken in
+    # rounds over all cells: a stall on a shared host slows the epochs it
+    # overlaps, and in rounds those belong to different cells.
+    cfg = TrainConfig(epochs=1, batch_size=256, seed=5)
+    epoch_secs = {cell: math.inf for cell in cells}
+    for _ in range(3):
+        for cell, (split, hyper) in cells.items():
             _, logs = train(split, hyper, cfg)
-            avg_secs[(size, fraction)] = sum(e.wall_seconds for e in logs) / len(logs)
+            epoch_secs[cell] = min(epoch_secs[cell], logs[0].wall_seconds)
 
     monotone_in_fraction = all(
-        avg_secs[(size, a)] < avg_secs[(size, b)]
+        epoch_secs[(size, a)] < epoch_secs[(size, b)]
         for size in vocab_sizes for a, b in zip(fractions, fractions[1:])
     )
     monotone_in_vocab = all(
-        avg_secs[(a, fraction)] < avg_secs[(b, fraction)]
+        epoch_secs[(a, fraction)] < epoch_secs[(b, fraction)]
         for fraction in fractions for a, b in zip(vocab_sizes, vocab_sizes[1:])
     )
     ok = monotone_in_fraction and monotone_in_vocab
-    cells = ", ".join(f"V{size}/f{frac}: {avg_secs[(size, frac)]:.3f}s"
+    cells = ", ".join(f"V{size}/f{frac}: {epoch_secs[(size, frac)]:.3f}s"
                       for size in vocab_sizes for frac in fractions)
     verdict(9, ok, cells)
     assert monotone_in_fraction

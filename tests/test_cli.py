@@ -327,6 +327,16 @@ class TestExportAndEval:
             ("topological_consistency", None),
         ]
 
+    def test_threshold_defaults_are_the_paper_strings(self):
+        defaults = vars(build_parser().parse_args(["eval", "emb.txt", "--out", "r.json"]))
+        assert {name: defaults[name] for name in ("membership_thresholds",
+                                                  "distinction_thresholds",
+                                                  "equivalence_thresholds")} == {
+            "membership_thresholds": "0.70,0.80",
+            "distinction_thresholds": "0.70,0.80",
+            "equivalence_thresholds": "0.85,0.95",
+        }
+
     def test_vocab_hash_mismatch_exits_2(self, tmp_path, capsys):
         ckpt, _, _, _ = clustered_checkpoint(tmp_path)
         wrong = Vocabulary(["x1", "x2", "x3", "x4", "x5", "x6"])
@@ -528,12 +538,13 @@ def _train_on(break_dataset):
     return argv
 
 
-def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=None):
+def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=None,
+             flags=()):
     """Case builder: eval an embeddings file, against gold files when given."""
     def argv(dataset, tmp_path):
         emb = tmp_path / "emb.txt"
         emb.write_text(embeddings, encoding="utf-8")
-        args = ["eval", str(emb), "--out", str(tmp_path / "report.json")]
+        args = ["eval", str(emb), "--out", str(tmp_path / "report.json"), *flags]
         for flag, text in (("--classes", classes), ("--pairs", pairs)):
             if text is not None:
                 path = tmp_path / f"{flag[2:]}.tsv"
@@ -633,6 +644,12 @@ MALFORMED_INPUTS = {
                                      "classes.tsv:2: expected 2 tab-separated fields, got 1"),
     "--pairs line with two tabs": (_eval_on(pairs="pq\tporque\tporquê\n"),
                                    "pairs.tsv:1: expected 2 tab-separated fields, got 3"),
+    "--membership-thresholds above 1": (
+        _eval_on(flags=("--membership-thresholds", "0.5,1.5")), "threshold must be in (0, 1)"),
+    "--distinction-thresholds below 0": (
+        _eval_on(flags=("--distinction-thresholds", "-0.2")), "threshold must be in (0, 1)"),
+    "--equivalence-thresholds nan": (
+        _eval_on(flags=("--equivalence-thresholds", "nan")), "threshold must be in (0, 1)"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
     "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),

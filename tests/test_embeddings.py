@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +8,6 @@ from tweetembed.dataset import Vocabulary
 from tweetembed.embeddings import (
     EmbeddingTable,
     export_embeddings,
-    read_embeddings_binary,
     read_embeddings_text,
     write_embeddings_binary,
     write_embeddings_text,
@@ -83,19 +85,17 @@ class TestTextFile:
 
 
 class TestBinarySidecar:
-    def test_round_trip_preserves_full_precision(self, tmp_path):
+    def test_byte_layout_preserves_full_precision(self, tmp_path):
+        # magic, uint32 header length, JSON header, raw little-endian float64 rows
         rng = np.random.default_rng(13)
         table = EmbeddingTable(["à", "ç", "é"], rng.normal(size=(3, 5)) * 1e-7,
                                manifest_hash="feed")
         path = tmp_path / "emb.bin"
         write_embeddings_binary(table, path)
-        loaded = read_embeddings_binary(path)
-        assert loaded.words == table.words
-        assert loaded.manifest_hash == "feed"
-        np.testing.assert_array_equal(loaded.vectors, table.vectors)
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "emb.bin"
-        path.write_bytes(b"WRONG!!!" + b"\x00" * 8)
-        with pytest.raises(ValueError, match="magic"):
-            read_embeddings_binary(path)
+        data = path.read_bytes()
+        assert data[:8] == b"EMBTBL01"
+        (header_len,) = struct.unpack("<I", data[8:12])
+        header = json.loads(data[12:12 + header_len].decode("utf-8"))
+        assert header == {"format": 1, "words": ["à", "ç", "é"], "shape": [3, 5],
+                          "dtype": "<f8", "manifest_hash": "feed"}
+        assert data[12 + header_len:] == table.vectors.astype("<f8").tobytes()

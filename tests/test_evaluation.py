@@ -1,5 +1,6 @@
 import json
 import logging
+import warnings
 from dataclasses import astuple
 
 import numpy as np
@@ -310,6 +311,20 @@ class TestZeroVectors:
         report = membership_report(table, [GoldClass("ca", ("a1", "a2", "a3"))], 0.7)
         assert report.excluded_zero_vectors == 2  # (a1,a2) and (a2,a3)
         assert report.covered_pairs == 1
+
+    def test_extreme_magnitudes_are_not_zero_vectors(self):
+        # 1e300 squared overflows and 1e-170 squared underflows; neither row
+        # may lose its direction.
+        table = table_from(["a1", "a2", "b1", "b2"],
+                           [[1e300, 1e300], [1, 1], [1e-170, -1e-170], [1, -1]])
+        classes = [GoldClass("ca", ("a1", "a2")), GoldClass("cb", ("b1", "b2"))]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            membership, topological = suite(table, classes, membership=[0.99])
+        assert (membership.covered_pairs, membership.passed) == (2, 2)
+        assert membership.excluded_zero_vectors == 0
+        assert (topological.covered_pairs, topological.passed) == (4, 4)
+        assert topological.excluded_zero_vectors == 0
 
     def test_all_zero_flags_undefined(self):
         table = table_from(["a1", "a2"], [[0, 0], [0, 0]])

@@ -17,8 +17,8 @@ from tweetembed.dataset import (
 )
 from tweetembed.model import (
     PARAM_FIELDS,
-    Gradients,
     ModelHyper,
+    ModelParams,
     evaluate,
     init_params,
     load_checkpoint,
@@ -44,9 +44,15 @@ def tiny_hyper():
 
 
 def grad_like(params, fill):
-    return Gradients(**{
-        name: np.full_like(getattr(params, name), fill) for name in PARAM_FIELDS
-    })
+    return ModelParams(params.hyper, np.full_like(params.flat, fill))
+
+
+def grads_from(hyper, arrays):
+    """Gradients in the parameters' layout, from one array per PARAM_FIELDS name."""
+    grads = ModelParams(hyper)
+    for name in PARAM_FIELDS:
+        getattr(grads, name)[...] = arrays[name]
+    return grads
 
 
 class TestAdamStep:
@@ -89,17 +95,19 @@ class TestAdamStep:
         fast, slow = init_params(hyper, seed=9), init_params(hyper, seed=9)
         fast_state, slow_state = AdamState.for_params(fast), AdamState.for_params(slow)
         for _ in range(5):
-            grads = Gradients(**{name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2),
-                                                  getattr(fast, name).shape)
-                                 for name in PARAM_FIELDS})
+            grads = grads_from(hyper, {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2),
+                                                        getattr(fast, name).shape)
+                                       for name in PARAM_FIELDS})
             grads.b_ctx[0] = 0.0
             grads.b_ctx[1] = -0.0
             adam_step(fast, grads, fast_state, cfg)
             oracle_adam_step(slow, grads, slow_state, cfg)
             for name in PARAM_FIELDS:
                 assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-                assert np.array_equal(fast_state.m[name], slow_state.m[name]), name
-                assert np.array_equal(fast_state.v[name], slow_state.v[name]), name
+                assert np.array_equal(getattr(fast_state.m, name),
+                                      getattr(slow_state.m, name)), name
+                assert np.array_equal(getattr(fast_state.v, name),
+                                      getattr(slow_state.v, name)), name
         assert fast_state.t == slow_state.t == 5
 
     def test_non_finite_gradient_names_matrix(self):
