@@ -23,6 +23,14 @@ few full-width arrays as they can, but perform the same IEEE operations in
 the same order as the textbook forms kept in `tests/oracles.py`, so
 training yields the same parameters to the bit.
 
+The input-embedding gradient is a scatter: row r of the batch adds its
+four context slices of d_merged into the rows of w_input their ids name.
+`backward_arrays` does it with one `np.bincount` over the flattened cell
+indices id * d_in + column, weighted by d_merged in row-major order. A
+bincount starts every cell at +0.0 and adds its weights in index order,
+which is the order the row-by-row scatter in `tests/oracles.py` adds them
+in, so repeated ids and -0.0 entries give the same bits.
+
 The columns of the output projection are the word embeddings exported
 downstream. By default the projection feeds the softmax directly;
 `sigmoid_logits=True` squashes it through a sigmoid first, which bounds
@@ -272,7 +280,8 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
     parameters' layout.
 
     The shared input matrix accumulates contributions from all four
-    context positions; rows for ids absent from the batch stay zero.
+    context positions, in one `np.bincount` (see the module docstring);
+    rows for ids absent from the batch stay zero.
     """
     batch = targets.shape[0]
     if batch == 0:
@@ -289,15 +298,19 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
         d_out_pre *= logits
         d_out_pre *= 1.0 - logits
 
-    grads = ModelParams(params.hyper)
-    np.matmul(ctx_act.T, d_out_pre, out=grads.w_output)
-    d_out_pre.sum(axis=0, out=grads.b_out)
     d_act = d_out_pre @ params.w_output.T
     d_ctx_pre = d_act * ctx_act * (1.0 - ctx_act)
+    d_merged = d_ctx_pre @ params.w_ctx.T
+    # w_input leads `flat`, so the scatter's output is the gradient vector:
+    # entry id * d_in + column of w_input, zeros past it.
+    d_in = params.hyper.d_in
+    cells = (contexts * d_in)[..., None] + np.arange(d_in)
+    grads = ModelParams(params.hyper, np.bincount(cells.ravel(), weights=d_merged.ravel(),
+                                                  minlength=param_count(params.hyper)))
+    np.matmul(ctx_act.T, d_out_pre, out=grads.w_output)
+    d_out_pre.sum(axis=0, out=grads.b_out)
     np.matmul(merged.T, d_ctx_pre, out=grads.w_ctx)
     d_ctx_pre.sum(axis=0, out=grads.b_ctx)
-    d_merged = d_ctx_pre @ params.w_ctx.T
-    np.add.at(grads.w_input, contexts.ravel(), d_merged.reshape(-1, params.hyper.d_in))
     return grads
 
 

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from tweetembed.model import PARAM_FIELDS
+from tweetembed.model import PARAM_FIELDS, ModelParams, forward
 from tweetembed.training import NonFiniteGradientError
 
 PADS = ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")
@@ -215,6 +215,29 @@ def oracle_adam_step(params, grads, state, cfg):
         m_hat = m / (1.0 - cfg.beta1 ** t)
         v_hat = v / (1.0 - cfg.beta2 ** t)
         getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+
+
+def oracle_backward(params, contexts, targets):
+    """The mean cross-entropy gradient with one fresh array per step, and
+    the shared input rows accumulated by `np.add.at` into zeros."""
+    batch = targets.shape[0]
+    trace = forward(params, contexts)
+    d_out_pre = trace.probs.copy()
+    d_out_pre[np.arange(batch), targets] -= 1.0
+    d_out_pre = d_out_pre / batch
+    if params.hyper.sigmoid_logits:
+        d_out_pre = d_out_pre * trace.logits
+        d_out_pre = d_out_pre * (1.0 - trace.logits)
+    d_act = d_out_pre @ params.w_output.T
+    d_ctx_pre = d_act * trace.ctx_act * (1.0 - trace.ctx_act)
+    d_merged = d_ctx_pre @ params.w_ctx.T
+    grads = ModelParams(params.hyper)
+    grads.w_output[...] = trace.ctx_act.T @ d_out_pre
+    grads.b_out[...] = d_out_pre.sum(axis=0)
+    grads.w_ctx[...] = trace.merged.T @ d_ctx_pre
+    grads.b_ctx[...] = d_ctx_pre.sum(axis=0)
+    np.add.at(grads.w_input, contexts.ravel(), d_merged.reshape(-1, params.hyper.d_in))
+    return grads
 
 
 def example_grams(vocab, examples) -> list[tuple[str, ...]]:

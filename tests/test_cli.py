@@ -554,19 +554,22 @@ def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=
     return argv
 
 
-def _export_broken_checkpoint(edit_header=None, cut=None, tail=b""):
+def _with_header(data, edit_header):
+    """Checkpoint bytes with the JSON header edited in place by
+    `edit_header` and the length field set to match."""
+    header_len = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:12 + header_len])
+    edit_header(header)
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + header_len:]
+
+
+def _export_broken_checkpoint(edit_header=lambda header: None, cut=None, tail=b""):
     """Case builder: rewrite a valid checkpoint (header edit, truncation or
     appended bytes), then export from it."""
     def argv(dataset, tmp_path):
         ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
-        data = ckpt.read_bytes()
-        header_len = int.from_bytes(data[8:12], "little")
-        header = json.loads(data[12:12 + header_len])
-        if edit_header is not None:
-            edit_header(header)
-        blob = json.dumps(header, sort_keys=True).encode("utf-8")
-        data = (data[:8] + len(blob).to_bytes(4, "little") + blob
-                + data[12 + header_len:] + tail)
+        data = _with_header(ckpt.read_bytes(), edit_header) + tail
         ckpt.write_bytes(data[:cut])
         return ["export", str(ckpt), "--vocab", str(vocab_path),
                 "--out", str(tmp_path / "emb.txt")]
@@ -665,6 +668,8 @@ MALFORMED_INPUTS = {
         _export_broken_checkpoint(lambda h: h["arrays"].reverse()), "array names"),
     "checkpoint shape not implied by hyper": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
+    "checkpoint hyper size as a string": (
+        _export_broken_checkpoint(lambda h: h["hyper"].update(d_in="4")), "wrong type"),
     "eval --out is a directory": (_directory_at("eval", "--out"), "Is a directory"),
     "export --out is a directory": (_directory_at("export", "--out"), "Is a directory"),
     "ingest --out-db is a directory": (_directory_at("ingest", "--out-db"), "Is a directory"),
@@ -890,6 +895,79 @@ def test_mutated_embeddings_evaluate_or_exit_2(valid_embedding_lines, data):
     words = [line.split(" ")[0] for line in text.partition("\n")[2].split("\n")[:-1]]
     if len(set(words)) != len(words):
         assert rc == EXIT_INPUT, text
+
+
+@pytest.fixture(scope="module")
+def valid_checkpoint(tmp_path_factory):
+    """A saved |V| = 6 checkpoint's bytes and the vocabulary it was trained on."""
+    ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path_factory.mktemp("valid_ckpt"))
+    return ckpt.read_bytes(), vocab_path
+
+
+# Paths into the checkpoint's JSON header, and values to put there.
+CKPT_HEADER_PATHS = st.sampled_from([
+    ("format",), ("dtype",), ("seed",), ("vocab_hash",), ("hyper",), ("arrays",),
+    ("hyper", "vocab_size"), ("hyper", "d_in"), ("hyper", "d_ctx"), ("hyper", "sigmoid_logits"),
+    ("arrays", 0), ("arrays", 0, "name"), ("arrays", 3, "shape"), ("arrays", 4, "shape"),
+])
+CKPT_HEADER_VALUES = st.sampled_from([None, False, True, 0, -1, 1, 2, 3, 4, 6, 7, 1.0, 1.5,
+                                      2 ** 70, "", "x", "<f8", "<f4", "w_input", [], {},
+                                      [6], [3, 6], [4, 4]])
+
+
+def _has_slot(node, key):
+    """Whether node[key] exists in a decoded JSON header."""
+    if isinstance(node, dict):
+        return key in node
+    return isinstance(node, list) and isinstance(key, int) and key < len(node)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_exports_or_exits_2(valid_checkpoint, data):
+    blob, vocab_path = valid_checkpoint
+    n_edits = data.draw(st.integers(0, 2), label="header edits")
+
+    def edit(header):
+        for _ in range(n_edits):
+            *parents, key = data.draw(CKPT_HEADER_PATHS, label="header path")
+            node = header
+            for step in parents:  # an earlier edit may have removed the path
+                node = node[step] if _has_slot(node, step) else None
+            if data.draw(st.booleans(), label="delete"):
+                if _has_slot(node, key):
+                    del node[key]
+            elif isinstance(node, dict) or _has_slot(node, key):
+                node[key] = data.draw(CKPT_HEADER_VALUES, label="header value")
+
+    edited = _with_header(blob, edit)
+    body_start = 12 + int.from_bytes(edited[8:12], "little")
+    bounds = {"magic": (0, 8), "header length": (8, 12), "header": (12, body_start),
+              "body": (body_start, len(edited))}
+    raw = bytearray(edited)
+    for _ in range(data.draw(st.integers(0 if n_edits else 1, 3), label="byte edits")):
+        kind = data.draw(st.sampled_from(["flip", "truncate", "append"]), label="kind")
+        if kind == "flip":
+            start, stop = bounds[data.draw(st.sampled_from(sorted(bounds)), label="region")]
+            i = data.draw(st.integers(start, stop - 1), label="offset")
+            if i < len(raw):
+                raw[i] ^= data.draw(st.integers(1, 255), label="xor")
+        elif kind == "truncate":
+            del raw[data.draw(st.integers(0, max(0, len(raw) - 1)), label="truncate at"):]
+        else:
+            raw += data.draw(st.binary(min_size=1, max_size=16), label="appended")
+    with tempfile.TemporaryDirectory() as tmp:
+        ckpt = Path(tmp) / "model.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["export", str(ckpt), "--vocab", str(vocab_path),
+                       "--out", str(Path(tmp) / "emb.txt")])
+    assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    # A wrong magic or header length, or a body cut short or run long, never exports.
+    if raw[:12] != edited[:12] or (len(raw) != len(edited) and not n_edits):
+        assert rc == EXIT_INPUT, bytes(raw)
 
 
 class TestSubprocessEntry:

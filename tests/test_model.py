@@ -22,7 +22,7 @@ from tweetembed.model import (
     softmax,
 )
 
-from oracles import oracle_sigmoid, oracle_softmax
+from oracles import oracle_backward, oracle_sigmoid, oracle_softmax
 
 
 def tiny_hyper(**kwargs):
@@ -237,6 +237,40 @@ class TestBackward:
             analytic = getattr(grads, name)
             rel = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-6)
             assert rel.max() < 1e-3, f"{name}: max rel err {rel.max():.2e}"
+
+    @pytest.mark.parametrize("sigmoid_logits", [False, True])
+    def test_bits_match_add_at_oracle(self, sigmoid_logits):
+        # 300 rows (not a multiple of 256) over seven ids: two words and
+        # the four boundary ids repeat in almost every row. Zeroing w_ctx
+        # makes every d_merged product a signed zero, which the GEMM sums
+        # to +0.0, so the whole w_input gradient must be +0.0.
+        hyper = tiny_hyper(vocab_size=12, d_in=5, d_ctx=6, sigmoid_logits=sigmoid_logits)
+        params = init_params(hyper, seed=4)
+        rng = np.random.default_rng(11)
+        contexts = rng.choice([0, 3, 12, 13, 14, 15, 7], size=(300, 4),
+                              p=[0.3, 0.3, 0.1, 0.1, 0.1, 0.09, 0.01])
+        contexts[0] = [12, 13, 14, 15]
+        targets = rng.integers(0, hyper.vocab_size, 300)
+        for zero_ctx in (False, True):
+            if zero_ctx:
+                params.w_ctx[...] = 0.0
+            fast = backward_arrays(params, contexts, targets)
+            slow = oracle_backward(params, contexts, targets)
+            assert np.array_equal(fast.flat.view(np.int64), slow.flat.view(np.int64)), zero_ctx
+            assert fast.w_input.any() != zero_ctx
+        assert not np.signbit(fast.w_input).any()
+
+    def test_bincount_adds_like_add_at(self):
+        # The scatter relies on np.bincount adding each bin's weights from
+        # +0.0 in index order, as np.add.at does: pin that, with repeated
+        # bins, -0.0 weights and sums that depend on their order.
+        weights = np.array([-0.0, 1e16, -0.0, 1.0, -1e16, 1.0, -0.0, 3.0])
+        bins = np.array([0, 1, 0, 1, 1, 1, 2, 3])
+        expected = np.zeros(5)
+        np.add.at(expected, bins, weights)
+        got = np.bincount(bins, weights=weights, minlength=5)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert got[1] == 1.0 and not np.signbit(got[0])
 
     def test_shared_input_gradient_sparsity(self):
         params = init_params(tiny_hyper(), seed=5)

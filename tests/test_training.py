@@ -24,6 +24,7 @@ from tweetembed.model import (
     load_checkpoint,
 )
 from tweetembed.training import (
+    ADAM_BLOCK,
     AdamState,
     EpochLog,
     NonFiniteGradientError,
@@ -89,26 +90,31 @@ class TestAdamStep:
             np.testing.assert_array_equal(results[0][name], results[1][name])
 
     def test_bit_identical_to_textbook_adam(self):
+        # The second model's 55,404 values span one full ADAM_BLOCK slice
+        # and a partial second one.
         rng = np.random.default_rng(4)
-        hyper = ModelHyper(vocab_size=30, d_in=5, d_ctx=6)
         cfg = TrainConfig(learning_rate=0.01)
-        fast, slow = init_params(hyper, seed=9), init_params(hyper, seed=9)
-        fast_state, slow_state = AdamState.for_params(fast), AdamState.for_params(slow)
-        for _ in range(5):
-            grads = grads_from(hyper, {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2),
-                                                        getattr(fast, name).shape)
-                                       for name in PARAM_FIELDS})
-            grads.b_ctx[0] = 0.0
-            grads.b_ctx[1] = -0.0
-            adam_step(fast, grads, fast_state, cfg)
-            oracle_adam_step(slow, grads, slow_state, cfg)
-            for name in PARAM_FIELDS:
-                assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
-                assert np.array_equal(getattr(fast_state.m, name),
-                                      getattr(slow_state.m, name)), name
-                assert np.array_equal(getattr(fast_state.v, name),
-                                      getattr(slow_state.v, name)), name
-        assert fast_state.t == slow_state.t == 5
+        for hyper in (ModelHyper(vocab_size=30, d_in=5, d_ctx=6),
+                      ModelHyper(vocab_size=300, d_in=64, d_ctx=64)):
+            fast, slow = init_params(hyper, seed=9), init_params(hyper, seed=9)
+            fast_state, slow_state = AdamState.for_params(fast), AdamState.for_params(slow)
+            for _ in range(5):
+                grads = grads_from(hyper, {name: rng.normal(0.0, 10.0 ** rng.integers(-6, 2),
+                                                            getattr(fast, name).shape)
+                                           for name in PARAM_FIELDS})
+                grads.b_ctx[0] = 0.0
+                grads.b_ctx[1] = -0.0
+                adam_step(fast, grads, fast_state, cfg)
+                oracle_adam_step(slow, grads, slow_state, cfg)
+                for name in PARAM_FIELDS:
+                    assert np.array_equal(getattr(fast, name), getattr(slow, name)), name
+                    assert np.array_equal(getattr(fast_state.m, name),
+                                          getattr(slow_state.m, name)), name
+                    assert np.array_equal(getattr(fast_state.v, name),
+                                          getattr(slow_state.v, name)), name
+            assert fast_state.t == slow_state.t == 5
+        assert fast.flat.size == 55404
+        assert fast.flat.size > ADAM_BLOCK and fast.flat.size % ADAM_BLOCK
 
     def test_non_finite_gradient_names_matrix(self):
         params = init_params(tiny_hyper(), seed=3)
@@ -117,6 +123,20 @@ class TestAdamStep:
         grads.w_ctx[0, 0] = np.nan
         with pytest.raises(NonFiniteGradientError, match="w_ctx"):
             adam_step(params, grads, state, TrainConfig())
+
+    def test_non_finite_in_last_slice_updates_nothing(self):
+        hyper = ModelHyper(vocab_size=300, d_in=64, d_ctx=64)
+        params = init_params(hyper, seed=3)
+        state = AdamState.for_params(params)
+        grads = grad_like(params, 0.5)
+        adam_step(params, grads, state, TrainConfig())
+        before = [params.flat.copy(), state.m.flat.copy(), state.v.flat.copy()]
+        grads.b_out[-1] = np.nan
+        assert params.flat.size - 1 >= ADAM_BLOCK  # the NaN is in the last slice
+        with pytest.raises(NonFiniteGradientError, match="b_out"):
+            adam_step(params, grads, state, TrainConfig())
+        for got, expected in zip((params.flat, state.m.flat, state.v.flat), before):
+            assert np.array_equal(got, expected)
 
 
 def toy_split(seed=13):
