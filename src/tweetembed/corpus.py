@@ -112,24 +112,31 @@ def _distinct_rows(rows: np.ndarray, n_types: int) -> tuple[np.ndarray, np.ndarr
 
     `order` sorts the rows lexicographically, `first` marks each sorted row
     that differs from the one before it, and `distinct` is the sorted rows
-    without repeats. Ids are packed into as few int64 sort keys as fit
-    (two for up to 2^21 types), which sorts faster than five keys.
+    without repeats; repeated rows may come in any order among themselves.
+
+    The columns are folded left to right into one int64 key that orders
+    and compares like the rows, so one argsort does the work. Each
+    column's ids are shifted in while the key fits in 63 bits; when the
+    next column would not fit, the key so far is first replaced by its
+    rank among its distinct values (np.unique), which takes at most
+    bit_length(N) bits. Up to 4096 types no rank is needed; up to 2^21
+    types and 2^21 rows, one is.
     """
     bits = max(1, (n_types - 1).bit_length())
-    per_key = max(1, 63 // bits)
-    keys = []
-    for lo in range(0, 5, per_key):
-        key = np.zeros(len(rows), dtype=np.int64)
-        for col in range(lo, min(lo + per_key, 5)):
-            key <<= bits
-            key |= rows[:, col]
-        keys.append(key)
-    order = np.lexsort(keys[::-1])
-    first = np.zeros(len(rows), dtype=bool)
+    key = np.zeros(len(rows), dtype=np.int64)
+    width = 0
+    for col in range(5):
+        if width + bits > 63:
+            distinct_keys, key = np.unique(key, return_inverse=True)
+            width = (len(distinct_keys) - 1).bit_length()
+        key <<= bits
+        key |= rows[:, col]
+        width += bits
+    order = np.argsort(key)
+    sorted_key = key[order]
+    first = np.empty(len(rows), dtype=bool)
     first[:1] = True
-    for key in keys:
-        sorted_key = key[order]
-        first[1:] |= sorted_key[1:] != sorted_key[:-1]
+    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
     return order, first, rows[order[first]]
 
 
@@ -165,7 +172,9 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
         return NGramDatabase(types, np.zeros((0, 5), dtype=np.int32),
                              np.zeros(0, dtype=np.int64), 0, 0)
     raw = np.array(seq, dtype=np.int32)
-    ids = np.array([type_id[token] for token in normalized], dtype=np.int32)[raw]
+    del seq  # the list takes twice the memory of the array, so it goes before the sort
+    ids = np.fromiter(map(type_id.__getitem__, normalized), dtype=np.int32,
+                      count=len(normalized))[raw]
     windows = sliding_window_view(ids, 5)[raw[2:-2] >= len(BOUNDARY_TOKENS)]
     _, first, records = _distinct_rows(windows, len(types))
     counts = np.diff(np.flatnonzero(np.append(first, True)))
@@ -207,26 +216,44 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
 
     Rows are `w1..w5<TAB>count` in the database's row order, which sorts
     them by the tokens in code-point (UTF-8 byte) order, so output bytes do
-    not depend on counting order.
+    not depend on counting order. Each block of rows is one (n, 6) object
+    array written with one join: five `token<TAB>` cells gathered by type
+    id, then a `count\n` cell gathered from one string per distinct count
+    in the block, so the block's strings are shared, not made per row.
     """
-    cells = [token + "\t" for token in db.types]
+    cells = np.array([token + "\t" for token in db.types], dtype=object)
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#total_tweets={db.total_tweets}\t#total_tokens={db.total_tokens}\n")
         for lo in range(0, len(db.records), BLOCK_ROWS):
-            block = db.records[lo : lo + BLOCK_ROWS]
-            columns = [map(cells.__getitem__, block[:, k].tolist()) for k in range(5)]
-            counts = map("{}\n".format, db.counts[lo : lo + BLOCK_ROWS].tolist())
-            fh.write("".join(map("".join, zip(*columns, counts))))
+            ids = db.records[lo : lo + BLOCK_ROWS]
+            counts, count_ids = np.unique(db.counts[lo : lo + BLOCK_ROWS], return_inverse=True)
+            count_cells = np.array([f"{count}\n" for count in counts.tolist()], dtype=object)
+            block = np.empty((len(ids), 6), dtype=object)
+            block[:, :5] = cells[ids]
+            block[:, 5] = count_cells[count_ids]
+            fh.write("".join(block.ravel().tolist()))
+
+
+def _all_decimal(texts: list[str]) -> bool:
+    """Whether every string is one or more ASCII digits, as write_ngram_db
+    writes them; int() would also take signs, spaces, `_` and non-ASCII
+    digits."""
+    joined = "".join(texts)
+    return joined.isascii() and joined.isdigit() and all(texts)
 
 
 def read_ngram_db(path: Path | str) -> NGramDatabase:
-    """Parse a 5-gram database; a repeated 5-gram row, a count below 1 or
-    counts that do not sum to the header's #total_tokens is a ValueError.
+    """Parse a 5-gram database; a bad header, a row without 6 columns, a
+    count that is not a decimal integer of at least 1, a repeated 5-gram
+    row or counts that do not sum to the header's #total_tokens is a
+    ValueError, naming the line where there is one.
 
     Rows may come in any order; the database holds them sorted. The body is
     parsed in blocks of BLOCK_ROWS lines, each token mapped to a
     provisional id in first-seen order, so memory holds the id arrays and
-    one block of strings.
+    one block of strings: a block's lines are dropped before its fields are
+    split, its fields before the next block is read, and the id blocks
+    once they are joined.
     """
     path = Path(path)
     first_seen = _FirstSeen((pad, i) for i, pad in enumerate(BOUNDARY_TOKENS))
@@ -234,31 +261,43 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
     counts: list[int] = []
     with path.open("r", encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
-        if not header.startswith("#total_tweets="):
-            raise ValueError(f"{path}: missing 5-gram database header")
-        tweets_part, tokens_part = header.split("\t")
-        total_tweets = int(tweets_part.removeprefix("#total_tweets="))
-        total_tokens = int(tokens_part.removeprefix("#total_tokens="))
+        tweets, sep, tokens = header.removeprefix("#total_tweets=").partition("\t#total_tokens=")
+        if not (header.startswith("#total_tweets=") and sep and _all_decimal([tweets, tokens])):
+            raise ValueError(f"{path}:1: expected the header "
+                             f"'#total_tweets=N<TAB>#total_tokens=N', got {header[:80]!r}")
+        total_tweets, total_tokens = int(tweets), int(tokens)
         while lines := list(itertools.islice(fh, BLOCK_ROWS)):
             lineno = len(counts) + 2  # of lines[0]; the header is line 1
             tabs = list(map(str.count, lines, itertools.repeat("\t")))
             if tabs.count(5) != len(tabs):
                 bad = next(i for i, n in enumerate(tabs) if n != 5)
                 raise ValueError(f"{path}:{lineno + bad}: expected 6 columns, got {tabs[bad] + 1}")
-            fields = "".join(lines).replace("\n", "\t").split("\t")
-            del fields[len(lines) * 6:]  # the empty field after the last newline
-            block_counts = list(map(int, fields[5::6]))
-            if min(block_counts) < 1:
-                bad = next(i for i, n in enumerate(block_counts) if n < 1)
+            text = "".join(lines).replace("\n", "\t")
+            del lines
+            fields = text.split("\t")
+            del text
+            del fields[len(tabs) * 6:]  # the empty field after the last newline
+            count_fields = fields[5::6]
+            if not _all_decimal(count_fields):
+                bad = next(i for i, field in enumerate(count_fields) if not _all_decimal([field]))
+                raise ValueError(f"{path}:{lineno + bad}: 5-gram count {count_fields[bad]!r} "
+                                 "is not a decimal integer")
+            block_counts = list(map(int, count_fields))
+            if 0 in block_counts:  # the only count below 1 that is all digits
+                bad = block_counts.index(0)
                 raise ValueError(f"{path}:{lineno + bad}: 5-gram count {block_counts[bad]} "
                                  "is below 1")
             counts += block_counts
             del fields[5::6]
-            blocks.append(np.array(list(map(first_seen.__getitem__, fields)), dtype=np.int32))
+            blocks.append(np.fromiter(map(first_seen.__getitem__, fields), dtype=np.int32,
+                                      count=len(fields)))
+            del fields, count_fields, block_counts
     types = sorted(first_seen)
     type_id = {token: i for i, token in enumerate(types)}
-    renumber = np.array([type_id[token] for token in first_seen], dtype=np.int32)
+    renumber = np.fromiter(map(type_id.__getitem__, first_seen), dtype=np.int32,
+                           count=len(first_seen))
     rows = renumber[np.concatenate([np.zeros(0, dtype=np.int32), *blocks])].reshape(-1, 5)
+    del blocks
     order, first, records = _distinct_rows(rows, len(types))
     if not first.all():
         raise ValueError(f"{path}: {len(rows) - len(records)} repeated 5-gram rows")

@@ -93,17 +93,17 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     slices (parameters, gradients, moments and two slice-sized scratch
     arrays) stay in cache between passes. The result is bit-identical to
     evaluating the formula per matrix with temporaries. The non-finite
-    check reads all of the gradients before any slice is updated. The bias
-    correction stays on m and v (not folded into the step size), so eps
-    keeps its meaning.
+    check reads all of the gradients before any slice or the step count is
+    updated, so a rejected step changes nothing. The bias correction stays
+    on m and v (not folded into the step size), so eps keeps its meaning.
     """
-    state.t += 1
-    t = state.t
+    t = state.t + 1
     g = grads.flat
     if not np.all(np.isfinite(g)):
         name = next(name for name in PARAM_FIELDS
                     if not np.all(np.isfinite(getattr(grads, name))))
         raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
+    state.t = t
     m_scale = 1.0 - cfg.beta1 ** t
     v_scale = 1.0 - cfg.beta2 ** t
     step_buf = np.empty(min(g.size, ADAM_BLOCK))

@@ -684,6 +684,9 @@ MALFORMED_INPUTS = {
         _dataset_from_db(lambda body: [body[0].replace("\t1\n", "\t0\n"),
                                        body[1].replace("\t1\n", "\t2\n"), *body[2:]]),
         ":2: 5-gram count 0 is below 1"),
+    "5-gram DB count with a plus sign": (
+        _dataset_from_db(lambda body: [body[0].replace("\t1\n", "\t+1\n"), *body[1:]]),
+        ":2: 5-gram count '+1' is not a decimal integer"),
 }
 
 
@@ -773,8 +776,11 @@ def valid_ngram_db_lines(tmp_path_factory):
     return [line.split("\t") for line in db.read_text(encoding="utf-8").splitlines()]
 
 
-DB_HEADER_VALUES = st.sampled_from(["", "x", "1.5", "-1", "0", "4", "15", str(2 ** 70)])
-DB_COUNTS = st.sampled_from(["0", "-1", "1.5", "x", "1", "2"])
+# int() takes each of the last five; the writer writes none of them.
+NOT_DECIMAL = ["+3", " 3", "3 ", "\u0663", "1_0"]
+DB_HEADER_VALUES = st.sampled_from(["", "x", "1.5", "-1", "0", "4", "15", str(2 ** 70),
+                                    *NOT_DECIMAL])
+DB_COUNTS = st.sampled_from(["0", "-1", "1.5", "x", "1", "2", *NOT_DECIMAL])
 
 
 @settings(max_examples=40, deadline=None)
@@ -821,8 +827,12 @@ def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
                        "--out", str(Path(tmp) / "dataset.tsv")])
     assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
     assert "Traceback" not in err.getvalue()
-    # A complete body line whose count is not a positive integer never passes.
-    body = text.partition("\n")[2].split("\n")[:-1]
+    # A header or a complete body line whose values are not plain decimal
+    # integers, or a count below 1, never passes.
+    header, _, rest = text.partition("\n")
+    if not re.fullmatch(r"#total_tweets=[0-9]+\t#total_tokens=[0-9]+", header):
+        assert rc == EXIT_INPUT, text
+    body = rest.split("\n")[:-1]
     if any(not re.fullmatch(r"[0-9]+", line.rpartition("\t")[2])
            or int(line.rpartition("\t")[2]) < 1 for line in body):
         assert rc == EXIT_INPUT, text

@@ -1,13 +1,16 @@
 import collections
 import random
+import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetembed import corpus
 from tweetembed.corpus import (
     BOUNDARY_TOKENS,
     HANDLE_TOKEN,
@@ -16,6 +19,7 @@ from tweetembed.corpus import (
     PAD_L2,
     PAD_R1,
     PAD_R2,
+    _distinct_rows,
     build_dictionary,
     count_ngrams,
     extract_5grams,
@@ -241,6 +245,59 @@ class TestFiles:
         with pytest.raises(ValueError):
             read_ngram_db(path)
 
+    @pytest.mark.parametrize("value", ["+3", " 3", "3 ", "\u0663", "1_0", "", "-3"])
+    def test_count_or_total_that_is_not_plain_digits_rejected(self, tmp_path, value):
+        row = f"{PAD_L1}\t{PAD_L2}\ta\t{PAD_R1}\t{PAD_R2}\t"
+        path = tmp_path / "ngrams.tsv"
+        path.write_text(f"#total_tweets=1\t#total_tokens=3\n{row}{value}\n", encoding="utf-8")
+        message = re.escape(f"{path.name}:2: 5-gram count '{value}' is not a decimal integer")
+        with pytest.raises(ValueError, match=message):
+            read_ngram_db(path)
+        for header in (f"#total_tweets={value}\t#total_tokens=3",
+                       f"#total_tweets=1\t#total_tokens={value}"):
+            path.write_text(f"{header}\n{row}3\n", encoding="utf-8")
+            with pytest.raises(ValueError, match=f"{path.name}:1: expected the header"):
+                read_ngram_db(path)
+
+
+def _db_text(tweets) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ngrams.tsv"
+        write_ngram_db(count_ngrams(tweets), path)
+        return path.read_text(encoding="utf-8")
+
+
+class TestBlocks:
+    """Files of several BLOCK_ROWS blocks; every other test file fits in one."""
+
+    TWEETS = ["a b c", "b c d e", "c a", "e e e a", "a b c"]  # 13 distinct 5-grams
+
+    def test_round_trip_keeps_the_bytes(self, tmp_path, monkeypatch):
+        text = _db_text(self.TWEETS)
+        assert len(text.splitlines()) == 14
+        for block_rows in (2, 3):
+            monkeypatch.setattr(corpus, "BLOCK_ROWS", block_rows)
+            first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+            write_ngram_db(count_ngrams(self.TWEETS), first)
+            write_ngram_db(read_ngram_db(first), second)
+            assert first.read_text(encoding="utf-8") == text
+            assert second.read_text(encoding="utf-8") == text
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields[:5], "expected 6 columns, got 5"),
+        (lambda fields: [*fields[:5], "0"], "5-gram count 0 is below 1"),
+        (lambda fields: [*fields[:5], "x"], "5-gram count 'x' is not a decimal integer"),
+    ])
+    def test_bad_row_in_the_third_block_names_its_line(self, tmp_path, monkeypatch,
+                                                       edit, message):
+        monkeypatch.setattr(corpus, "BLOCK_ROWS", 3)
+        header, *body = _db_text(self.TWEETS).splitlines()
+        body[7] = "\t".join(edit(body[7].split("\t")))  # body[6:9] is the third block
+        path = tmp_path / "ngrams.tsv"
+        path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path.name}:9: {message}"):
+            read_ngram_db(path)
+
 
 non_ascii_tweets = st.lists(st.lists(st.sampled_from(NON_ASCII_TOKENS), max_size=7).map(" ".join),
                             max_size=20)
@@ -273,3 +330,48 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
     assert loaded.types == sorted(set(loaded.types))
     assert np.array_equal(loaded.records, db.records) and np.array_equal(loaded.counts, db.counts)
     assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
+
+
+# Type counts on both sides of the thresholds where the row key holds five
+# ids (4096), takes its first rank (4097) and takes a second (2^21 + 1);
+# at 2^16 four ids would fill all 64 bits, sign bit included.
+N_TYPES = [2, 4096, 4097, 2 ** 16, 2 ** 21, 2 ** 21 + 1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_distinct_rows_match_a_counter(data):
+    n_types = data.draw(st.sampled_from(N_TYPES), label="n_types")
+    ids = data.draw(st.lists(st.sampled_from([0, 1, n_types - 2, n_types - 1])
+                             | st.integers(0, n_types - 1), min_size=1, max_size=4), label="ids")
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * 5), max_size=60), label="rows")
+    array = np.array(rows, dtype=np.int32).reshape(-1, 5)
+    order, first, distinct = _distinct_rows(array, n_types)
+    expected = sorted(collections.Counter(rows).items())
+    assert distinct.tolist() == [list(row) for row, _ in expected]
+    counts = np.diff(np.flatnonzero(np.append(first, True)))
+    assert counts.tolist() == [count for _, count in expected]
+    ordered = [tuple(row) for row in array[order].tolist()]
+    assert ordered == sorted(rows)
+    assert first.tolist() == [i == 0 or ordered[i] != ordered[i - 1] for i in range(len(rows))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(non_ascii_tweets.filter(any), st.randoms(use_true_random=False), st.data())
+def test_shuffled_file_reads_to_the_same_database(tweets, rnd, data):
+    header, *body = _db_text(tweets).splitlines(keepends=True)
+    rnd.shuffle(body)
+    db = count_ngrams(tweets)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus, "BLOCK_ROWS", 3):
+        path = Path(tmp) / "ngrams.tsv"
+        path.write_text(header + "".join(body), encoding="utf-8")
+        loaded = read_ngram_db(path)
+        assert loaded.types == db.types
+        assert np.array_equal(loaded.records, db.records)
+        assert np.array_equal(loaded.counts, db.counts)
+        assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
+        i = data.draw(st.integers(0, len(body) - 1), label="repeated row")
+        body.insert(data.draw(st.integers(0, len(body)), label="at"), body[i])
+        path.write_text(header + "".join(body), encoding="utf-8")
+        with pytest.raises(ValueError, match="1 repeated 5-gram rows"):
+            read_ngram_db(path)

@@ -133,10 +133,11 @@ class TestAdamStep:
         before = [params.flat.copy(), state.m.flat.copy(), state.v.flat.copy()]
         grads.b_out[-1] = np.nan
         assert params.flat.size - 1 >= ADAM_BLOCK  # the NaN is in the last slice
-        with pytest.raises(NonFiniteGradientError, match="b_out"):
+        with pytest.raises(NonFiniteGradientError, match="b_out at step 2"):
             adam_step(params, grads, state, TrainConfig())
         for got, expected in zip((params.flat, state.m.flat, state.v.flat), before):
             assert np.array_equal(got, expected)
+        assert state.t == 1
 
 
 def toy_split(seed=13):
