@@ -89,6 +89,16 @@ def _read_corpus_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
+def _check_distinct(*outputs: Path) -> None:
+    """InputError when two of a stage's output paths name the same file, which
+    the later write would replace; callers check before writing anything."""
+    seen: dict[Path, Path] = {}
+    for path in outputs:
+        other = seen.setdefault(path.resolve(), path)
+        if other is not path:
+            raise InputError(f"output paths {other} and {path} name the same file")
+
+
 # Stage functions, shared by the stage commands and `grid`: each takes its
 # in-memory inputs, the parsed flags and its output paths, writes the stage's
 # files and returns its result with its manifest config.
@@ -200,6 +210,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     db_path = Path(args.out_db)
     dict_path = Path(args.out_dict)
+    manifest_path = db_path.with_suffix(db_path.suffix + ".manifest.json")
+    _check_distinct(db_path, dict_path, manifest_path)
     db, dictionary = ingest_stage(_read_corpus_lines(corpus_path), db_path, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
@@ -209,7 +221,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         {"corpus": corpus_path},
         args.deterministic,
     )
-    write_manifest(manifest, db_path.with_suffix(db_path.suffix + ".manifest.json"))
+    write_manifest(manifest, manifest_path)
     print(f"tweets: {db.total_tweets}")
     print(f"tokens: {db.total_tokens}")
     print(f"distinct 5-grams: {len(db.records)}")
@@ -219,14 +231,16 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     db_path = Path(args.db)
+    out_path = Path(args.out)
+    vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
+    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    _check_distinct(out_path, vocab_path, manifest_path)
     db = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
-    out_path = Path(args.out)
-    split, config = dataset_stage(examples, vocab, args.fraction, args, out_path,
-                                  out_path.with_suffix(out_path.suffix + ".vocab.tsv"))
+    split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
                               args.deterministic)
-    write_manifest(manifest, out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    write_manifest(manifest, manifest_path)
     print(f"qualifying 5-grams: {len(examples)}")
     print(f"train tuples: {len(split.train)}")
     print(f"validation tuples: {len(split.validation)}")
@@ -235,21 +249,22 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     dataset_path = Path(args.dataset)
-    split, meta = read_dataset(dataset_path)
     checkpoint_path = Path(args.out_checkpoint)
+    log_path = Path(args.out_log)
+    manifest_path = checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json")
+    _check_distinct(checkpoint_path, log_path, manifest_path)
+    split, meta = read_dataset(dataset_path)
 
     def write_config(config: dict) -> None:
         manifest = build_manifest("train", {**config, "out_checkpoint": str(checkpoint_path)},
                                   {"dataset": dataset_path}, args.deterministic)
-        write_manifest(manifest,
-                       checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json"))
+        write_manifest(manifest, manifest_path)
 
     def live(entry: EpochLog) -> None:
-        print(f"{entry.epoch}\t{entry.train_loss:.6f}"
-              f"\t{entry.validation_loss:.6f}\t{entry.wall_seconds:.3f}")
+        print(entry.line(), end="")
 
     _, logs, _ = train_stage(split, meta["vocab_size"], meta["vocab_hash"], args,
-                             checkpoint_path, Path(args.out_log),
+                             checkpoint_path, log_path,
                              on_start=write_config, on_epoch=live)
     total = sum(entry.wall_seconds for entry in logs)
     print(f"avg secs/epoch: {total / len(logs):.3f}")
@@ -260,6 +275,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     checkpoint_path = Path(args.checkpoint)
     vocab_path = Path(args.vocab)
+    out_path = Path(args.out)
+    manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
+    _check_distinct(out_path, out_path.with_suffix(out_path.suffix + ".bin"), manifest_path)
     params, header = load_checkpoint(checkpoint_path)
     vocab = read_vocabulary(vocab_path)
     if header.get("vocab_hash") and header["vocab_hash"] != vocabulary_hash(vocab):
@@ -267,7 +285,6 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"vocabulary/checkpoint mismatch: {vocab_path} does not hash to "
             f"the vocabulary this checkpoint was trained on"
         )
-    out_path = Path(args.out)
     table, config = export_stage(params, vocab, checkpoint_path, args, out_path)
     manifest = build_manifest(
         "export",
@@ -275,7 +292,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         {"checkpoint": checkpoint_path, "vocab": vocab_path},
         args.deterministic,
     )
-    write_manifest(manifest, out_path.with_suffix(out_path.suffix + ".manifest.json"))
+    write_manifest(manifest, manifest_path)
     print(f"exported {len(table.words)} x {table.dim} embeddings")
     return EXIT_OK
 
@@ -284,6 +301,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     emb_path = Path(args.embeddings)
     classes_path = Path(args.classes)
     pairs_path = Path(args.pairs)
+    out_json = Path(args.out)
+    text_path = out_json.with_suffix(".txt")
+    manifest_path = out_json.with_suffix(out_json.suffix + ".manifest.json")
+    _check_distinct(out_json, text_path, manifest_path)
     table = read_embeddings_text(emb_path)
     classes = load_gold_classes(classes_path)
     pairs = load_equivalence_pairs(pairs_path)
@@ -294,9 +315,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         {"embeddings": emb_path, "classes": classes_path, "pairs": pairs_path},
         args.deterministic,
     )
-    out_json = Path(args.out)
-    emit_report(reports, manifest, out_json, out_json.with_suffix(".txt"))
-    write_manifest(manifest, out_json.with_suffix(out_json.suffix + ".manifest.json"))
+    emit_report(reports, manifest, out_json, text_path)
+    write_manifest(manifest, manifest_path)
     print(format_report_table(reports), end="")
     return EXIT_OK
 

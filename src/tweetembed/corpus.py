@@ -11,7 +11,7 @@ import bisect
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,8 +30,6 @@ BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
 # bounds the memory of the Python strings and lists they make.
 BLOCK_ROWS = 65536
 
-FiveGram = tuple[str, str, str, str, str]
-
 
 def normalize_token(raw: str) -> str:
     """Normalize one whitespace-delimited token.
@@ -48,29 +46,6 @@ def normalize_token(raw: str) -> str:
     if lowered.startswith(("http://", "https://")):
         return LINK_TOKEN
     return lowered
-
-
-def tokenize_tweet(text: str) -> list[str]:
-    """Split a raw tweet on whitespace and normalize each token.
-
-    A whitespace-only tweet yields an empty list. No other linguistic
-    pre-processing is applied.
-    """
-    return [normalize_token(raw) for raw in text.split()]
-
-
-def extract_5grams(tokens: Sequence[str]) -> list[FiveGram]:
-    """All 5-token windows over the padded token sequence.
-
-    The sequence is framed as <PAD_L1> <PAD_L2> ... <PAD_R1> <PAD_R2>, so
-    every real token is the center of exactly one window and windows never
-    cross tweet boundaries. Returns len(tokens) windows (empty input gives
-    an empty list).
-    """
-    if not tokens:
-        return []
-    padded = [PAD_L1, PAD_L2, *tokens, PAD_R1, PAD_R2]
-    return [tuple(padded[i : i + 5]) for i in range(len(tokens))]
 
 
 @dataclass

@@ -23,7 +23,7 @@ from .rng import permutation
 
 @dataclass
 class Vocabulary:
-    """Top-ranked embeddable words; id equals dictionary rank.
+    """Top-ranked embeddable words, each once; id equals dictionary rank.
 
     The four boundary tokens get reserved ids size..size+3 (in
     BOUNDARY_TOKENS order). They are valid only in context positions,
@@ -35,8 +35,6 @@ class Vocabulary:
 
     def __post_init__(self) -> None:
         self.word_to_id = {word: i for i, word in enumerate(self.words)}
-        if len(self.word_to_id) != len(self.words):
-            raise ValueError("vocabulary contains duplicate words")
 
     @property
     def size(self) -> int:
@@ -126,13 +124,25 @@ def write_vocabulary(vocab: Vocabulary, path: Path | str) -> None:
 
 
 def read_vocabulary(path: Path | str) -> Vocabulary:
+    """Parse `word<TAB>id` lines. A line without exactly two fields, an id
+    other than its line's 0-based position written as `write_vocabulary`
+    writes it (ASCII digits, no sign or leading zero), or a word seen before
+    is a ValueError naming `path:line`."""
     path = Path(path)
     words: list[str] = []
+    seen: set[str] = set()
     with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh):
-            word, token_id = line.rstrip("\n").split("\t")
-            if int(token_id) != lineno:
-                raise ValueError(f"{path}: id column out of order at line {lineno + 1}")
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 2 tab-separated fields, "
+                                 f"got {len(fields)}")
+            word, token_id = fields
+            if token_id != str(lineno - 1):
+                raise ValueError(f"{path}:{lineno}: expected id {lineno - 1}, got {token_id!r}")
+            if word in seen:
+                raise ValueError(f"{path}:{lineno}: word {word!r} is listed twice")
+            seen.add(word)
             words.append(word)
     return Vocabulary(words)
 

@@ -73,7 +73,7 @@ def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:
             fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
 
 
-def read_embeddings_text(path: Path | str, manifest_hash: str = "") -> EmbeddingTable:
+def read_embeddings_text(path: Path | str) -> EmbeddingTable:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         n, dim = (int(x) for x in fh.readline().split())
@@ -89,7 +89,7 @@ def read_embeddings_text(path: Path | str, manifest_hash: str = "") -> Embedding
             vectors[i] = [float(x) for x in parts[1:]]
     if len(words) != n:
         raise ValueError(f"{path}: header promised {n} rows, found {len(words)}")
-    return EmbeddingTable(words, vectors, manifest_hash)
+    return EmbeddingTable(words, vectors)
 
 
 def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:

@@ -184,8 +184,8 @@ def format_report_table(reports: Sequence[TestReport]) -> str:
 
 
 def emit_report(reports: Sequence[TestReport], manifest: dict,
-                json_path: Path | str, text_path: Path | str | None = None) -> None:
-    """Write the machine-readable report and, optionally, the text table."""
+                json_path: Path | str, text_path: Path | str) -> None:
+    """Write the machine-readable report and the text table."""
     payload = {
         "manifest": manifest,
         "reports": [asdict(r) for r in reports],
@@ -193,9 +193,8 @@ def emit_report(reports: Sequence[TestReport], manifest: dict,
     with atomic_write(json_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2, ensure_ascii=False)
         fh.write("\n")
-    if text_path is not None:
-        with atomic_write(text_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_report_table(reports))
+    with atomic_write(text_path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(format_report_table(reports))
 
 
 def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],

@@ -11,17 +11,18 @@ positions but are never prediction targets. Ids are not range-checked
 here; `dataset.read_dataset` rejects out-of-range ids at the input
 boundary.
 
-The loss is the mean cross entropy, -ln p_target per row. `evaluate`
+One function, `_forward_to_logits`, runs the network up to the softmax
+input; `evaluate` and `backward_arrays` both call it. The loss is the mean
+cross entropy, -ln p_target per row, clamped at -ln LOSS_FLOOR. `evaluate`
 computes it as logsumexp(logits) - logit_target, streaming the rows in
 blocks of about 2^20 logits (8 MB of float64 at any |V|), so it never
 builds the probability matrix and its memory does not grow with the
-dataset. `cross_entropy` takes the same clamped loss from a probability
-matrix. The training step (`backward_arrays`) builds the probabilities for
-the gradient only and returns it in the parameters' own layout: one flat
-vector with a view per array (`ModelParams`). The hot paths write into as
-few full-width arrays as they can, but perform the same IEEE operations in
-the same order as the textbook forms kept in `tests/oracles.py`, so
-training yields the same parameters to the bit.
+dataset. The training step (`backward_arrays`) applies `softmax` to the
+logits for the gradient only and returns the gradient in the parameters'
+own layout: one flat vector with a view per array (`ModelParams`). The hot
+paths write into as few full-width arrays as they can, but perform the
+same IEEE operations in the same order as the textbook forms kept in
+`tests/oracles.py`, so training yields the same parameters to the bit.
 
 The input-embedding gradient is a scatter: row r of the batch adds its
 four context slices of d_merged into the rows of w_input their ids name.
@@ -127,18 +128,6 @@ class ModelParams:
             start = stop
 
 
-@dataclass
-class ForwardTrace:
-    """Every intermediate of a batched forward pass, one row per example."""
-
-    input_embeds: np.ndarray  # (B, 4, d_in)
-    merged: np.ndarray        # (B, 4 * d_in)
-    ctx_pre: np.ndarray       # (B, d_ctx)
-    ctx_act: np.ndarray       # (B, d_ctx)
-    logits: np.ndarray        # (B, |V|), the values fed to the softmax
-    probs: np.ndarray         # (B, |V|)
-
-
 def _param_shapes(hyper: ModelHyper) -> dict[str, tuple[int, ...]]:
     """The shape of each parameter array, in PARAM_FIELDS order."""
     return {
@@ -196,10 +185,11 @@ def softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def _forward_to_logits(params: ModelParams, contexts: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The forward pass up to the softmax input: (embeds, merged, ctx_pre, ctx_act, logits)."""
-    embeds = params.w_input[contexts]                       # (B, 4, d_in)
-    merged = embeds.reshape(contexts.shape[0], -1)          # (B, 4 * d_in)
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The forward pass up to the softmax input, for a (B, 4) int array of
+    context ids: (merged, ctx_act, logits), shapes (B, 4 * d_in), (B, d_ctx)
+    and (B, |V|)."""
+    merged = params.w_input[contexts].reshape(contexts.shape[0], -1)
     ctx_pre = merged @ params.w_ctx
     ctx_pre += params.b_ctx
     ctx_act = sigmoid(ctx_pre)
@@ -207,57 +197,23 @@ def _forward_to_logits(params: ModelParams, contexts: np.ndarray
     logits += params.b_out
     if params.hyper.sigmoid_logits:
         logits = sigmoid(logits)
-    return embeds, merged, ctx_pre, ctx_act, logits
+    return merged, ctx_act, logits
 
 
-def forward(params: ModelParams, contexts: np.ndarray) -> ForwardTrace:
-    """Run a batch through the network; contexts is an int array of shape (B, 4)."""
-    embeds, merged, ctx_pre, ctx_act, logits = _forward_to_logits(params, contexts)
-    return ForwardTrace(input_embeds=embeds, merged=merged, ctx_pre=ctx_pre,
-                        ctx_act=ctx_act, logits=logits, probs=softmax(logits))
-
-
-def _clamp_nll(nll: np.ndarray) -> int:
-    """Cap each row loss -ln p_target at MAX_NLL in place; returns how many were capped.
-
-    This is the LOSS_FLOOR clamp on p_target: -ln max(p, LOSS_FLOOR).
-    """
-    n_clamped = int(np.count_nonzero(nll > MAX_NLL))
-    np.minimum(nll, MAX_NLL, out=nll)
-    return n_clamped
-
-
-def _warn_clamped(n_clamped: int) -> None:
-    if n_clamped:
-        logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
-
-
-def cross_entropy(probs: np.ndarray, targets: np.ndarray) -> float:
-    """Mean of -ln(probs[i, targets[i]]) over the rows, each clamped at LOSS_FLOOR.
-
-    The per-example reference for `evaluate`, from a probability matrix.
-    """
-    with np.errstate(divide="ignore"):
-        nll = -np.log(probs[np.arange(targets.shape[0]), targets])
-    _warn_clamped(_clamp_nll(nll))
-    return float(nll.mean())
-
-
-def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
-             batch_size: int | None = None) -> float:
+def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray) -> float:
     """Mean cross entropy over a dataset, streamed in blocks of rows.
 
     Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
     computed in place on the block's logits; no probability matrix is
     built. A block holds max(1, 2^20 // |V|) rows, about 2^20 logits or
-    8 MB, so memory is bounded independently of the dataset size.
-    `batch_size` overrides the block's row count. The LOSS_FLOOR clamp
-    warns at most once per call, with the count over all blocks.
+    8 MB, so memory is bounded independently of the dataset size. The
+    LOSS_FLOOR clamp warns at most once per call, with the count over all
+    blocks.
     """
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    rows = batch_size or max(1, EVAL_BLOCK_LOGITS // params.hyper.vocab_size)
+    rows = max(1, EVAL_BLOCK_LOGITS // params.hyper.vocab_size)
     total = 0.0
     n_clamped = 0
     for start in range(0, n, rows):
@@ -268,9 +224,11 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
         logits -= top[:, None]
         np.exp(logits, out=logits)
         nll += np.log(logits.sum(axis=1))
-        n_clamped += _clamp_nll(nll)
+        n_clamped += int(np.count_nonzero(nll > MAX_NLL))
+        np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
         total += float(nll.sum())
-    _warn_clamped(n_clamped)
+    if n_clamped:
+        logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
     return total / n
 
 
@@ -286,11 +244,8 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
     batch = targets.shape[0]
     if batch == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    trace = forward(params, contexts)
-    merged, ctx_act, logits = trace.merged, trace.ctx_act, trace.logits
-
-    # The trace is local, so its probs become d_logits.
-    d_out_pre = trace.probs
+    merged, ctx_act, logits = _forward_to_logits(params, contexts)
+    d_out_pre = softmax(logits)  # a fresh array, so it becomes d_logits in place
     d_out_pre[np.arange(batch), targets] -= 1.0
     d_out_pre /= batch
     if params.hyper.sigmoid_logits:

@@ -71,6 +71,11 @@ class EpochLog:
     validation_loss: float
     wall_seconds: float
 
+    def line(self) -> str:
+        """The run-log line `epoch<TAB>train_loss<TAB>val_loss<TAB>secs`."""
+        return (f"{self.epoch}\t{self.train_loss:.6f}\t{self.validation_loss:.6f}"
+                f"\t{self.wall_seconds:.3f}\n")
+
 
 class NonFiniteGradientError(RuntimeError):
     """A gradient array contained NaN or infinity; names the matrix."""
@@ -176,7 +181,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     logs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
         started = time.perf_counter()
-        order = np.asarray(permutation(n, derive_seed(cfg.seed, epoch)), dtype=np.int64)
+        order = permutation(n, derive_seed(cfg.seed, epoch))
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
             adam_step(params, backward_arrays(params, train_ctx[sel], train_tgt[sel]), state, cfg)
@@ -198,23 +203,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
 
 
 def write_run_log(logs: Sequence[EpochLog], path: Path | str) -> None:
-    """Line-delimited records `epoch<TAB>train_loss<TAB>val_loss<TAB>secs`.
-
-    Written atomically, so a crash mid-write keeps the previous epoch's log.
-    """
+    """One `EpochLog.line` per epoch, written atomically, so a crash
+    mid-write keeps the previous epoch's log."""
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
-        for entry in logs:
-            fh.write(
-                f"{entry.epoch}\t{entry.train_loss:.6f}"
-                f"\t{entry.validation_loss:.6f}\t{entry.wall_seconds:.3f}\n"
-            )
-
-
-def read_run_log(path: Path | str) -> list[EpochLog]:
-    path = Path(path)
-    logs: list[EpochLog] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            epoch, train_loss, val_loss, secs = line.rstrip("\n").split("\t")
-            logs.append(EpochLog(int(epoch), float(train_loss), float(val_loss), float(secs)))
-    return logs
+        fh.write("".join(entry.line() for entry in logs))

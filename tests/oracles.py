@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from tweetembed.model import PARAM_FIELDS, ModelParams, forward
-from tweetembed.training import NonFiniteGradientError
+from tweetembed.model import PARAM_FIELDS, ModelParams
+from tweetembed.training import EpochLog, NonFiniteGradientError
 
 PADS = ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")
 
@@ -179,6 +179,16 @@ def oracle_permutation(n: int, seed: int) -> list[int]:
     return idx
 
 
+def oracle_derive_seed(seed: int, stream: int) -> int:
+    """One scalar SplitMix64 step from `seed`, plus stream * GAMMA, in Python ints."""
+    mask = (1 << 64) - 1
+    z = (seed + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    z ^= z >> 31
+    return (z + (stream & mask) * 0x9E3779B97F4A7C15) & mask
+
+
 def oracle_sigmoid(x):
     """Logistic function by boolean masks, each side with its own temporaries."""
     x = np.asarray(x, dtype=np.float64)
@@ -217,27 +227,58 @@ def oracle_adam_step(params, grads, state, cfg):
         getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
 
 
+def oracle_forward(params, contexts):
+    """(merged, ctx_act, logits, probs) for a (B, 4) batch, each row's
+    input built by concatenating its four embedding rows, and every layer
+    as a fresh array through the oracle sigmoid and softmax. The products
+    are (B, .) @ (., .) GEMMs of the library's shapes, so their bits match."""
+    merged = np.array([np.concatenate([params.w_input[i] for i in row]) for row in contexts],
+                      dtype=np.float64).reshape(len(contexts), -1)
+    ctx_act = oracle_sigmoid(merged @ params.w_ctx + params.b_ctx)
+    logits = ctx_act @ params.w_output + params.b_out
+    if params.hyper.sigmoid_logits:
+        logits = oracle_sigmoid(logits)
+    return merged, ctx_act, logits, oracle_softmax(logits)
+
+
+def oracle_nll(params, contexts, targets):
+    """Each row's loss -ln p_target, from the oracle's probabilities, with
+    p_target clamped at 1e-12 (the library's LOSS_FLOOR)."""
+    probs = oracle_forward(params, contexts)[3]
+    return -np.log(np.maximum(probs[np.arange(len(targets)), targets], 1e-12))
+
+
 def oracle_backward(params, contexts, targets):
     """The mean cross-entropy gradient with one fresh array per step, and
     the shared input rows accumulated by `np.add.at` into zeros."""
     batch = targets.shape[0]
-    trace = forward(params, contexts)
-    d_out_pre = trace.probs.copy()
+    merged, ctx_act, logits, probs = oracle_forward(params, contexts)
+    d_out_pre = probs.copy()
     d_out_pre[np.arange(batch), targets] -= 1.0
     d_out_pre = d_out_pre / batch
     if params.hyper.sigmoid_logits:
-        d_out_pre = d_out_pre * trace.logits
-        d_out_pre = d_out_pre * (1.0 - trace.logits)
+        d_out_pre = d_out_pre * logits
+        d_out_pre = d_out_pre * (1.0 - logits)
     d_act = d_out_pre @ params.w_output.T
-    d_ctx_pre = d_act * trace.ctx_act * (1.0 - trace.ctx_act)
+    d_ctx_pre = d_act * ctx_act * (1.0 - ctx_act)
     d_merged = d_ctx_pre @ params.w_ctx.T
     grads = ModelParams(params.hyper)
-    grads.w_output[...] = trace.ctx_act.T @ d_out_pre
+    grads.w_output[...] = ctx_act.T @ d_out_pre
     grads.b_out[...] = d_out_pre.sum(axis=0)
-    grads.w_ctx[...] = trace.merged.T @ d_ctx_pre
+    grads.w_ctx[...] = merged.T @ d_ctx_pre
     grads.b_ctx[...] = d_ctx_pre.sum(axis=0)
     np.add.at(grads.w_input, contexts.ravel(), d_merged.reshape(-1, params.hyper.d_in))
     return grads
+
+
+def read_run_log(path) -> list[EpochLog]:
+    """A run log's lines `epoch<TAB>train<TAB>val<TAB>secs` as EpochLogs."""
+    logs = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            epoch, train_loss, val_loss, secs = line.rstrip("\n").split("\t")
+            logs.append(EpochLog(int(epoch), float(train_loss), float(val_loss), float(secs)))
+    return logs
 
 
 def example_grams(vocab, examples) -> list[tuple[str, ...]]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tweetembed import cli
-from tweetembed.corpus import build_dictionary, count_ngrams, extract_5grams, tokenize_tweet
+from tweetembed.corpus import build_dictionary, count_ngrams
 from tweetembed.dataset import filter_ngrams, select_vocabulary, split_dataset
 from tweetembed.embeddings import export_embeddings
 from tweetembed.evaluation import run_standard_suite
@@ -142,16 +142,13 @@ def test_criterion_2_pipeline_oracle():
 def test_criterion_3_window_count_identity():
     rnd = random.Random(77)
     alphabet = [f"t{i}" for i in range(50)]
-    total_tokens = 0
-    total_windows = 0
-    for _ in range(1000):
-        tweet = " ".join(rnd.choices(alphabet, k=rnd.randint(1, 25)))
-        tokens = tokenize_tweet(tweet)
-        total_tokens += len(tokens)
-        total_windows += len(extract_5grams(tokens))
-    ok = total_windows == total_tokens
+    tweets = [" ".join(rnd.choices(alphabet, k=rnd.randint(1, 25))) for _ in range(1000)]
+    db = count_ngrams(tweets)
+    total_tokens = sum(len(tweet.split()) for tweet in tweets)
+    total_windows = int(db.counts.sum())
+    ok = total_windows == total_tokens == db.total_tokens
     verdict(3, ok, f"{total_windows} windows vs {total_tokens} tokens")
-    assert total_windows == total_tokens
+    assert total_windows == total_tokens == db.total_tokens
 
 
 def test_criterion_4_tuple_counts_grow_with_vocabulary():

@@ -1,0 +1,38 @@
+"""The package holds only what its commands run: every public top-level
+function and class in `src/tweetembed` is used somewhere in the package
+outside its own definition. Helpers that only tests need live in
+`tests/oracles.py`."""
+
+import ast
+from pathlib import Path
+
+import tweetembed
+
+PACKAGE = Path(tweetembed.__file__).parent
+# Entry points called from outside the package.
+ENTRY_POINTS = {"cli.run"}
+
+
+def test_every_public_definition_is_used_in_the_package():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    defined: dict[str, ast.AST] = {}
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and f"{module}.{node.name}" not in ENTRY_POINTS):
+                defined[f"{module}.{node.name}"] = node
+    used: set[str] = set()
+    for module, tree in trees.items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                else:
+                    continue
+                used.update(key for key, definition in defined.items()
+                            if key.endswith("." + name) and definition is not top)
+    assert sorted(set(defined) - used) == []

@@ -19,9 +19,8 @@ from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, mai
 from tweetembed.corpus import read_ngram_db
 from tweetembed.dataset import Vocabulary, read_dataset, vocabulary_hash, write_vocabulary
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
-from tweetembed.training import read_run_log
 
-from oracles import db_records
+from oracles import db_records, read_run_log
 from synth import class_corpus, class_gold, non_ascii_corpus, zipf_corpus
 
 
@@ -410,6 +409,10 @@ class TestExportAndEval:
              "--out", str(report)],
         ):
             assert main([*argv, "--deterministic"]) == EXIT_OK
+        assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == (
+            "d4dfdfcbc0aa574f5cd7ed6cb39f9bcdb5b708fb770683a7e641ee731fe647a5")
+        assert hashlib.sha256((tmp_path / "run_log.tsv").read_bytes()).hexdigest() == (
+            "00c8bb4bfc75f051439de959ecbd9858aa530277603ab589aae945105c75035e")
         reports = json.loads(report.read_text(encoding="utf-8"))["reports"]
         assert hashlib.sha256(json.dumps(reports, sort_keys=True).encode("utf-8")).hexdigest() == (
             "87903d5b4ec9901a9ec7331fc06084937038f3b5b4092a17b6aa4f5dc5fcfa3e")
@@ -576,6 +579,34 @@ def _export_broken_checkpoint(edit_header=lambda header: None, cut=None, tail=b"
     return argv
 
 
+def _colliding(command, *option_pairs):
+    """Case builder: a valid `command` run whose output options (flag,
+    file name) name one file twice; that file must not be written."""
+    def argv(dataset, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("olá mundo\n", encoding="utf-8")
+        emb = tmp_path / "emb.txt"
+        emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", encoding="utf-8")
+        base = {
+            "ingest": ["ingest", corpus],
+            "train": ["train", dataset, "--epochs", "1", "--emb-dim", "8", "--ctx-dim", "8"],
+            "eval": ["eval", emb],
+        }[command]
+        outputs = [arg for flag, name in option_pairs for arg in (flag, tmp_path / name)]
+        return [str(arg) for arg in base + outputs]
+    return argv
+
+
+def _vocab_file(text):
+    """Case builder: export a valid checkpoint with `text` as its vocabulary file."""
+    def argv(dataset, tmp_path):
+        ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+        vocab_path.write_text(text, encoding="utf-8")
+        return ["export", str(ckpt), "--vocab", str(vocab_path),
+                "--out", str(tmp_path / "emb.txt")]
+    return argv
+
+
 def _directory_at(command, option):
     """Case builder: a valid `command` whose `option` path is an existing directory."""
     def argv(dataset, tmp_path):
@@ -676,6 +707,26 @@ MALFORMED_INPUTS = {
     "train --out-checkpoint is a directory": (_directory_at("train", "--out-checkpoint"),
                                               "Is a directory"),
     "grid --classes is a directory": (_directory_at("grid", "--classes"), "Is a directory"),
+    "eval --out report.txt, the text table's own path": (
+        _colliding("eval", ("--out", "report.txt")), "name the same file"),
+    "ingest --out-db and --out-dict naming one file": (
+        _colliding("ingest", ("--out-db", "x"), ("--out-dict", "x")), "name the same file"),
+    "train --out-checkpoint and --out-log naming one file": (
+        _colliding("train", ("--out-checkpoint", "m"), ("--out-log", "m")),
+        "name the same file"),
+    "train --out-log at the checkpoint's manifest": (
+        _colliding("train", ("--out-checkpoint", "m"), ("--out-log", "m.manifest.json")),
+        "name the same file"),
+    "export --vocab line without a tab": (_vocab_file("a1\t0\na2\n"),
+                                          "vocab.tsv:2: expected 2 tab-separated fields, got 1"),
+    "export --vocab id out of order": (_vocab_file("a1\t0\na2\t2\n"),
+                                       "vocab.tsv:2: expected id 1, got '2'"),
+    "export --vocab id in non-ASCII digits": (_vocab_file("a1\t0\na2\t\u0661\n"),
+                                              "vocab.tsv:2: expected id 1, got '\u0661'"),
+    "export --vocab id with a plus sign": (_vocab_file("a1\t+0\n"),
+                                           "vocab.tsv:1: expected id 0, got '+0'"),
+    "export --vocab repeating a word": (_vocab_file("a1\t0\na2\t1\na1\t2\n"),
+                                        "vocab.tsv:3: word 'a1' is listed twice"),
     "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
                                       "repeated 5-gram"),
     "5-gram DB counts not summing to #total_tokens": (
@@ -693,10 +744,14 @@ MALFORMED_INPUTS = {
 @pytest.mark.parametrize("case", list(MALFORMED_INPUTS))
 def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_path, capsys):
     build_argv, message = MALFORMED_INPUTS[case]
-    assert main(build_argv(prepared_dataset, tmp_path)) == EXIT_INPUT
+    argv = build_argv(prepared_dataset, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
+    if message == "name the same file":
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")

@@ -22,15 +22,14 @@ from tweetembed.corpus import (
     _distinct_rows,
     build_dictionary,
     count_ngrams,
-    extract_5grams,
     read_ngram_db,
-    tokenize_tweet,
     write_dictionary,
     write_ngram_db,
 )
 from tweetembed.dataset import filter_ngrams, select_vocabulary
 
-from oracles import db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter
+from oracles import (db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter,
+                     oracle_tokenize, oracle_windows)
 from synth import NON_ASCII_TOKENS
 
 tweet_text = st.text(
@@ -39,40 +38,52 @@ tweet_text = st.text(
 )
 
 
+def grams(text):
+    """The 5-gram counts `count_ngrams` finds in one tweet."""
+    return db_records(count_ngrams([text]))
+
+
+def windows(tokens):
+    """The padded windows of an already tokenized tweet, as counts."""
+    return dict(collections.Counter(oracle_windows(tokens)))
+
+
 class TestTokenize:
+    # A tweet's windows chain its tokens in order, so comparing windows
+    # compares the token sequence count_ngrams sees.
     def test_handles_and_links_are_masked(self):
-        assert tokenize_tweet("Olá @joao veja http://abc.pt") == [
-            "olá", "T_HANDLE", "veja", "LINK",
-        ]
+        assert grams("Olá @joao veja http://abc.pt") == windows(
+            ["olá", "T_HANDLE", "veja", "LINK"])
 
     def test_empty_input(self):
-        assert tokenize_tweet("") == []
-        assert tokenize_tweet("   \t  ") == []
+        for text in ("", "   \t  "):
+            db = count_ngrams([text])
+            assert (len(db.records), db.total_tweets, db.total_tokens) == (0, 0, 0)
 
     def test_downcasing_keeps_punctuation_attached(self):
-        assert tokenize_tweet("Ronaldo! RONALDO!") == ["ronaldo!", "ronaldo!"]
+        assert grams("Ronaldo! RONALDO!") == windows(["ronaldo!", "ronaldo!"])
 
     def test_bare_at_sign_is_not_a_handle(self):
-        assert tokenize_tweet("@ @x") == ["@", HANDLE_TOKEN]
+        assert grams("@ @x") == windows(["@", HANDLE_TOKEN])
 
     def test_link_detection_is_case_insensitive(self):
-        assert tokenize_tweet("HTTP://ABC.PT https://x HtTpS://y") == [
-            LINK_TOKEN, LINK_TOKEN, LINK_TOKEN,
-        ]
+        assert grams("HTTP://ABC.PT https://x HtTpS://y") == windows([LINK_TOKEN] * 3)
         # prefix rule only; other schemes are plain tokens
-        assert tokenize_tweet("ftp://x httpx") == ["ftp://x", "httpx"]
+        assert grams("ftp://x httpx") == windows(["ftp://x", "httpx"])
 
     def test_placeholders_pass_through_verbatim(self):
-        assert tokenize_tweet("T_HANDLE LINK") == [HANDLE_TOKEN, LINK_TOKEN]
+        assert grams("T_HANDLE LINK") == windows([HANDLE_TOKEN, LINK_TOKEN])
 
     @given(tweet_text)
     def test_idempotent_on_own_output(self, text):
-        tokens = tokenize_tweet(text)
-        assert tokenize_tweet(" ".join(tokens)) == tokens
+        tokens = oracle_tokenize(text)
+        assert grams(text) == windows(tokens)
+        assert grams(" ".join(tokens)) == windows(tokens)
 
     @given(tweet_text)
     def test_tokens_have_no_whitespace(self, text):
-        for token in tokenize_tweet(text):
+        db = count_ngrams([text])
+        for token in db.types:
             assert token
             assert not any(ch.isspace() for ch in token)
 
@@ -91,30 +102,37 @@ token_lists = st.lists(
 
 
 class TestExtract5Grams:
+    """The padded windows count_ngrams extracts from one tweet."""
+
     def test_single_token_fully_padded(self):
-        assert extract_5grams(["a"]) == [(PAD_L1, PAD_L2, "a", PAD_R1, PAD_R2)]
+        assert grams("a") == {(PAD_L1, PAD_L2, "a", PAD_R1, PAD_R2): 1}
 
     def test_three_tokens(self):
-        grams = extract_5grams(["a", "b", "c"])
-        assert len(grams) == 3
-        assert grams[1] == (PAD_L2, "a", "b", "c", PAD_R1)
+        found = grams("a b c")
+        assert len(found) == 3
+        assert found[(PAD_L2, "a", "b", "c", PAD_R1)] == 1
 
     def test_twelve_tokens_give_twelve_windows(self):
-        tokens = [f"t{i}" for i in range(12)]
-        assert len(extract_5grams(tokens)) == 12
+        db = count_ngrams([" ".join(f"t{i}" for i in range(12))])
+        assert len(db.records) == db.total_tokens == 12
 
     def test_empty(self):
-        assert extract_5grams([]) == []
+        db = count_ngrams([])
+        assert (len(db.records), db.total_tweets, db.total_tokens) == (0, 0, 0)
 
     @given(token_lists)
     def test_one_window_per_token_and_centers_reproduce_tweet(self, tokens):
-        grams = extract_5grams(tokens)
-        assert len(grams) == len(tokens)
-        assert [g[2] for g in grams] == list(tokens)
+        tokens = oracle_tokenize(" ".join(tokens))
+        db = count_ngrams([" ".join(tokens)])
+        assert db.total_tokens == len(tokens) == sum(db_records(db).values())
+        centers = collections.Counter()
+        for gram, count in db_records(db).items():
+            centers[gram[2]] += count
+        assert centers == collections.Counter(tokens)
 
     @given(token_lists)
     def test_boundary_tokens_never_centers(self, tokens):
-        for gram in extract_5grams(tokens):
+        for gram in grams(" ".join(tokens)):
             assert gram[2] not in BOUNDARY_TOKENS
 
 
@@ -166,7 +184,7 @@ class TestCountNGrams:
         tweets = [" ".join(words[i : i + 6]) for i in range(0, len(words), 6)]
         tweets += [" ".join(rnd.choices(words, k=6)) for _ in range(2000)]
         db = count_ngrams(tweets)
-        expected = collections.Counter(g for t in tweets for g in extract_5grams(t.split()))
+        expected = collections.Counter(g for t in tweets for g in oracle_windows(t.split()))
         assert len(db.types) == 33004
         assert list(db_records(db).items()) == sorted(expected.items())
 

@@ -16,9 +16,10 @@ from tweetembed.dataset import (
     write_dataset,
     write_vocabulary,
 )
-from tweetembed.rng import permutation
+from tweetembed.rng import derive_seed, permutation
 
-from oracles import db_records, example_grams, oracle_filter, oracle_permutation
+from oracles import (db_records, example_grams, oracle_derive_seed, oracle_filter,
+                     oracle_permutation)
 
 
 def small_dictionary():
@@ -182,7 +183,14 @@ class TestPermutation:
     @pytest.mark.parametrize("n", [0, 1, 2, 13190])
     def test_matches_scalar_splitmix_oracle(self, n):
         for seed in (0, 1, 13, 2**63 + 7, 2**64 - 5):
-            assert permutation(n, seed) == oracle_permutation(n, seed)
+            got = permutation(n, seed)
+            assert got.dtype == np.int64
+            assert got.tolist() == oracle_permutation(n, seed)
+
+    def test_derive_seed_matches_scalar_splitmix_oracle(self):
+        for seed in (0, -1, 13, 2**63 + 7, 2**64 - 5):
+            for stream in (0, 1, 40, 2**64 - 1):
+                assert derive_seed(seed, stream) == oracle_derive_seed(seed, stream)
 
 
 class TestFiles:

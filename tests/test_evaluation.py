@@ -346,6 +346,8 @@ class TestReportFiles:
         loaded_manifest, loaded = read_report(json_path)
         assert loaded_manifest == manifest
         assert loaded == reports
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == (
+            format_report_table(reports))
 
     def test_text_table_alignment(self, tmp_path):
         reports = self.make_reports()
@@ -357,7 +359,7 @@ class TestReportFiles:
 
     def test_empty_reports_keep_manifest(self, tmp_path):
         json_path = tmp_path / "report.json"
-        emit_report([], {"note": "nothing ran"}, json_path)
+        emit_report([], {"note": "nothing ran"}, json_path, tmp_path / "report.txt")
         manifest, reports = read_report(json_path)
         assert manifest == {"note": "nothing ran"}
         assert reports == []
@@ -365,14 +367,14 @@ class TestReportFiles:
     def test_single_report_single_row(self, tmp_path):
         report = self.make_reports()[0]
         json_path = tmp_path / "report.json"
-        emit_report([report], {}, json_path)
+        emit_report([report], {}, json_path, tmp_path / "report.txt")
         _, loaded = read_report(json_path)
         assert loaded == [report]
 
     def test_undefined_score_round_trips(self, tmp_path):
         report = EvalReport("word_equivalence", 0.85, 0.0, 0, 0, None, 0)
         json_path = tmp_path / "report.json"
-        emit_report([report], {}, json_path)
+        emit_report([report], {}, json_path, tmp_path / "report.txt")
         _, loaded = read_report(json_path)
         assert loaded[0].score is None
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import tweetembed.model
 from tweetembed.model import (
     CHECKPOINT_MAGIC,
     LOSS_FLOOR,
@@ -11,9 +12,7 @@ from tweetembed.model import (
     ModelHyper,
     ModelParams,
     backward_arrays,
-    cross_entropy,
     evaluate,
-    forward,
     init_params,
     load_checkpoint,
     param_count,
@@ -22,7 +21,7 @@ from tweetembed.model import (
     softmax,
 )
 
-from oracles import oracle_backward, oracle_sigmoid, oracle_softmax
+from oracles import oracle_backward, oracle_nll, oracle_sigmoid, oracle_softmax
 
 
 def tiny_hyper(**kwargs):
@@ -109,45 +108,47 @@ class TestFlatLayout:
                 ModelParams(hyper, flat)
 
 
+def losses(params, context):
+    """evaluate's loss for `context` with every target in turn, i.e. -ln p over |V|."""
+    n = params.hyper.vocab_size
+    return np.array([evaluate(params, one(context), np.array([t])) for t in range(n)])
+
+
 class TestForward:
     def test_zero_weights_give_uniform_distribution(self):
         params = zero_params(tiny_hyper())
-        trace = forward(params, one((0, 1, 2, 3)))
-        np.testing.assert_allclose(trace.probs[0], np.full(8, 1 / 8), atol=1e-12)
+        np.testing.assert_allclose(losses(params, (0, 1, 2, 3)), math.log(8), atol=1e-12)
 
     def test_probabilities_normalize(self):
         params = init_params(tiny_hyper(vocab_size=50, d_in=6, d_ctx=5), seed=9)
-        trace = forward(params, one((3, 1, 53, 52)))
-        assert abs(trace.probs.sum() - 1.0) < 1e-6
-        assert np.all(trace.probs > 0) and np.all(trace.probs < 1)
-        assert np.all(trace.ctx_act > 0) and np.all(trace.ctx_act < 1)
+        nll = losses(params, (3, 1, 53, 52))
+        assert abs(np.exp(-nll).sum() - 1.0) < 1e-6
+        assert np.all(nll > 0) and np.all(np.isfinite(nll))
 
     def test_concatenation_is_order_sensitive(self):
         params = init_params(tiny_hyper(), seed=4)
-        a = forward(params, one((0, 1, 2, 3)))
-        b = forward(params, one((3, 2, 1, 0)))
-        assert not np.array_equal(a.merged, b.merged)
-        c = forward(params, one((5, 5, 5, 5)))
-        d = forward(params, one((5, 5, 5, 5)))
-        np.testing.assert_array_equal(c.merged, d.merged)
+        assert not np.array_equal(losses(params, (0, 1, 2, 3)), losses(params, (3, 2, 1, 0)))
+        np.testing.assert_array_equal(losses(params, (5, 5, 5, 5)), losses(params, (5, 5, 5, 5)))
 
     def test_merged_concatenates_in_context_order(self):
+        # The oracle concatenates the four embedding rows in context order.
         params = init_params(tiny_hyper(), seed=4)
-        trace = forward(params, one((7, 2, 0, 11)))
-        expected = np.concatenate([params.w_input[i] for i in (7, 2, 0, 11)])
-        np.testing.assert_array_equal(trace.merged[0], expected)
+        targets = np.arange(8)
+        expected = oracle_nll(params, np.tile([7, 2, 0, 11], (8, 1)), targets)
+        np.testing.assert_allclose(losses(params, (7, 2, 0, 11)), expected, rtol=1e-12)
+        assert not np.allclose(losses(params, (11, 0, 2, 7)), expected)
 
     def test_deterministic(self):
         params = init_params(tiny_hyper(), seed=4)
-        a = forward(params, one((1, 2, 3, 4)))
-        b = forward(params, one((1, 2, 3, 4)))
-        np.testing.assert_array_equal(a.probs, b.probs)
+        np.testing.assert_array_equal(losses(params, (1, 2, 3, 4)), losses(params, (1, 2, 3, 4)))
 
     def test_sigmoid_logits_mode_bounds_logits(self):
+        # Each loss is logsumexp(logits) - logit_target, so the losses span
+        # exactly the logits' range, which the sigmoid keeps inside (0, 1).
         params = init_params(tiny_hyper(sigmoid_logits=True), seed=4)
-        trace = forward(params, one((0, 1, 2, 3)))
-        assert np.all(trace.logits > 0) and np.all(trace.logits < 1)
-        assert abs(trace.probs.sum() - 1.0) < 1e-6
+        nll = losses(params, (0, 1, 2, 3))
+        assert np.ptp(nll) < 1.0
+        assert abs(np.exp(-nll).sum() - 1.0) < 1e-6
 
 
 class TestSoftmaxAndLoss:
@@ -176,20 +177,23 @@ class TestSoftmaxAndLoss:
             assert np.array_equal(sigmoid(x), oracle_sigmoid(x), equal_nan=True)
 
     def test_uniform_loss_is_log_vocab(self):
-        probs = np.full((1, 2048), 1 / 2048)
-        assert cross_entropy(probs, np.array([17])) == pytest.approx(math.log(2048), abs=1e-9)
-        assert cross_entropy(probs, np.array([17])) == pytest.approx(7.6246, abs=1e-4)
+        params = zero_params(tiny_hyper(vocab_size=2048))
+        loss = evaluate(params, one((0, 1, 2, 3)), np.array([17]))
+        assert loss == pytest.approx(math.log(2048), abs=1e-9)
+        assert loss == pytest.approx(7.6246, abs=1e-4)
 
     def test_certain_prediction_has_zero_loss(self):
-        probs = np.zeros((1, 4))
-        probs[0, 2] = 1.0
-        assert cross_entropy(probs, np.array([2])) == 0.0
+        params = zero_params(tiny_hyper(vocab_size=4))
+        params.b_out[2] = 1e3
+        assert evaluate(params, one((0, 1, 2, 3)), np.array([2])) == 0.0
 
     def test_zero_probability_clamped(self, caplog):
-        probs = np.zeros((1, 4))
-        probs[0, 0] = 1.0
-        assert cross_entropy(probs, np.array([3])) == pytest.approx(-math.log(LOSS_FLOOR))
-        assert "1 target probabilities clamped" in caplog.text
+        params = zero_params(tiny_hyper(vocab_size=4))
+        params.b_out[3] = -1e3
+        loss = evaluate(params, one((0, 1, 2, 3)), np.array([3]))
+        assert loss == MAX_NLL == pytest.approx(-math.log(LOSS_FLOOR))
+        assert [r.getMessage() for r in caplog.records] == [
+            "1 target probabilities clamped to 1e-12 before log"]
 
 
 def numeric_gradient(params, batch, name, h=1e-4):
@@ -303,37 +307,39 @@ class TestBackward:
     def test_small_step_reduces_single_example_loss(self):
         params = init_params(tiny_hyper(), seed=8)
         contexts, targets = one((1, 2, 3, 4)), np.array([5])
-        before = cross_entropy(forward(params, contexts).probs, targets)
+        before = evaluate(params, contexts, targets)
         grads = backward_arrays(params, contexts, targets)
         step = 0.05  # well below the quadratic-approximation breakdown here
         for name in PARAM_FIELDS:
             getattr(params, name)[...] -= step * getattr(grads, name)
-        after = cross_entropy(forward(params, contexts).probs, targets)
+        after = evaluate(params, contexts, targets)
         assert after < before
 
 
 class TestEvaluate:
-    def test_matches_per_example_mean(self, caplog):
-        # batch_size None is the |V|-derived block (all 23 rows in one); 5 and
-        # 4 leave a short last block. The clamped case pins one target's logit
-        # far below the rest, so every row with that target, in several
-        # blocks, hits LOSS_FLOOR, and evaluate still warns once.
+    def test_matches_per_example_mean(self, caplog, monkeypatch):
+        # The default block holds all 23 rows; blocks of 50 and 40 logits
+        # hold 5 and 4 rows and leave a short last block. The clamped case
+        # pins one target's logit far below the rest, so every row with that
+        # target, in several blocks, hits LOSS_FLOOR, and evaluate still
+        # warns once.
         rng = np.random.default_rng(7)
+        default_block = tweetembed.model.EVAL_BLOCK_LOGITS
         for sigmoid_logits, clamped in ((False, False), (True, False), (False, True)):
             hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3, sigmoid_logits=sigmoid_logits)
             params = init_params(hyper, seed=1)
             contexts, targets = random_batch(rng, hyper, 23)
             if clamped:
                 params.b_out[targets[0]] = -100.0
-            expected = np.mean([cross_entropy(forward(params, contexts[i:i + 1]).probs,
-                                              targets[i:i + 1]) for i in range(23)])
+            expected = np.mean(oracle_nll(params, contexts, targets))
             n_clamped = int((targets == targets[0]).sum())
             if clamped:
                 assert n_clamped > 1 and expected > n_clamped * MAX_NLL / 23
-            for batch_size in (None, 5, 4):
+            for block_logits in (default_block, 50, 40):
+                monkeypatch.setattr(tweetembed.model, "EVAL_BLOCK_LOGITS", block_logits)
                 caplog.clear()
-                got = evaluate(params, contexts, targets, batch_size=batch_size)
-                assert abs(got - expected) <= 1e-12 * expected, (sigmoid_logits, batch_size)
+                got = evaluate(params, contexts, targets)
+                assert abs(got - expected) <= 1e-12 * expected, (sigmoid_logits, block_logits)
                 warnings = [r.getMessage() for r in caplog.records]
                 assert warnings == (
                     [f"{n_clamped} target probabilities clamped to 1e-12 before log"]

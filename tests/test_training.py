@@ -31,12 +31,11 @@ from tweetembed.training import (
     TrainConfig,
     TrainingDiverged,
     adam_step,
-    read_run_log,
     train,
     write_run_log,
 )
 
-from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax
+from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax, read_run_log
 from synth import zipf_corpus
 
 
