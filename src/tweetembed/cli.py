@@ -13,7 +13,6 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -57,12 +56,13 @@ from .evaluation import (
 from .manifest import atomic_write, build_manifest, file_sha256, write_manifest
 from .model import ModelHyper, ModelParams, load_checkpoint
 from .training import (
-    EpochLog,
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     NonFiniteGradientError,
     TrainConfig,
     TrainingDiverged,
     train,
-    write_run_log,
 )
 
 EXIT_OK = 0
@@ -101,7 +101,8 @@ def _check_distinct(*outputs: Path) -> None:
 
 # Stage functions, shared by the stage commands and `grid`: each takes its
 # in-memory inputs, the parsed flags and its output paths, writes the stage's
-# files and returns its result with its manifest config.
+# files and returns its result with its manifest config. The train stage is
+# `train` itself, with the settings from `train_settings`.
 
 
 def ingest_stage(lines: list[str], db_path: Path,
@@ -141,47 +142,27 @@ def dataset_stage(examples: np.ndarray, vocab: Vocabulary, fraction: float,
     }
 
 
-def train_stage(split: DatasetSplit, vocab_size: int, vocab_hash: str,
-                args: argparse.Namespace, checkpoint_path: Path, log_path: Path,
-                on_start: Callable[[dict], None] | None = None,
-                on_epoch: Callable[[EpochLog], None] | None = None,
-                ) -> tuple[ModelParams, list[EpochLog], dict]:
-    """Train, rewriting the run log after every epoch.
-
-    `on_start` receives the config before the first epoch, so a run that
-    diverges still leaves its manifest behind.
-    """
+def train_settings(args: argparse.Namespace,
+                   vocab_size: int) -> tuple[ModelHyper, TrainConfig, dict]:
+    """The model and training settings the flags give, and their manifest config."""
     hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim,
                        sigmoid_logits=args.sigmoid_logits)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, seed=args.seed,
                       deterministic=args.deterministic)
-    config = {
+    return hyper, cfg, {
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "learning_rate": cfg.learning_rate,
-        "beta1": cfg.beta1,
-        "beta2": cfg.beta2,
-        "epsilon": cfg.epsilon,
+        "beta1": ADAM_BETA1,
+        "beta2": ADAM_BETA2,
+        "epsilon": ADAM_EPSILON,
         "seed": cfg.seed,
         "emb_dim": hyper.d_in,
         "ctx_dim": hyper.d_ctx,
         "sigmoid_logits": hyper.sigmoid_logits,
         "vocab_size": hyper.vocab_size,
     }
-    if on_start is not None:
-        on_start(config)
-    logs: list[EpochLog] = []
-
-    def record(entry: EpochLog) -> None:
-        logs.append(entry)
-        write_run_log(logs, log_path)
-        if on_epoch is not None:
-            on_epoch(entry)
-
-    params, _ = train(split, hyper, cfg, checkpoint_path=checkpoint_path,
-                      vocab_hash=vocab_hash, on_epoch=record)
-    return params, logs, config
 
 
 def export_stage(params: ModelParams, vocab: Vocabulary, checkpoint_path: Path,
@@ -254,18 +235,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest_path = checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json")
     _check_distinct(checkpoint_path, log_path, manifest_path)
     split, meta = read_dataset(dataset_path)
-
-    def write_config(config: dict) -> None:
-        manifest = build_manifest("train", {**config, "out_checkpoint": str(checkpoint_path)},
-                                  {"dataset": dataset_path}, args.deterministic)
-        write_manifest(manifest, manifest_path)
-
-    def live(entry: EpochLog) -> None:
-        print(entry.line(), end="")
-
-    _, logs, _ = train_stage(split, meta["vocab_size"], meta["vocab_hash"], args,
-                             checkpoint_path, log_path,
-                             on_start=write_config, on_epoch=live)
+    hyper, cfg, config = train_settings(args, meta["vocab_size"])
+    # Written first, so a run that diverges still leaves its manifest behind.
+    manifest = build_manifest("train", {**config, "out_checkpoint": str(checkpoint_path)},
+                              {"dataset": dataset_path}, args.deterministic)
+    write_manifest(manifest, manifest_path)
+    _, logs = train(split, hyper, cfg, checkpoint_path, log_path, meta["vocab_hash"],
+                    on_epoch=lambda entry: print(entry.line(), end=""))
     total = sum(entry.wall_seconds for entry in logs)
     print(f"avg secs/epoch: {total / len(logs):.3f}")
     print(f"total secs: {total:.3f}")
@@ -280,7 +256,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     _check_distinct(out_path, out_path.with_suffix(out_path.suffix + ".bin"), manifest_path)
     params, header = load_checkpoint(checkpoint_path)
     vocab = read_vocabulary(vocab_path)
-    if header.get("vocab_hash") and header["vocab_hash"] != vocabulary_hash(vocab):
+    if header["vocab_hash"] != vocabulary_hash(vocab):
         raise InputError(
             f"vocabulary/checkpoint mismatch: {vocab_path} does not hash to "
             f"the vocabulary this checkpoint was trained on"
@@ -347,9 +323,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
             cell.mkdir(exist_ok=True)
             split, dataset_config = dataset_stage(examples, vocab, fraction, args,
                                                   cell / "dataset.tsv", cell / "vocab.tsv")
-            params, logs, train_config = train_stage(split, vocab.size, vocabulary_hash(vocab),
-                                                     args, cell / "model.ckpt",
-                                                     cell / "run_log.tsv")
+            hyper, cfg, train_config = train_settings(args, vocab.size)
+            params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
+                                 vocabulary_hash(vocab))
             table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
                                                 cell / "embeddings.txt")
             reports, eval_config = eval_stage(table, classes, pairs, args)

@@ -100,12 +100,13 @@ class TestReport:
 
 
 def _read_tab_pairs(path: Path) -> list[tuple[str, str]]:
-    """The two tab-separated fields of each line; blank and '#' lines skipped."""
+    """The two tab-separated fields of each line. Blank lines and lines that
+    start with '# ' are comments, so a hashtag line such as '#ff' is data."""
     out: list[tuple[str, str]] = []
     with path.open("r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
-            if not line or line.startswith("#"):
+            if not line or line.startswith("# "):
                 continue
             fields = line.split("\t")
             if len(fields) != 2:
@@ -116,7 +117,7 @@ def _read_tab_pairs(path: Path) -> list[tuple[str, str]]:
 
 
 def load_gold_classes(path: Path | str) -> list[GoldClass]:
-    """TSV `class_name<TAB>word`, one membership per line; '#' comments
+    """TSV `class_name<TAB>word`, one membership per line; '# ' comments
     allowed. Words get the same normalization as the corpus pipeline."""
     ordered: dict[str, list[str]] = {}
     for name, word in _read_tab_pairs(Path(path)):
@@ -128,7 +129,7 @@ def load_gold_classes(path: Path | str) -> list[GoldClass]:
 
 
 def load_equivalence_pairs(path: Path | str) -> list[EquivalencePair]:
-    """TSV `left<TAB>right`; '#' comments allowed."""
+    """TSV `left<TAB>right`; '# ' comments allowed."""
     return [EquivalencePair(normalize_token(left.strip()), normalize_token(right.strip()))
             for left, right in _read_tab_pairs(Path(path))]
 

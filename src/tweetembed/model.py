@@ -269,8 +269,7 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray,
     return grads
 
 
-def save_checkpoint(params: ModelParams, path: Path | str, seed: int,
-                    vocab_hash: str = "") -> None:
+def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash: str) -> None:
     """Versioned binary checkpoint.
 
     Layout: 8-byte magic "EMBCKPT1"; little-endian uint32 header length;

@@ -29,6 +29,10 @@ from .rng import derive_seed, permutation
 # `adam_step` works on slices of this many values: 256 KB per float64
 # vector, so the six vectors it touches fit a 2 MB L2 cache together.
 ADAM_BLOCK = 2 ** 15
+# Adam's moment decay rates and denominator guard; the manifest records them.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -36,9 +40,6 @@ class TrainConfig:
     epochs: int = 40
     batch_size: int = 256
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     seed: int = 13
     deterministic: bool = False
 
@@ -109,26 +110,26 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
                     if not np.all(np.isfinite(getattr(grads, name))))
         raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
     state.t = t
-    m_scale = 1.0 - cfg.beta1 ** t
-    v_scale = 1.0 - cfg.beta2 ** t
+    m_scale = 1.0 - ADAM_BETA1 ** t
+    v_scale = 1.0 - ADAM_BETA2 ** t
     step_buf = np.empty(min(g.size, ADAM_BLOCK))
     denom_buf = np.empty_like(step_buf)
     for start in range(0, g.size, ADAM_BLOCK):
         part = slice(start, start + ADAM_BLOCK)
         g_part, m, v = g[part], state.m.flat[part], state.v.flat[part]
         step, denom = step_buf[:g_part.size], denom_buf[:g_part.size]
-        np.multiply(g_part, 1.0 - cfg.beta1, out=step)  # (1 - b1) g
-        m *= cfg.beta1
+        np.multiply(g_part, 1.0 - ADAM_BETA1, out=step)  # (1 - b1) g
+        m *= ADAM_BETA1
         m += step
         np.multiply(g_part, g_part, out=step)            # (1 - b2) g^2
-        step *= 1.0 - cfg.beta2
-        v *= cfg.beta2
+        step *= 1.0 - ADAM_BETA2
+        v *= ADAM_BETA2
         v += step
         np.divide(m, m_scale, out=step)                  # lr * m_hat
         step *= cfg.learning_rate
         np.divide(v, v_scale, out=denom)                 # sqrt(v_hat) + eps
         np.sqrt(denom, out=denom)
-        denom += cfg.epsilon
+        denom += ADAM_EPSILON
         step /= denom
         params.flat[part] -= step
 
@@ -149,19 +150,20 @@ def _check_fits_in_memory(hyper: ModelHyper) -> None:
 
 
 def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
-          checkpoint_path: Path | str | None = None, vocab_hash: str = "",
+          checkpoint_path: Path | str, log_path: Path | str, vocab_hash: str,
           on_epoch: Callable[[EpochLog], None] | None = None,
           ) -> tuple[ModelParams, list[EpochLog]]:
-    """Full training loop.
+    """Full training loop; the one writer of a run's per-epoch files.
 
     Per epoch: reshuffle the train examples with a seed derived from
     (cfg.seed, epoch), apply Adam over mini-batches, then evaluate mean
     cross entropy on the full train and validation sets and emit an
-    EpochLog. A checkpoint is written after every successful epoch; on
+    EpochLog. After every good epoch it writes the checkpoint (with
+    `vocab_hash`), then the run log so far, then calls `on_epoch`; on
     divergence (train loss non-finite or above 10 ln|V|, ten times the
     loss of a uniform prediction, which a fresh model is close to)
-    training aborts and the last good checkpoint stays on disk. With
-    cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
+    training aborts and the last good checkpoint and log stay on disk.
+    With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible. A model larger than physical memory is a
     MemoryError before anything is allocated.
     """
@@ -195,8 +197,8 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
             )
         entry = EpochLog(epoch, train_loss, val_loss, wall)
         logs.append(entry)
-        if checkpoint_path is not None:
-            save_checkpoint(params, checkpoint_path, cfg.seed, vocab_hash)
+        save_checkpoint(params, checkpoint_path, cfg.seed, vocab_hash)
+        write_run_log(logs, log_path)
         if on_epoch is not None:
             on_epoch(entry)
     return params, logs

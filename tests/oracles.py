@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from tweetembed.model import PARAM_FIELDS, ModelParams
-from tweetembed.training import EpochLog, NonFiniteGradientError
+from tweetembed.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EpochLog,
+                                 NonFiniteGradientError)
 
 PADS = ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")
 
@@ -218,13 +219,13 @@ def oracle_adam_step(params, grads, state, cfg):
             raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
-        m *= cfg.beta1
-        m += (1.0 - cfg.beta1) * g
-        v *= cfg.beta2
-        v += (1.0 - cfg.beta2) * (g * g)
-        m_hat = m / (1.0 - cfg.beta1 ** t)
-        v_hat = v / (1.0 - cfg.beta2 ** t)
-        getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = v / (1.0 - ADAM_BETA2 ** t)
+        getattr(params, name)[...] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def oracle_forward(params, contexts):

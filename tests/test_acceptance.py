@@ -53,13 +53,14 @@ def class_tuples():
 
 
 @pytest.fixture(scope="module")
-def full_run(class_tuples):
+def full_run(class_tuples, tmp_path_factory):
     _, tuples = class_tuples
     split = split_dataset(tuples, validation_ratio=0.1, fraction=1.0, seed=13)
     hyper = ModelHyper(**HYPER)
     cfg = TrainConfig(batch_size=64, **FULL_CFG)
+    out = tmp_path_factory.mktemp("full_run")
     started = time.perf_counter()
-    params, logs = train(split, hyper, cfg)
+    params, logs = train(split, hyper, cfg, out / "model.ckpt", out / "run_log.tsv", "")
     elapsed = time.perf_counter() - started
     return split, params, logs, elapsed
 
@@ -182,13 +183,14 @@ def test_criterion_5_learning_sanity(full_run):
     assert time_ok
 
 
-def test_criterion_6_overfitting_reproduction(class_tuples, full_run):
+def test_criterion_6_overfitting_reproduction(class_tuples, full_run, tmp_path):
     _, tuples = class_tuples
     # fraction run: batch scaled with the data so each epoch makes a
     # comparable number of optimizer steps; data volume is the only variable
     frac_split = split_dataset(tuples, validation_ratio=0.1, fraction=0.1, seed=13)
     frac_cfg = TrainConfig(batch_size=6, **FULL_CFG)
-    _, frac_logs = train(frac_split, ModelHyper(**HYPER), frac_cfg)
+    _, frac_logs = train(frac_split, ModelHyper(**HYPER), frac_cfg, tmp_path / "model.ckpt",
+                         tmp_path / "run_log.tsv", "")
 
     frac_vals = [e.validation_loss for e in frac_logs]
     frac_trains = [e.train_loss for e in frac_logs]
@@ -278,7 +280,7 @@ def test_criterion_8_grid_determinism(tmp_path):
     assert not diffs
 
 
-def test_criterion_9_throughput_scaling_shape():
+def test_criterion_9_throughput_scaling_shape(tmp_path):
     tweets = zipf_corpus(10000, seed=7, vocab_types=3000, alpha=1.0)
     db = count_ngrams(tweets)
     dictionary = build_dictionary(db)
@@ -299,7 +301,8 @@ def test_criterion_9_throughput_scaling_shape():
     epoch_secs = {cell: math.inf for cell in cells}
     for _ in range(3):
         for cell, (split, hyper) in cells.items():
-            _, logs = train(split, hyper, cfg)
+            _, logs = train(split, hyper, cfg, tmp_path / "model.ckpt",
+                            tmp_path / "run_log.tsv", "")
             epoch_secs[cell] = min(epoch_secs[cell], logs[0].wall_seconds)
 
     monotone_in_fraction = all(

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
 from tweetembed.corpus import read_ngram_db
-from tweetembed.dataset import Vocabulary, read_dataset, vocabulary_hash, write_vocabulary
+from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
+                                write_vocabulary)
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
 
 from oracles import db_records, read_run_log
@@ -250,6 +251,39 @@ class TestTrain:
                              "--learning-rate", "1000.0")
         assert rc == EXIT_DIVERGED
         assert "error" in capsys.readouterr().err
+
+    # At learning rate 1000 the run diverges in epoch 1; at 10 with batch 16,
+    # in epoch 2, after one checkpoint.
+    @pytest.mark.parametrize("learning_rate,batch_size", [(1000.0, 256), (10.0, 16)])
+    def test_diverged_run_leaves_a_consistent_record(self, learning_rate, batch_size,
+                                                      prepared_dataset, tmp_path, capsys):
+        # The manifest is written before the first epoch; the run log lists
+        # the epochs that finished, and the checkpoint is the last of them.
+        flags = ["--emb-dim", "8", "--ctx-dim", "8", "--learning-rate", str(learning_rate),
+                 "--batch-size", str(batch_size), "--deterministic"]
+        rc, ckpt, log = train_cmd(prepared_dataset, tmp_path, "--epochs", "10", *flags)
+        assert rc == EXIT_DIVERGED
+        out, err = capsys.readouterr()
+        diverged_at = int(re.search(r"at epoch (\d+)", err).group(1))
+        manifest = json.loads(ckpt.with_suffix(".ckpt.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["subcommand"] == "train"
+        assert manifest["config"] == {
+            "epochs": 10, "batch_size": batch_size, "learning_rate": learning_rate, "beta1": 0.9,
+            "beta2": 0.999, "epsilon": 1e-8, "seed": 13, "emb_dim": 8, "ctx_dim": 8,
+            "sigmoid_logits": False, "vocab_size": 6, "out_checkpoint": str(ckpt)}
+        finished = log.read_text(encoding="utf-8") if log.exists() else ""
+        assert finished == "".join(line + "\n" for line in out.splitlines()
+                                   if line[:1].isdigit())
+        epochs = [e.epoch for e in read_run_log(log)] if finished else []
+        assert epochs == list(range(1, diverged_at))
+        if ckpt.exists():
+            clean = tmp_path / "clean"
+            clean.mkdir()
+            rc, clean_ckpt, clean_log = train_cmd(prepared_dataset, clean, "--epochs",
+                                                  str(diverged_at - 1), *flags)
+            assert rc == EXIT_OK
+            assert ckpt.read_bytes() == clean_ckpt.read_bytes()
+            assert log.read_bytes() == clean_log.read_bytes()
 
     def test_missing_dataset_exits_2(self, tmp_path):
         rc, _, _ = train_cmd(tmp_path / "missing.tsv", tmp_path)
@@ -541,6 +575,22 @@ def _train_on(break_dataset):
     return argv
 
 
+def _export_blank_hash_reversed(dataset, tmp_path):
+    """Case: train on the dataset with its header's vocabulary hash blanked,
+    then export with the vocabulary reversed. The checkpoint carries an
+    empty hash, which must not skip the vocabulary check."""
+    _set_header_key(dataset, "vocab_hash", "")
+    ckpt = tmp_path / "m.ckpt"
+    assert main(["train", str(dataset), "--out-checkpoint", str(ckpt),
+                 "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
+                 "--emb-dim", "8", "--ctx-dim", "8"]) == EXIT_OK
+    vocab = read_vocabulary(dataset.with_suffix(dataset.suffix + ".vocab.tsv"))
+    reversed_vocab = tmp_path / "reversed.vocab.tsv"
+    write_vocabulary(Vocabulary(vocab.words[::-1]), reversed_vocab)
+    return ["export", str(ckpt), "--vocab", str(reversed_vocab),
+            "--out", str(tmp_path / "emb.txt")]
+
+
 def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=None,
              flags=()):
     """Case builder: eval an embeddings file, against gold files when given."""
@@ -678,6 +728,10 @@ MALFORMED_INPUTS = {
                                      "classes.tsv:2: expected 2 tab-separated fields, got 1"),
     "--pairs line with two tabs": (_eval_on(pairs="pq\tporque\tporquê\n"),
                                    "pairs.tsv:1: expected 2 tab-separated fields, got 3"),
+    # Only "# " starts a comment: "#note" is a hashtag line without its pair.
+    "--pairs hashtag line without a tab": (
+        _eval_on(pairs="# comment\n#note\n"),
+        "pairs.tsv:2: expected 2 tab-separated fields, got 1"),
     "--membership-thresholds above 1": (
         _eval_on(flags=("--membership-thresholds", "0.5,1.5")), "threshold must be in (0, 1)"),
     "--distinction-thresholds below 0": (
@@ -701,6 +755,8 @@ MALFORMED_INPUTS = {
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
     "checkpoint hyper size as a string": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_in="4")), "wrong type"),
+    "checkpoint with an empty vocabulary hash, reversed vocabulary": (
+        _export_blank_hash_reversed, "vocabulary/checkpoint mismatch"),
     "eval --out is a directory": (_directory_at("eval", "--out"), "Is a directory"),
     "export --out is a directory": (_directory_at("export", "--out"), "Is a directory"),
     "ingest --out-db is a directory": (_directory_at("ingest", "--out-db"), "Is a directory"),
@@ -1033,6 +1089,10 @@ def test_mutated_checkpoint_exports_or_exits_2(valid_checkpoint, data):
     # A wrong magic or header length, or a body cut short or run long, never exports.
     if raw[:12] != edited[:12] or (len(raw) != len(edited) and not n_edits):
         assert rc == EXIT_INPUT, bytes(raw)
+    # Nor does a header whose vocabulary hash is not the vocabulary's, empty included.
+    header = json.loads(edited[12:body_start])
+    if header.get("vocab_hash") != vocabulary_hash(read_vocabulary(vocab_path)):
+        assert rc == EXIT_INPUT, header
 
 
 class TestSubprocessEntry:

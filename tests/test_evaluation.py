@@ -400,6 +400,29 @@ class TestBundledGold:
         assert all(p.left != p.right for p in pairs)
 
 
+class TestGoldComments:
+    # Only blank lines and lines starting with "# " are comments; a token
+    # holds no whitespace, so a hashtag line is data.
+    def test_hashtag_pair_is_kept(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("# comment\n#ff\tfollowfriday\n\nvc\tvocê\n", encoding="utf-8")
+        assert load_equivalence_pairs(path) == [EquivalencePair("#ff", "followfriday"),
+                                                EquivalencePair("vc", "você")]
+
+    def test_hashtag_class_is_kept(self, tmp_path):
+        path = tmp_path / "classes.tsv"
+        path.write_text("# comment\n#tags\t#ff\n#tags\t#sdv\nmonths\tjaneiro\n"
+                        "months\tmarço\n", encoding="utf-8")
+        assert load_gold_classes(path) == [GoldClass("#tags", ("#ff", "#sdv")),
+                                           GoldClass("months", ("janeiro", "março"))]
+
+    def test_hashtag_without_a_tab_names_its_line(self, tmp_path):
+        path = tmp_path / "pairs.tsv"
+        path.write_text("# comment\n#note\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"pairs\.tsv:2: expected 2 tab-separated fields"):
+            load_equivalence_pairs(path)
+
+
 class TestStandardSuite:
     def test_runs_all_tests_at_default_thresholds(self):
         table = clustered_table()

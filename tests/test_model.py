@@ -367,8 +367,8 @@ class TestCheckpoint:
     def test_identical_saves_identical_bytes(self, tmp_path):
         params = init_params(tiny_hyper(), seed=1)
         a, b = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(params, a, seed=1)
-        save_checkpoint(params, b, seed=1)
+        save_checkpoint(params, a, seed=1, vocab_hash="")
+        save_checkpoint(params, b, seed=1, vocab_hash="")
         assert a.read_bytes() == b.read_bytes()
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -167,10 +167,11 @@ class BrokenWrites:
 
 
 class TestTrain:
-    def test_loss_decreases_on_toy_language(self):
+    def test_loss_decreases_on_toy_language(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=8, d_ctx=8)
         cfg = TrainConfig(epochs=40, batch_size=8, seed=7)
-        _, logs = train(toy_split(), hyper, cfg)
+        _, logs = train(toy_split(), hyper, cfg, tmp_path / "model.ckpt",
+                        tmp_path / "run_log.tsv", "")
         assert logs[-1].train_loss < logs[0].train_loss
 
     def test_fresh_model_validation_loss_near_log_vocab(self):
@@ -180,9 +181,10 @@ class TestTrain:
         val0 = evaluate(params, split.validation[:, :4], split.validation[:, 4])
         assert abs(val0 - math.log(5)) / math.log(5) < 0.05
 
-    def test_one_epoch_one_log(self):
+    def test_one_epoch_one_log(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
-        _, logs = train(toy_split(), hyper, TrainConfig(epochs=1, batch_size=16, seed=1))
+        _, logs = train(toy_split(), hyper, TrainConfig(epochs=1, batch_size=16, seed=1),
+                        tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
         assert len(logs) == 1
         assert logs[0].epoch == 1
 
@@ -190,11 +192,12 @@ class TestTrain:
         with pytest.raises(ValueError):
             TrainConfig(epochs=0)
 
-    def test_empty_train_split_rejected(self):
+    def test_empty_train_split_rejected(self, tmp_path):
         split = toy_split()
         split.train = split.train[:0]
         with pytest.raises(ValueError):
-            train(split, ModelHyper(vocab_size=5), TrainConfig(epochs=1))
+            train(split, ModelHyper(vocab_size=5), TrainConfig(epochs=1),
+                  tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
 
     def test_deterministic_runs_identical(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
@@ -202,7 +205,7 @@ class TestTrain:
         outputs = []
         for name in ("a.ckpt", "b.ckpt"):
             path = tmp_path / name
-            _, logs = train(toy_split(), hyper, cfg, checkpoint_path=path)
+            _, logs = train(toy_split(), hyper, cfg, path, tmp_path / f"{name}.log", "")
             outputs.append((logs, path.read_bytes()))
         assert outputs[0][0] == outputs[1][0]
         assert outputs[0][1] == outputs[1][1]
@@ -217,12 +220,12 @@ class TestTrain:
         reference = tmp_path / "reference.ckpt"
         train(toy_split(), hyper,
               TrainConfig(epochs=1, batch_size=16, seed=3, learning_rate=1000.0),
-              checkpoint_path=reference)
+              reference, tmp_path / "reference.log", "")
         diverging = tmp_path / "diverging.ckpt"
         with pytest.raises(TrainingDiverged):
             train(toy_split(), hyper,
                   TrainConfig(epochs=5, batch_size=16, seed=3, learning_rate=1000.0),
-                  checkpoint_path=diverging)
+                  diverging, tmp_path / "diverging.log", "")
         assert diverging.read_bytes() == reference.read_bytes()
 
     @pytest.mark.parametrize("sigmoid_logits", [False, True])
@@ -233,11 +236,11 @@ class TestTrain:
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4, sigmoid_logits=sigmoid_logits)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=21, deterministic=True)
         fast, slow = tmp_path / "fast.ckpt", tmp_path / "slow.ckpt"
-        _, fast_logs = train(toy_split(), hyper, cfg, checkpoint_path=fast)
+        _, fast_logs = train(toy_split(), hyper, cfg, fast, tmp_path / "fast.log", "")
         monkeypatch.setattr(tweetembed.model, "softmax", oracle_softmax)
         monkeypatch.setattr(tweetembed.model, "sigmoid", oracle_sigmoid)
         monkeypatch.setattr(tweetembed.training, "adam_step", oracle_adam_step)
-        _, slow_logs = train(toy_split(), hyper, cfg, checkpoint_path=slow)
+        _, slow_logs = train(toy_split(), hyper, cfg, slow, tmp_path / "slow.log", "")
         assert fast.read_bytes() == slow.read_bytes()
         assert fast_logs == slow_logs
 
@@ -312,14 +315,8 @@ class TestTrain:
 
         def run(out_dir, epochs):
             out_dir.mkdir()
-            logs = []
-
-            def record(entry):
-                logs.append(entry)
-                write_run_log(logs, out_dir / "run_log.tsv")
-
             train(toy_split(), hyper, dataclasses.replace(cfg, epochs=epochs),
-                  checkpoint_path=out_dir / "model.ckpt", on_epoch=record)
+                  out_dir / "model.ckpt", out_dir / "run_log.tsv", "")
             return out_dir
 
         reference = run(tmp_path / "reference", 1)
@@ -345,7 +342,7 @@ class TestTrain:
         else:
             assert [e.epoch for e in read_run_log(broken / failing)] == [1]
 
-    def test_clamping_run_warns_at_most_twice_per_epoch(self, caplog):
+    def test_clamping_run_warns_at_most_twice_per_epoch(self, caplog, tmp_path):
         # At learning rate 1000 most target probabilities fall below
         # LOSS_FLOOR, yet at |V| = 32 the clamped loss (at most 27.6) stays
         # under the 10 ln|V| = 34.7 divergence limit, so both epochs run.
@@ -362,7 +359,8 @@ class TestTrain:
 
         seen = []
         with caplog.at_level(logging.WARNING, logger="tweetembed.model"):
-            train(split, hyper, cfg, on_epoch=lambda _: seen.append(clamp_warnings()))
+            train(split, hyper, cfg, tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "",
+                  on_epoch=lambda _: seen.append(clamp_warnings()))
         per_epoch = [seen[0], seen[1] - seen[0]]
         assert all(1 <= n <= 2 for n in per_epoch), per_epoch
 
@@ -382,18 +380,18 @@ class TestTrain:
         assert "physical memory is 1048576 bytes" in err and "Traceback" not in err
         assert not ckpt.exists()
 
-    def test_epoch_callback_streams_logs(self):
+    def test_epoch_callback_streams_logs(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         seen = []
         train(toy_split(), hyper, TrainConfig(epochs=2, batch_size=16, seed=1),
-              on_epoch=seen.append)
+              tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "", on_epoch=seen.append)
         assert [e.epoch for e in seen] == [1, 2]
 
     def test_checkpoint_carries_vocab_hash(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         path = tmp_path / "model.ckpt"
         train(toy_split(), hyper, TrainConfig(epochs=1, batch_size=16, seed=1),
-              checkpoint_path=path, vocab_hash="deadbeef")
+              path, tmp_path / "run_log.tsv", "deadbeef")
         _, header = load_checkpoint(path)
         assert header["vocab_hash"] == "deadbeef"
 
