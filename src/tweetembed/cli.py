@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, read_ngram_db,
-                     write_dictionary, write_ngram_db)
+                     read_ngram_sidecar, write_dictionary, write_ngram_db, write_ngram_sidecar)
 from .dataset import (
     DatasetSplit,
     Vocabulary,
@@ -107,10 +107,12 @@ def _check_distinct(*outputs: Path) -> None:
 
 def ingest_stage(lines: list[str], db_path: Path,
                  dict_path: Path) -> tuple[NGramDatabase, Dictionary]:
-    """Count the corpus's 5-grams in one process; the stage has no settings."""
+    """Count the corpus's 5-grams in one process; the stage has no settings.
+    The database's binary sidecar `<db_path>.bin` is bound to the TSV's hash."""
     db = count_ngrams(lines)
     dictionary = build_dictionary(db)
     write_ngram_db(db, db_path)
+    write_ngram_sidecar(db, db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
     write_dictionary(dictionary, dict_path)
     return db, dictionary
 
@@ -192,7 +194,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     db_path = Path(args.out_db)
     dict_path = Path(args.out_dict)
     manifest_path = db_path.with_suffix(db_path.suffix + ".manifest.json")
-    _check_distinct(db_path, dict_path, manifest_path)
+    _check_distinct(db_path, db_path.with_suffix(db_path.suffix + ".bin"), dict_path,
+                    manifest_path)
     db, dictionary = ingest_stage(_read_corpus_lines(corpus_path), db_path, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
@@ -216,7 +219,10 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     _check_distinct(out_path, vocab_path, manifest_path)
-    db = read_ngram_db(db_path)
+    # The sidecar stands in for the TSV only when it is bound to these bytes.
+    db = read_ngram_sidecar(db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
+    if db is None:
+        db = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},

@@ -3,12 +3,21 @@
 Tokenization is deliberately minimal: split on whitespace, down-case, and
 mask Twitter handles / HTTP links with placeholder tokens. Punctuation is
 left attached, so "ronaldo" and "ronaldo!" remain distinct tokens.
+
+The 5-gram database is stored as the text file `ngrams.tsv`, which is the
+source of truth, plus a binary copy `ngrams.tsv.bin` bound to the text
+file's sha256. Readers use the copy only when it is provably the same
+database and parse the text otherwise, so deleting the copy is always safe.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
+import json
+import logging
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -29,6 +38,11 @@ BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
 # write_ngram_db and read_ngram_db handle this many rows at a time, which
 # bounds the memory of the Python strings and lists they make.
 BLOCK_ROWS = 65536
+NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
+_SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
+                 "tsv_sha256", "types_bytes")
+
+logger = logging.getLogger(__name__)
 
 
 def normalize_token(raw: str) -> str:
@@ -284,6 +298,132 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
         raise ValueError(f"{path}: #total_tokens={total_tokens} does not fit in 64 bits")
     return NGramDatabase(types, records, np.array(counts, dtype=np.int64)[order],
                          total_tweets, total_tokens)
+
+
+def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) -> None:
+    """Binary copy of `db`, bound to the TSV file whose sha256 is `tsv_sha256`.
+
+    Layout, the checkpoint's container: 8-byte magic "EMBNGRM1";
+    little-endian uint32 header length; UTF-8 JSON header with format 1,
+    tsv_sha256, total_tweets, total_tokens, types_bytes, rows and
+    body_sha256; then the body: the types joined by "\n" in UTF-8 (no token
+    holds whitespace), records as <i4 row-major and counts as <i8. The file
+    holds no timestamps, and the arrays are written from their own buffers.
+    """
+    body = ["\n".join(db.types).encode("utf-8"),
+            np.ascontiguousarray(db.records, dtype="<i4"),
+            np.ascontiguousarray(db.counts, dtype="<i8")]
+    digest = hashlib.sha256()
+    for part in body:
+        digest.update(part)
+    header = {
+        "format": 1,
+        "tsv_sha256": tsv_sha256,
+        "total_tweets": db.total_tweets,
+        "total_tokens": db.total_tokens,
+        "types_bytes": len(body[0]),
+        "rows": len(db.records),
+        "body_sha256": digest.hexdigest(),
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(NGRAM_SIDECAR_MAGIC + struct.pack("<I", len(blob)) + blob)
+        for part in body:
+            fh.write(part)
+
+
+def _rows_ascend(records: np.ndarray) -> bool:
+    """Whether every row is below the next one, comparing each pair of
+    consecutive rows column by column from the last; no sort."""
+    below = np.zeros(max(len(records) - 1, 0), dtype=bool)
+    for col in reversed(range(5)):
+        upper, lower = records[:-1, col], records[1:, col]
+        below = (upper < lower) | ((upper == lower) & below)
+    return bool(below.all())
+
+
+def _exact_sum(counts: np.ndarray) -> int:
+    """The sum of non-negative int64 counts as a Python int, without the
+    wrap-around of an int64 sum: the low and high 32 bits are summed
+    apart, and neither uint64 sum can wrap for fewer than 2^32 counts."""
+    low = int((counts & 0xFFFFFFFF).sum(dtype=np.uint64))
+    high = int((counts >> 32).sum(dtype=np.uint64))
+    return (high << 32) + low
+
+
+def _parse_ngram_sidecar(data: bytes, tsv_sha256: str) -> NGramDatabase | None:
+    """The database in sidecar bytes; None when the sidecar belongs to
+    another TSV; a ValueError for anything `write_ngram_sidecar` does not
+    write. The arrays are views of `data`."""
+    start = len(NGRAM_SIDECAR_MAGIC) + 4
+    if data[:len(NGRAM_SIDECAR_MAGIC)] != NGRAM_SIDECAR_MAGIC or len(data) < start:
+        raise ValueError("bad magic or no header length")
+    (header_len,) = struct.unpack_from("<I", data, len(NGRAM_SIDECAR_MAGIC))
+    try:
+        header = json.loads(data[start:start + header_len].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
+        raise ValueError(f"unreadable header ({exc})") from None
+    if not isinstance(header, dict) or sorted(header) != sorted(_SIDECAR_KEYS):
+        raise ValueError(f"header keys are not {', '.join(_SIDECAR_KEYS)}")
+    sizes = [header[key] for key in ("format", "total_tweets", "total_tokens", "types_bytes",
+                                     "rows")]
+    if (not all(type(size) is int and size >= 0 for size in sizes) or header["format"] != 1
+            or not isinstance(header["tsv_sha256"], str)
+            or not isinstance(header["body_sha256"], str)):
+        raise ValueError(f"unsupported header {header}")
+    if header["tsv_sha256"] != tsv_sha256:
+        return None
+    _, total_tweets, total_tokens, types_bytes, rows = sizes
+    types_start = start + header_len
+    records_start = types_start + types_bytes
+    counts_start = records_start + 20 * rows
+    if counts_start + 8 * rows != len(data):
+        raise ValueError(f"{len(data)} bytes, header implies {counts_start + 8 * rows}")
+    if hashlib.sha256(memoryview(data)[types_start:]).hexdigest() != header["body_sha256"]:
+        raise ValueError("body does not hash to body_sha256")
+    types = str(memoryview(data)[types_start:records_start], "utf-8").split("\n")
+    db = NGramDatabase(types,
+                       np.frombuffer(data, "<i4", 5 * rows, records_start).reshape(rows, 5),
+                       np.frombuffer(data, "<i8", rows, counts_start),
+                       total_tweets, total_tokens)
+    if not all(map(str.__lt__, types, itertools.islice(types, 1, None))):
+        raise ValueError("types are not strictly ascending")
+    if any(types[i:i + 1] != [pad] for i, pad in zip(db.boundary_ids(), BOUNDARY_TOKENS)):
+        raise ValueError("types lack a boundary token")
+    if rows and (db.records.min() < 0 or db.records.max() >= len(types)):
+        raise ValueError(f"ids outside [0, {len(types)})")
+    if not _rows_ascend(db.records):
+        raise ValueError("rows are not strictly ascending")
+    if rows and db.counts.min() < 1:
+        raise ValueError("a count is below 1")
+    if _exact_sum(db.counts) != total_tokens or total_tokens >= 2 ** 63:
+        raise ValueError(f"counts do not sum to total_tokens={total_tokens} below 2^63")
+    return db
+
+
+def read_ngram_sidecar(path: Path | str, tsv_sha256: str) -> NGramDatabase | None:
+    """The database in a sidecar from `write_ngram_sidecar`, or None when it
+    cannot stand in for the TSV whose sha256 is `tsv_sha256`; the caller then
+    reads the TSV with `read_ngram_db`.
+
+    A missing sidecar, or one written for another TSV, is None silently.
+    Any other fault logs one warning and is None: an unreadable file, a bad
+    magic or header, a size the header does not imply, a body that does not
+    hash to its body_sha256, or a database that breaks an invariant of
+    NGramDatabase (types strictly ascending with the boundary tokens, ids in
+    range, rows strictly ascending, counts at least 1 summing to
+    total_tokens below 2^63). The file's bytes are read once; the arrays
+    are read-only views of them.
+    """
+    path = Path(path)
+    try:
+        return _parse_ngram_sidecar(path.read_bytes(), tsv_sha256)
+    except FileNotFoundError:
+        return None
+    except (OSError, ValueError) as exc:
+        logger.warning("%s: ignoring the 5-gram sidecar (%s); reading the TSV instead",
+                       path, exc)
+        return None
 
 
 def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -174,7 +175,9 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
 
     The body is parsed in one pass into an (N, 5) int64 array; the split's
     blocks are views of it. A row that is not 5 integers (a float, an empty
-    line) is a ValueError.
+    line) is a ValueError, and so is a #vocab_hash other than the 64
+    lowercase hex digits `vocabulary_hash` writes: a checkpoint trained
+    under any other hash could never be exported.
     The model indexes its weights with the ids unchecked, so any id out of
     range (context [0, |V| + 4), target [0, |V|)) is a ValueError here too,
     naming the first offending line.
@@ -192,6 +195,9 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
                                           "fraction", "validation", "train") if key not in meta]
         if missing:
             raise ValueError(f"{path}: dataset header lacks {', '.join(missing)}")
+        if not re.fullmatch("[0-9a-f]{64}", meta["vocab_hash"]):
+            raise ValueError(f"{path}:1: #vocab_hash={meta['vocab_hash']!r} is not the 64 "
+                             "lowercase hex digits of a vocabulary hash")
         n_val = int(meta["validation"])
         n_train = int(meta["train"])
         vocab_size = int(meta["vocab_size"])

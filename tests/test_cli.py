@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
-from tweetembed.corpus import read_ngram_db
+from tweetembed.corpus import BOUNDARY_TOKENS, read_ngram_db
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
 from tweetembed.model import ModelHyper, init_params, save_checkpoint
@@ -113,6 +114,23 @@ def make_dataset(db_path, out_dir, vocab_size=4, *extra):
     return rc, out
 
 
+def dataset_with_and_without_sidecar(db_path, out_dir, vocab_size, *extra):
+    """Run `dataset` once from the ingest's binary sidecar, with the TSV
+    reader made to fail, and once from the TSV alone, with the sidecar
+    removed; both must write the same bytes, which are returned."""
+    sidecar = db_path.with_suffix(db_path.suffix + ".bin")
+    with mock.patch("tweetembed.cli.read_ngram_db", side_effect=AssertionError("read the TSV")):
+        rc, from_sidecar = make_dataset(db_path, out_dir / "from_sidecar", vocab_size, *extra)
+    assert rc == EXIT_OK
+    kept = sidecar.read_bytes()
+    sidecar.unlink()
+    rc, from_text = make_dataset(db_path, out_dir / "from_text", vocab_size, *extra)
+    sidecar.write_bytes(kept)
+    assert rc == EXIT_OK
+    assert from_sidecar.read_bytes() == from_text.read_bytes()
+    return from_text.read_bytes()
+
+
 class TestDataset:
     def test_tuple_count_matches_brute_force(self, bigger_corpus, tmp_path, capsys):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -151,19 +169,22 @@ class TestDataset:
         assert "32768" in capsys.readouterr().err
 
     def test_deterministic_bytes_are_pinned(self, tmp_path):
-        # Both files hold only tokens and integers, so these hashes hold on
-        # every platform; a change to them is a change of file format.
+        # The files hold only tokens and integers, the sidecar's in fixed
+        # little-endian widths, so these hashes hold on every platform; a
+        # change to them is a change of file format.
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(zipf_corpus(500, seed=8, vocab_types=400)) + "\n",
                           encoding="utf-8")
         rc, db, _ = ingest(corpus, tmp_path, "--deterministic")
         assert rc == EXIT_OK
-        rc, out = make_dataset(db, tmp_path, 64, "--include-boundary", "--validation-ratio", "0.2",
-                               "--fraction", "0.75", "--seed", "5", "--deterministic")
-        assert rc == EXIT_OK
+        out = dataset_with_and_without_sidecar(
+            db, tmp_path, 64, "--include-boundary", "--validation-ratio", "0.2",
+            "--fraction", "0.75", "--seed", "5", "--deterministic")
         assert hashlib.sha256(db.read_bytes()).hexdigest() == (
             "7916819330e997b0e56a57bebc2322bbf9e63a2a2416c667ebd924668289c14d")
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        assert hashlib.sha256((tmp_path / "ngrams.tsv.bin").read_bytes()).hexdigest() == (
+            "66950762caa2224f9bce504136d1c0ef4aa6bca118aa45374bfd016a8cf74fb9")
+        assert hashlib.sha256(out).hexdigest() == (
             "21887ca62d1a34d44fc3f583cb7de02c3b21f1ec4b630da6f4bf79827afa89ce")
 
     def test_non_ascii_bytes_are_pinned(self, tmp_path):
@@ -174,13 +195,15 @@ class TestDataset:
         corpus.write_text("\n".join(non_ascii_corpus(300, seed=21)) + "\n", encoding="utf-8")
         rc, db, dic = ingest(corpus, tmp_path, "--deterministic")
         assert rc == EXIT_OK
-        rc, out = make_dataset(db, tmp_path, 10, "--include-boundary", "--deterministic")
-        assert rc == EXIT_OK
+        out = dataset_with_and_without_sidecar(db, tmp_path, 10, "--include-boundary",
+                                               "--deterministic")
         assert hashlib.sha256(db.read_bytes()).hexdigest() == (
             "1b1d1357acb7a9cab4c754c4457dc2c7cea7b2e884b8cdf8f6f349278131ecd0")
+        assert hashlib.sha256((tmp_path / "ngrams.tsv.bin").read_bytes()).hexdigest() == (
+            "4a3d8bca2f0ae960d16b0456753c8dcf208907be8db4b5b8ecbb6420a762e8e2")
         assert hashlib.sha256(dic.read_bytes()).hexdigest() == (
             "f2519597dcdf536a9ab3e0918352e4d8314ed964febce658cea784af682252e1")
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+        assert hashlib.sha256(out).hexdigest() == (
             "2992a1a445981444f05a1e0594d674ef90c8b2264e03350188031ec657f3fdfc")
 
     def test_reordered_ngram_db_gives_the_same_dataset(self, bigger_corpus, tmp_path):
@@ -192,6 +215,19 @@ class TestDataset:
         _, a = make_dataset(db_path, tmp_path / "sorted", 5, "--include-boundary")
         _, b = make_dataset(shuffled, tmp_path / "shuffled", 5, "--include-boundary")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_stale_sidecar_gives_the_text_path_bytes(self, bigger_corpus, tmp_path, caplog):
+        # Rows shuffled in place: the TSV holds the same database, but its
+        # bytes no longer match the sidecar's tsv_sha256, which is skipped
+        # without a warning.
+        _, db_path, _ = ingest(bigger_corpus, tmp_path)
+        expected = dataset_with_and_without_sidecar(db_path, tmp_path, 5, "--include-boundary")
+        header, *body = db_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(body)
+        db_path.write_text(header + "".join(body), encoding="utf-8")
+        _, out = make_dataset(db_path, tmp_path / "stale", 5, "--include-boundary")
+        assert out.read_bytes() == expected
+        assert caplog.records == []
 
     def test_vocab_sidecar_written(self, bigger_corpus, tmp_path):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -519,6 +555,7 @@ class TestGridMatchesStages:
         cell = grid / "v6_f050"
         same = {
             "ngrams.tsv": grid / "ngrams.tsv",
+            "ngrams.tsv.bin": grid / "ngrams.tsv.bin",
             "dictionary.tsv": grid / "dictionary.tsv",
             "dataset.tsv": cell / "dataset.tsv",
             "dataset.tsv.vocab.tsv": cell / "vocab.tsv",
@@ -575,22 +612,6 @@ def _train_on(break_dataset):
     return argv
 
 
-def _export_blank_hash_reversed(dataset, tmp_path):
-    """Case: train on the dataset with its header's vocabulary hash blanked,
-    then export with the vocabulary reversed. The checkpoint carries an
-    empty hash, which must not skip the vocabulary check."""
-    _set_header_key(dataset, "vocab_hash", "")
-    ckpt = tmp_path / "m.ckpt"
-    assert main(["train", str(dataset), "--out-checkpoint", str(ckpt),
-                 "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
-                 "--emb-dim", "8", "--ctx-dim", "8"]) == EXIT_OK
-    vocab = read_vocabulary(dataset.with_suffix(dataset.suffix + ".vocab.tsv"))
-    reversed_vocab = tmp_path / "reversed.vocab.tsv"
-    write_vocabulary(Vocabulary(vocab.words[::-1]), reversed_vocab)
-    return ["export", str(ckpt), "--vocab", str(reversed_vocab),
-            "--out", str(tmp_path / "emb.txt")]
-
-
 def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=None,
              flags=()):
     """Case builder: eval an embeddings file, against gold files when given."""
@@ -608,13 +629,26 @@ def _eval_on(embeddings="2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", classes=None, pairs=
 
 
 def _with_header(data, edit_header):
-    """Checkpoint bytes with the JSON header edited in place by
-    `edit_header` and the length field set to match."""
+    """Checkpoint (or 5-gram sidecar) bytes with the JSON header edited in
+    place by `edit_header` and the length field set to match."""
     header_len = int.from_bytes(data[8:12], "little")
     header = json.loads(data[12:12 + header_len])
     edit_header(header)
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     return data[:8] + len(blob).to_bytes(4, "little") + blob + data[12 + header_len:]
+
+
+def _export_blank_hash_reversed(dataset, tmp_path):
+    """Case: export a checkpoint whose header carries an empty vocabulary
+    hash with the vocabulary reversed; the empty hash must not skip the
+    vocabulary check. `train` no longer writes such a checkpoint, so a
+    valid one's header is rewritten."""
+    ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+    ckpt.write_bytes(_with_header(ckpt.read_bytes(), lambda h: h.update(vocab_hash="")))
+    reversed_vocab = tmp_path / "reversed.vocab.tsv"
+    write_vocabulary(Vocabulary(read_vocabulary(vocab_path).words[::-1]), reversed_vocab)
+    return ["export", str(ckpt), "--vocab", str(reversed_vocab),
+            "--out", str(tmp_path / "emb.txt")]
 
 
 def _export_broken_checkpoint(edit_header=lambda header: None, cut=None, tail=b""):
@@ -714,6 +748,8 @@ MALFORMED_INPUTS = {
         _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
         ":2: expected 5 integer fields, got an empty line"),
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
+    "blank #vocab_hash=": (_train_on(lambda ds: _set_header_key(ds, "vocab_hash", "")),
+                           "dataset.tsv:1: #vocab_hash='' is not the 64 lowercase hex digits"),
     # No machine's memory holds the arrays of this |V|, so train refuses it
     # before allocating; a |V| whose model could fit in RAM must never be
     # tried here.
@@ -767,6 +803,9 @@ MALFORMED_INPUTS = {
         _colliding("eval", ("--out", "report.txt")), "name the same file"),
     "ingest --out-db and --out-dict naming one file": (
         _colliding("ingest", ("--out-db", "x"), ("--out-dict", "x")), "name the same file"),
+    "ingest --out-dict at the 5-gram DB's binary sidecar": (
+        _colliding("ingest", ("--out-db", "x.tsv"), ("--out-dict", "x.tsv.bin")),
+        "name the same file"),
     "train --out-checkpoint and --out-log naming one file": (
         _colliding("train", ("--out-checkpoint", "m"), ("--out-log", "m")),
         "name the same file"),
@@ -808,6 +847,8 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     assert "Traceback" not in err
     if message == "name the same file":
         assert sorted(tmp_path.rglob("*")) == before
+    if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
+        assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
 
 
 @pytest.fixture(scope="module")
@@ -947,6 +988,136 @@ def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
     if any(not re.fullmatch(r"[0-9]+", line.rpartition("\t")[2])
            or int(line.rpartition("\t")[2]) < 1 for line in body):
         assert rc == EXIT_INPUT, text
+
+
+@pytest.fixture(scope="module")
+def valid_sidecar(tmp_path_factory):
+    """A small ingested corpus: the TSV's bytes, its sidecar's bytes and the
+    dataset the TSV alone gives."""
+    tmp_path = tmp_path_factory.mktemp("valid_sidecar")
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("a b c d e\nb c d e a\na a b\nc d\n", encoding="utf-8")
+    _, db, _ = ingest(corpus, tmp_path)
+    sidecar = db.with_suffix(".tsv.bin")
+    data = sidecar.read_bytes()
+    assert _join_sidecar(*_split_sidecar(data)) == data
+    sidecar.unlink()
+    _, out = make_dataset(db, tmp_path, 3, "--include-boundary")
+    return db.read_bytes(), data, out.read_bytes()
+
+
+def _split_sidecar(data):
+    """A sidecar's JSON header and its body as (types, records, counts)."""
+    header_len = int.from_bytes(data[8:12], "little")
+    header = json.loads(data[12:12 + header_len])
+    body = data[12 + header_len:]
+    types = body[:header["types_bytes"]].decode("utf-8").split("\n")
+    records = np.frombuffer(body, "<i4", 5 * header["rows"], header["types_bytes"])
+    counts = np.frombuffer(body, "<i8", header["rows"], header["types_bytes"] + records.nbytes)
+    return header, types, records.reshape(-1, 5).copy(), counts.copy()
+
+
+def _join_sidecar(header, types, records, counts):
+    """Sidecar bytes with `header`, its sizes and body hash made to match the body."""
+    types_bytes = "\n".join(types).encode("utf-8")
+    body = types_bytes + records.astype("<i4").tobytes() + counts.astype("<i8").tobytes()
+    header = {**header, "types_bytes": len(types_bytes), "rows": len(records),
+              "body_sha256": hashlib.sha256(body).hexdigest()}
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"EMBNGRM1" + len(blob).to_bytes(4, "little") + blob + body
+
+
+def _forge(break_rule):
+    """A mutation: a sidecar whose hashes match but whose body breaks one
+    invariant, edited in place by `break_rule(types, records, counts, draw)`."""
+    def mutate(data, draw):
+        header, types, records, counts = _split_sidecar(data)
+        break_rule(types, records, counts, draw)
+        return _join_sidecar(header, types, records, counts)
+    return mutate
+
+
+def _id_past_the_types(types, records, counts, draw):
+    # In the last row, so the rows still ascend.
+    records[-1, draw(st.integers(0, 4), label="column")] = len(types)
+
+
+def _swap_rows(types, records, counts, draw):
+    i = draw(st.integers(0, len(records) - 2), label="row")
+    records[[i, i + 1]] = records[[i + 1, i]]
+    counts[[i, i + 1]] = counts[[i + 1, i]]
+
+
+def _zero_count(types, records, counts, draw):
+    # Its count moves to another row, so the counts still sum to the total.
+    i, j = draw(st.permutations(range(len(counts))), label="rows")[:2]
+    counts[j] += counts[i]
+    counts[i] = 0
+
+
+def _unsorted_types(types, records, counts, draw):
+    i = draw(st.integers(0, len(types) - 2), label="type")
+    types[i], types[i + 1] = types[i + 1], types[i]
+
+
+def _rename_a_boundary_token(types, records, counts, draw):
+    # "<PAD_R1>" becomes "<PAD_R1=", which sorts just below it in this corpus.
+    i = types.index(draw(st.sampled_from(BOUNDARY_TOKENS), label="boundary token"))
+    types[i] = types[i][:-1] + "="
+
+
+def _flip_byte(data, draw):
+    i = draw(st.integers(0, len(data) - 1), label="byte")
+    return data[:i] + bytes([data[i] ^ draw(st.integers(1, 255), label="mask")]) + data[i + 1:]
+
+
+def _edit_header(data, draw):
+    def edit(header):
+        key = draw(st.sampled_from(sorted(header) + ["extra"]), label="key")
+        if draw(st.booleans(), label="drop"):
+            header.pop(key, None)
+        else:
+            header[key] = draw(st.sampled_from([None, True, -1, 0, 1, 2, 7, 2 ** 63, 2 ** 70,
+                                                1.5, "", "x", "0" * 64, [], {}]), label="value")
+    return _with_header(data, edit)  # the sidecar has the checkpoint's container
+
+
+SIDECAR_MUTATIONS = {
+    "flip a byte": _flip_byte,
+    "truncate": lambda data, draw: data[:draw(st.integers(0, len(data) - 1), label="cut")],
+    "append bytes": lambda data, draw: data + draw(st.binary(min_size=1, max_size=9),
+                                                   label="tail"),
+    "edit the header": _edit_header,
+    "forge an id equal to len(types)": _forge(_id_past_the_types),
+    "forge two rows swapped": _forge(_swap_rows),
+    "forge a count of 0": _forge(_zero_count),
+    "forge unsorted types": _forge(_unsorted_types),
+    "forge types without a boundary token": _forge(_rename_a_boundary_token),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_sidecar_gives_the_text_path_dataset(valid_sidecar, data):
+    tsv, sidecar, expected = valid_sidecar
+    kind = data.draw(st.sampled_from(sorted(SIDECAR_MUTATIONS)), label="kind")
+    mutated = SIDECAR_MUTATIONS[kind](sidecar, data.draw)
+    with tempfile.TemporaryDirectory() as tmp:
+        db = Path(tmp) / "ngrams.tsv"
+        db.write_bytes(tsv)
+        Path(tmp, "ngrams.tsv.bin").write_bytes(mutated)
+        err = io.StringIO()
+        with (contextlib.redirect_stderr(err),
+              mock.patch("tweetembed.corpus.logger.warning") as warning):
+            rc = main(["dataset", str(db), "--vocab-size", "3", "--include-boundary",
+                       "--out", str(Path(tmp) / "dataset.tsv")])
+        assert rc == EXIT_OK, err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert Path(tmp, "dataset.tsv").read_bytes() == expected
+    # A sidecar bound to this TSV that breaks a rule warns once; a stale one
+    # (an edited tsv_sha256) is skipped silently.
+    assert warning.call_count == 1 if kind.startswith("forge") else warning.call_count <= 1
+
 
 @pytest.fixture(scope="module")
 def valid_embedding_lines(tmp_path_factory):

@@ -23,14 +23,17 @@ from tweetembed.corpus import (
     build_dictionary,
     count_ngrams,
     read_ngram_db,
+    read_ngram_sidecar,
     write_dictionary,
     write_ngram_db,
+    write_ngram_sidecar,
 )
 from tweetembed.dataset import filter_ngrams, select_vocabulary
+from tweetembed.manifest import file_sha256
 
 from oracles import (db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter,
                      oracle_tokenize, oracle_windows)
-from synth import NON_ASCII_TOKENS
+from synth import NON_ASCII_TOKENS, non_ascii_corpus
 
 tweet_text = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)),
@@ -315,6 +318,48 @@ class TestBlocks:
         path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"{path.name}:9: {message}"):
             read_ngram_db(path)
+
+
+class TestSidecar:
+    """The binary sidecar reads back as the database it was written from,
+    and as the database its TSV reads back as."""
+
+    @pytest.mark.parametrize("tweets, block_rows", [
+        ([], corpus.BLOCK_ROWS),
+        (non_ascii_corpus(300, seed=21), corpus.BLOCK_ROWS),
+        (TestBlocks.TWEETS, 3),  # the TSV in five blocks
+    ], ids=["empty", "non-ASCII", "multi-block"])
+    def test_round_trip(self, tweets, block_rows, tmp_path, monkeypatch):
+        monkeypatch.setattr(corpus, "BLOCK_ROWS", block_rows)
+        db = count_ngrams(tweets)
+        tsv, sidecar = tmp_path / "ngrams.tsv", tmp_path / "ngrams.tsv.bin"
+        write_ngram_db(db, tsv)
+        write_ngram_sidecar(db, sidecar, file_sha256(tsv))
+        for loaded in (read_ngram_sidecar(sidecar, file_sha256(tsv)), read_ngram_db(tsv)):
+            assert loaded.types == db.types
+            assert loaded.records.dtype == np.int32 and loaded.counts.dtype == np.int64
+            assert loaded.records.shape == db.records.shape
+            assert np.array_equal(loaded.records, db.records)
+            assert np.array_equal(loaded.counts, db.counts)
+            assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets,
+                                                                  db.total_tokens)
+
+    def test_stale_or_missing_sidecar_is_none_without_a_warning(self, tmp_path, caplog):
+        db = count_ngrams(TestBlocks.TWEETS)
+        sidecar = tmp_path / "ngrams.tsv.bin"
+        assert read_ngram_sidecar(sidecar, "0" * 64) is None
+        write_ngram_sidecar(db, sidecar, "0" * 64)
+        assert read_ngram_sidecar(sidecar, "1" * 64) is None
+        assert read_ngram_sidecar(sidecar, "0" * 64) is not None
+        assert caplog.records == []
+
+    def test_broken_sidecar_is_none_with_one_warning(self, tmp_path, caplog):
+        sidecar = tmp_path / "ngrams.tsv.bin"
+        write_ngram_sidecar(count_ngrams(TestBlocks.TWEETS), sidecar, "0" * 64)
+        sidecar.write_bytes(sidecar.read_bytes()[:-1])
+        assert read_ngram_sidecar(sidecar, "0" * 64) is None
+        assert [r.levelname for r in caplog.records] == ["WARNING"]
+        assert "header implies" in caplog.records[0].getMessage()
 
 
 non_ascii_tweets = st.lists(st.lists(st.sampled_from(NON_ASCII_TOKENS), max_size=7).map(" ".join),

@@ -245,8 +245,8 @@ class TestTrain:
         assert fast_logs == slow_logs
 
     @pytest.mark.parametrize("failing", [
-        "model.ckpt", "run_log.tsv", "ngrams.tsv", "dictionary.tsv", "dataset.tsv",
-        "dataset.tsv.vocab.tsv", "dataset.tsv.manifest.json", "embeddings.txt",
+        "model.ckpt", "run_log.tsv", "ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
+        "dataset.tsv", "dataset.tsv.vocab.tsv", "dataset.tsv.manifest.json", "embeddings.txt",
         "embeddings.txt.bin", "report.json", "report.txt", "grid/summary.tsv",
     ])
     def test_write_failing_midway_keeps_previous_file(self, failing, tmp_path, monkeypatch,
@@ -303,6 +303,15 @@ class TestTrain:
         assert len(opened) == 1
         assert (out / failing).read_bytes() == previous
         assert not list(out.rglob("*.tmp"))
+        if failing == "ngrams.tsv.bin":
+            # The second run's TSV is in place beside the first run's sidecar,
+            # now stale: dataset reads the TSV, as it does with no sidecar.
+            (other / "ngrams.tsv.bin").unlink()
+            for out_dir in (out, other):
+                assert main(["dataset", str(out_dir / "ngrams.tsv"), "--vocab-size", "5",
+                             "--include-boundary", "--out", str(out_dir / "again.tsv"),
+                             "--seed", "4", "--deterministic"]) == EXIT_OK
+            assert (out / "again.tsv").read_bytes() == (other / "again.tsv").read_bytes()
 
     @pytest.mark.parametrize("failing", ["model.ckpt", "run_log.tsv"])
     def test_write_failing_in_a_later_epoch_keeps_last_good_file(self, failing, tmp_path,
@@ -366,8 +375,9 @@ class TestTrain:
 
     def test_model_larger_than_physical_memory_exits_2(self, tmp_path, monkeypatch, capsys):
         dataset = tmp_path / "dataset.tsv"
-        dataset.write_text("#vocab_size=2048\t#vocab_hash=x\t#seed=1\t#validation_ratio=0.1"
-                           "\t#fraction=1.0\t#validation=0\t#train=1\n0\t1\t2\t3\t4\n",
+        dataset.write_text(f"#vocab_size=2048\t#vocab_hash={'0' * 64}\t#seed=1"
+                           "\t#validation_ratio=0.1\t#fraction=1.0\t#validation=0\t#train=1"
+                           "\n0\t1\t2\t3\t4\n",
                            encoding="utf-8")
         # Report 1 MiB of physical memory: 256 pages of 4 KiB.
         pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
