@@ -89,14 +89,19 @@ def _read_corpus_lines(path: Path) -> list[str]:
     return path.read_text(encoding="utf-8").splitlines()
 
 
-def _check_distinct(*outputs: Path) -> None:
-    """InputError when two of a stage's output paths name the same file, which
-    the later write would replace; callers check before writing anything."""
+def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
+    """InputError when two of a stage's output paths name the same file, or
+    an output names one of its inputs, which the write would replace;
+    callers check before writing anything."""
     seen: dict[Path, Path] = {}
     for path in outputs:
         other = seen.setdefault(path.resolve(), path)
         if other is not path:
             raise InputError(f"output paths {other} and {path} name the same file")
+    for path in inputs:
+        other = seen.get(path.resolve())
+        if other is not None:
+            raise InputError(f"output path {other} and input path {path} name the same file")
 
 
 # Stage functions, shared by the stage commands and `grid`: each takes its
@@ -195,7 +200,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     dict_path = Path(args.out_dict)
     manifest_path = db_path.with_suffix(db_path.suffix + ".manifest.json")
     _check_distinct(db_path, db_path.with_suffix(db_path.suffix + ".bin"), dict_path,
-                    manifest_path)
+                    manifest_path, inputs=(corpus_path,))
     db, dictionary = ingest_stage(_read_corpus_lines(corpus_path), db_path, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
@@ -218,15 +223,17 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    _check_distinct(out_path, vocab_path, manifest_path)
+    sidecar_path = db_path.with_suffix(db_path.suffix + ".bin")
+    _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, sidecar_path))
     # The sidecar stands in for the TSV only when it is bound to these bytes.
-    db = read_ngram_sidecar(db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
+    db_sha256 = file_sha256(db_path)
+    db = read_ngram_sidecar(sidecar_path, db_sha256)
     if db is None:
         db = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
-                              args.deterministic)
+                              args.deterministic, digests={"db": db_sha256})
     write_manifest(manifest, manifest_path)
     print(f"qualifying 5-grams: {len(examples)}")
     print(f"train tuples: {len(split.train)}")
@@ -239,7 +246,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     checkpoint_path = Path(args.out_checkpoint)
     log_path = Path(args.out_log)
     manifest_path = checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json")
-    _check_distinct(checkpoint_path, log_path, manifest_path)
+    _check_distinct(checkpoint_path, log_path, manifest_path, inputs=(dataset_path,))
     split, meta = read_dataset(dataset_path)
     hyper, cfg, config = train_settings(args, meta["vocab_size"])
     # Written first, so a run that diverges still leaves its manifest behind.
@@ -259,7 +266,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     vocab_path = Path(args.vocab)
     out_path = Path(args.out)
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    _check_distinct(out_path, out_path.with_suffix(out_path.suffix + ".bin"), manifest_path)
+    _check_distinct(out_path, out_path.with_suffix(out_path.suffix + ".bin"), manifest_path,
+                    inputs=(checkpoint_path, vocab_path))
     params, header = load_checkpoint(checkpoint_path)
     vocab = read_vocabulary(vocab_path)
     if header["vocab_hash"] != vocabulary_hash(vocab):
@@ -286,7 +294,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
     out_json = Path(args.out)
     text_path = out_json.with_suffix(".txt")
     manifest_path = out_json.with_suffix(out_json.suffix + ".manifest.json")
-    _check_distinct(out_json, text_path, manifest_path)
+    _check_distinct(out_json, text_path, manifest_path,
+                    inputs=(emb_path, classes_path, pairs_path))
     table = read_embeddings_text(emb_path)
     classes = load_gold_classes(classes_path)
     pairs = load_equivalence_pairs(pairs_path)
@@ -307,8 +316,12 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """Ingest once, then run the other stages for every |V| x fraction cell;
     a cell's manifest config is the union of the stage configs."""
     corpus_path = Path(args.corpus)
-    lines = _read_corpus_lines(corpus_path)
     out_dir = Path(args.out_dir)
+    # The run's own files; each cell writes into a directory named for it.
+    _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
+                                                  "summary.tsv", "grid.manifest.json")),
+                    inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
+    lines = _read_corpus_lines(corpus_path)
     out_dir.mkdir(parents=True, exist_ok=True)
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]

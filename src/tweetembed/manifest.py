@@ -45,18 +45,22 @@ def atomic_write(path: Path | str, mode: str = "w", **open_kwargs) -> Iterator[I
 
 
 def build_manifest(subcommand: str, config: dict, inputs: dict[str, Path | str],
-                   deterministic: bool) -> dict:
+                   deterministic: bool, digests: dict[str, str] | None = None) -> dict:
     """Resolved config plus input hashes and tool version.
 
-    In deterministic mode the timestamp is left empty so manifests are
+    An input named in `digests` takes the sha256 given there, which the
+    caller has already computed; every other input is hashed here. In
+    deterministic mode the timestamp is left empty so manifests are
     byte-reproducible; everything else in the manifest is already a pure
     function of the inputs and configuration.
     """
+    digests = digests or {}
     return {
         "subcommand": subcommand,
         "config": config,
         "inputs": {
-            name: {"path": str(path), "sha256": file_sha256(path)}
+            name: {"path": str(path),
+                   "sha256": digests[name] if name in digests else file_sha256(path)}
             for name, path in inputs.items()
         },
         "tool_version": __version__,

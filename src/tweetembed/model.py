@@ -12,15 +12,22 @@ here; `dataset.read_dataset` rejects out-of-range ids at the input
 boundary.
 
 One function, `_forward_to_logits`, runs the network up to the softmax
-input; `evaluate` and `backward_arrays` both call it. The loss is the mean
-cross entropy, -ln p_target per row, clamped at -ln LOSS_FLOOR. `evaluate`
-computes it as logsumexp(logits) - logit_target, streaming the rows in
-blocks of about 2^20 logits (8 MB of float64 at any |V|), so it never
-builds the probability matrix and its memory does not grow with the
-dataset. The training step (`backward_arrays`) applies `softmax` to the
-logits for the gradient only and returns the gradient in the parameters'
-own layout: one flat vector with a view per array (`ModelParams`). The hot
-paths write into as few full-width arrays as they can, but perform the
+input; `evaluate` and `backward_arrays` both call it. Both write every
+intermediate array into a `Workspace`, with `out=` or in place. A
+workspace is allocated once for a number of rows: `training.train`
+builds one per run, and a caller that passes none gets one for its own
+rows. So a training step allocates one array, its gradient vector, and
+how fast it runs does not hang on the allocator's state.
+
+The loss is the mean cross entropy, -ln p_target per row, clamped at
+-ln LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) -
+logit_target and never builds the probability matrix. It sums the losses
+in groups of 2^20 // |V| rows and computes each group in chunks of the
+workspace's rows, so its memory is the workspace plus 8 bytes per row of
+a group, whatever the dataset's size. The training step
+(`backward_arrays`) applies `softmax` to the logits for the gradient
+only and returns the gradient in the parameters' own layout: one flat
+vector with a view per array (`ModelParams`). The hot paths perform the
 same IEEE operations in the same order as the textbook forms kept in
 `tests/oracles.py`, so training yields the same parameters to the bit.
 
@@ -63,8 +70,10 @@ N_BOUNDARY = 4
 LOSS_FLOOR = 1e-12
 # -ln(LOSS_FLOOR): a row's loss is capped here, i.e. p_target is clamped at LOSS_FLOOR.
 MAX_NLL = float(-np.log(LOSS_FLOOR))
-# `evaluate` streams about this many logits per block.
+# `evaluate` sums the losses of max(1, EVAL_BLOCK_LOGITS // |V|) rows at a
+# time and computes them at most EVAL_CHUNK_ROWS rows at a time.
 EVAL_BLOCK_LOGITS = 2 ** 20
+EVAL_CHUNK_ROWS = 256
 
 CHECKPOINT_MAGIC = b"EMBCKPT1"
 PARAM_FIELDS = ("w_input", "w_ctx", "b_ctx", "w_output", "b_out")
@@ -162,68 +171,174 @@ def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
     return params
 
 
-def sigmoid(x: np.ndarray) -> np.ndarray:
+def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Numerically stable logistic function.
 
     With e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e) otherwise,
-    so exp never overflows.
+    so exp never overflows. With `out`, the result goes there and `x`,
+    another float64 array of the same shape, is overwritten as scratch;
+    without it, `x` is left alone and the result is a new array.
     """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    out /= 1.0 + e
+    if out is None:
+        x = np.array(x, dtype=np.float64)  # a copy, which the passes below overwrite
+        out = np.empty_like(x)
+    np.abs(x, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)             # e, in [0, 1], or NaN where x is NaN
+    np.greater_equal(x, 0.0, out=x)  # 1.0 where x >= 0, else 0.0
+    # The numerator: 1 where x >= 0, else e, since e <= 1 and NaN propagates.
+    np.maximum(x, out, out=x)
+    out += 1.0
+    np.divide(x, out, out=out)
     return out
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability, in one new array."""
+def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise softmax with max subtraction for stability, into `out`
+    (which may be `logits` itself) or a new array."""
     logits = np.asarray(logits, dtype=np.float64)
-    out = logits - logits.max(axis=-1, keepdims=True)
+    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
 
 
-def _forward_to_logits(params: ModelParams, contexts: np.ndarray
+class Workspace:
+    """The scratch arrays of the forward and backward passes over up to
+    `rows` rows, allocated once and reused by every call that is given it.
+
+    A pass over b rows writes the first b rows of each array, so every
+    intermediate is a C-contiguous array of the shape a fresh one would
+    have, and the passes round exactly as with fresh arrays.
+    """
+
+    merged: np.ndarray     # (rows, 4 d_in): the gathered context rows
+    d_merged: np.ndarray   # (rows, 4 d_in)
+    cells: np.ndarray      # (rows, 4, d_in): the scatter's flat w_input indices
+    ctx_pre: np.ndarray    # (rows, d_ctx): the context pre-activation, then d_act and d_ctx_pre
+    ctx_act: np.ndarray    # (rows, d_ctx)
+    one_minus: np.ndarray  # (rows, d_ctx): 1 - ctx_act
+    out_pre: np.ndarray    # (rows, |V|): the output projection, then the softmax and d_out_pre
+    # out_pre itself, or under sigmoid_logits the sigmoid of it in a (rows, |V|)
+    # array of its own, since those logits outlive the softmax
+    logits: np.ndarray
+    top: np.ndarray        # (rows,): evaluate's row maxima, then its row sums
+    row_ids: np.ndarray    # 0 .. rows - 1
+    columns: np.ndarray    # 0 .. d_in - 1
+
+    def __init__(self, hyper: ModelHyper, rows: int) -> None:
+        if rows < 1:
+            raise ValueError("a workspace needs at least one row")
+        self.rows = rows
+        vars(self).update({name: np.empty(shape, dtype)
+                           for name, (shape, dtype) in self._layout(hyper, rows).items()})
+        if not hyper.sigmoid_logits:
+            self.logits = self.out_pre
+        self.row_ids[:] = np.arange(rows)
+        self.columns[:] = np.arange(hyper.d_in)
+
+    @staticmethod
+    def _layout(hyper: ModelHyper, rows: int) -> dict[str, tuple[tuple[int, ...], type]]:
+        widths = {"merged": N_CONTEXT * hyper.d_in, "d_merged": N_CONTEXT * hyper.d_in,
+                  "ctx_pre": hyper.d_ctx, "ctx_act": hyper.d_ctx, "one_minus": hyper.d_ctx,
+                  "out_pre": hyper.vocab_size}
+        if hyper.sigmoid_logits:
+            widths["logits"] = hyper.vocab_size
+        layout = {name: ((rows, width), np.float64) for name, width in widths.items()}
+        layout["cells"] = ((rows, N_CONTEXT, hyper.d_in), np.int64)
+        layout["top"] = ((rows,), np.float64)
+        layout["row_ids"] = ((rows,), np.int64)
+        layout["columns"] = ((hyper.d_in,), np.int64)
+        return layout
+
+    @classmethod
+    def nbytes(cls, hyper: ModelHyper, rows: int) -> int:
+        """The bytes a workspace of `rows` rows allocates, counted without allocating it."""
+        return sum(np.dtype(dtype).itemsize * math.prod(shape)
+                   for shape, dtype in cls._layout(hyper, rows).values())
+
+    @staticmethod
+    def training_rows(hyper: ModelHyper, batch_size: int) -> int:
+        """Rows for one training step and for `evaluate`'s chunks:
+        max(batch_size, min(EVAL_CHUNK_ROWS, evaluate's group)). A small
+        batch does not shrink the chunks `evaluate` runs in."""
+        return max(batch_size, min(EVAL_CHUNK_ROWS, _eval_group_rows(hyper)))
+
+
+def _eval_group_rows(hyper: ModelHyper) -> int:
+    """How many rows' losses `evaluate` sums at a time."""
+    return max(1, EVAL_BLOCK_LOGITS // hyper.vocab_size)
+
+
+def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace
                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward pass up to the softmax input, for a (B, 4) int array of
-    context ids: (merged, ctx_act, logits), shapes (B, 4 * d_in), (B, d_ctx)
-    and (B, |V|)."""
-    merged = params.w_input[contexts].reshape(contexts.shape[0], -1)
-    ctx_pre = merged @ params.w_ctx
+    context ids, written into the first B rows of `ws`: (merged, ctx_act,
+    logits), shapes (B, 4 * d_in), (B, d_ctx) and (B, |V|)."""
+    b = contexts.shape[0]
+    merged = ws.merged[:b]
+    # mode="wrap" writes straight into `out`; "raise" would copy it first.
+    # Ids are in range (see the module docstring), so no id wraps.
+    np.take(params.w_input, contexts, axis=0, out=merged.reshape(b, N_CONTEXT, -1),
+            mode="wrap")
+    ctx_pre = np.matmul(merged, params.w_ctx, out=ws.ctx_pre[:b])
     ctx_pre += params.b_ctx
-    ctx_act = sigmoid(ctx_pre)
-    logits = ctx_act @ params.w_output
-    logits += params.b_out
-    if params.hyper.sigmoid_logits:
-        logits = sigmoid(logits)
+    ctx_act = sigmoid(ctx_pre, out=ws.ctx_act[:b])
+    out_pre = np.matmul(ctx_act, params.w_output, out=ws.out_pre[:b])
+    out_pre += params.b_out
+    logits = sigmoid(out_pre, out=ws.logits[:b]) if params.hyper.sigmoid_logits else out_pre
     return merged, ctx_act, logits
 
 
-def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray) -> float:
-    """Mean cross entropy over a dataset, streamed in blocks of rows.
+def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
+             ws: Workspace | None = None) -> float:
+    """Mean cross entropy over a dataset, streamed through a workspace.
 
     Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
-    computed in place on the block's logits; no probability matrix is
-    built. A block holds max(1, 2^20 // |V|) rows, about 2^20 logits or
-    8 MB, so memory is bounded independently of the dataset size. The
-    LOSS_FLOOR clamp warns at most once per call, with the count over all
-    blocks.
+    computed in place on the workspace's logits; no probability matrix is
+    built. The losses are summed in groups of max(1, 2^20 // |V|) rows:
+    each group's losses fill one buffer, computed `ws.rows` rows at a
+    time, and are then clamped and summed at once, so the sum's order
+    does not depend on the workspace. Without `ws`, one of
+    min(n, EVAL_CHUNK_ROWS, group) rows is built. Memory is the workspace
+    plus 8 bytes per row of a group, whatever n is. The LOSS_FLOOR clamp
+    warns at most once per call, with the count over all groups.
+
+    A chunk's logits round like the whole group's when the BLAS computes
+    each row of a product the same way whatever the row count. numpy
+    multiplies a single row as matrix-vector products, which round
+    otherwise, so no chunk of a longer group is one row long. OpenBLAS
+    0.3.31 (Haswell kernels) rounds a few products of a row differently
+    with the row count when a width (|V| or d_ctx) is 1 to 4 above a
+    multiple of 8; the loss was unchanged wherever that was checked,
+    since a last-bit change in a logit is far below the last bit of a
+    loss.
     """
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    rows = max(1, EVAL_BLOCK_LOGITS // params.hyper.vocab_size)
+    group = _eval_group_rows(params.hyper)
+    if ws is None:
+        ws = Workspace(params.hyper, min(n, EVAL_CHUNK_ROWS, group))
+    chunk = min(ws.rows, group)
+    losses = np.empty(min(n, group))
     total = 0.0
     n_clamped = 0
-    for start in range(0, n, rows):
-        stop = min(start + rows, n)
-        logits = _forward_to_logits(params, contexts[start:stop])[-1]
-        top = logits.max(axis=1)
-        nll = top - logits[np.arange(stop - start), targets[start:stop]]
-        logits -= top[:, None]
-        np.exp(logits, out=logits)
-        nll += np.log(logits.sum(axis=1))
+    for start in range(0, n, group):
+        nll = losses[:min(group, n - start)]
+        bounds = [*range(0, len(nll), chunk), len(nll)]
+        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+            bounds[-2] -= 1  # a 1-row product is a matrix-vector one, which rounds otherwise
+        for lo, hi in zip(bounds, bounds[1:]):
+            logits = _forward_to_logits(params, contexts[start + lo:start + hi], ws)[-1]
+            m = hi - lo
+            top = np.max(logits, axis=1, out=ws.top[:m])
+            part = np.subtract(top, logits[ws.row_ids[:m], targets[start + lo:start + hi]],
+                               out=nll[lo:hi])
+            logits -= top[:, None]
+            np.exp(logits, out=logits)
+            np.log(np.sum(logits, axis=1, out=top), out=top)
+            part += top
         n_clamped += int(np.count_nonzero(nll > MAX_NLL))
         np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
         total += float(nll.sum())
@@ -232,34 +347,40 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray) -> 
     return total / n
 
 
-def backward_arrays(params: ModelParams, contexts: np.ndarray,
-                    targets: np.ndarray) -> ModelParams:
+def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
+                    ws: Workspace | None = None) -> ModelParams:
     """Exact gradient of mean cross entropy over a packed batch, in the
     parameters' layout.
 
-    The shared input matrix accumulates contributions from all four
-    context positions, in one `np.bincount` (see the module docstring);
-    rows for ids absent from the batch stay zero.
+    Every intermediate is written into `ws` (one of the batch's rows when
+    not given), so the gradient vector is the one array the call
+    allocates. The shared input matrix accumulates contributions from all
+    four context positions, in one `np.bincount` (see the module
+    docstring); rows for ids absent from the batch stay zero.
     """
     batch = targets.shape[0]
     if batch == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    merged, ctx_act, logits = _forward_to_logits(params, contexts)
-    d_out_pre = softmax(logits)  # a fresh array, so it becomes d_logits in place
-    d_out_pre[np.arange(batch), targets] -= 1.0
+    if ws is None:
+        ws = Workspace(params.hyper, batch)
+    merged, ctx_act, logits = _forward_to_logits(params, contexts, ws)
+    # Over the logits themselves, unless the sigmoid chain still needs them.
+    d_out_pre = softmax(logits, out=ws.out_pre[:batch])
+    d_out_pre[ws.row_ids[:batch], targets] -= 1.0
     d_out_pre /= batch
     if params.hyper.sigmoid_logits:
         # logits = sigmoid(out_pre), so chain through the logistic derivative
         d_out_pre *= logits
-        d_out_pre *= 1.0 - logits
+        d_out_pre *= np.subtract(1.0, logits, out=logits)
 
-    d_act = d_out_pre @ params.w_output.T
-    d_ctx_pre = d_act * ctx_act * (1.0 - ctx_act)
-    d_merged = d_ctx_pre @ params.w_ctx.T
+    d_ctx_pre = np.matmul(d_out_pre, params.w_output.T, out=ws.ctx_pre[:batch])  # d_act
+    d_ctx_pre *= ctx_act
+    d_ctx_pre *= np.subtract(1.0, ctx_act, out=ws.one_minus[:batch])
+    d_merged = np.matmul(d_ctx_pre, params.w_ctx.T, out=ws.d_merged[:batch])
     # w_input leads `flat`, so the scatter's output is the gradient vector:
     # entry id * d_in + column of w_input, zeros past it.
-    d_in = params.hyper.d_in
-    cells = (contexts * d_in)[..., None] + np.arange(d_in)
+    cells = np.multiply(contexts[..., None], params.hyper.d_in, out=ws.cells[:batch])
+    cells += ws.columns
     grads = ModelParams(params.hyper, np.bincount(cells.ravel(), weights=d_merged.ravel(),
                                                   minlength=param_count(params.hyper)))
     np.matmul(ctx_act.T, d_out_pre, out=grads.w_output)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -18,6 +18,7 @@ from .model import (
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
+    Workspace,
     backward_arrays,
     evaluate,
     init_params,
@@ -54,11 +55,13 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators, in the parameters' layout, and step count."""
+    """First/second moment accumulators, in the parameters' layout, step
+    count, and the two ADAM_BLOCK-value slice buffers `adam_step` works in."""
 
     m: ModelParams
     v: ModelParams
     t: int = 0
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
@@ -96,8 +99,8 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     Adam is elementwise, so it runs over the flat vectors in slices of
     ADAM_BLOCK values: each slice makes every pass of the formula, in its
     operation order, before the next slice starts, so the six vectors'
-    slices (parameters, gradients, moments and two slice-sized scratch
-    arrays) stay in cache between passes. The result is bit-identical to
+    slices (parameters, gradients, moments and the state's two slice
+    buffers) stay in cache between passes. The result is bit-identical to
     evaluating the formula per matrix with temporaries. The non-finite
     check reads all of the gradients before any slice or the step count is
     updated, so a rejected step changes nothing. The bias correction stays
@@ -112,8 +115,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     state.t = t
     m_scale = 1.0 - ADAM_BETA1 ** t
     v_scale = 1.0 - ADAM_BETA2 ** t
-    step_buf = np.empty(min(g.size, ADAM_BLOCK))
-    denom_buf = np.empty_like(step_buf)
+    step_buf, denom_buf = state.scratch
     for start in range(0, g.size, ADAM_BLOCK):
         part = slice(start, start + ADAM_BLOCK)
         g_part, m, v = g[part], state.m.flat[part], state.v.flat[part]
@@ -134,19 +136,20 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
         params.flat[part] -= step
 
 
-def _check_fits_in_memory(hyper: ModelHyper) -> None:
+def _check_fits_in_memory(hyper: ModelHyper, rows: int) -> None:
     """MemoryError when training this model would need more than physical memory.
 
-    Training holds four float64 arrays per parameter: the parameters, one
-    batch's gradients and Adam's two moments; the check counts those.
-    Adam's scratch adds only two slices of ADAM_BLOCK values. A batch's
-    activations, a few batch x |V| arrays, come on top and are not counted.
+    Training holds four float64 arrays per parameter (the parameters, one
+    batch's gradients and Adam's two moments) and one `Workspace` of
+    `rows` rows, which holds every activation of a step; the check counts
+    all of them. Adam's scratch adds only two slices of ADAM_BLOCK values.
     """
-    needed = 4 * 8 * param_count(hyper)
+    needed = 4 * 8 * param_count(hyper) + Workspace.nbytes(hyper, rows)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
     if needed > physical:
         raise MemoryError(f"a |V|={hyper.vocab_size} model needs {needed} bytes for parameters, "
-                          f"gradients and Adam moments; physical memory is {physical} bytes")
+                          f"gradients, Adam moments and activations; "
+                          f"physical memory is {physical} bytes")
 
 
 def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
@@ -164,14 +167,17 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     loss of a uniform prediction, which a fresh model is close to)
     training aborts and the last good checkpoint and log stay on disk.
     With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
-    byte-reproducible. A model larger than physical memory is a
+    byte-reproducible. Every step and evaluation works in one `Workspace`,
+    allocated here for the run. A model larger than physical memory is a
     MemoryError before anything is allocated.
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
-    _check_fits_in_memory(hyper)
+    rows = Workspace.training_rows(hyper, cfg.batch_size)
+    _check_fits_in_memory(hyper, rows)
     params = init_params(hyper, cfg.seed)
     state = AdamState.for_params(params)
+    ws = Workspace(hyper, rows)
     # Sliced once into contiguous arrays: every batch and evaluation reads them.
     train_ctx = np.ascontiguousarray(split.train[:, :N_CONTEXT])
     train_tgt = np.ascontiguousarray(split.train[:, N_CONTEXT])
@@ -186,9 +192,10 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
         order = permutation(n, derive_seed(cfg.seed, epoch))
         for start in range(0, n, cfg.batch_size):
             sel = order[start : start + cfg.batch_size]
-            adam_step(params, backward_arrays(params, train_ctx[sel], train_tgt[sel]), state, cfg)
-        train_loss = evaluate(params, train_ctx, train_tgt)
-        val_loss = evaluate(params, val_ctx, val_tgt) if len(val_tgt) else math.nan
+            adam_step(params, backward_arrays(params, train_ctx[sel], train_tgt[sel], ws),
+                      state, cfg)
+        train_loss = evaluate(params, train_ctx, train_tgt, ws)
+        val_loss = evaluate(params, val_ctx, val_tgt, ws) if len(val_tgt) else math.nan
         wall = 0.0 if cfg.deterministic else time.perf_counter() - started
         if not math.isfinite(train_loss) or train_loss > limit:
             raise TrainingDiverged(

@@ -681,6 +681,35 @@ def _colliding(command, *option_pairs):
     return argv
 
 
+def _output_at_input(command, option, name):
+    """Case builder: a valid `command` run whose output `option` (given
+    last, so it wins) names the file `name` in tmp_path that the command
+    reads; no file may be written."""
+    def argv(dataset, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("olá mundo\n", encoding="utf-8")
+        ckpt, vocab_path, classes, pairs = clustered_checkpoint(tmp_path)
+        emb = tmp_path / "emb.txt"
+        emb.write_text("2 2\nolá 0.1 0.2\nbom 0.3 0.4\n", encoding="utf-8")
+        base = {
+            "ingest": ["ingest", corpus, "--out-db", tmp_path / "x.tsv",
+                       "--out-dict", tmp_path / "x.dict"],
+            "dataset": ["dataset", tmp_path / "ngrams.tsv", "--vocab-size", "3",
+                        "--out", tmp_path / "ds.tsv"],
+            "train": ["train", dataset, "--out-checkpoint", tmp_path / "m.ckpt",
+                      "--out-log", tmp_path / "log.tsv", "--epochs", "1",
+                      "--emb-dim", "8", "--ctx-dim", "8"],
+            "export": ["export", ckpt, "--vocab", vocab_path, "--out", tmp_path / "e.txt"],
+            "eval": ["eval", emb, "--classes", classes, "--pairs", pairs,
+                     "--out", tmp_path / "r.json"],
+            "grid": ["grid", tmp_path / "ngrams.tsv", "--out-dir", tmp_path / "grid",
+                     "--vocab-sizes", "2", "--fractions", "1.0", "--include-boundary",
+                     "--epochs", "1", "--emb-dim", "4", "--ctx-dim", "4"],
+        }[command]
+        return [str(arg) for arg in base + [option, tmp_path / name]]
+    return argv
+
+
 def _vocab_file(text):
     """Case builder: export a valid checkpoint with `text` as its vocabulary file."""
     def argv(dataset, tmp_path):
@@ -812,6 +841,24 @@ MALFORMED_INPUTS = {
     "train --out-log at the checkpoint's manifest": (
         _colliding("train", ("--out-checkpoint", "m"), ("--out-log", "m.manifest.json")),
         "name the same file"),
+    "ingest --out-db at its corpus": (
+        _output_at_input("ingest", "--out-db", "corpus.txt"), "name the same file"),
+    "ingest --out-dict at its corpus": (
+        _output_at_input("ingest", "--out-dict", "corpus.txt"), "name the same file"),
+    "dataset --out at its 5-gram DB": (
+        _output_at_input("dataset", "--out", "ngrams.tsv"), "name the same file"),
+    "dataset --out at its 5-gram DB's binary sidecar": (
+        _output_at_input("dataset", "--out", "ngrams.tsv.bin"), "name the same file"),
+    "train --out-checkpoint at its dataset": (
+        _output_at_input("train", "--out-checkpoint", "dataset.tsv"), "name the same file"),
+    "train --out-log at its dataset": (
+        _output_at_input("train", "--out-log", "dataset.tsv"), "name the same file"),
+    "export --out at its vocabulary": (
+        _output_at_input("export", "--out", "vocab.tsv"), "name the same file"),
+    "eval --out at its gold classes": (
+        _output_at_input("eval", "--out", "classes.tsv"), "name the same file"),
+    "grid --out-dir holding its corpus as ngrams.tsv": (
+        _output_at_input("grid", "--out-dir", "."), "name the same file"),
     "export --vocab line without a tab": (_vocab_file("a1\t0\na2\n"),
                                           "vocab.tsv:2: expected 2 tab-separated fields, got 1"),
     "export --vocab id out of order": (_vocab_file("a1\t0\na2\t2\n"),
@@ -840,13 +887,18 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_path, capsys):
     build_argv, message = MALFORMED_INPUTS[case]
     argv = build_argv(prepared_dataset, tmp_path)
-    before = sorted(tmp_path.rglob("*"))
+
+    def files():
+        return {path: path.read_bytes() if path.is_file() else None
+                for path in tmp_path.rglob("*")}
+
+    before = files()
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     if message == "name the same file":
-        assert sorted(tmp_path.rglob("*")) == before
+        assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
+    Workspace,
     backward_arrays,
     evaluate,
     init_params,
@@ -349,6 +351,92 @@ class TestEvaluate:
         params = init_params(tiny_hyper(), seed=1)
         with pytest.raises(ValueError):
             evaluate(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
+
+    @pytest.mark.parametrize("sigmoid_logits", [False, True])
+    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, sigmoid_logits):
+        # At |V| = 302 a summed group is 2^20 // 302 = 3472 rows, which no
+        # chunk height here divides, so chunks straddle group ends and 8000
+        # rows leave a short last group. Heights 3 and 13 would end each
+        # full group with a 1-row chunk (see the next test). A workspace of
+        # 3472 rows computes each group in one product.
+        hyper = ModelHyper(vocab_size=302, sigmoid_logits=sigmoid_logits)
+        params = init_params(hyper, seed=2)
+        rng = np.random.default_rng(5)
+        contexts = rng.integers(0, hyper.vocab_size + 4, (8000, 4))
+        targets = rng.integers(0, hyper.vocab_size, 8000)
+        whole = evaluate(params, contexts, targets, Workspace(hyper, 3472))
+        for rows in (3, 7, 13, 256, 1000, 5000):
+            got = evaluate(params, contexts, targets, Workspace(hyper, rows))
+            assert got.hex() == whole.hex(), rows
+        assert evaluate(params, contexts, targets).hex() == whole.hex()
+
+    def test_no_chunk_of_one_row(self, monkeypatch):
+        # numpy multiplies a single row by matrix-vector products, which
+        # round some logits otherwise. So a group of 4 rows in a 3-row
+        # workspace runs as chunks of 2 and 2, not 3 and 1; large logits
+        # and 4-row losses let such a rounding reach the result.
+        monkeypatch.setattr(tweetembed.model, "EVAL_BLOCK_LOGITS", 4 * 302)
+        hyper = ModelHyper(vocab_size=302)
+        params = init_params(hyper, seed=2)
+        params.w_output[...] *= 40.0
+        rng = np.random.default_rng(5)
+        contexts = rng.integers(0, hyper.vocab_size + 4, (400, 4))
+        targets = rng.integers(0, hyper.vocab_size, 400)
+        small, whole = Workspace(hyper, 3), Workspace(hyper, 4)
+        for i in range(0, 400, 4):
+            rows = slice(i, i + 4)
+            assert (evaluate(params, contexts[rows], targets[rows], small).hex()
+                    == evaluate(params, contexts[rows], targets[rows], whole).hex()), i
+
+    def test_peak_memory_does_not_grow_with_rows(self):
+        # At |V| = 128 a summed group is 8192 rows; computed in one pass,
+        # one call peaked at 32 MB of temporaries.
+        hyper = ModelHyper(vocab_size=128)
+        params = init_params(hyper, seed=3)
+        rng = np.random.default_rng(6)
+        contexts = rng.integers(0, hyper.vocab_size + 4, (20000, 4))
+        targets = rng.integers(0, hyper.vocab_size, 20000)
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                evaluate(params, contexts[:n], targets[:n])
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        big, small = peak(20000), peak(2000)
+        assert big < 4 * 2 ** 20
+        assert abs(big - small) <= 0.1 * big, (big, small)
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("sigmoid_logits", [False, True])
+    def test_nbytes_counts_every_array(self, sigmoid_logits):
+        hyper = ModelHyper(vocab_size=300, d_in=5, d_ctx=7, sigmoid_logits=sigmoid_logits)
+        ws = Workspace(hyper, 11)
+        arrays = {id(a): a for a in vars(ws).values() if isinstance(a, np.ndarray)}
+        assert Workspace.nbytes(hyper, 11) == sum(a.nbytes for a in arrays.values())
+        assert (ws.logits is ws.out_pre) != sigmoid_logits
+
+    def test_training_rows(self):
+        # max(batch, min(256, 2^20 // |V|))
+        for vocab_size, batch, rows in ((128, 16, 256), (128, 1000, 1000), (2048, 256, 256),
+                                        (32768, 16, 32), (2 ** 21, 1, 1)):
+            assert Workspace.training_rows(ModelHyper(vocab_size=vocab_size), batch) == rows
+
+    def test_reused_workspace_gives_the_same_gradient(self):
+        # A smaller batch after a larger one reads only its own rows.
+        hyper = tiny_hyper(vocab_size=12, sigmoid_logits=True)
+        params = init_params(hyper, seed=4)
+        rng = np.random.default_rng(8)
+        ws = Workspace(hyper, 9)
+        for size in (9, 4, 9, 1):
+            contexts, targets = random_batch(rng, hyper, size)
+            shared = backward_arrays(params, contexts, targets, ws)
+            fresh = backward_arrays(params, contexts, targets)
+            assert np.array_equal(shared.flat.view(np.int64), fresh.flat.view(np.int64)), size
+            assert evaluate(params, contexts, targets, ws) == evaluate(params, contexts, targets)
 
 
 class TestCheckpoint:

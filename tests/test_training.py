@@ -1,6 +1,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,9 +20,12 @@ from tweetembed.model import (
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
+    Workspace,
+    backward_arrays,
     evaluate,
     init_params,
     load_checkpoint,
+    param_count,
 )
 from tweetembed.training import (
     ADAM_BLOCK,
@@ -30,6 +34,7 @@ from tweetembed.training import (
     NonFiniteGradientError,
     TrainConfig,
     TrainingDiverged,
+    _check_fits_in_memory,
     adam_step,
     train,
     write_run_log,
@@ -233,16 +238,34 @@ class TestTrain:
                                                             tmp_path, monkeypatch):
         # Guard for hot-path rewrites: swapping softmax, sigmoid and adam_step
         # for their textbook forms must not change one byte of the checkpoint.
+        # The hot path passes `out=`, so the oracles' fresh results are
+        # copied there; a call the hot path stopped making would fail
+        # `calls`.
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4, sigmoid_logits=sigmoid_logits)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=21, deterministic=True)
         fast, slow = tmp_path / "fast.ckpt", tmp_path / "slow.ckpt"
         _, fast_logs = train(toy_split(), hyper, cfg, fast, tmp_path / "fast.log", "")
-        monkeypatch.setattr(tweetembed.model, "softmax", oracle_softmax)
-        monkeypatch.setattr(tweetembed.model, "sigmoid", oracle_sigmoid)
+        calls = {"softmax": 0, "sigmoid": 0}
+
+        def into_out(name, oracle):
+            def wrapped(x, out=None):
+                calls[name] += 1
+                result = oracle(x)
+                if out is None:
+                    return result
+                out[...] = result
+                return out
+            return wrapped
+
+        monkeypatch.setattr(tweetembed.model, "softmax", into_out("softmax", oracle_softmax))
+        monkeypatch.setattr(tweetembed.model, "sigmoid", into_out("sigmoid", oracle_sigmoid))
         monkeypatch.setattr(tweetembed.training, "adam_step", oracle_adam_step)
         _, slow_logs = train(toy_split(), hyper, cfg, slow, tmp_path / "slow.log", "")
         assert fast.read_bytes() == slow.read_bytes()
         assert fast_logs == slow_logs
+        steps = -(-len(toy_split().train) // cfg.batch_size) * cfg.epochs
+        assert calls["softmax"] == steps
+        assert calls["sigmoid"] >= steps * (2 if sigmoid_logits else 1)
 
     @pytest.mark.parametrize("failing", [
         "model.ckpt", "run_log.tsv", "ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
@@ -389,6 +412,44 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "physical memory is 1048576 bytes" in err and "Traceback" not in err
         assert not ckpt.exists()
+
+    def test_memory_check_counts_the_workspace(self, monkeypatch):
+        # Physical memory between the four parameter-sized arrays alone and
+        # those plus the workspace must be refused.
+        hyper = ModelHyper(vocab_size=2048)
+        rows = Workspace.training_rows(hyper, 256)
+        arrays = 4 * 8 * param_count(hyper)
+        workspace = Workspace.nbytes(hyper, rows)
+        assert workspace > 4 * 2 ** 20
+        for physical, fits in ((arrays + workspace // 2, False), (arrays + workspace, True)):
+            pages = {"SC_PHYS_PAGES": physical, "SC_PAGE_SIZE": 1}
+            monkeypatch.setattr(tweetembed.training.os, "sysconf", pages.__getitem__)
+            if fits:
+                _check_fits_in_memory(hyper, rows)
+            else:
+                with pytest.raises(MemoryError, match="activations"):
+                    _check_fits_in_memory(hyper, rows)
+
+    @pytest.mark.parametrize("sigmoid_logits", [False, True])
+    def test_step_allocates_only_the_gradient(self, sigmoid_logits):
+        # Once the workspace and Adam's state exist, a step allocates the
+        # gradient vector from np.bincount and little else.
+        hyper = ModelHyper(vocab_size=2048, sigmoid_logits=sigmoid_logits)
+        params = init_params(hyper, seed=1)
+        state = AdamState.for_params(params)
+        cfg = TrainConfig()
+        ws = Workspace(hyper, cfg.batch_size)
+        rng = np.random.default_rng(2)
+        contexts = rng.integers(0, hyper.vocab_size + 4, (cfg.batch_size, 4))
+        targets = rng.integers(0, hyper.vocab_size, cfg.batch_size)
+        adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg)
+        tracemalloc.start()
+        try:
+            adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * param_count(hyper) + 2 ** 20, peak
 
     def test_epoch_callback_streams_logs(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
