@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -85,8 +86,38 @@ class InputError(Exception):
     pass
 
 
-def _read_corpus_lines(path: Path) -> list[str]:
-    return path.read_text(encoding="utf-8").splitlines()
+# `_read_corpus_lines` reads the corpus at least this many characters at a time.
+CORPUS_CHUNK_CHARS = 1 << 18
+# The characters str.splitlines ends a line at; "\r\n" is one boundary.
+_LINE_BOUNDARIES = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+def _read_corpus_lines(path: Path) -> Iterator[str]:
+    """The lines `path.read_text(encoding="utf-8").splitlines()` gives,
+    read in chunks of text, so the corpus is never held whole.
+
+    The file is read without newline translation. A chunk's unfinished
+    last line, or a last line ended by a "\r" that may be the first half
+    of a "\r\n", is carried into the next chunk. A chunk is at least as
+    long as the carried text, so a line longer than CORPUS_CHUNK_CHARS is
+    copied a bounded number of times. A byte that is not UTF-8 raises
+    UnicodeDecodeError, a ValueError, when its chunk is read, so a caller
+    that writes only after it has read every line writes nothing.
+    """
+    with path.open("r", encoding="utf-8", newline="") as fh:
+        tail = ""
+        while chunk := fh.read(max(CORPUS_CHUNK_CHARS, len(tail))):
+            text = tail + chunk
+            lines = text.splitlines()
+            end = text[-1]
+            if end == "\r":
+                tail = lines.pop() + end
+            elif end in _LINE_BOUNDARIES:
+                tail = ""
+            else:
+                tail = lines.pop()
+            yield from lines
+        yield from tail.splitlines()
 
 
 def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
@@ -110,16 +141,15 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
 # `train` itself, with the settings from `train_settings`.
 
 
-def ingest_stage(lines: list[str], db_path: Path,
-                 dict_path: Path) -> tuple[NGramDatabase, Dictionary]:
-    """Count the corpus's 5-grams in one process; the stage has no settings.
-    The database's binary sidecar `<db_path>.bin` is bound to the TSV's hash."""
-    db = count_ngrams(lines)
+def ingest_stage(db: NGramDatabase, db_path: Path, dict_path: Path) -> Dictionary:
+    """Write the counted corpus (`count_ngrams` over `_read_corpus_lines`)
+    and its dictionary; the stage has no settings. The database's binary
+    sidecar `<db_path>.bin` is bound to the TSV's hash."""
     dictionary = build_dictionary(db)
     write_ngram_db(db, db_path)
     write_ngram_sidecar(db, db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
     write_dictionary(dictionary, dict_path)
-    return db, dictionary
+    return dictionary
 
 
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
@@ -201,7 +231,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     manifest_path = db_path.with_suffix(db_path.suffix + ".manifest.json")
     _check_distinct(db_path, db_path.with_suffix(db_path.suffix + ".bin"), dict_path,
                     manifest_path, inputs=(corpus_path,))
-    db, dictionary = ingest_stage(_read_corpus_lines(corpus_path), db_path, dict_path)
+    db = count_ngrams(_read_corpus_lines(corpus_path))
+    dictionary = ingest_stage(db, db_path, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
     manifest = build_manifest(
@@ -321,8 +352,6 @@ def cmd_grid(args: argparse.Namespace) -> int:
     _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
                                                   "summary.tsv", "grid.manifest.json")),
                     inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
-    lines = _read_corpus_lines(corpus_path)
-    out_dir.mkdir(parents=True, exist_ok=True)
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]
     if not vocab_sizes or not fractions:
@@ -332,7 +361,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
             raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
-    db, dictionary = ingest_stage(lines, out_dir / "ngrams.tsv", out_dir / "dictionary.tsv")
+    # The whole corpus is read before the first directory or file is made.
+    db = count_ngrams(_read_corpus_lines(corpus_path))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    dictionary = ingest_stage(db, out_dir / "ngrams.tsv", out_dir / "dictionary.tsv")
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:

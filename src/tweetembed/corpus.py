@@ -20,7 +20,7 @@ import logging
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -36,7 +36,9 @@ PAD_R1 = "<PAD_R1>"
 PAD_R2 = "<PAD_R2>"
 BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
 # write_ngram_db and read_ngram_db handle this many rows at a time, which
-# bounds the memory of the Python strings and lists they make.
+# bounds the memory of the Python strings and lists they make; count_ngrams
+# moves its ids from a list into an int32 block about this often, and
+# build_dictionary sums this many rows at a time.
 BLOCK_ROWS = 65536
 NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
 _SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
@@ -118,12 +120,16 @@ def _dense_rank_in_place(key: np.ndarray) -> int:
     return int(ranks[-1])
 
 
-def _distinct_rows(rows: np.ndarray, n_types: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort the rows of a (N, 5) id array; returns (order, first, distinct).
+def _row_order(column: Callable[[int], np.ndarray], n_rows: int,
+               n_types: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort n_rows rows of five type ids; returns (order, first).
 
-    `order` sorts the rows lexicographically, `first` marks each sorted row
-    that differs from the one before it, and `distinct` is the sorted rows
-    without repeats; repeated rows may come in any order among themselves.
+    `column(col)` gives the ids of column `col` (0-4) of every row, and is
+    called once per column, so the rows never need to exist as one
+    (n_rows, 5) array. `order` sorts the rows lexicographically and
+    `first` marks each sorted row that differs from the one before it, so
+    the distinct rows are those at order[first]; repeated rows may come in
+    any order among themselves.
 
     The columns are folded left to right into one int64 key that orders
     and compares like the rows, so one argsort does the work. Each
@@ -135,20 +141,20 @@ def _distinct_rows(rows: np.ndarray, n_types: int) -> tuple[np.ndarray, np.ndarr
     is.
     """
     bits = max(1, (n_types - 1).bit_length())
-    key = np.zeros(len(rows), dtype=np.int64)
+    key = np.zeros(n_rows, dtype=np.int64)
     width = 0
     for col in range(5):
         if width + bits > 63:
             width = _dense_rank_in_place(key).bit_length()
         key <<= bits
-        key |= rows[:, col]
+        key |= column(col)
         width += bits
     order = np.argsort(key)
-    sorted_key = key[order]
-    first = np.empty(len(rows), dtype=bool)
+    key = key[order]
+    first = np.empty(n_rows, dtype=bool)
     first[:1] = True
-    np.not_equal(sorted_key[1:], sorted_key[:-1], out=first[1:])
-    return order, first, rows[order[first]]
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return order, first
 
 
 def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
@@ -156,16 +162,22 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
     one process.
 
     Each tweet's raw tokens get ids in one int32 sequence, framed per tweet
-    by the boundary tokens, and each distinct raw token is normalized once.
-    Every 5-wide window centred on a real token is one occurrence; a sort
-    of those windows gives the distinct rows and their counts.
-    Whitespace-only tweets contribute nothing and are not counted in
-    total_tweets.
+    by the boundary tokens, and each distinct raw token is normalized once;
+    the stream is read once and never held. Every 5-wide window centred on
+    a real token is one occurrence. The windows are never copied out: the
+    sort key is folded from five shifted views of the type-id sequence,
+    masked to the window centres, and only the distinct rows are gathered.
+    Beyond the result and the corpus's distinct tokens, memory peaks at
+    about 30 bytes per window, in the sort. Whitespace-only tweets
+    contribute nothing and are not counted in total_tweets.
     """
     # Raw ids 0-3 are the boundary tokens, in BOUNDARY_TOKENS order; their
     # keys are ints, so no raw token can take them.
     raw_ids = _FirstSeen((i, i) for i in range(len(BOUNDARY_TOKENS)))
     get = raw_ids.__getitem__
+    # The ids go to an int32 block every BLOCK_ROWS or so; a Python list is
+    # the fastest to append to, and it costs 8 bytes per id.
+    blocks: list[np.ndarray] = []
     seq: list[int] = []
     tweets = 0
     for line in tweet_stream:
@@ -175,21 +187,38 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
             seq += (0, 1)
             seq += map(get, words)
             seq += (2, 3)
-    raw_tokens = itertools.islice(raw_ids, len(BOUNDARY_TOKENS), None)
-    normalized = [*BOUNDARY_TOKENS, *map(normalize_token, raw_tokens)]
+            if len(seq) >= BLOCK_ROWS:
+                blocks.append(np.array(seq, dtype=np.int32))
+                seq.clear()
+    blocks.append(np.array(seq, dtype=np.int32))
+    del seq, get
+    raw = np.concatenate(blocks)
+    del blocks
+    normalized = [*BOUNDARY_TOKENS, *map(normalize_token,
+                                         itertools.islice(raw_ids, len(BOUNDARY_TOKENS), None))]
+    del raw_ids
     types = sorted(set(normalized))
-    type_id = {token: i for i, token in enumerate(types)}
-    if not seq:
+    if not tweets:
         return NGramDatabase(types, np.zeros((0, 5), dtype=np.int32),
                              np.zeros(0, dtype=np.int64), 0, 0)
-    raw = np.array(seq, dtype=np.int32)
-    del seq  # the list takes twice the memory of the array, so it goes before the sort
+    type_id = {token: i for i, token in enumerate(types)}
     ids = np.fromiter(map(type_id.__getitem__, normalized), dtype=np.int32,
                       count=len(normalized))[raw]
-    windows = sliding_window_view(ids, 5)[raw[2:-2] >= len(BOUNDARY_TOKENS)]
-    _, first, records = _distinct_rows(windows, len(types))
+    del normalized, type_id
+    # Window j spans ids[j:j + 5]; it is an occurrence when its centre is a token.
+    centre = raw[2:-2] >= len(BOUNDARY_TOKENS)
+    del raw
+    n_windows = int(np.count_nonzero(centre))
+    order, first = _row_order(lambda col: ids[col:len(ids) - 4 + col][centre], n_windows,
+                              len(types))
+    distinct = order[first]
+    del order
+    starts = np.flatnonzero(centre)[distinct]
+    del centre, distinct
+    records = sliding_window_view(ids, 5)[starts]
+    del ids, starts
     counts = np.diff(np.flatnonzero(np.append(first, True)))
-    return NGramDatabase(types, records, counts, tweets, len(windows))
+    return NGramDatabase(types, records, counts, tweets, n_windows)
 
 
 @dataclass
@@ -214,8 +243,13 @@ def build_dictionary(db: NGramDatabase) -> Dictionary:
     centers counts every occurrence exactly once. Type ids follow word
     order, so a stable sort on frequency leaves ties in word order.
     """
-    freqs = np.bincount(db.records[:, 2], weights=db.counts,
-                        minlength=len(db.types)).astype(np.int64)
+    # Summed BLOCK_ROWS rows at a time, so no temporary spans the rows.
+    # Every partial sum is a whole number of float64, exact below 2^53.
+    freqs = np.zeros(len(db.types))
+    for lo in range(0, len(db.records), BLOCK_ROWS):
+        freqs += np.bincount(db.records[lo:lo + BLOCK_ROWS, 2],
+                             weights=db.counts[lo:lo + BLOCK_ROWS], minlength=len(db.types))
+    freqs = freqs.astype(np.int64)
     freqs[db.boundary_ids()] = 0  # never legal as a center; guard anyway
     words = np.flatnonzero(freqs)
     words = words[np.argsort(-freqs[words], kind="stable")]
@@ -309,7 +343,8 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
                            count=len(first_seen))
     rows = renumber[np.concatenate([np.zeros(0, dtype=np.int32), *blocks])].reshape(-1, 5)
     del blocks
-    order, first, records = _distinct_rows(rows, len(types))
+    order, first = _row_order(lambda col: rows[:, col], len(rows), len(types))
+    records = rows[order[first]]
     if not first.all():
         raise ValueError(f"{path}: {len(rows) - len(records)} repeated 5-gram rows")
     counted = sum(counts)

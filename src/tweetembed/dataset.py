@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase
+from .corpus import BLOCK_ROWS, BOUNDARY_TOKENS, Dictionary, NGramDatabase
 from .manifest import atomic_write
 from .rng import permutation
 
@@ -71,13 +71,21 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
     replicate rows: each distinct 5-gram yields exactly one row. Rows are
     ordered by the 5-gram's tokens, so they are independent of counting
     order. Returns shape (0, 5) when nothing qualifies.
+
+    The keep mask is built one database column at a time, through
+    per-type tables of which types may stand there, and only the kept rows
+    are mapped to vocabulary ids: the call holds 2 bytes per database row
+    and 80 per kept row, its int64 result included.
     """
-    lookup = np.array([vocab.word_to_id.get(token, -1) for token in db.types], dtype=np.int32)
+    lookup = np.array([vocab.word_to_id.get(token, -1) for token in db.types], dtype=np.int64)
     if include_boundary:
         lookup[db.boundary_ids()] = [vocab.boundary_id(pad) for pad in BOUNDARY_TOKENS]
-    ids = lookup[db.records[:, [0, 1, 3, 4, 2]]]
-    keep = (ids >= 0).all(axis=1) & (ids[:, 4] < vocab.size)
-    return ids[keep].astype(np.int64)
+    in_context = lookup >= 0
+    as_center = in_context & (lookup < vocab.size)
+    keep = as_center[db.records[:, 2]]
+    for col in (0, 1, 3, 4):
+        keep &= in_context[db.records[:, col]]
+    return lookup[db.records[keep][:, [0, 1, 3, 4, 2]]]
 
 
 @dataclass
@@ -153,7 +161,8 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
 
     The header records everything needed to interpret and reproduce the
     file: vocabulary size and hash, shuffle seed, validation ratio,
-    fraction, and the two block lengths.
+    fraction, and the two block lengths. Rows are formatted BLOCK_ROWS at
+    a time, so only one block's Python ints exist at once.
     """
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
@@ -166,8 +175,9 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
             f"\t#train={len(split.train)}\n"
         )
         for block in (split.validation, split.train):
-            for c1, c2, c4, c5, target in block.tolist():
-                fh.write(f"{c1}\t{c2}\t{c4}\t{c5}\t{target}\n")
+            for lo in range(0, len(block), BLOCK_ROWS):
+                for c1, c2, c4, c5, target in block[lo:lo + BLOCK_ROWS].tolist():
+                    fh.write(f"{c1}\t{c2}\t{c4}\t{c5}\t{target}\n")
 
 
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:

@@ -66,11 +66,13 @@ def export_embeddings(params: ModelParams, vocab: Vocabulary,
 
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:
     """Plain-text interchange layout: "<n> <dim>" header, then one word
-    per line followed by its vector components at six decimals."""
+    per line followed by its vector components at six decimals. Each line
+    is one `%` format over the row's Python floats."""
+    line = "%s" + " %.6f" * table.dim + "\n"
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.words)} {table.dim}\n")
-        for word, vec in zip(table.words, table.vectors):
-            fh.write(word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n")
+        fh.writelines(line % (word, *row)
+                      for word, row in zip(table.words, table.vectors.tolist()))
 
 
 def read_embeddings_text(path: Path | str) -> EmbeddingTable:
@@ -94,7 +96,9 @@ def read_embeddings_text(path: Path | str) -> EmbeddingTable:
 
 def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
     """Full-precision sidecar: magic "EMBTBL01", uint32 header length, JSON
-    header (word list, shape, manifest hash), raw row-major float64."""
+    header (word list, shape, manifest hash), raw row-major float64,
+    written from the table's own buffer when it is C-contiguous
+    little-endian float64, as `export_embeddings` makes it."""
     header = {
         "format": 1,
         "words": table.words,
@@ -107,5 +111,5 @@ def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
         fh.write(TABLE_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(table.vectors, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(table.vectors, dtype="<f8"))
 

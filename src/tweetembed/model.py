@@ -297,9 +297,12 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
     computed in place on the workspace's logits; no probability matrix is
     built. The losses are summed in groups of max(1, 2^20 // |V|) rows:
-    each group's losses fill one buffer, computed `ws.rows` rows at a
-    time, and are then clamped and summed at once, so the sum's order
-    does not depend on the workspace. Without `ws`, one of
+    each group's losses fill one buffer, computed
+    min(ws.rows, EVAL_CHUNK_ROWS, group) rows at a time, and are then
+    clamped and summed at once, so the sum's order does not depend on the
+    workspace. A training workspace (`Workspace.training_rows`) has at
+    least min(EVAL_CHUNK_ROWS, group) rows, so its chunks depend on |V|
+    alone, not on the batch size. Without `ws`, one of
     min(n, EVAL_CHUNK_ROWS, group) rows is built. Memory is the workspace
     plus 8 bytes per row of a group, whatever n is. The LOSS_FLOOR clamp
     warns at most once per call, with the count over all groups.
@@ -320,7 +323,7 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     group = _eval_group_rows(params.hyper)
     if ws is None:
         ws = Workspace(params.hyper, min(n, EVAL_CHUNK_ROWS, group))
-    chunk = min(ws.rows, group)
+    chunk = min(ws.rows, EVAL_CHUNK_ROWS, group)
     losses = np.empty(min(n, group))
     total = 0.0
     n_clamped = 0
@@ -397,9 +400,10 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
     UTF-8 JSON header with the hyperparameters, seed, vocabulary hash and
     the array table (name + shape, in PARAM_FIELDS order); then `flat` as
     little-endian float64, which is the arrays row-major, concatenated in
-    table order. The file contains no timestamps, so identical runs produce
-    identical bytes. The file is replaced atomically, so a crash mid-write
-    keeps the previous checkpoint.
+    table order, written from the vector's own buffer (a copy only on a
+    big-endian host). The file contains no timestamps, so identical runs
+    produce identical bytes. The file is replaced atomically, so a crash
+    mid-write keeps the previous checkpoint.
     """
     header = {
         "format": 1,
@@ -422,7 +426,7 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
-        fh.write(params.flat.astype("<f8", copy=False).tobytes())
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 _HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tweetembed import cli
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
 from tweetembed.corpus import BOUNDARY_TOKENS, read_ngram_db
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
@@ -93,6 +94,22 @@ class TestIngest:
         assert dict1.read_bytes() == dict2.read_bytes()
         manifest = json.loads(db2.with_suffix(".tsv.manifest.json").read_text(encoding="utf-8"))
         assert "threads" not in manifest["config"]
+
+
+# Every line boundary str.splitlines knows, "\r\n" as one, among text with
+# one-, two-, three- and four-byte UTF-8 characters.
+CORPUS_TEXT = st.lists(st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+                                        "\x85", "\u2028", "\u2029", "a", " ", "ç", "€", "😀"]),
+                       max_size=40).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=CORPUS_TEXT, chunk=st.integers(1, 7))
+def test_streamed_corpus_gives_the_lines_of_splitlines(text, chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CORPUS_CHUNK_CHARS", chunk):
+        path = Path(tmp) / "corpus.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert list(cli._read_corpus_lines(path)) == path.read_text(encoding="utf-8").splitlines()
 
 
 @pytest.fixture
@@ -743,6 +760,25 @@ def _directory_at(command, option):
     return argv
 
 
+def _corpus_with_invalid_utf8(command):
+    """Case builder: `command` on a corpus whose first invalid UTF-8 byte
+    comes after the first chunk the reader decodes, once some lines have
+    already been counted."""
+    def argv(dataset, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        line = b"ol\xc3\xa1 mundo bom dia\n"
+        valid = line * (cli.CORPUS_CHUNK_CHARS // len(line) + 2000)
+        corpus.write_bytes(valid + b"caf\xff\n" + line)
+        base = {
+            "ingest": ["ingest", corpus, "--out-db", tmp_path / "ngrams.tsv",
+                       "--out-dict", tmp_path / "dictionary.tsv"],
+            "grid": ["grid", corpus, "--out-dir", tmp_path / "grid", "--vocab-sizes", "2",
+                     "--fractions", "1.0", "--epochs", "1", "--emb-dim", "4", "--ctx-dim", "4"],
+        }[command]
+        return [str(arg) for arg in base]
+    return argv
+
+
 def _dataset_from_db(edit_body):
     """Case builder: ingest a small corpus, rewrite the 5-gram DB body, run dataset."""
     def argv(dataset, tmp_path):
@@ -869,6 +905,10 @@ MALFORMED_INPUTS = {
                                            "vocab.tsv:1: expected id 0, got '+0'"),
     "export --vocab repeating a word": (_vocab_file("a1\t0\na2\t1\na1\t2\n"),
                                         "vocab.tsv:3: word 'a1' is listed twice"),
+    "ingest on a corpus with an invalid UTF-8 byte": (_corpus_with_invalid_utf8("ingest"),
+                                                      "can't decode byte 0xff"),
+    "grid on a corpus with an invalid UTF-8 byte": (_corpus_with_invalid_utf8("grid"),
+                                                    "can't decode byte 0xff"),
     "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
                                       "repeated 5-gram"),
     "5-gram DB counts not summing to #total_tokens": (
@@ -897,7 +937,7 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    if message == "name the same file":
+    if message in ("name the same file", "can't decode byte 0xff"):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()

@@ -2,6 +2,7 @@ import collections
 import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -19,7 +20,7 @@ from tweetembed.corpus import (
     PAD_L2,
     PAD_R1,
     PAD_R2,
-    _distinct_rows,
+    _row_order,
     build_dictionary,
     count_ngrams,
     read_ngram_db,
@@ -122,6 +123,23 @@ class TestExtract5Grams:
     def test_empty(self):
         db = count_ngrams([])
         assert (len(db.records), db.total_tweets, db.total_tokens) == (0, 0, 0)
+
+    def test_peak_memory_per_window(self):
+        # 10k tweets of 12 tokens over 3000 types, so nearly every window is
+        # a distinct row and the result alone takes 28 bytes per window.
+        # Copying the windows out and sorting that copy held 87 bytes per
+        # window; the id sequence and the sort key hold about 38.
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{i}" for i in range(3000)])
+        tweets = [" ".join(row) for row in words[rng.integers(0, 3000, (10000, 12))].tolist()]
+        tracemalloc.start()
+        try:
+            db = count_ngrams(tweets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert db.total_tokens == 120000
+        assert peak < 48 * db.total_tokens, peak / db.total_tokens
 
     @given(token_lists)
     def test_one_window_per_token_and_centers_reproduce_tweet(self, tokens):
@@ -289,16 +307,19 @@ def _db_text(tweets) -> str:
 
 
 class TestBlocks:
-    """Files of several BLOCK_ROWS blocks; every other test file fits in one."""
+    """Files, and count_ngrams' id sequences, of several BLOCK_ROWS blocks;
+    every other test's fits in one."""
 
     TWEETS = ["a b c", "b c d e", "c a", "e e e a", "a b c"]  # 13 distinct 5-grams
 
     def test_round_trip_keeps_the_bytes(self, tmp_path, monkeypatch):
         text = _db_text(self.TWEETS)
         assert len(text.splitlines()) == 14
+        entries = build_dictionary(count_ngrams(self.TWEETS)).entries
         for block_rows in (2, 3):
             monkeypatch.setattr(corpus, "BLOCK_ROWS", block_rows)
             first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
+            assert build_dictionary(count_ngrams(self.TWEETS)).entries == entries
             write_ngram_db(count_ngrams(self.TWEETS), first)
             write_ngram_db(read_ngram_db(first), second)
             assert first.read_text(encoding="utf-8") == text
@@ -409,7 +430,8 @@ def test_distinct_rows_match_a_counter(data):
                              | st.integers(0, n_types - 1), min_size=1, max_size=4), label="ids")
     rows = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * 5), max_size=60), label="rows")
     array = np.array(rows, dtype=np.int32).reshape(-1, 5)
-    order, first, distinct = _distinct_rows(array, n_types)
+    order, first = _row_order(lambda col: array[:, col], len(array), n_types)
+    distinct = array[order[first]]
     expected = sorted(collections.Counter(rows).items())
     assert distinct.tolist() == [list(row) for row, _ in expected]
     counts = np.diff(np.flatnonzero(np.append(first, True)))

@@ -1,8 +1,10 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from tweetembed import dataset
 from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams, read_ngram_db
 from tweetembed.dataset import (
     DatasetSplit,
@@ -106,6 +108,25 @@ class TestFilterNGrams:
         assert filter_ngrams(db, vocab, include_boundary=True).tolist() == [
             [2, 3, 1, 4, 0], [3, 0, 4, 5, 1]]
 
+    def test_peak_memory_per_database_row(self):
+        # 120k nearly all distinct rows over 3000 types, |V| = 1500, so most
+        # rows are dropped. Mapping every row twice as a (G, 5) array held
+        # 40 bytes per row; the keep mask holds 2 bytes per row and the 10k
+        # kept rows 80 bytes each, their int64 result included: about 7.
+        rng = np.random.default_rng(3)
+        words = np.array([f"w{i}" for i in range(3000)])
+        db = count_ngrams([" ".join(row) for row in
+                           words[rng.integers(0, 3000, (10000, 12))].tolist()])
+        vocab = select_vocabulary(build_dictionary(db), 1500)
+        tracemalloc.start()
+        try:
+            rows = filter_ngrams(db, vocab, include_boundary=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 < len(rows) < len(db.records) // 4
+        assert peak < 12 * len(db.records), peak / len(db.records)
+
     def test_tuples_round_trip_to_database_grams(self):
         db = random_db(21)
         vocab = select_vocabulary(build_dictionary(db), 6)
@@ -206,6 +227,26 @@ class TestFiles:
         assert loaded.train.dtype == np.int64
         assert meta["vocab_size"] == 6
         assert meta["vocab_hash"] == vocabulary_hash(vocab)
+
+    def test_rows_are_written_a_block_at_a_time(self, tmp_path, monkeypatch):
+        # 20k rows in blocks of 1000 give the one-block bytes; formatting
+        # all rows' Python ints at once held 236 bytes per row.
+        rng = np.random.default_rng(4)
+        rows = rng.integers(0, 3000, (20000, 5))
+        split = DatasetSplit(rows[2000:], rows[:2000], seed=1, fraction=1.0,
+                             validation_ratio=0.1)
+        vocab = Vocabulary([f"w{i}" for i in range(3000)])
+        whole, blocks = tmp_path / "whole.tsv", tmp_path / "blocks.tsv"
+        write_dataset(split, vocab, whole)
+        monkeypatch.setattr(dataset, "BLOCK_ROWS", 1000)
+        tracemalloc.start()
+        try:
+            write_dataset(split, vocab, blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert blocks.read_bytes() == whole.read_bytes()
+        assert peak < 20 * len(rows), peak / len(rows)
 
     def test_empty_blocks_round_trip_without_warning(self, tmp_path, recwarn):
         empty = np.empty((0, 5), dtype=np.int64)

@@ -70,6 +70,21 @@ class TestTextFile:
         write_embeddings_text(loaded, again)
         assert again.read_bytes() == path.read_bytes()
 
+    def test_bytes_match_per_value_formatting(self, tmp_path):
+        # -0.0 keeps its sign; nan and inf cannot reach a valid table but
+        # are written as the per-value format writes them.
+        rng = np.random.default_rng(21)
+        vectors = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-9, 9, size=(5, 4))
+        vectors[0] = [-0.0, 0.0, -4e-7, 5e-7]
+        table = EmbeddingTable(["a", "%s", "b c", "ç", "d"], vectors)
+        table.vectors[1, :3] = [np.nan, np.inf, -np.inf]
+        path = tmp_path / "emb.txt"
+        write_embeddings_text(table, path)
+        expected = "5 4\n" + "".join(
+            word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n"
+            for word, vec in zip(table.words, table.vectors))
+        assert path.read_bytes() == expected.encode("utf-8")
+
     def test_header_counts(self, tmp_path):
         table = table_from(["x", "y"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
         path = tmp_path / "emb.txt"

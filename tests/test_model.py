@@ -353,22 +353,53 @@ class TestEvaluate:
             evaluate(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
 
     @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, sigmoid_logits):
+    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, sigmoid_logits,
+                                                             monkeypatch):
         # At |V| = 302 a summed group is 2^20 // 302 = 3472 rows, which no
         # chunk height here divides, so chunks straddle group ends and 8000
         # rows leave a short last group. Heights 3 and 13 would end each
-        # full group with a 1-row chunk (see the next test). A workspace of
-        # 3472 rows computes each group in one product.
+        # full group with a 1-row chunk (see the next test). With chunks
+        # capped at 5000 rows, not EVAL_CHUNK_ROWS, a workspace of 3472 rows
+        # computes each group in one product.
         hyper = ModelHyper(vocab_size=302, sigmoid_logits=sigmoid_logits)
         params = init_params(hyper, seed=2)
         rng = np.random.default_rng(5)
         contexts = rng.integers(0, hyper.vocab_size + 4, (8000, 4))
         targets = rng.integers(0, hyper.vocab_size, 8000)
-        whole = evaluate(params, contexts, targets, Workspace(hyper, 3472))
-        for rows in (3, 7, 13, 256, 1000, 5000):
-            got = evaluate(params, contexts, targets, Workspace(hyper, rows))
-            assert got.hex() == whole.hex(), rows
+        with monkeypatch.context() as patch:
+            patch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", 5000)
+            whole = evaluate(params, contexts, targets, Workspace(hyper, 3472))
+            for rows in (3, 7, 13, 256, 1000, 5000):
+                got = evaluate(params, contexts, targets, Workspace(hyper, rows))
+                assert got.hex() == whole.hex(), rows
         assert evaluate(params, contexts, targets).hex() == whole.hex()
+
+    def test_chunk_height_does_not_follow_a_wider_workspace(self, monkeypatch):
+        # A training workspace is as tall as the batch; a batch above
+        # EVAL_CHUNK_ROWS must not widen evaluate's chunks, since at some
+        # widths the BLAS rounds a row's logits with the row count.
+        hyper = ModelHyper(vocab_size=300)
+        params = init_params(hyper, seed=8)
+        rng = np.random.default_rng(9)
+        contexts = rng.integers(0, hyper.vocab_size + 4, (4000, 4))
+        targets = rng.integers(0, hyper.vocab_size, 4000)
+        forward = tweetembed.model._forward_to_logits
+
+        def run(rows):
+            calls = []
+
+            def recorded(params, contexts, ws):
+                calls.append(len(contexts))
+                return forward(params, contexts, ws)
+
+            monkeypatch.setattr(tweetembed.model, "_forward_to_logits", recorded)
+            loss = evaluate(params, contexts, targets, Workspace(hyper, rows))
+            return calls, loss.hex()
+
+        wide, narrow = run(512), run(256)
+        assert wide == narrow
+        # Groups of 2^20 // 300 = 3495 rows and the 505 left over.
+        assert wide[0] == [256] * 13 + [167, 256, 249]
 
     def test_no_chunk_of_one_row(self, monkeypatch):
         # numpy multiplies a single row by matrix-vector products, which
