@@ -244,7 +244,8 @@ def build_dictionary(db: NGramDatabase) -> Dictionary:
     order, so a stable sort on frequency leaves ties in word order.
     """
     # Summed BLOCK_ROWS rows at a time, so no temporary spans the rows.
-    # Every partial sum is a whole number of float64, exact below 2^53.
+    # Every partial sum is a whole number, which float64 holds exactly
+    # below 2^53, as the one-pass sum did.
     freqs = np.zeros(len(db.types))
     for lo in range(0, len(db.records), BLOCK_ROWS):
         freqs += np.bincount(db.records[lo:lo + BLOCK_ROWS, 2],
