@@ -15,9 +15,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import json
 import logging
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable
@@ -25,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import atomic_write
+from .manifest import atomic_write, read_container, write_container
 
 HANDLE_TOKEN = "T_HANDLE"
 LINK_TOKEN = "LINK"
@@ -361,12 +359,12 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
 def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) -> None:
     """Binary copy of `db`, bound to the TSV file whose sha256 is `tsv_sha256`.
 
-    Layout, the checkpoint's container: 8-byte magic "EMBNGRM1";
-    little-endian uint32 header length; UTF-8 JSON header with format 1,
-    tsv_sha256, total_tweets, total_tokens, types_bytes, rows and
-    body_sha256; then the body: the types joined by "\n" in UTF-8 (no token
-    holds whitespace), records as <i4 row-major and counts as <i8. The file
-    holds no timestamps, and the arrays are written from their own buffers.
+    Layout, `manifest.write_container`'s with the magic "EMBNGRM1": a JSON
+    header with format 1, tsv_sha256, total_tweets, total_tokens,
+    types_bytes, rows and body_sha256; then the body: the types joined by
+    "\n" in UTF-8 (no token holds whitespace), records as <i4 row-major and
+    counts as <i8. The file holds no timestamps, and the arrays are written
+    from their own buffers.
     """
     body = ["\n".join(db.types).encode("utf-8"),
             np.ascontiguousarray(db.records, dtype="<i4"),
@@ -383,11 +381,7 @@ def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) ->
         "rows": len(db.records),
         "body_sha256": digest.hexdigest(),
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(NGRAM_SIDECAR_MAGIC + struct.pack("<I", len(blob)) + blob)
-        for part in body:
-            fh.write(part)
+    write_container(path, NGRAM_SIDECAR_MAGIC, header, body)
 
 
 def _rows_ascend(records: np.ndarray) -> bool:
@@ -413,15 +407,8 @@ def _parse_ngram_sidecar(data: bytes, tsv_sha256: str) -> NGramDatabase | None:
     """The database in sidecar bytes; None when the sidecar belongs to
     another TSV; a ValueError for anything `write_ngram_sidecar` does not
     write. The arrays are views of `data`."""
-    start = len(NGRAM_SIDECAR_MAGIC) + 4
-    if data[:len(NGRAM_SIDECAR_MAGIC)] != NGRAM_SIDECAR_MAGIC or len(data) < start:
-        raise ValueError("bad magic or no header length")
-    (header_len,) = struct.unpack_from("<I", data, len(NGRAM_SIDECAR_MAGIC))
-    try:
-        header = json.loads(data[start:start + header_len].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
-        raise ValueError(f"unreadable header ({exc})") from None
-    if not isinstance(header, dict) or sorted(header) != sorted(_SIDECAR_KEYS):
+    header, body = read_container(data, NGRAM_SIDECAR_MAGIC)
+    if sorted(header) != sorted(_SIDECAR_KEYS):
         raise ValueError(f"header keys are not {', '.join(_SIDECAR_KEYS)}")
     sizes = [header[key] for key in ("format", "total_tweets", "total_tokens", "types_bytes",
                                      "rows")]
@@ -432,17 +419,15 @@ def _parse_ngram_sidecar(data: bytes, tsv_sha256: str) -> NGramDatabase | None:
     if header["tsv_sha256"] != tsv_sha256:
         return None
     _, total_tweets, total_tokens, types_bytes, rows = sizes
-    types_start = start + header_len
-    records_start = types_start + types_bytes
-    counts_start = records_start + 20 * rows
-    if counts_start + 8 * rows != len(data):
-        raise ValueError(f"{len(data)} bytes, header implies {counts_start + 8 * rows}")
-    if hashlib.sha256(memoryview(data)[types_start:]).hexdigest() != header["body_sha256"]:
+    counts_start = types_bytes + 20 * rows
+    if counts_start + 8 * rows != len(body):
+        raise ValueError(f"{len(body)} body bytes, header implies {counts_start + 8 * rows}")
+    if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
         raise ValueError("body does not hash to body_sha256")
-    types = str(memoryview(data)[types_start:records_start], "utf-8").split("\n")
+    types = str(body[:types_bytes], "utf-8").split("\n")
     db = NGramDatabase(types,
-                       np.frombuffer(data, "<i4", 5 * rows, records_start).reshape(rows, 5),
-                       np.frombuffer(data, "<i8", rows, counts_start),
+                       np.frombuffer(body, "<i4", 5 * rows, types_bytes).reshape(rows, 5),
+                       np.frombuffer(body, "<i8", rows, counts_start),
                        total_tweets, total_tokens)
     if not all(map(str.__lt__, types, itertools.islice(types, 1, None))):
         raise ValueError("types are not strictly ascending")

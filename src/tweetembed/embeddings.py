@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import Vocabulary
-from .manifest import atomic_write
+from .manifest import atomic_write, write_container
 from .model import ModelParams
 
 TABLE_MAGIC = b"EMBTBL01"
@@ -95,10 +93,10 @@ def read_embeddings_text(path: Path | str) -> EmbeddingTable:
 
 
 def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
-    """Full-precision sidecar: magic "EMBTBL01", uint32 header length, JSON
-    header (word list, shape, manifest hash), raw row-major float64,
-    written from the table's own buffer when it is C-contiguous
-    little-endian float64, as `export_embeddings` makes it."""
+    """Full-precision sidecar in `manifest.write_container`'s layout with
+    the magic "EMBTBL01": a JSON header (word list, shape, manifest hash),
+    then raw row-major float64, written from the table's own buffer when it
+    is C-contiguous little-endian float64, as `export_embeddings` makes it."""
     header = {
         "format": 1,
         "words": table.words,
@@ -106,10 +104,5 @@ def write_embeddings_binary(table: EmbeddingTable, path: Path | str) -> None:
         "dtype": "<f8",
         "manifest_hash": table.manifest_hash,
     }
-    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(TABLE_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(np.ascontiguousarray(table.vectors, dtype="<f8"))
-
+    write_container(path, TABLE_MAGIC, header,
+                    [np.ascontiguousarray(table.vectors, dtype="<f8")])

@@ -1,7 +1,8 @@
 """Run manifests: enough resolved configuration to reproduce any run.
 
-Also the file helpers the artifact writers share: content hashing and
-atomic replacement.
+Also the file helpers the artifact writers share: content hashing, atomic
+replacement and the binary container of the checkpoint, the embedding
+table and the 5-gram sidecar.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import struct
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,6 +44,46 @@ def atomic_write(path: Path | str, mode: str = "w", **open_kwargs) -> Iterator[I
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_container(path: Path | str, magic: bytes, header: dict, parts: list) -> None:
+    """Write a binary container through `atomic_write`: the 8-byte `magic`,
+    the little-endian uint32 length of the header, the header as JSON with
+    sorted keys in UTF-8 (non-ASCII kept as is), then each body part from
+    its own buffer. No part is copied into one blob."""
+    blob = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
+    with atomic_write(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(blob)))
+        fh.write(blob)
+        for part in parts:
+            fh.write(part)
+
+
+def read_container(data: bytes, magic: bytes) -> tuple[dict, memoryview]:
+    """The header and a view of the body of `write_container` bytes.
+
+    A ValueError names the fault when the magic is not `magic`, the length
+    field is missing, the header runs past the data, or the header is not
+    a JSON object in UTF-8 (a header nested too deep to decode included).
+    Each format checks its own header keys and body size.
+    """
+    view = memoryview(data)
+    start = len(magic) + 4
+    if bytes(view[:len(magic)]) != magic:
+        raise ValueError(f"bad magic {bytes(view[:len(magic)])!r}, expected {magic!r}")
+    if len(view) < start:
+        raise ValueError("truncated (no header length)")
+    (header_len,) = struct.unpack_from("<I", view, len(magic))
+    if start + header_len > len(view):
+        raise ValueError(f"truncated ({len(view)} bytes, header length says {header_len})")
+    try:
+        header = json.loads(str(view[start:start + header_len], "utf-8"))
+    except (ValueError, RecursionError) as exc:  # also UnicodeDecodeError
+        raise ValueError(f"unreadable header ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError("header is not a JSON object")
+    return header, view[start + header_len:]
 
 
 def build_manifest(subcommand: str, config: dict, inputs: dict[str, Path | str],

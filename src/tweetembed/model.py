@@ -51,17 +51,14 @@ documented at `save_checkpoint`.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
-import os
-import struct
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .manifest import atomic_write
+from .manifest import read_container, write_container
 
 logger = logging.getLogger(__name__)
 
@@ -394,16 +391,16 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
 
 
 def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash: str) -> None:
-    """Versioned binary checkpoint.
+    """Versioned binary checkpoint, in `manifest.write_container`'s layout
+    with the magic "EMBCKPT1".
 
-    Layout: 8-byte magic "EMBCKPT1"; little-endian uint32 header length;
-    UTF-8 JSON header with the hyperparameters, seed, vocabulary hash and
-    the array table (name + shape, in PARAM_FIELDS order); then `flat` as
-    little-endian float64, which is the arrays row-major, concatenated in
-    table order, written from the vector's own buffer (a copy only on a
-    big-endian host). The file contains no timestamps, so identical runs
-    produce identical bytes. The file is replaced atomically, so a crash
-    mid-write keeps the previous checkpoint.
+    The JSON header holds the hyperparameters, seed, vocabulary hash and
+    the array table (name + shape, in PARAM_FIELDS order); the body is
+    `flat` as little-endian float64, which is the arrays row-major,
+    concatenated in table order, written from the vector's own buffer (a
+    copy only on a big-endian host). The file contains no timestamps, so
+    identical runs produce identical bytes. The file is replaced
+    atomically, so a crash mid-write keeps the previous checkpoint.
     """
     header = {
         "format": 1,
@@ -421,26 +418,15 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
             for name in PARAM_FIELDS
         ],
     }
-    blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    with atomic_write(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(params.flat.astype("<f8", copy=False))
+    write_container(path, CHECKPOINT_MAGIC, header, [params.flat.astype("<f8", copy=False)])
 
 
 _HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")
 _HYPER_KEYS = ("vocab_size", "d_in", "d_ctx", "sigmoid_logits")
 
 
-def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper]:
-    """Decode and validate a checkpoint header; raises ValueError naming what is wrong."""
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except ValueError as exc:  # also UnicodeDecodeError
-        raise ValueError(f"{path}: unreadable checkpoint header ({exc})") from None
-    if not isinstance(header, dict):
-        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+def _parse_header(header: dict, path: Path) -> ModelHyper:
+    """Validate a decoded checkpoint header; raises ValueError naming what is wrong."""
     missing = [key for key in _HEADER_KEYS if key not in header]
     if missing:
         raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
@@ -464,7 +450,7 @@ def _parse_header(blob: bytes, path: Path) -> tuple[dict, ModelHyper]:
         if entry.get("shape") != list(shape):
             raise ValueError(f"{path}: array {name} has shape {entry.get('shape')}, "
                              f"but hyper implies {list(shape)}")
-    return header, hyper
+    return hyper
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
@@ -476,25 +462,15 @@ def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     hyperparameters imply, and no byte after the last array.
     """
     path = Path(path)
-    with path.open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path}: not a model checkpoint (bad magic {magic!r})")
-        raw_len = fh.read(4)
-        if len(raw_len) != 4:
-            raise ValueError(f"{path}: truncated checkpoint (no header length)")
-        (header_len,) = struct.unpack("<I", raw_len)
-        body_start = len(CHECKPOINT_MAGIC) + 4 + header_len
-        if body_start > size:
-            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
-                             f"header length says {header_len})")
-        header, hyper = _parse_header(fh.read(header_len), path)
-        expected = body_start + 8 * param_count(hyper)
-        if size < expected:
-            raise ValueError(f"{path}: truncated checkpoint ({size} bytes, "
-                             f"header implies {expected})")
-        if size > expected:
-            raise ValueError(f"{path}: {size - expected} trailing bytes after the last array")
-        flat = np.frombuffer(fh.read(expected - body_start), dtype="<f8").astype(np.float64)
-    return ModelParams(hyper, flat), header
+    try:
+        header, body = read_container(path.read_bytes(), CHECKPOINT_MAGIC)
+    except ValueError as exc:
+        raise ValueError(f"{path}: model checkpoint: {exc}") from None
+    hyper = _parse_header(header, path)
+    expected = 8 * param_count(hyper)
+    if len(body) < expected:
+        raise ValueError(f"{path}: truncated checkpoint ({len(body)} body bytes, "
+                         f"header implies {expected})")
+    if len(body) > expected:
+        raise ValueError(f"{path}: {len(body) - expected} trailing bytes after the last array")
+    return ModelParams(hyper, np.frombuffer(body, dtype="<f8").astype(np.float64)), header
