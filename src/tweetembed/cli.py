@@ -10,6 +10,7 @@ unreadable or unwritable path, or a directory where a file belongs),
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import sys
 from pathlib import Path
@@ -86,28 +87,43 @@ class InputError(Exception):
     pass
 
 
-# `_read_corpus_lines` reads the corpus at least this many characters at a time.
-CORPUS_CHUNK_CHARS = 1 << 18
+# `_read_corpus_lines` reads the corpus at least this many bytes at a time.
+CORPUS_CHUNK_BYTES = 1 << 18
 # The characters str.splitlines ends a line at; "\r\n" is one boundary.
 _LINE_BOUNDARIES = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _read_corpus_lines(path: Path) -> Iterator[str]:
     """The lines `path.read_text(encoding="utf-8").splitlines()` gives,
-    read in chunks of text, so the corpus is never held whole.
+    read in chunks, so the corpus is never held whole.
 
-    The file is read without newline translation. A chunk's unfinished
-    last line, or a last line ended by a "\r" that may be the first half
-    of a "\r\n", is carried into the next chunk. A chunk is at least as
-    long as the carried text, so a line longer than CORPUS_CHUNK_CHARS is
-    copied a bounded number of times. A byte that is not UTF-8 raises
-    UnicodeDecodeError, a ValueError, when its chunk is read, so a caller
-    that writes only after it has read every line writes nothing.
+    The bytes are decoded here, without newline translation, so the
+    offset of a byte that is not UTF-8 is known even in a pipe: it raises
+    InputError naming the path and that offset when its chunk is read, so
+    a caller that writes only after it has read every line writes nothing.
+    A chunk's unfinished last line, or a last line ended by a "\r" that may
+    be the first half of a "\r\n", is carried into the next chunk. A read
+    takes at least as many bytes as the carried text has characters, so a
+    line longer than CORPUS_CHUNK_BYTES grows by a quarter or more per read
+    and is copied a bounded number of times.
     """
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        tail = ""
-        while chunk := fh.read(max(CORPUS_CHUNK_CHARS, len(tail))):
-            text = tail + chunk
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    with path.open("rb") as fh:
+        tail, read = "", 0
+        while True:
+            data = fh.read(max(CORPUS_CHUNK_BYTES, len(tail)))
+            read += len(data)
+            try:
+                text = tail + decoder.decode(data, final=not data)
+            except UnicodeDecodeError as exc:
+                # It fails on the bytes it held plus `data`, which end at `read`.
+                offset = read - len(exc.object) + exc.start
+                raise InputError(f"{path}: can't decode byte 0x{exc.object[exc.start]:02x} "
+                                 f"at byte offset {offset} as UTF-8 ({exc.reason})") from None
+            if not data:
+                break
+            if not text:  # `data` ended inside a character
+                continue
             lines = text.splitlines()
             end = text[-1]
             if end == "\r":

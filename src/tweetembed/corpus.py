@@ -386,20 +386,30 @@ def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) ->
 
 def _rows_ascend(records: np.ndarray) -> bool:
     """Whether every row is below the next one, comparing each pair of
-    consecutive rows column by column from the last; no sort."""
-    below = np.zeros(max(len(records) - 1, 0), dtype=bool)
-    for col in reversed(range(5)):
-        upper, lower = records[:-1, col], records[1:, col]
-        below = (upper < lower) | ((upper == lower) & below)
-    return bool(below.all())
+    consecutive rows column by column from the last; no sort. The pairs
+    are compared BLOCK_ROWS at a time, each block taking one row past its
+    end, the first row of the next block, so no temporary spans the rows."""
+    for lo in range(0, len(records) - 1, BLOCK_ROWS):
+        block = records[lo:lo + BLOCK_ROWS + 1]
+        below = np.zeros(len(block) - 1, dtype=bool)
+        for col in reversed(range(5)):
+            upper, lower = block[:-1, col], block[1:, col]
+            below = (upper < lower) | ((upper == lower) & below)
+        if not below.all():
+            return False
+    return True
 
 
 def _exact_sum(counts: np.ndarray) -> int:
     """The sum of non-negative int64 counts as a Python int, without the
-    wrap-around of an int64 sum: the low and high 32 bits are summed
-    apart, and neither uint64 sum can wrap for fewer than 2^32 counts."""
-    low = int((counts & 0xFFFFFFFF).sum(dtype=np.uint64))
-    high = int((counts >> 32).sum(dtype=np.uint64))
+    wrap-around of an int64 sum: the low and high 32 bits of each block of
+    BLOCK_ROWS counts are summed apart, where neither uint64 sum can wrap,
+    and added to two Python ints."""
+    low = high = 0
+    for lo in range(0, len(counts), BLOCK_ROWS):
+        block = counts[lo:lo + BLOCK_ROWS]
+        low += int((block & 0xFFFFFFFF).sum(dtype=np.uint64))
+        high += int((block >> 32).sum(dtype=np.uint64))
     return (high << 32) + low
 
 

@@ -70,8 +70,8 @@ def read_container(data: bytes, magic: bytes) -> tuple[dict, memoryview]:
     """
     view = memoryview(data)
     start = len(magic) + 4
-    if bytes(view[:len(magic)]) != magic:
-        raise ValueError(f"bad magic {bytes(view[:len(magic)])!r}, expected {magic!r}")
+    if (head := bytes(view[:len(magic)])) != magic:
+        raise ValueError(f"bad magic {head!r}, expected {magic!r}")
     if len(view) < start:
         raise ValueError("truncated (no header length)")
     (header_len,) = struct.unpack_from("<I", view, len(magic))

@@ -26,6 +26,8 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
+# `permutation` draws this many swaps at a time.
+_SWAP_CHUNK = 1 << 16
 
 
 def _mix(z: np.ndarray) -> np.ndarray:
@@ -41,18 +43,23 @@ def _mix(z: np.ndarray) -> np.ndarray:
 def permutation(n: int, seed: int) -> np.ndarray:
     """Deterministic permutation of range(n) for the given seed, as int64.
 
-    The n - 1 draws are computed at once; the swaps stay a sequential
-    Fisher-Yates walk over a Python list.
+    The swaps stay a sequential Fisher-Yates walk, made through a
+    memoryview of the int64 result; the draws are computed _SWAP_CHUNK at
+    a time and read through a memoryview too, so no Python int outlives
+    its swap and no list of n ints is built.
     """
-    z = np.arange(1, n, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)  # the generator's state after each step
-    _mix(z)
-    z %= np.arange(n, 1, -1, dtype=np.uint64)  # j = next_u64() mod (i + 1)
-    idx = list(range(n))
-    for i, j in zip(range(n - 1, 0, -1), z.tolist()):
-        idx[i], idx[j] = idx[j], idx[i]
-    return np.array(idx, dtype=np.int64)
+    out = np.arange(n, dtype=np.int64)
+    idx = memoryview(out)
+    for k in range(1, n, _SWAP_CHUNK):  # draws k .. stop - 1 swap at i = n - k, n - k - 1, ...
+        stop = min(k + _SWAP_CHUNK, n)
+        z = np.arange(k, stop, dtype=np.uint64)
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(seed & _MASK64)  # the generator's state after each step
+        _mix(z)
+        z %= np.arange(n - k + 1, n - stop + 1, -1, dtype=np.uint64)  # j = next_u64() mod (i + 1)
+        for i, j in zip(range(n - k, n - stop, -1), memoryview(z)):
+            idx[i], idx[j] = idx[j], idx[i]
+    return out
 
 
 def derive_seed(seed: int, stream: int) -> int:

@@ -1,7 +1,7 @@
 """The package holds only what its commands run: every public top-level
 function and class in `src/tweetembed` is used somewhere in the package
 outside its own definition. Helpers that only tests need live in
-`tests/oracles.py`."""
+`tests/oracles.py`. Only `manifest.py` packs binary file framing."""
 
 import ast
 from pathlib import Path
@@ -36,3 +36,16 @@ def test_every_public_definition_is_used_in_the_package():
                 used.update(key for key, definition in defined.items()
                             if key.endswith("." + name) and definition is not top)
     assert sorted(set(defined) - used) == []
+
+
+def test_only_manifest_frames_binary_files():
+    # `manifest.write_container` and `read_container` frame every binary
+    # file; a module that packs bytes itself would frame a fourth by hand.
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            if "struct" in names:
+                importers.append(path.name)
+    assert importers == ["manifest.py"]

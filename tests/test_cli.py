@@ -8,12 +8,13 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tweetembed import cli
@@ -106,10 +107,46 @@ CORPUS_TEXT = st.lists(st.sampled_from(["\n", "\r", "\r\n", "\v", "\f", "\x1c", 
 @settings(max_examples=200, deadline=None)
 @given(text=CORPUS_TEXT, chunk=st.integers(1, 7))
 def test_streamed_corpus_gives_the_lines_of_splitlines(text, chunk):
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CORPUS_CHUNK_CHARS", chunk):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CORPUS_CHUNK_BYTES", chunk):
         path = Path(tmp) / "corpus.txt"
         path.write_bytes(text.encode("utf-8"))
         assert list(cli._read_corpus_lines(path)) == path.read_text(encoding="utf-8").splitlines()
+
+
+@settings(max_examples=100, deadline=None)
+@given(lead=st.integers(0, 12000), text=CORPUS_TEXT, at=st.integers(0, 160),
+       bad=st.sampled_from([b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80"]),
+       chunk=st.sampled_from([1, 7, 5000]))
+def test_invalid_utf8_error_gives_the_offset_in_the_file(lead, text, at, bad, chunk):
+    # `lead` bytes of one- and two-byte characters before the text put the
+    # bad bytes anywhere in a chunk, or across two.
+    valid = ("\u00e1" * (lead // 2) + "a" * (lead % 2) + text).encode("utf-8")
+    data = valid[:lead + at] + bad + valid[lead + at:]
+    offset = None
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        offset = exc.start
+    assume(offset is not None)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CORPUS_CHUNK_BYTES", chunk):
+        path = Path(tmp) / "corpus.txt"
+        path.write_bytes(data)
+        with pytest.raises(cli.InputError, match=re.escape(
+                f"{path}: can't decode byte 0x{data[offset]:02x} at byte offset {offset} ")):
+            list(cli._read_corpus_lines(path))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_invalid_utf8_error_gives_the_offset_in_a_pipe(tmp_path):
+    fifo = tmp_path / "corpus.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(b"ol\xc3\xa1\ncaf\xff\n",))
+    writer.start()
+    try:
+        with pytest.raises(cli.InputError, match="can't decode byte 0xff at byte offset 8 "):
+            list(cli._read_corpus_lines(fifo))
+    finally:
+        writer.join()
 
 
 @pytest.fixture
@@ -680,6 +717,17 @@ def _export_broken_checkpoint(edit_header=lambda header: None, cut=None, tail=b"
     return argv
 
 
+def _export_nested_header(dataset, tmp_path):
+    """Case: export a checkpoint whose JSON header nests a list 100,000
+    deep, past what the decoder's recursion limit allows."""
+    ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+    data = ckpt.read_bytes()
+    body_start = 12 + int.from_bytes(data[8:12], "little")
+    blob = b'{"seed": ' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    ckpt.write_bytes(data[:8] + len(blob).to_bytes(4, "little") + blob + data[body_start:])
+    return ["export", str(ckpt), "--vocab", str(vocab_path), "--out", str(tmp_path / "emb.txt")]
+
+
 def _colliding(command, *option_pairs):
     """Case builder: a valid `command` run whose output options (flag,
     file name) name one file twice; that file must not be written."""
@@ -767,7 +815,7 @@ def _corpus_with_invalid_utf8(command):
     def argv(dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
         line = b"ol\xc3\xa1 mundo bom dia\n"
-        valid = line * (cli.CORPUS_CHUNK_CHARS // len(line) + 2000)
+        valid = line * (cli.CORPUS_CHUNK_BYTES // len(line) + 2000)
         corpus.write_bytes(valid + b"caf\xff\n" + line)
         base = {
             "ingest": ["ingest", corpus, "--out-db", tmp_path / "ngrams.tsv",
@@ -856,6 +904,7 @@ MALFORMED_INPUTS = {
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
     "checkpoint hyper size as a string": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_in="4")), "wrong type"),
+    "checkpoint header nested 100,000 deep": (_export_nested_header, "unreadable header"),
     "checkpoint with an empty vocabulary hash, reversed vocabulary": (
         _export_blank_hash_reversed, "vocabulary/checkpoint mismatch"),
     "eval --out is a directory": (_directory_at("eval", "--out"), "Is a directory"),
@@ -941,6 +990,15 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
+
+
+def test_invalid_utf8_error_names_the_corpus_and_the_offset(tmp_path, capsys):
+    argv = _corpus_with_invalid_utf8("ingest")(None, tmp_path)
+    corpus = tmp_path / "corpus.txt"
+    valid = corpus.read_bytes().partition(b"caf\xff")[0]
+    assert main(argv) == EXIT_INPUT
+    assert (f"{corpus}: can't decode byte 0xff at byte offset {len(valid) + 3} "
+            in capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")

@@ -20,7 +20,10 @@ from tweetembed.corpus import (
     PAD_L2,
     PAD_R1,
     PAD_R2,
+    NGramDatabase,
+    _exact_sum,
     _row_order,
+    _rows_ascend,
     build_dictionary,
     count_ngrams,
     read_ngram_db,
@@ -381,6 +384,50 @@ class TestSidecar:
         assert read_ngram_sidecar(sidecar, "0" * 64) is None
         assert [r.levelname for r in caplog.records] == ["WARNING"]
         assert "header implies" in caplog.records[0].getMessage()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_checks_in_blocks_match_one_pass(self, data):
+        # Rows that ascend but for one swapped or repeated pair, which may
+        # straddle two blocks, and counts whose high 32 bits are in use.
+        rows = sorted(set(data.draw(st.lists(st.tuples(*[st.integers(0, 2)] * 5), max_size=12),
+                                    label="rows")))
+        if len(rows) > 1 and data.draw(st.booleans(), label="break"):
+            i = data.draw(st.integers(0, len(rows) - 2), label="pair")
+            if data.draw(st.booleans(), label="repeat"):
+                rows[i + 1] = rows[i]
+            else:
+                rows[i], rows[i + 1] = rows[i + 1], rows[i]
+        records = np.array(rows, dtype=np.int32).reshape(-1, 5)
+        counts = np.array(data.draw(st.lists(st.integers(0, 2 ** 62), max_size=12),
+                                    label="counts"), dtype=np.int64)
+        with mock.patch.object(corpus, "BLOCK_ROWS", data.draw(st.integers(1, 4),
+                                                               label="block rows")):
+            assert _rows_ascend(records) == all(map(tuple.__lt__, rows, rows[1:]))
+            assert _exact_sum(counts) == sum(counts.tolist())
+
+    def test_peak_memory_per_row(self, tmp_path):
+        # 2^19 ascending rows, one count each. Beyond the file's own bytes
+        # the checks hold a few blocks at most, not 8 bytes per row.
+        n = 1 << 19
+        types = sorted([*BOUNDARY_TOKENS, *(f"w{i:02d}" for i in range(60))])
+        records = np.zeros((n, 5), dtype=np.int32)
+        ids = np.arange(n)
+        for col in range(4, 0, -1):
+            records[:, col] = ids % 64
+            ids //= 64
+        sidecar = tmp_path / "ngrams.tsv.bin"
+        write_ngram_sidecar(NGramDatabase(types, records, np.ones(n, dtype=np.int64), 1, n),
+                            sidecar, "0" * 64)
+        tracemalloc.start()
+        try:
+            db = read_ngram_sidecar(sidecar, "0" * 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert db is not None and len(db.records) == n
+        extra = peak - sidecar.stat().st_size
+        assert extra < 4 * n, extra / n
 
 
 non_ascii_tweets = st.lists(st.lists(st.sampled_from(NON_ASCII_TOKENS), max_size=7).map(" ".join),

@@ -201,12 +201,24 @@ class TestSplitDataset:
 
 
 class TestPermutation:
-    @pytest.mark.parametrize("n", [0, 1, 2, 13190])
+    @pytest.mark.parametrize("n", [0, 1, 2, 13190, 200_003])  # 200,003: four swap chunks
     def test_matches_scalar_splitmix_oracle(self, n):
         for seed in (0, 1, 13, 2**63 + 7, 2**64 - 5):
             got = permutation(n, seed)
             assert got.dtype == np.int64
             assert got.tolist() == oracle_permutation(n, seed)
+
+    def test_peak_memory_per_item(self):
+        # The result's 8 bytes per item plus one chunk of draws; a list of
+        # n Python ints alone takes 40.
+        n = 200_000
+        tracemalloc.start()
+        try:
+            permutation(n, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * n, peak / n
 
     def test_derive_seed_matches_scalar_splitmix_oracle(self):
         for seed in (0, -1, 13, 2**63 + 7, 2**64 - 5):
