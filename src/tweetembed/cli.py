@@ -278,6 +278,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     if db is None:
         db = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
+    # The examples are a copy: dropping the database here frees it, and the
+    # sidecar bytes its arrays view, before the split and the write.
+    del db
     split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
                               args.deterministic, digests={"db": db_sha256})

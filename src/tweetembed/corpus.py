@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import atomic_write, read_container, write_container
+from .manifest import atomic_write, read_container, row_blocks, write_container
 
 HANDLE_TOKEN = "T_HANDLE"
 LINK_TOKEN = "LINK"
@@ -33,10 +33,11 @@ PAD_L2 = "<PAD_L2>"
 PAD_R1 = "<PAD_R1>"
 PAD_R2 = "<PAD_R2>"
 BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
-# write_ngram_db and read_ngram_db handle this many rows at a time, which
-# bounds the memory of the Python strings and lists they make; count_ngrams
-# moves its ids from a list into an int32 block about this often, and
-# build_dictionary sums this many rows at a time.
+# read_ngram_db parses this many lines at a time, which bounds the memory
+# of the Python strings and lists it makes; count_ngrams moves its ids from
+# a list into an int32 block about this often, build_dictionary and the
+# sidecar checks take this many rows at a time. write_ngram_db formats
+# manifest.row_blocks' blocks instead.
 BLOCK_ROWS = 65536
 NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
 _SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
@@ -260,17 +261,18 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
 
     Rows are `w1..w5<TAB>count` in the database's row order, which sorts
     them by the tokens in code-point (UTF-8 byte) order, so output bytes do
-    not depend on counting order. Each block of rows is one (n, 6) object
-    array written with one join: five `token<TAB>` cells gathered by type
-    id, then a `count\n` cell gathered from one string per distinct count
-    in the block, so the block's strings are shared, not made per row.
+    not depend on counting order. Each block of `manifest.row_blocks` rows
+    (six cells each) is one (n, 6) object array written with one join:
+    five `token<TAB>` cells gathered by type id, then a `count\n` cell
+    gathered from one string per distinct count in the block, so the
+    block's strings are shared, not made per row.
     """
     cells = np.array([token + "\t" for token in db.types], dtype=object)
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"#total_tweets={db.total_tweets}\t#total_tokens={db.total_tokens}\n")
-        for lo in range(0, len(db.records), BLOCK_ROWS):
-            ids = db.records[lo : lo + BLOCK_ROWS]
-            counts, count_ids = np.unique(db.counts[lo : lo + BLOCK_ROWS], return_inverse=True)
+        for rows in row_blocks(len(db.records), 6):
+            ids = db.records[rows]
+            counts, count_ids = np.unique(db.counts[rows], return_inverse=True)
             count_cells = np.array([f"{count}\n" for count in counts.tolist()], dtype=object)
             block = np.empty((len(ids), 6), dtype=object)
             block[:, :5] = cells[ids]

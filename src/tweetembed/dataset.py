@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BLOCK_ROWS, BOUNDARY_TOKENS, Dictionary, NGramDatabase
-from .manifest import atomic_write
+from .corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase
+from .manifest import atomic_write, row_blocks
 from .rng import permutation
 
 
@@ -119,11 +119,12 @@ def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
         raise ValueError(f"validation_ratio must be in (0, 1), got {validation_ratio}")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    shuffled = examples[permutation(len(examples), seed)]
-    n_val = math.floor(validation_ratio * len(shuffled))
-    n_train = math.floor(fraction * (len(shuffled) - n_val))
-    return DatasetSplit(shuffled[n_val : n_val + n_train], shuffled[:n_val], seed, fraction,
-                        validation_ratio)
+    n_val = math.floor(validation_ratio * len(examples))
+    n_train = math.floor(fraction * (len(examples) - n_val))
+    # Only the rows returned are gathered, so a fraction below 1 copies
+    # only its share of the examples.
+    shuffled = examples[permutation(len(examples), seed)[:n_val + n_train]]
+    return DatasetSplit(shuffled[n_val:], shuffled[:n_val], seed, fraction, validation_ratio)
 
 
 def write_vocabulary(vocab: Vocabulary, path: Path | str) -> None:
@@ -161,9 +162,15 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
 
     The header records everything needed to interpret and reproduce the
     file: vocabulary size and hash, shuffle seed, validation ratio,
-    fraction, and the two block lengths. Rows are formatted BLOCK_ROWS at
-    a time, so only one block's Python ints exist at once.
+    fraction, and the two block lengths. Each block of `manifest.row_blocks`
+    rows (five cells each) is one (n, 5) object array written with one
+    join, as in `corpus.write_ngram_db`: four `id<TAB>` cells and one
+    `id\n` cell gathered from one string per id, so no Python int is made
+    per row.
     """
+    context = np.array([f"{i}\t" for i in range(vocab.size + len(BOUNDARY_TOKENS))],
+                       dtype=object)
+    target = np.array([f"{i}\n" for i in range(vocab.size)], dtype=object)
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
             f"#vocab_size={vocab.size}"
@@ -175,9 +182,12 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
             f"\t#train={len(split.train)}\n"
         )
         for block in (split.validation, split.train):
-            for lo in range(0, len(block), BLOCK_ROWS):
-                for c1, c2, c4, c5, target in block[lo:lo + BLOCK_ROWS].tolist():
-                    fh.write(f"{c1}\t{c2}\t{c4}\t{c5}\t{target}\n")
+            for rows in row_blocks(len(block), 5):
+                ids = block[rows]
+                cells = np.empty((len(ids), 5), dtype=object)
+                cells[:, :4] = context[ids[:, :4]]
+                cells[:, 4] = target[ids[:, 4]]
+                fh.write("".join(cells.ravel().tolist()))
 
 
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import Vocabulary
-from .manifest import atomic_write, write_container
+from .manifest import atomic_write, row_blocks, write_container
 from .model import ModelParams
 
 TABLE_MAGIC = b"EMBTBL01"
@@ -65,12 +65,15 @@ def export_embeddings(params: ModelParams, vocab: Vocabulary,
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:
     """Plain-text interchange layout: "<n> <dim>" header, then one word
     per line followed by its vector components at six decimals. Each line
-    is one `%` format over the row's Python floats."""
+    is one `%` format over the row's Python floats, made one
+    `manifest.row_blocks` block (the word and `dim` floats a row) at a
+    time."""
     line = "%s" + " %.6f" * table.dim + "\n"
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{len(table.words)} {table.dim}\n")
-        fh.writelines(line % (word, *row)
-                      for word, row in zip(table.words, table.vectors.tolist()))
+        for rows in row_blocks(len(table.words), table.dim + 1):
+            fh.writelines(line % (word, *row) for word, row in
+                          zip(table.words[rows], table.vectors[rows].tolist()))
 
 
 def read_embeddings_text(path: Path | str) -> EmbeddingTable:

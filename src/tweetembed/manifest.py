@@ -1,8 +1,8 @@
 """Run manifests: enough resolved configuration to reproduce any run.
 
 Also the file helpers the artifact writers share: content hashing, atomic
-replacement and the binary container of the checkpoint, the embedding
-table and the 5-gram sidecar.
+replacement, the row blocks of the text writers and the binary container
+of the checkpoint, the embedding table and the 5-gram sidecar.
 """
 
 from __future__ import annotations
@@ -18,6 +18,11 @@ from typing import IO, Iterator
 
 from . import __version__
 
+# The text writers turn array rows into Python values (ints, floats,
+# strings) one block at a time; a block creates at most this many values,
+# so a writer's memory beyond its input does not grow with the row count.
+TEXT_BLOCK_VALUES = 1 << 16
+
 
 def file_sha256(path: Path | str) -> str:
     digest = hashlib.sha256()
@@ -31,12 +36,13 @@ def file_sha256(path: Path | str) -> str:
 def atomic_write(path: Path | str, mode: str = "w", **open_kwargs) -> Iterator[IO]:
     """Write `path` through a temp file beside it, moved into place only on success.
 
-    The temp file is `<name>.tmp` in the same directory, so `os.replace` is
-    an atomic rename: a process that dies mid-write leaves the previous
-    file intact. On any error the temp file is removed.
+    The temp file is `<name>.<pid>.tmp` in the same directory, so
+    `os.replace` is an atomic rename: a process that dies mid-write leaves
+    the previous file intact, and two processes writing one path never
+    share a temp file. On any error the temp file is removed.
     """
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, mode, **open_kwargs) as fh:
             yield fh
@@ -44,6 +50,14 @@ def atomic_write(path: Path | str, mode: str = "w", **open_kwargs) -> Iterator[I
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def row_blocks(n_rows: int, values_per_row: int) -> Iterator[slice]:
+    """Slices of `n_rows` rows, each as many rows as TEXT_BLOCK_VALUES
+    values allow (at least one), in order."""
+    step = max(1, TEXT_BLOCK_VALUES // values_per_row)
+    for lo in range(0, n_rows, step):
+        yield slice(lo, lo + step)
 
 
 def write_container(path: Path | str, magic: bytes, header: dict, parts: list) -> None:

@@ -2,7 +2,6 @@ import collections
 import random
 import re
 import tempfile
-import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tweetembed import corpus
+from tweetembed import corpus, manifest
 from tweetembed.corpus import (
     BOUNDARY_TOKENS,
     HANDLE_TOKEN,
@@ -35,6 +34,7 @@ from tweetembed.corpus import (
 from tweetembed.dataset import filter_ngrams, select_vocabulary
 from tweetembed.manifest import file_sha256
 
+from memory import traced_peak
 from oracles import (db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter,
                      oracle_tokenize, oracle_windows)
 from synth import NON_ASCII_TOKENS, non_ascii_corpus
@@ -135,12 +135,7 @@ class TestExtract5Grams:
         rng = np.random.default_rng(3)
         words = np.array([f"w{i}" for i in range(3000)])
         tweets = [" ".join(row) for row in words[rng.integers(0, 3000, (10000, 12))].tolist()]
-        tracemalloc.start()
-        try:
-            db = count_ngrams(tweets)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        db, peak = traced_peak(count_ngrams, tweets)
         assert db.total_tokens == 120000
         assert peak < 48 * db.total_tokens, peak / db.total_tokens
 
@@ -309,9 +304,27 @@ def _db_text(tweets) -> str:
         return path.read_text(encoding="utf-8")
 
 
+def _ascending_db(n: int) -> NGramDatabase:
+    """n distinct rows in ascending order over 64 types, one count each."""
+    types = sorted([*BOUNDARY_TOKENS, *(f"w{i:02d}" for i in range(60))])
+    records = np.zeros((n, 5), dtype=np.int32)
+    ids = np.arange(n)
+    for col in range(4, 0, -1):
+        records[:, col] = ids % 64
+        ids //= 64
+    return NGramDatabase(types, records, np.ones(n, dtype=np.int64), 1, n)
+
+
+def _block_rows(monkeypatch, rows: int) -> None:
+    """Read, count and sum `rows` rows at a time, and write 5-gram rows
+    (six values each) that many at a time."""
+    monkeypatch.setattr(corpus, "BLOCK_ROWS", rows)
+    monkeypatch.setattr(manifest, "TEXT_BLOCK_VALUES", 6 * rows)
+
+
 class TestBlocks:
-    """Files, and count_ngrams' id sequences, of several BLOCK_ROWS blocks;
-    every other test's fits in one."""
+    """Files, and count_ngrams' id sequences, of several blocks; every
+    other test's fits in one."""
 
     TWEETS = ["a b c", "b c d e", "c a", "e e e a", "a b c"]  # 13 distinct 5-grams
 
@@ -319,8 +332,8 @@ class TestBlocks:
         text = _db_text(self.TWEETS)
         assert len(text.splitlines()) == 14
         entries = build_dictionary(count_ngrams(self.TWEETS)).entries
-        for block_rows in (2, 3):
-            monkeypatch.setattr(corpus, "BLOCK_ROWS", block_rows)
+        for block_rows in (1, 2, 3):
+            _block_rows(monkeypatch, block_rows)
             first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
             assert build_dictionary(count_ngrams(self.TWEETS)).entries == entries
             write_ngram_db(count_ngrams(self.TWEETS), first)
@@ -343,18 +356,25 @@ class TestBlocks:
         with pytest.raises(ValueError, match=f"{path.name}:9: {message}"):
             read_ngram_db(path)
 
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+        # Formatting 65,536 rows at a time held 9 MB here.
+        db = _ascending_db(1 << 19)
+        _, peak = traced_peak(write_ngram_db, db, tmp_path / "ngrams.tsv")
+        assert peak < 4 * 2 ** 20, peak
+
 
 class TestSidecar:
     """The binary sidecar reads back as the database it was written from,
     and as the database its TSV reads back as."""
 
     @pytest.mark.parametrize("tweets, block_rows", [
-        ([], corpus.BLOCK_ROWS),
-        (non_ascii_corpus(300, seed=21), corpus.BLOCK_ROWS),
+        ([], None),
+        (non_ascii_corpus(300, seed=21), None),
         (TestBlocks.TWEETS, 3),  # the TSV in five blocks
     ], ids=["empty", "non-ASCII", "multi-block"])
     def test_round_trip(self, tweets, block_rows, tmp_path, monkeypatch):
-        monkeypatch.setattr(corpus, "BLOCK_ROWS", block_rows)
+        if block_rows:
+            _block_rows(monkeypatch, block_rows)
         db = count_ngrams(tweets)
         tsv, sidecar = tmp_path / "ngrams.tsv", tmp_path / "ngrams.tsv.bin"
         write_ngram_db(db, tsv)
@@ -410,21 +430,9 @@ class TestSidecar:
         # 2^19 ascending rows, one count each. Beyond the file's own bytes
         # the checks hold a few blocks at most, not 8 bytes per row.
         n = 1 << 19
-        types = sorted([*BOUNDARY_TOKENS, *(f"w{i:02d}" for i in range(60))])
-        records = np.zeros((n, 5), dtype=np.int32)
-        ids = np.arange(n)
-        for col in range(4, 0, -1):
-            records[:, col] = ids % 64
-            ids //= 64
         sidecar = tmp_path / "ngrams.tsv.bin"
-        write_ngram_sidecar(NGramDatabase(types, records, np.ones(n, dtype=np.int64), 1, n),
-                            sidecar, "0" * 64)
-        tracemalloc.start()
-        try:
-            db = read_ngram_sidecar(sidecar, "0" * 64)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        write_ngram_sidecar(_ascending_db(n), sidecar, "0" * 64)
+        db, peak = traced_peak(read_ngram_sidecar, sidecar, "0" * 64)
         assert db is not None and len(db.records) == n
         extra = peak - sidecar.stat().st_size
         assert extra < 4 * n, extra / n

@@ -1,10 +1,9 @@
 import random
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from tweetembed import dataset
+from tweetembed import manifest
 from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams, read_ngram_db
 from tweetembed.dataset import (
     DatasetSplit,
@@ -20,6 +19,7 @@ from tweetembed.dataset import (
 )
 from tweetembed.rng import derive_seed, permutation
 
+from memory import traced_peak
 from oracles import (db_records, example_grams, oracle_derive_seed, oracle_filter,
                      oracle_permutation)
 
@@ -118,12 +118,7 @@ class TestFilterNGrams:
         db = count_ngrams([" ".join(row) for row in
                            words[rng.integers(0, 3000, (10000, 12))].tolist()])
         vocab = select_vocabulary(build_dictionary(db), 1500)
-        tracemalloc.start()
-        try:
-            rows = filter_ngrams(db, vocab, include_boundary=True)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rows, peak = traced_peak(filter_ngrams, db, vocab, include_boundary=True)
         assert 0 < len(rows) < len(db.records) // 4
         assert peak < 12 * len(db.records), peak / len(db.records)
 
@@ -199,6 +194,18 @@ class TestSplitDataset:
         split = split_dataset(make_tuples(20))
         assert len(split.validation) and len(split.train)
 
+    def test_peak_memory_follows_the_rows_returned(self):
+        # At fraction 0.25 a third of the rows are returned. Beyond the
+        # permutation's 8 bytes per row, only those rows are gathered:
+        # gathering every row first held 48 bytes per row here.
+        n = 200_000
+        examples = np.random.default_rng(1).integers(0, 3000, (n, 5))
+        split, peak = traced_peak(split_dataset, examples, validation_ratio=0.1,
+                                  fraction=0.25, seed=5)
+        returned = len(split.validation) + len(split.train)
+        assert returned == 20_000 + 45_000
+        assert peak < 8 * n + 48 * returned, peak / n
+
 
 class TestPermutation:
     @pytest.mark.parametrize("n", [0, 1, 2, 13190, 200_003])  # 200,003: four swap chunks
@@ -212,12 +219,7 @@ class TestPermutation:
         # The result's 8 bytes per item plus one chunk of draws; a list of
         # n Python ints alone takes 40.
         n = 200_000
-        tracemalloc.start()
-        try:
-            permutation(n, 5)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(permutation, n, 5)
         assert peak < 24 * n, peak / n
 
     def test_derive_seed_matches_scalar_splitmix_oracle(self):
@@ -227,7 +229,7 @@ class TestPermutation:
 
 
 class TestFiles:
-    def test_dataset_round_trip(self, tmp_path):
+    def test_dataset_round_trip(self, tmp_path, monkeypatch):
         db = random_db(2)
         vocab = select_vocabulary(build_dictionary(db), 6)
         tuples = filter_ngrams(db, vocab, include_boundary=True)
@@ -239,26 +241,27 @@ class TestFiles:
         assert loaded.train.dtype == np.int64
         assert meta["vocab_size"] == 6
         assert meta["vocab_hash"] == vocabulary_hash(vocab)
+        for block_rows in (1, 2, 3):  # five values a row
+            monkeypatch.setattr(manifest, "TEXT_BLOCK_VALUES", 5 * block_rows)
+            write_dataset(split, vocab, tmp_path / "blocks.tsv")
+            assert (tmp_path / "blocks.tsv").read_bytes() == path.read_bytes()
 
-    def test_rows_are_written_a_block_at_a_time(self, tmp_path, monkeypatch):
-        # 20k rows in blocks of 1000 give the one-block bytes; formatting
-        # all rows' Python ints at once held 236 bytes per row.
+    def test_rows_are_written_a_block_at_a_time(self, tmp_path):
+        # 200k rows give np.savetxt's row bytes while holding one block of
+        # cells at a time: formatting all rows' Python ints at once held
+        # 236 bytes per row, and 65,536 rows of them at once 16 MB.
         rng = np.random.default_rng(4)
-        rows = rng.integers(0, 3000, (20000, 5))
-        split = DatasetSplit(rows[2000:], rows[:2000], seed=1, fraction=1.0,
+        rows = rng.integers(0, 3000, (200_000, 5))
+        split = DatasetSplit(rows[20_000:], rows[:20_000], seed=1, fraction=1.0,
                              validation_ratio=0.1)
         vocab = Vocabulary([f"w{i}" for i in range(3000)])
-        whole, blocks = tmp_path / "whole.tsv", tmp_path / "blocks.tsv"
-        write_dataset(split, vocab, whole)
-        monkeypatch.setattr(dataset, "BLOCK_ROWS", 1000)
-        tracemalloc.start()
-        try:
-            write_dataset(split, vocab, blocks)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert blocks.read_bytes() == whole.read_bytes()
-        assert peak < 20 * len(rows), peak / len(rows)
+        path, expected = tmp_path / "dataset.tsv", tmp_path / "savetxt.tsv"
+        _, peak = traced_peak(write_dataset, split, vocab, path)
+        np.savetxt(expected, rows, fmt="%d", delimiter="\t")
+        header, body = path.read_bytes().split(b"\n", 1)
+        assert header.endswith(b"\t#validation=20000\t#train=180000")
+        assert body == expected.read_bytes()
+        assert peak < 3 * 2 ** 20, peak
 
     def test_empty_blocks_round_trip_without_warning(self, tmp_path, recwarn):
         empty = np.empty((0, 5), dtype=np.int64)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from tweetembed import manifest
 from tweetembed.dataset import Vocabulary
 from tweetembed.embeddings import (
     EmbeddingTable,
@@ -13,6 +14,8 @@ from tweetembed.embeddings import (
     write_embeddings_text,
 )
 from tweetembed.model import ModelHyper, init_params
+
+from memory import traced_peak
 
 
 def table_from(words, rows):
@@ -57,7 +60,7 @@ class TestExport:
 
 
 class TestTextFile:
-    def test_round_trip_at_text_precision(self, tmp_path):
+    def test_round_trip_at_text_precision(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(8)
         table = EmbeddingTable([f"w{i}" for i in range(7)], rng.normal(size=(7, 3)))
         path = tmp_path / "emb.txt"
@@ -69,6 +72,10 @@ class TestTextFile:
         again = tmp_path / "emb2.txt"
         write_embeddings_text(loaded, again)
         assert again.read_bytes() == path.read_bytes()
+        for block_rows in (1, 2, 3):  # the word and three floats a row
+            monkeypatch.setattr(manifest, "TEXT_BLOCK_VALUES", 4 * block_rows)
+            write_embeddings_text(table, again)
+            assert again.read_bytes() == path.read_bytes()
 
     def test_bytes_match_per_value_formatting(self, tmp_path):
         # -0.0 keeps its sign; nan and inf cannot reach a valid table but
@@ -84,6 +91,14 @@ class TestTextFile:
             word + " " + " ".join(f"{x:.6f}" for x in vec) + "\n"
             for word, vec in zip(table.words, table.vectors))
         assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_write_peak_does_not_grow_with_rows(self, tmp_path):
+        # |V| = 32768: formatting every row's Python floats at once held
+        # 18.9 MB beyond the table at this width (69 MB at d = 64).
+        rng = np.random.default_rng(5)
+        table = EmbeddingTable([f"w{i}" for i in range(32768)], rng.normal(size=(32768, 16)))
+        _, peak = traced_peak(write_embeddings_text, table, tmp_path / "emb.txt")
+        assert peak < 4 * 2 ** 20, peak
 
     def test_header_counts(self, tmp_path):
         table = table_from(["x", "y"], [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])

@@ -116,8 +116,9 @@ def test_sigkill_keeps_the_last_good_checkpoint(dataset, clean_runs, tmp_path):
         finally:
             codes.append(proc.wait())
         names = sorted(path.name for path in out.iterdir())
-        # A killed write leaves its own temp file and nothing else.
-        assert set(names) <= {*OUTPUTS, *(name + ".tmp" for name in OUTPUTS)}, names
+        # A killed write leaves its own temp file, named with the killed
+        # process's id, and nothing else.
+        assert set(names) <= {*OUTPUTS, *(f"{name}.{proc.pid}.tmp" for name in OUTPUTS)}, names
         ckpt, log = out / "model.ckpt", out / "run_log.tsv"
         blob = ckpt.read_bytes() if ckpt.exists() else None
         assert blob is None or blob in checkpoints, delay

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,7 @@ from tweetembed.model import (
     softmax,
 )
 
+from memory import traced_peak
 from oracles import oracle_backward, oracle_nll, oracle_sigmoid, oracle_softmax
 
 
@@ -429,12 +429,7 @@ class TestEvaluate:
         targets = rng.integers(0, hyper.vocab_size, 20000)
 
         def peak(n):
-            tracemalloc.start()
-            try:
-                evaluate(params, contexts[:n], targets[:n])
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return traced_peak(evaluate, params, contexts[:n], targets[:n])[1]
 
         big, small = peak(20000), peak(2000)
         assert big < 4 * 2 ** 20

@@ -1,7 +1,7 @@
 import dataclasses
 import logging
 import math
-import tracemalloc
+import os
 
 import numpy as np
 import pytest
@@ -40,6 +40,7 @@ from tweetembed.training import (
     write_run_log,
 )
 
+from memory import traced_peak
 from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax, read_run_log
 from synth import zipf_corpus
 
@@ -314,7 +315,7 @@ class TestTrain:
 
         def flaky_open(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            if path == out / (failing + ".tmp"):
+            if path == out / f"{failing}.{os.getpid()}.tmp":
                 opened.append(path)
                 return BrokenWrites(fh)
             return fh
@@ -325,7 +326,7 @@ class TestTrain:
         assert "disk full" in capsys.readouterr().err
         assert len(opened) == 1
         assert (out / failing).read_bytes() == previous
-        assert not list(out.rglob("*.tmp"))
+        assert not list(out.rglob("*.tmp"))  # any process's `<name>.<pid>.tmp`
         if failing == "ngrams.tsv.bin":
             # The second run's TSV is in place beside the first run's sidecar,
             # now stale: dataset reads the TSV, as it does with no sidecar.
@@ -356,7 +357,7 @@ class TestTrain:
 
         def flaky_open(path, *args, **kwargs):
             fh = open(path, *args, **kwargs)
-            if path.name == failing + ".tmp":
+            if path.name == f"{failing}.{os.getpid()}.tmp":
                 opened.append(path)
                 if len(opened) == 2:
                     return BrokenWrites(fh)
@@ -443,12 +444,8 @@ class TestTrain:
         contexts = rng.integers(0, hyper.vocab_size + 4, (cfg.batch_size, 4))
         targets = rng.integers(0, hyper.vocab_size, cfg.batch_size)
         adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg)
-        tracemalloc.start()
-        try:
-            adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(
+            lambda: adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg))
         assert peak <= 8 * param_count(hyper) + 2 ** 20, peak
 
     def test_epoch_callback_streams_logs(self, tmp_path):
