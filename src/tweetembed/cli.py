@@ -362,9 +362,39 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
+              classes: list[GoldClass], pairs: list[EquivalencePair], corpus_path: Path,
+              cell: Path, args: argparse.Namespace) -> tuple[tuple, dict]:
+    """Run the dataset, train, export and eval stages for one grid cell into
+    `cell`; returns its summary row and manifest config. The cell's split,
+    parameters, table and reports are freed when it returns."""
+    cell.mkdir(exist_ok=True)
+    split, dataset_config = dataset_stage(examples, vocab, fraction, args,
+                                          cell / "dataset.tsv", cell / "vocab.tsv")
+    hyper, cfg, train_config = train_settings(args, vocab.size)
+    params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
+                         vocabulary_hash(vocab))
+    table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
+                                        cell / "embeddings.txt")
+    reports, eval_config = eval_stage(table, classes, pairs, args)
+    config = {**dataset_config, **train_config, **export_config, **eval_config}
+    cell_manifest = build_manifest("grid-cell", config, {"corpus": corpus_path},
+                                   args.deterministic)
+    emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
+    write_manifest(cell_manifest, cell / "manifest.json")
+    row = (vocab.size, fraction, len(split.train),
+           sum(entry.wall_seconds for entry in logs) / len(logs),
+           logs[-1].train_loss, logs[-1].validation_loss)
+    return row, config
+
+
 def cmd_grid(args: argparse.Namespace) -> int:
     """Ingest once, then run the other stages for every |V| x fraction cell;
-    a cell's manifest config is the union of the stage configs."""
+    a cell's manifest config is the union of the stage configs.
+
+    Each |V|'s qualifying examples are taken right after ingest, so the
+    5-gram database and the dictionary are freed before the first cell
+    trains, and each |V|'s examples after its last cell."""
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
     # The run's own files; each cell writes into a directory named for it.
@@ -378,37 +408,28 @@ def cmd_grid(args: argparse.Namespace) -> int:
     for fraction in fractions:
         if fraction not in PAPER_FRACTIONS:
             raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
+    # Each cell's directory is named for its size and fraction.
+    for what, values in (("vocabulary size", vocab_sizes), ("fraction", fractions)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise InputError(f"grid got {what} {value} more than once")
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
     # The whole corpus is read before the first directory or file is made.
     db = count_ngrams(_read_corpus_lines(corpus_path))
     out_dir.mkdir(parents=True, exist_ok=True)
     dictionary = ingest_stage(db, out_dir / "ngrams.tsv", out_dir / "dictionary.tsv")
+    selected = {vocab_size: qualifying_examples(db, dictionary, vocab_size, args)
+                for vocab_size in vocab_sizes}
+    del db, dictionary
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:
-        vocab, examples = qualifying_examples(db, dictionary, vocab_size, args)
+        vocab, examples = selected.pop(vocab_size)
         for fraction in fractions:
-            cell = out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}"
-            cell.mkdir(exist_ok=True)
-            split, dataset_config = dataset_stage(examples, vocab, fraction, args,
-                                                  cell / "dataset.tsv", cell / "vocab.tsv")
-            hyper, cfg, train_config = train_settings(args, vocab.size)
-            params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
-                                 vocabulary_hash(vocab))
-            table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
-                                                cell / "embeddings.txt")
-            reports, eval_config = eval_stage(table, classes, pairs, args)
-            config = {**dataset_config, **train_config, **export_config, **eval_config}
-            cell_manifest = build_manifest("grid-cell", config, {"corpus": corpus_path},
-                                           args.deterministic)
-            emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
-            write_manifest(cell_manifest, cell / "manifest.json")
-            summary_rows.append((
-                vocab_size, fraction, len(split.train),
-                sum(entry.wall_seconds for entry in logs) / len(logs),
-                logs[-1].train_loss, logs[-1].validation_loss,
-            ))
+            row, config = grid_cell(examples, vocab, fraction, classes, pairs, corpus_path,
+                                    out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}", args)
+            summary_rows.append(row)
     summary_path = out_dir / "summary.tsv"
     with atomic_write(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vocab_size\tfraction\ttrain_tuples\tavg_secs_epoch\ttrain_loss\tval_loss\n")

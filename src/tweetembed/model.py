@@ -309,10 +309,12 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     multiplies a single row as matrix-vector products, which round
     otherwise, so no chunk of a longer group is one row long. OpenBLAS
     0.3.31 (Haswell kernels) rounds a few products of a row differently
-    with the row count when a width (|V| or d_ctx) is 1 to 4 above a
-    multiple of 8; the loss was unchanged wherever that was checked,
-    since a last-bit change in a logit is far below the last bit of a
-    loss.
+    with the product's row count, and with the BLAS thread count, when a
+    width (|V| or d_ctx) is 1 to 5 above a multiple of 8 (one thread
+    against two differed at 129-133, 300, 301, 1001 and 2053 columns, never
+    at 64, 96, 128, 256, 1000 or 2048); the loss was unchanged wherever
+    the row count was checked, since a last-bit change in a logit is far
+    below the last bit of a loss.
     """
     n = targets.shape[0]
     if n == 0:

@@ -1,5 +1,6 @@
-"""Peak traced memory of one call, for the tests that bound it."""
+"""Memory probes for the tests that bound what a call holds."""
 
+import gc
 import tracemalloc
 
 
@@ -12,3 +13,9 @@ def traced_peak(call, *args, **kwargs):
         return result, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def live_instances(cls) -> int:
+    """How many instances of `cls` are alive once the cyclic garbage is collected."""
+    gc.collect()
+    return sum(isinstance(obj, cls) for obj in gc.get_objects())

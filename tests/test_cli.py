@@ -19,11 +19,12 @@ from hypothesis import strategies as st
 
 from tweetembed import cli
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
-from tweetembed.corpus import BOUNDARY_TOKENS, read_ngram_db
+from tweetembed.corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
-from tweetembed.model import ModelHyper, init_params, save_checkpoint
+from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
+from memory import live_instances
 from oracles import db_records, read_run_log
 from synth import class_corpus, class_gold, non_ascii_corpus, zipf_corpus
 
@@ -563,6 +564,28 @@ class TestGrid:
                              "embeddings.txt", "report.json", "manifest.json"):
                 assert (out_dir / cell / artifact).is_file()
 
+    def test_cells_train_without_the_database_or_an_earlier_cell(self, bigger_corpus, tmp_path,
+                                                                  monkeypatch):
+        # Each cell's `train` starts with the 5-gram database, the dictionary
+        # and every earlier cell's parameters already freed.
+        def live():
+            return [live_instances(cls) for cls in (NGramDatabase, Dictionary, ModelParams)]
+
+        at_train = []
+        real_train = cli.train
+
+        def probed_train(*args, **kwargs):
+            at_train.append(live())
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "train", probed_train)
+        before = live()
+        rc = main(["grid", str(bigger_corpus), "--out-dir", str(tmp_path / "grid"),
+                   "--vocab-sizes", "4,6", "--fractions", "0.5,1.0", "--epochs", "1",
+                   "--batch-size", "32", "--emb-dim", "8", "--ctx-dim", "8", "--deterministic"])
+        assert rc == EXIT_OK
+        assert at_train == [before] * 4
+
     def test_rejects_off_grid_fraction(self, bigger_corpus, tmp_path, capsys):
         rc = main(["grid", str(bigger_corpus), "--out-dir", str(tmp_path / "g"),
                    "--vocab-sizes", "4", "--fractions", "0.33"])
@@ -579,7 +602,8 @@ TRAIN_SETTINGS = ["--epochs", "2", "--batch-size", "32", "--learning-rate", "0.0
 @pytest.fixture
 def staged_and_grid(bigger_corpus, tmp_path):
     """The same flags run once as the five stage commands and once as a
-    one-cell grid; returns the staged directory and the grid directory."""
+    2 x 2 grid whose v6_f050 cell has the staged |V| and fraction; returns
+    the staged directory and the grid directory."""
     staged = tmp_path / "staged"
     staged.mkdir()
     ds = staged / "dataset.tsv"
@@ -597,8 +621,8 @@ def staged_and_grid(bigger_corpus, tmp_path):
     ):
         assert main([*argv, *STAGE_SETTINGS]) == EXIT_OK
     grid = tmp_path / "grid"
-    assert main(["grid", str(bigger_corpus), "--out-dir", str(grid), "--vocab-sizes", "6",
-                 "--fractions", "0.5", *DATASET_SETTINGS, *TRAIN_SETTINGS,
+    assert main(["grid", str(bigger_corpus), "--out-dir", str(grid), "--vocab-sizes", "4,6",
+                 "--fractions", "0.5,1.0", *DATASET_SETTINGS, *TRAIN_SETTINGS,
                  *STAGE_SETTINGS]) == EXIT_OK
     return staged, grid
 
@@ -634,7 +658,7 @@ class TestGridMatchesStages:
                 if key not in ("vocab_size", "fraction"):
                     assert grid_config[key] == value, (manifest.name, key)
         assert grid_config["sigmoid_logits"] is True
-        assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ("6", "0.5")
+        assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ("4,6", "0.5,1.0")
 
 
 def _edit_first_row(dataset, edit):
@@ -827,6 +851,15 @@ def _corpus_with_invalid_utf8(command):
     return argv
 
 
+def _grid_on_small_corpus(*flags):
+    """Case builder: grid on a one-line corpus with `flags`."""
+    def argv(dataset, tmp_path):
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("olá mundo bom dia\n", encoding="utf-8")
+        return [str(arg) for arg in ["grid", corpus, "--out-dir", tmp_path / "grid", *flags]]
+    return argv
+
+
 def _dataset_from_db(edit_body):
     """Case builder: ingest a small corpus, rewrite the 5-gram DB body, run dataset."""
     def argv(dataset, tmp_path):
@@ -958,6 +991,13 @@ MALFORMED_INPUTS = {
                                                       "can't decode byte 0xff"),
     "grid on a corpus with an invalid UTF-8 byte": (_corpus_with_invalid_utf8("grid"),
                                                     "can't decode byte 0xff"),
+    # Both runs of a repeated value would write one cell directory.
+    "grid repeating a vocabulary size": (
+        _grid_on_small_corpus("--vocab-sizes", "6,6", "--fractions", "0.5,0.5"),
+        "grid got vocabulary size 6 more than once"),
+    "grid repeating a fraction": (
+        _grid_on_small_corpus("--vocab-sizes", "2", "--fractions", "1.0,0.5,1"),
+        "grid got fraction 1.0 more than once"),
     "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
                                       "repeated 5-gram"),
     "5-gram DB counts not summing to #total_tokens": (
@@ -986,7 +1026,8 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    if message in ("name the same file", "can't decode byte 0xff"):
+    # grid checks its flags and reads all its inputs before it writes
+    if argv[0] == "grid" or message in ("name the same file", "can't decode byte 0xff"):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
