@@ -157,15 +157,14 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
 # `train` itself, with the settings from `train_settings`.
 
 
-def ingest_stage(db: NGramDatabase, db_path: Path, dict_path: Path) -> Dictionary:
-    """Write the counted corpus (`count_ngrams` over `_read_corpus_lines`)
-    and its dictionary; the stage has no settings. The database's binary
-    sidecar `<db_path>.bin` is bound to the TSV's hash."""
-    dictionary = build_dictionary(db)
+def ingest_stage(db: NGramDatabase, db_path: Path) -> None:
+    """Write the counted corpus (`count_ngrams` over `_read_corpus_lines`);
+    the stage has no settings. The database's binary sidecar `<db_path>.bin`
+    is bound to the TSV's hash. The stage's dictionary file is written by
+    the caller, so `grid` can free the dictionary before the database's
+    files are written."""
     write_ngram_db(db, db_path)
     write_ngram_sidecar(db, db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
-    write_dictionary(dictionary, dict_path)
-    return dictionary
 
 
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
@@ -248,7 +247,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     _check_distinct(db_path, db_path.with_suffix(db_path.suffix + ".bin"), dict_path,
                     manifest_path, inputs=(corpus_path,))
     db = count_ngrams(_read_corpus_lines(corpus_path))
-    dictionary = ingest_stage(db, db_path, dict_path)
+    ingest_stage(db, db_path)
+    dictionary = build_dictionary(db)
+    write_dictionary(dictionary, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
     manifest = build_manifest(
@@ -330,7 +331,7 @@ def cmd_export(args: argparse.Namespace) -> int:
         "export",
         {**config, "out": str(out_path)},
         {"checkpoint": checkpoint_path, "vocab": vocab_path},
-        args.deterministic,
+        args.deterministic, digests={"checkpoint": table.manifest_hash},
     )
     write_manifest(manifest, manifest_path)
     print(f"exported {len(table.words)} x {table.dim} embeddings")
@@ -363,7 +364,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
-              classes: list[GoldClass], pairs: list[EquivalencePair], corpus_path: Path,
+              classes: list[GoldClass], pairs: list[EquivalencePair], corpus_sha256: str,
               cell: Path, args: argparse.Namespace) -> tuple[tuple, dict]:
     """Run the dataset, train, export and eval stages for one grid cell into
     `cell`; returns its summary row and manifest config. The cell's split,
@@ -378,8 +379,8 @@ def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
                                         cell / "embeddings.txt")
     reports, eval_config = eval_stage(table, classes, pairs, args)
     config = {**dataset_config, **train_config, **export_config, **eval_config}
-    cell_manifest = build_manifest("grid-cell", config, {"corpus": corpus_path},
-                                   args.deterministic)
+    cell_manifest = build_manifest("grid-cell", config, {"corpus": Path(args.corpus)},
+                                   args.deterministic, digests={"corpus": corpus_sha256})
     emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
     write_manifest(cell_manifest, cell / "manifest.json")
     row = (vocab.size, fraction, len(split.train),
@@ -392,9 +393,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """Ingest once, then run the other stages for every |V| x fraction cell;
     a cell's manifest config is the union of the stage configs.
 
-    Each |V|'s qualifying examples are taken right after ingest, so the
-    5-gram database and the dictionary are freed before the first cell
-    trains, and each |V|'s examples after its last cell."""
+    Each |V|'s qualifying examples are taken before any file is written,
+    so a size the corpus cannot fill exits 2 having written nothing. The
+    dictionary is then written and freed before the 5-gram database's
+    files are written, the database before the first cell trains, and
+    each |V|'s examples after its last cell."""
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
     # The run's own files; each cell writes into a directory named for it.
@@ -415,19 +418,22 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 raise InputError(f"grid got {what} {value} more than once")
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
-    # The whole corpus is read before the first directory or file is made.
     db = count_ngrams(_read_corpus_lines(corpus_path))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dictionary = ingest_stage(db, out_dir / "ngrams.tsv", out_dir / "dictionary.tsv")
+    dictionary = build_dictionary(db)
     selected = {vocab_size: qualifying_examples(db, dictionary, vocab_size, args)
                 for vocab_size in vocab_sizes}
-    del db, dictionary
+    out_dir.mkdir(parents=True, exist_ok=True)
+    write_dictionary(dictionary, out_dir / "dictionary.tsv")
+    del dictionary
+    ingest_stage(db, out_dir / "ngrams.tsv")
+    del db
+    corpus_sha256 = file_sha256(corpus_path)
 
     summary_rows: list[tuple] = []
     for vocab_size in vocab_sizes:
         vocab, examples = selected.pop(vocab_size)
         for fraction in fractions:
-            row, config = grid_cell(examples, vocab, fraction, classes, pairs, corpus_path,
+            row, config = grid_cell(examples, vocab, fraction, classes, pairs, corpus_sha256,
                                     out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}", args)
             summary_rows.append(row)
     summary_path = out_dir / "summary.tsv"
@@ -447,8 +453,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
             "pairs": str(args.pairs),
             "out_dir": str(out_dir),
         },
-        {"corpus": corpus_path},
-        args.deterministic,
+        {"corpus": corpus_path}, args.deterministic, digests={"corpus": corpus_sha256},
     )
     write_manifest(grid_manifest, out_dir / "grid.manifest.json")
     print(summary_path.read_text(encoding="utf-8"), end="")

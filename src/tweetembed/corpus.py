@@ -18,7 +18,7 @@ import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Collection, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,9 +35,9 @@ PAD_R2 = "<PAD_R2>"
 BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
 # read_ngram_db parses this many lines at a time, which bounds the memory
 # of the Python strings and lists it makes; count_ngrams moves its ids from
-# a list into an int32 block about this often, build_dictionary and the
-# sidecar checks take this many rows at a time. write_ngram_db formats
-# manifest.row_blocks' blocks instead.
+# a list into an int32 block about this often, build_dictionary, the
+# sidecar checks and dataset.filter_ngrams take this many rows at a time.
+# write_ngram_db formats manifest.row_blocks' blocks instead.
 BLOCK_ROWS = 65536
 NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
 _SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
@@ -95,6 +95,13 @@ class _FirstSeen(dict):
     def __missing__(self, key):
         self[key] = n = len(self)
         return n
+
+
+def _number_types(tokens: Collection[str]) -> tuple[list[str], np.ndarray]:
+    """The distinct tokens in code-point order, and each token's int32 index there."""
+    types = sorted(set(tokens))
+    type_id = {token: i for i, token in enumerate(types)}
+    return types, np.fromiter(map(type_id.__getitem__, tokens), np.int32, len(tokens))
 
 
 def _dense_rank_in_place(key: np.ndarray) -> int:
@@ -195,15 +202,13 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
     del blocks
     normalized = [*BOUNDARY_TOKENS, *map(normalize_token,
                                          itertools.islice(raw_ids, len(BOUNDARY_TOKENS), None))]
-    del raw_ids
-    types = sorted(set(normalized))
+    del raw_ids  # the raw tokens are freed before the types are numbered
+    types, raw_type = _number_types(normalized)
+    ids = raw_type[raw]
+    del normalized, raw_type
     if not tweets:
         return NGramDatabase(types, np.zeros((0, 5), dtype=np.int32),
                              np.zeros(0, dtype=np.int64), 0, 0)
-    type_id = {token: i for i, token in enumerate(types)}
-    ids = np.fromiter(map(type_id.__getitem__, normalized), dtype=np.int32,
-                      count=len(normalized))[raw]
-    del normalized, type_id
     # Window j spans ids[j:j + 5]; it is an occurrence when its centre is a token.
     centre = raw[2:-2] >= len(BOUNDARY_TOKENS)
     del raw
@@ -338,10 +343,7 @@ def read_ngram_db(path: Path | str) -> NGramDatabase:
             blocks.append(np.fromiter(map(first_seen.__getitem__, fields), dtype=np.int32,
                                       count=len(fields)))
             del fields, count_fields, block_counts
-    types = sorted(first_seen)
-    type_id = {token: i for i, token in enumerate(types)}
-    renumber = np.fromiter(map(type_id.__getitem__, first_seen), dtype=np.int32,
-                           count=len(first_seen))
+    types, renumber = _number_types(first_seen)
     rows = renumber[np.concatenate([np.zeros(0, dtype=np.int32), *blocks])].reshape(-1, 5)
     del blocks
     order, first = _row_order(lambda col: rows[:, col], len(rows), len(types))

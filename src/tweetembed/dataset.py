@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase
+from .corpus import BLOCK_ROWS, BOUNDARY_TOKENS, Dictionary, NGramDatabase
 from .manifest import atomic_write, row_blocks
 from .rng import permutation
 
@@ -73,9 +73,11 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
     order. Returns shape (0, 5) when nothing qualifies.
 
     The keep mask is built one database column at a time, through
-    per-type tables of which types may stand there, and only the kept rows
-    are mapped to vocabulary ids: the call holds 2 bytes per database row
-    and 80 per kept row, its int64 result included.
+    per-type tables of which types may stand there. The (k, 5) int64
+    result is allocated once and filled BLOCK_ROWS database rows at a
+    time: each block's kept rows are gathered, put in example column order
+    and mapped to vocabulary ids. So the call holds 2 bytes per database
+    row, the result's 40 per kept row and one block's temporaries.
     """
     lookup = np.array([vocab.word_to_id.get(token, -1) for token in db.types], dtype=np.int64)
     if include_boundary:
@@ -85,7 +87,13 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
     keep = as_center[db.records[:, 2]]
     for col in (0, 1, 3, 4):
         keep &= in_context[db.records[:, col]]
-    return lookup[db.records[keep][:, [0, 1, 3, 4, 2]]]
+    examples = np.empty((np.count_nonzero(keep), 5), dtype=np.int64)
+    done = 0
+    for lo in range(0, len(keep), BLOCK_ROWS):
+        kept = db.records[lo:lo + BLOCK_ROWS][keep[lo:lo + BLOCK_ROWS]]
+        examples[done:done + len(kept)] = lookup[kept[:, [0, 1, 3, 4, 2]]]
+        done += len(kept)
+    return examples
 
 
 @dataclass

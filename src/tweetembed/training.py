@@ -168,8 +168,12 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     training aborts and the last good checkpoint and log stay on disk.
     With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible. Every step and evaluation works in one `Workspace`,
-    allocated here for the run. A model larger than physical memory is a
-    MemoryError before anything is allocated.
+    allocated here for the run. The rows are held once, in the split: a
+    batch is one gather of its rows (contexts, then target), and `evaluate`
+    reads column views. A step's gradient is referenced only for its Adam
+    update, so it is freed before the next step allocates one. A model
+    larger than physical memory is a MemoryError before anything is
+    allocated.
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
@@ -178,11 +182,8 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     params = init_params(hyper, cfg.seed)
     state = AdamState.for_params(params)
     ws = Workspace(hyper, rows)
-    # Sliced once into contiguous arrays: every batch and evaluation reads them.
-    train_ctx = np.ascontiguousarray(split.train[:, :N_CONTEXT])
-    train_tgt = np.ascontiguousarray(split.train[:, N_CONTEXT])
-    val_ctx = np.ascontiguousarray(split.validation[:, :N_CONTEXT])
-    val_tgt = np.ascontiguousarray(split.validation[:, N_CONTEXT])
+    train_ctx, train_tgt = split.train[:, :N_CONTEXT], split.train[:, N_CONTEXT]
+    val_ctx, val_tgt = split.validation[:, :N_CONTEXT], split.validation[:, N_CONTEXT]
 
     limit = 10.0 * math.log(hyper.vocab_size)
     n = train_tgt.shape[0]
@@ -191,9 +192,9 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
         started = time.perf_counter()
         order = permutation(n, derive_seed(cfg.seed, epoch))
         for start in range(0, n, cfg.batch_size):
-            sel = order[start : start + cfg.batch_size]
-            adam_step(params, backward_arrays(params, train_ctx[sel], train_tgt[sel], ws),
-                      state, cfg)
+            batch = split.train[order[start : start + cfg.batch_size]]
+            adam_step(params, backward_arrays(params, batch[:, :N_CONTEXT], batch[:, N_CONTEXT],
+                                              ws), state, cfg)
         train_loss = evaluate(params, train_ctx, train_tgt, ws)
         val_loss = evaluate(params, val_ctx, val_tgt, ws) if len(val_tgt) else math.nan
         wall = 0.0 if cfg.deterministic else time.perf_counter() - started

@@ -22,9 +22,10 @@ from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, mai
 from tweetembed.corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
+from tweetembed.manifest import file_sha256
 from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
-from memory import live_instances
+from memory import count_calls, live_instances
 from oracles import db_records, read_run_log
 from synth import class_corpus, class_gold, non_ascii_corpus, zipf_corpus
 
@@ -432,6 +433,15 @@ class TestExportAndEval:
         out = capsys.readouterr().out
         assert "class_membership" in out
 
+    def test_export_hashes_each_file_once(self, tmp_path, monkeypatch):
+        # The table's checkpoint digest is also the manifest's.
+        ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+        calls = count_calls(monkeypatch, file_sha256)
+        rc = main(["export", str(ckpt), "--vocab", str(vocab_path),
+                   "--out", str(tmp_path / "emb.txt")])
+        assert rc == EXIT_OK
+        assert sorted(Path(args[0]) for args in calls) == sorted([ckpt, vocab_path])
+
     def test_threshold_flags_override_defaults(self, tmp_path):
         ckpt, vocab_path, classes, pairs = clustered_checkpoint(tmp_path)
         emb = tmp_path / "emb.txt"
@@ -585,6 +595,19 @@ class TestGrid:
                    "--batch-size", "32", "--emb-dim", "8", "--ctx-dim", "8", "--deterministic"])
         assert rc == EXIT_OK
         assert at_train == [before] * 4
+
+    def test_hashes_each_file_once(self, bigger_corpus, tmp_path, monkeypatch):
+        # The corpus once for the grid manifest and both cell manifests; the
+        # 5-gram DB once, for its sidecar; each cell's checkpoint once.
+        calls = count_calls(monkeypatch, file_sha256)
+        out_dir = tmp_path / "grid"
+        rc = main(["grid", str(bigger_corpus), "--out-dir", str(out_dir),
+                   "--vocab-sizes", "6", "--fractions", "0.5,1.0", "--epochs", "1",
+                   "--batch-size", "32", "--emb-dim", "8", "--ctx-dim", "8", "--deterministic"])
+        assert rc == EXIT_OK
+        assert sorted(Path(args[0]) for args in calls) == sorted([
+            bigger_corpus, out_dir / "ngrams.tsv", out_dir / "v6_f050" / "model.ckpt",
+            out_dir / "v6_f100" / "model.ckpt"])
 
     def test_rejects_off_grid_fraction(self, bigger_corpus, tmp_path, capsys):
         rc = main(["grid", str(bigger_corpus), "--out-dir", str(tmp_path / "g"),
@@ -852,10 +875,10 @@ def _corpus_with_invalid_utf8(command):
 
 
 def _grid_on_small_corpus(*flags):
-    """Case builder: grid on a one-line corpus with `flags`."""
+    """Case builder: grid on a two-tweet corpus of six words with `flags`."""
     def argv(dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("olá mundo bom dia\n", encoding="utf-8")
+        corpus.write_text("olá mundo bom dia\nbom dia meu amigo\n", encoding="utf-8")
         return [str(arg) for arg in ["grid", corpus, "--out-dir", tmp_path / "grid", *flags]]
     return argv
 
@@ -998,6 +1021,13 @@ MALFORMED_INPUTS = {
     "grid repeating a fraction": (
         _grid_on_small_corpus("--vocab-sizes", "2", "--fractions", "1.0,0.5,1"),
         "grid got fraction 1.0 more than once"),
+    # Both are found after the corpus is read, and before anything is written.
+    "grid with a vocabulary size above the dictionary's": (
+        _grid_on_small_corpus("--vocab-sizes", "999", "--fractions", "1.0"),
+        "requested vocabulary size 999 exceeds dictionary length 6"),
+    "grid with a vocabulary size no 5-gram qualifies for": (
+        _grid_on_small_corpus("--vocab-sizes", "1", "--fractions", "1.0"),
+        "no 5-grams qualify for vocabulary size 1"),
     "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
                                       "repeated 5-gram"),
     "5-gram DB counts not summing to #total_tokens": (

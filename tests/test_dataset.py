@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tweetembed import manifest
-from tweetembed.corpus import Dictionary, build_dictionary, count_ngrams, read_ngram_db
+from tweetembed.corpus import (BOUNDARY_TOKENS, Dictionary, NGramDatabase, build_dictionary,
+                               count_ngrams, read_ngram_db)
 from tweetembed.dataset import (
     DatasetSplit,
     Vocabulary,
@@ -121,6 +122,26 @@ class TestFilterNGrams:
         rows, peak = traced_peak(filter_ngrams, db, vocab, include_boundary=True)
         assert 0 < len(rows) < len(db.records) // 4
         assert peak < 12 * len(db.records), peak / len(db.records)
+
+    def test_peak_memory_per_kept_row(self):
+        # 1M distinct rows over 2000 words, |V| = 1990, so about 97.5% are
+        # kept. Gathering, reordering and mapping every kept row at once
+        # held 61 bytes per kept row; the result is 40 of them, the keep
+        # mask 2 per row, and a block's temporaries about 5 at this size.
+        rng = np.random.default_rng(6)
+        n_words = 2000
+        words = [f"w{i:04d}" for i in range(n_words)]  # type id = 4 + index
+        keys = np.unique(rng.integers(0, n_words ** 5, 1_000_100))[:1_000_000]
+        index = np.stack([keys // n_words ** (4 - col) % n_words for col in range(5)],
+                         axis=1).astype(np.int32)  # ascending rows of word indices
+        del keys
+        db = NGramDatabase([*BOUNDARY_TOKENS, *words], index + 4,
+                           np.ones(len(index), dtype=np.int64), len(index), len(index))
+        rows, peak = traced_peak(filter_ngrams, db, Vocabulary(words[:1990]))
+        assert len(index) * 0.97 < len(rows) < len(index)
+        # A word's vocabulary id is its index, so the rows are the kept index rows.
+        assert np.array_equal(rows, index[(index < 1990).all(axis=1)][:, [0, 1, 3, 4, 2]])
+        assert peak < 52 * len(rows), peak / len(rows)
 
     def test_tuples_round_trip_to_database_grams(self):
         db = random_db(21)

@@ -12,6 +12,7 @@ import tweetembed.training
 from tweetembed.cli import EXIT_INPUT, EXIT_OK, main
 from tweetembed.corpus import build_dictionary, count_ngrams
 from tweetembed.dataset import (
+    DatasetSplit,
     filter_ngrams,
     select_vocabulary,
     split_dataset,
@@ -152,6 +153,16 @@ def toy_split(seed=13):
     vocab = select_vocabulary(build_dictionary(db), 5)
     tuples = filter_ngrams(db, vocab, include_boundary=True)
     return split_dataset(tuples, validation_ratio=0.2, fraction=1.0, seed=seed)
+
+
+def random_split(hyper, n_train, n_val, seed):
+    """Uniformly drawn example rows, every id in range for `hyper`."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((n_val + n_train, 5), dtype=np.int64)
+    rows[:, :4] = rng.integers(0, hyper.vocab_size + 4, (len(rows), 4))
+    rows[:, 4] = rng.integers(0, hyper.vocab_size, len(rows))
+    return DatasetSplit(rows[n_val:], rows[:n_val], seed=seed, fraction=1.0,
+                        validation_ratio=n_val / len(rows))
 
 
 class BrokenWrites:
@@ -447,6 +458,29 @@ class TestTrain:
         _, peak = traced_peak(
             lambda: adam_step(params, backward_arrays(params, contexts, targets, ws), state, cfg))
         assert peak <= 8 * param_count(hyper) + 2 ** 20, peak
+
+    def test_rows_are_held_once(self, tmp_path):
+        # A batch gathers its rows from the split and `evaluate` reads column
+        # views of it. Copying the context and target columns took 40 bytes
+        # per train row, about twice what a run of a tiny model holds beside
+        # the split (the epoch's order and its shuffle take about 13).
+        hyper = ModelHyper(vocab_size=16, d_in=2, d_ctx=2)
+        split = random_split(hyper, 180_000, 20_000, seed=4)
+        _, peak = traced_peak(train, split, hyper, TrainConfig(epochs=1, batch_size=1024, seed=1),
+                              tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
+        assert peak < 40 * len(split.train), peak / len(split.train)
+
+    def test_peak_memory_is_what_the_fit_check_counts(self, tmp_path):
+        # Parameters, Adam's two moments, one gradient and one workspace, as
+        # `_check_fits_in_memory` counts them, plus Adam's two slice buffers:
+        # a step's gradient is freed before the next step allocates its own.
+        hyper = ModelHyper(vocab_size=2048)
+        cfg = TrainConfig(epochs=1, batch_size=256, seed=1)
+        _, peak = traced_peak(train, random_split(hyper, 1792, 256, seed=8), hyper, cfg,
+                              tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
+        counted = (4 * 8 * param_count(hyper)
+                   + Workspace.nbytes(hyper, Workspace.training_rows(hyper, cfg.batch_size)))
+        assert peak < counted + 1.5 * 2 ** 20, peak - counted
 
     def test_epoch_callback_streams_logs(self, tmp_path):
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
