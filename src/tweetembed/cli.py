@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, read_ngram_db,
-                     read_ngram_sidecar, write_dictionary, write_ngram_db, write_ngram_sidecar)
+                     write_dictionary, write_ngram_db, write_ngram_sidecar)
 from .dataset import (
     DatasetSplit,
     Vocabulary,
@@ -159,10 +159,10 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
 
 def ingest_stage(db: NGramDatabase, db_path: Path) -> None:
     """Write the counted corpus (`count_ngrams` over `_read_corpus_lines`);
-    the stage has no settings. The database's binary sidecar `<db_path>.bin`
-    is bound to the TSV's hash. The stage's dictionary file is written by
-    the caller, so `grid` can free the dictionary before the database's
-    files are written."""
+    the stage has no settings. The database is `<db_path>.bin`, bound to
+    the hash of the TSV text view at `db_path`. The stage's dictionary file
+    is written by the caller, so `grid` can free the dictionary before the
+    database's files are written."""
     write_ngram_db(db, db_path)
     write_ngram_sidecar(db, db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
 
@@ -271,16 +271,14 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    sidecar_path = db_path.with_suffix(db_path.suffix + ".bin")
-    _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, sidecar_path))
-    # The sidecar stands in for the TSV only when it is bound to these bytes.
+    bin_path = db_path.with_suffix(db_path.suffix + ".bin")
+    _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, bin_path))
+    # The binary is the database; it must be bound to the TSV's bytes.
     db_sha256 = file_sha256(db_path)
-    db = read_ngram_sidecar(sidecar_path, db_sha256)
-    if db is None:
-        db = read_ngram_db(db_path)
+    db = read_ngram_db(bin_path, db_sha256)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     # The examples are a copy: dropping the database here frees it, and the
-    # sidecar bytes its arrays view, before the split and the write.
+    # file bytes its arrays view, before the split and the write.
     del db
     split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
     manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},

@@ -4,10 +4,10 @@ Tokenization is deliberately minimal: split on whitespace, down-case, and
 mask Twitter handles / HTTP links with placeholder tokens. Punctuation is
 left attached, so "ronaldo" and "ronaldo!" remain distinct tokens.
 
-The 5-gram database is stored as the text file `ngrams.tsv`, which is the
-source of truth, plus a binary copy `ngrams.tsv.bin` bound to the text
-file's sha256. Readers use the copy only when it is provably the same
-database and parse the text otherwise, so deleting the copy is always safe.
+The 5-gram database is the binary file `<out-db>.bin` (`ngrams.tsv.bin`),
+bound to the sha256 of the text view `ngrams.tsv` written beside it. The
+text view is for reading by eye; `dataset` reads only the binary, and
+refuses it when it is missing or is not bound to the text view's bytes.
 """
 
 from __future__ import annotations
@@ -15,10 +15,9 @@ from __future__ import annotations
 import bisect
 import hashlib
 import itertools
-import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Collection, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,17 +32,14 @@ PAD_L2 = "<PAD_L2>"
 PAD_R1 = "<PAD_R1>"
 PAD_R2 = "<PAD_R2>"
 BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
-# read_ngram_db parses this many lines at a time, which bounds the memory
-# of the Python strings and lists it makes; count_ngrams moves its ids from
-# a list into an int32 block about this often, build_dictionary, the
-# sidecar checks and dataset.filter_ngrams take this many rows at a time.
-# write_ngram_db formats manifest.row_blocks' blocks instead.
+# count_ngrams moves its ids from a list into an int32 block about this
+# often; build_dictionary, read_ngram_db's checks and dataset.filter_ngrams
+# take this many rows at a time. write_ngram_db formats manifest.row_blocks'
+# blocks instead.
 BLOCK_ROWS = 65536
 NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
 _SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
                  "tsv_sha256", "types_bytes")
-
-logger = logging.getLogger(__name__)
 
 
 def normalize_token(raw: str) -> str:
@@ -95,13 +91,6 @@ class _FirstSeen(dict):
     def __missing__(self, key):
         self[key] = n = len(self)
         return n
-
-
-def _number_types(tokens: Collection[str]) -> tuple[list[str], np.ndarray]:
-    """The distinct tokens in code-point order, and each token's int32 index there."""
-    types = sorted(set(tokens))
-    type_id = {token: i for i, token in enumerate(types)}
-    return types, np.fromiter(map(type_id.__getitem__, tokens), np.int32, len(tokens))
 
 
 def _dense_rank_in_place(key: np.ndarray) -> int:
@@ -203,9 +192,10 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
     normalized = [*BOUNDARY_TOKENS, *map(normalize_token,
                                          itertools.islice(raw_ids, len(BOUNDARY_TOKENS), None))]
     del raw_ids  # the raw tokens are freed before the types are numbered
-    types, raw_type = _number_types(normalized)
-    ids = raw_type[raw]
-    del normalized, raw_type
+    types = sorted(set(normalized))
+    type_id = {token: i for i, token in enumerate(types)}
+    ids = np.fromiter(map(type_id.__getitem__, normalized), np.int32, len(normalized))[raw]
+    del normalized, type_id
     if not tweets:
         return NGramDatabase(types, np.zeros((0, 5), dtype=np.int32),
                              np.zeros(0, dtype=np.int64), 0, 0)
@@ -262,7 +252,8 @@ def build_dictionary(db: NGramDatabase) -> Dictionary:
 
 
 def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
-    """TSV: header with corpus totals, then one row per distinct 5-gram.
+    """The database's text view, which no stage reads: a header with corpus
+    totals, then one row per distinct 5-gram.
 
     Rows are `w1..w5<TAB>count` in the database's row order, which sorts
     them by the tokens in code-point (UTF-8 byte) order, so output bytes do
@@ -285,83 +276,9 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
             fh.write("".join(block.ravel().tolist()))
 
 
-def _all_decimal(texts: list[str]) -> bool:
-    """Whether every string is one or more ASCII digits, as write_ngram_db
-    writes them; int() would also take signs, spaces, `_` and non-ASCII
-    digits."""
-    joined = "".join(texts)
-    return joined.isascii() and joined.isdigit() and all(texts)
-
-
-def read_ngram_db(path: Path | str) -> NGramDatabase:
-    """Parse a 5-gram database; a bad header, a row without 6 columns, a
-    count that is not a decimal integer of at least 1, a repeated 5-gram
-    row or counts that do not sum to the header's #total_tokens is a
-    ValueError, naming the line where there is one.
-
-    Rows may come in any order; the database holds them sorted. The body is
-    parsed in blocks of BLOCK_ROWS lines, each token mapped to a
-    provisional id in first-seen order, so memory holds the id arrays and
-    one block of strings: a block's lines are dropped before its fields are
-    split, its fields before the next block is read, and the id blocks
-    once they are joined.
-    """
-    path = Path(path)
-    first_seen = _FirstSeen((pad, i) for i, pad in enumerate(BOUNDARY_TOKENS))
-    blocks: list[np.ndarray] = []
-    counts: list[int] = []
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        tweets, sep, tokens = header.removeprefix("#total_tweets=").partition("\t#total_tokens=")
-        if not (header.startswith("#total_tweets=") and sep and _all_decimal([tweets, tokens])):
-            raise ValueError(f"{path}:1: expected the header "
-                             f"'#total_tweets=N<TAB>#total_tokens=N', got {header[:80]!r}")
-        total_tweets, total_tokens = int(tweets), int(tokens)
-        while lines := list(itertools.islice(fh, BLOCK_ROWS)):
-            lineno = len(counts) + 2  # of lines[0]; the header is line 1
-            tabs = list(map(str.count, lines, itertools.repeat("\t")))
-            if tabs.count(5) != len(tabs):
-                bad = next(i for i, n in enumerate(tabs) if n != 5)
-                raise ValueError(f"{path}:{lineno + bad}: expected 6 columns, got {tabs[bad] + 1}")
-            text = "".join(lines).replace("\n", "\t")
-            del lines
-            fields = text.split("\t")
-            del text
-            del fields[len(tabs) * 6:]  # the empty field after the last newline
-            count_fields = fields[5::6]
-            if not _all_decimal(count_fields):
-                bad = next(i for i, field in enumerate(count_fields) if not _all_decimal([field]))
-                raise ValueError(f"{path}:{lineno + bad}: 5-gram count {count_fields[bad]!r} "
-                                 "is not a decimal integer")
-            block_counts = list(map(int, count_fields))
-            if 0 in block_counts:  # the only count below 1 that is all digits
-                bad = block_counts.index(0)
-                raise ValueError(f"{path}:{lineno + bad}: 5-gram count {block_counts[bad]} "
-                                 "is below 1")
-            counts += block_counts
-            del fields[5::6]
-            blocks.append(np.fromiter(map(first_seen.__getitem__, fields), dtype=np.int32,
-                                      count=len(fields)))
-            del fields, count_fields, block_counts
-    types, renumber = _number_types(first_seen)
-    rows = renumber[np.concatenate([np.zeros(0, dtype=np.int32), *blocks])].reshape(-1, 5)
-    del blocks
-    order, first = _row_order(lambda col: rows[:, col], len(rows), len(types))
-    records = rows[order[first]]
-    if not first.all():
-        raise ValueError(f"{path}: {len(rows) - len(records)} repeated 5-gram rows")
-    counted = sum(counts)
-    if counted != total_tokens:
-        raise ValueError(f"{path}: 5-gram counts sum to {counted}, "
-                         f"header says #total_tokens={total_tokens}")
-    if counted >= 2 ** 63:
-        raise ValueError(f"{path}: #total_tokens={total_tokens} does not fit in 64 bits")
-    return NGramDatabase(types, records, np.array(counts, dtype=np.int64)[order],
-                         total_tweets, total_tokens)
-
-
 def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) -> None:
-    """Binary copy of `db`, bound to the TSV file whose sha256 is `tsv_sha256`.
+    """The database file `read_ngram_db` reads, bound to the TSV text view
+    whose sha256 is `tsv_sha256`.
 
     Layout, `manifest.write_container`'s with the magic "EMBNGRM1": a JSON
     header with format 1, tsv_sha256, total_tweets, total_tokens,
@@ -417,70 +334,60 @@ def _exact_sum(counts: np.ndarray) -> int:
     return (high << 32) + low
 
 
-def _parse_ngram_sidecar(data: bytes, tsv_sha256: str) -> NGramDatabase | None:
-    """The database in sidecar bytes; None when the sidecar belongs to
-    another TSV; a ValueError for anything `write_ngram_sidecar` does not
-    write. The arrays are views of `data`."""
-    header, body = read_container(data, NGRAM_SIDECAR_MAGIC)
-    if sorted(header) != sorted(_SIDECAR_KEYS):
-        raise ValueError(f"header keys are not {', '.join(_SIDECAR_KEYS)}")
-    sizes = [header[key] for key in ("format", "total_tweets", "total_tokens", "types_bytes",
-                                     "rows")]
-    if (not all(type(size) is int and size >= 0 for size in sizes) or header["format"] != 1
-            or not isinstance(header["tsv_sha256"], str)
-            or not isinstance(header["body_sha256"], str)):
-        raise ValueError(f"unsupported header {header}")
-    if header["tsv_sha256"] != tsv_sha256:
-        return None
-    _, total_tweets, total_tokens, types_bytes, rows = sizes
-    counts_start = types_bytes + 20 * rows
-    if counts_start + 8 * rows != len(body):
-        raise ValueError(f"{len(body)} body bytes, header implies {counts_start + 8 * rows}")
-    if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
-        raise ValueError("body does not hash to body_sha256")
-    types = str(body[:types_bytes], "utf-8").split("\n")
-    db = NGramDatabase(types,
-                       np.frombuffer(body, "<i4", 5 * rows, types_bytes).reshape(rows, 5),
-                       np.frombuffer(body, "<i8", rows, counts_start),
-                       total_tweets, total_tokens)
-    if not all(map(str.__lt__, types, itertools.islice(types, 1, None))):
-        raise ValueError("types are not strictly ascending")
-    if any(types[i:i + 1] != [pad] for i, pad in zip(db.boundary_ids(), BOUNDARY_TOKENS)):
-        raise ValueError("types lack a boundary token")
-    if rows and (db.records.min() < 0 or db.records.max() >= len(types)):
-        raise ValueError(f"ids outside [0, {len(types)})")
-    if not _rows_ascend(db.records):
-        raise ValueError("rows are not strictly ascending")
-    if rows and db.counts.min() < 1:
-        raise ValueError("a count is below 1")
-    if _exact_sum(db.counts) != total_tokens or total_tokens >= 2 ** 63:
-        raise ValueError(f"counts do not sum to total_tokens={total_tokens} below 2^63")
-    return db
+def read_ngram_db(path: Path | str, tsv_sha256: str) -> NGramDatabase:
+    """The database in `path`, a file from `write_ngram_sidecar` bound to
+    the TSV whose sha256 is `tsv_sha256`.
 
-
-def read_ngram_sidecar(path: Path | str, tsv_sha256: str) -> NGramDatabase | None:
-    """The database in a sidecar from `write_ngram_sidecar`, or None when it
-    cannot stand in for the TSV whose sha256 is `tsv_sha256`; the caller then
-    reads the TSV with `read_ngram_db`.
-
-    A missing sidecar, or one written for another TSV, is None silently.
-    Any other fault logs one warning and is None: an unreadable file, a bad
-    magic or header, a size the header does not imply, a body that does not
-    hash to its body_sha256, or a database that breaks an invariant of
-    NGramDatabase (types strictly ascending with the boundary tokens, ids in
-    range, rows strictly ascending, counts at least 1 summing to
+    Anything else is a ValueError that names the file and says to re-run
+    ingest: a missing file, one written for other TSV bytes, a bad magic
+    or header, a size the header does not imply, a body that does not hash
+    to its body_sha256, or a database that breaks an invariant of
+    NGramDatabase (types strictly ascending with the boundary tokens, ids
+    in range, rows strictly ascending, counts at least 1 summing to
     total_tokens below 2^63). The file's bytes are read once; the arrays
     are read-only views of them.
     """
     path = Path(path)
     try:
-        return _parse_ngram_sidecar(path.read_bytes(), tsv_sha256)
+        header, body = read_container(path.read_bytes(), NGRAM_SIDECAR_MAGIC)
+        if sorted(header) != sorted(_SIDECAR_KEYS):
+            raise ValueError(f"header keys are not {', '.join(_SIDECAR_KEYS)}")
+        sizes = [header[key] for key in ("format", "total_tweets", "total_tokens",
+                                         "types_bytes", "rows")]
+        if (not all(type(size) is int and size >= 0 for size in sizes) or header["format"] != 1
+                or not isinstance(header["tsv_sha256"], str)
+                or not isinstance(header["body_sha256"], str)):
+            raise ValueError(f"unsupported header {header}")
+        if header["tsv_sha256"] != tsv_sha256:
+            raise ValueError("written for other TSV bytes (tsv_sha256 is not the TSV's sha256)")
+        _, total_tweets, total_tokens, types_bytes, rows = sizes
+        counts_start = types_bytes + 20 * rows
+        if counts_start + 8 * rows != len(body):
+            raise ValueError(f"{len(body)} body bytes, header implies {counts_start + 8 * rows}")
+        if hashlib.sha256(body).hexdigest() != header["body_sha256"]:
+            raise ValueError("body does not hash to body_sha256")
+        types = str(body[:types_bytes], "utf-8").split("\n")
+        db = NGramDatabase(types,
+                           np.frombuffer(body, "<i4", 5 * rows, types_bytes).reshape(rows, 5),
+                           np.frombuffer(body, "<i8", rows, counts_start),
+                           total_tweets, total_tokens)
+        if not all(map(str.__lt__, types, itertools.islice(types, 1, None))):
+            raise ValueError("types are not strictly ascending")
+        if any(types[i:i + 1] != [pad] for i, pad in zip(db.boundary_ids(), BOUNDARY_TOKENS)):
+            raise ValueError("types lack a boundary token")
+        if rows and (db.records.min() < 0 or db.records.max() >= len(types)):
+            raise ValueError(f"ids outside [0, {len(types)})")
+        if not _rows_ascend(db.records):
+            raise ValueError("rows are not strictly ascending")
+        if rows and db.counts.min() < 1:
+            raise ValueError("a count is below 1")
+        if _exact_sum(db.counts) != total_tokens or total_tokens >= 2 ** 63:
+            raise ValueError(f"counts do not sum to total_tokens={total_tokens} below 2^63")
     except FileNotFoundError:
-        return None
-    except (OSError, ValueError) as exc:
-        logger.warning("%s: ignoring the 5-gram sidecar (%s); reading the TSV instead",
-                       path, exc)
-        return None
+        raise ValueError(f"{path}: no such file; re-run ingest") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; re-run ingest") from None
+    return db
 
 
 def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:

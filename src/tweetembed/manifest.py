@@ -2,7 +2,7 @@
 
 Also the file helpers the artifact writers share: content hashing, atomic
 replacement, the row blocks of the text writers and the binary container
-of the checkpoint, the embedding table and the 5-gram sidecar.
+of the checkpoint, the embedding table and the 5-gram database.
 """
 
 from __future__ import annotations

@@ -294,3 +294,25 @@ def db_records(db) -> dict[tuple[str, ...], int]:
     """An NGramDatabase's rows as {token tuple: count}, the oracles' form."""
     return {tuple(db.types[i] for i in row): count
             for row, count in zip(db.records.tolist(), db.counts.tolist())}
+
+
+def read_ngram_tsv(path) -> tuple[list[tuple[tuple[str, ...], int]], int, int]:
+    """The 5-gram TSV text view, parsed line by line: its rows in file order
+    as (token tuple, count) and the header's total_tweets and total_tokens.
+    Every line must end in a newline, every row have six tab-separated
+    fields and every number be ASCII digits."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        header, *lines = fh.read().split("\n")
+    assert lines.pop() == ""
+    tweets, tokens = header.split("\t")
+    assert tweets[:len("#total_tweets=")] == "#total_tweets="
+    assert tokens[:len("#total_tokens=")] == "#total_tokens="
+    numbers = [tweets[len("#total_tweets="):], tokens[len("#total_tokens="):]]
+    rows = []
+    for line in lines:
+        fields = line.split("\t")
+        assert len(fields) == 6, line
+        numbers.append(fields[5])
+        rows.append((tuple(fields[:5]), fields[5]))
+    assert all(number and all("0" <= ch <= "9" for ch in number) for number in numbers)
+    return ([(gram, int(count)) for gram, count in rows], int(numbers[0]), int(numbers[1]))

@@ -22,7 +22,7 @@ from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, mai
 from tweetembed.corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
-from tweetembed.manifest import file_sha256
+from tweetembed.manifest import file_sha256, read_container
 from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
 from memory import count_calls, live_instances
@@ -45,11 +45,16 @@ def ingest(corpus, out_dir, *extra):
     return rc, db, dic
 
 
+def read_db(db_path):
+    """The database `ingest` wrote beside the TSV at `db_path`."""
+    return read_ngram_db(db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
+
+
 class TestIngest:
     def test_fixture_counts_match_hand_enumeration(self, two_tweet_corpus, tmp_path, capsys):
         rc, db_path, dict_path = ingest(two_tweet_corpus, tmp_path)
         assert rc == EXIT_OK
-        db = read_ngram_db(db_path)
+        db = read_db(db_path)
         # tweet 1 -> 4 tokens, tweet 2 -> 3 tokens, all 7 windows distinct
         assert db.total_tweets == 2
         assert db.total_tokens == 7
@@ -72,7 +77,7 @@ class TestIngest:
         rc, db_path, _ = ingest(corpus, tmp_path)
         assert rc == EXIT_OK
         assert "empty" in capsys.readouterr().err
-        assert db_records(read_ngram_db(db_path)) == {}
+        assert db_records(read_db(db_path)) == {}
 
     def test_missing_corpus_exits_2(self, tmp_path, capsys):
         rc, _, _ = ingest(tmp_path / "nope.txt", tmp_path)
@@ -170,29 +175,12 @@ def make_dataset(db_path, out_dir, vocab_size=4, *extra):
     return rc, out
 
 
-def dataset_with_and_without_sidecar(db_path, out_dir, vocab_size, *extra):
-    """Run `dataset` once from the ingest's binary sidecar, with the TSV
-    reader made to fail, and once from the TSV alone, with the sidecar
-    removed; both must write the same bytes, which are returned."""
-    sidecar = db_path.with_suffix(db_path.suffix + ".bin")
-    with mock.patch("tweetembed.cli.read_ngram_db", side_effect=AssertionError("read the TSV")):
-        rc, from_sidecar = make_dataset(db_path, out_dir / "from_sidecar", vocab_size, *extra)
-    assert rc == EXIT_OK
-    kept = sidecar.read_bytes()
-    sidecar.unlink()
-    rc, from_text = make_dataset(db_path, out_dir / "from_text", vocab_size, *extra)
-    sidecar.write_bytes(kept)
-    assert rc == EXIT_OK
-    assert from_sidecar.read_bytes() == from_text.read_bytes()
-    return from_text.read_bytes()
-
-
 class TestDataset:
     def test_tuple_count_matches_brute_force(self, bigger_corpus, tmp_path, capsys):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
         rc, out = make_dataset(db_path, tmp_path, 4)
         assert rc == EXIT_OK
-        db = read_ngram_db(db_path)
+        db = read_db(db_path)
         dictionary = (tmp_path / "dictionary.tsv").read_text(encoding="utf-8").splitlines()
         top4 = {line.split("\t")[0] for line in dictionary[:4]}
         expected = sum(
@@ -233,14 +221,14 @@ class TestDataset:
                           encoding="utf-8")
         rc, db, _ = ingest(corpus, tmp_path, "--deterministic")
         assert rc == EXIT_OK
-        out = dataset_with_and_without_sidecar(
-            db, tmp_path, 64, "--include-boundary", "--validation-ratio", "0.2",
-            "--fraction", "0.75", "--seed", "5", "--deterministic")
+        rc, out = make_dataset(db, tmp_path, 64, "--include-boundary", "--validation-ratio",
+                               "0.2", "--fraction", "0.75", "--seed", "5", "--deterministic")
+        assert rc == EXIT_OK
         assert hashlib.sha256(db.read_bytes()).hexdigest() == (
             "7916819330e997b0e56a57bebc2322bbf9e63a2a2416c667ebd924668289c14d")
         assert hashlib.sha256((tmp_path / "ngrams.tsv.bin").read_bytes()).hexdigest() == (
             "66950762caa2224f9bce504136d1c0ef4aa6bca118aa45374bfd016a8cf74fb9")
-        assert hashlib.sha256(out).hexdigest() == (
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "21887ca62d1a34d44fc3f583cb7de02c3b21f1ec4b630da6f4bf79827afa89ce")
 
     def test_non_ascii_bytes_are_pinned(self, tmp_path):
@@ -251,39 +239,31 @@ class TestDataset:
         corpus.write_text("\n".join(non_ascii_corpus(300, seed=21)) + "\n", encoding="utf-8")
         rc, db, dic = ingest(corpus, tmp_path, "--deterministic")
         assert rc == EXIT_OK
-        out = dataset_with_and_without_sidecar(db, tmp_path, 10, "--include-boundary",
-                                               "--deterministic")
+        rc, out = make_dataset(db, tmp_path, 10, "--include-boundary", "--deterministic")
+        assert rc == EXIT_OK
         assert hashlib.sha256(db.read_bytes()).hexdigest() == (
             "1b1d1357acb7a9cab4c754c4457dc2c7cea7b2e884b8cdf8f6f349278131ecd0")
         assert hashlib.sha256((tmp_path / "ngrams.tsv.bin").read_bytes()).hexdigest() == (
             "4a3d8bca2f0ae960d16b0456753c8dcf208907be8db4b5b8ecbb6420a762e8e2")
         assert hashlib.sha256(dic.read_bytes()).hexdigest() == (
             "f2519597dcdf536a9ab3e0918352e4d8314ed964febce658cea784af682252e1")
-        assert hashlib.sha256(out).hexdigest() == (
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2992a1a445981444f05a1e0594d674ef90c8b2264e03350188031ec657f3fdfc")
 
-    def test_reordered_ngram_db_gives_the_same_dataset(self, bigger_corpus, tmp_path):
+    def test_reordered_ngram_db_exits_2(self, bigger_corpus, tmp_path, capsys):
+        # Rows shuffled in place: the TSV holds the same rows, but its bytes
+        # no longer match the database's tsv_sha256.
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
-        header, *body = db_path.read_text(encoding="utf-8").splitlines(keepends=True)
-        random.Random(3).shuffle(body)
-        shuffled = tmp_path / "shuffled.tsv"
-        shuffled.write_text(header + "".join(body), encoding="utf-8")
-        _, a = make_dataset(db_path, tmp_path / "sorted", 5, "--include-boundary")
-        _, b = make_dataset(shuffled, tmp_path / "shuffled", 5, "--include-boundary")
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_stale_sidecar_gives_the_text_path_bytes(self, bigger_corpus, tmp_path, caplog):
-        # Rows shuffled in place: the TSV holds the same database, but its
-        # bytes no longer match the sidecar's tsv_sha256, which is skipped
-        # without a warning.
-        _, db_path, _ = ingest(bigger_corpus, tmp_path)
-        expected = dataset_with_and_without_sidecar(db_path, tmp_path, 5, "--include-boundary")
         header, *body = db_path.read_text(encoding="utf-8").splitlines(keepends=True)
         random.Random(3).shuffle(body)
         db_path.write_text(header + "".join(body), encoding="utf-8")
-        _, out = make_dataset(db_path, tmp_path / "stale", 5, "--include-boundary")
-        assert out.read_bytes() == expected
-        assert caplog.records == []
+        capsys.readouterr()
+        rc, out = make_dataset(db_path, tmp_path / "shuffled", 5, "--include-boundary")
+        assert rc == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert f"{db_path}.bin: written for other TSV bytes" in err and "re-run ingest" in err
+        assert "Traceback" not in err
+        assert not any((tmp_path / "shuffled").iterdir())
 
     def test_vocab_sidecar_written(self, bigger_corpus, tmp_path):
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
@@ -883,18 +863,35 @@ def _grid_on_small_corpus(*flags):
     return argv
 
 
-def _dataset_from_db(edit_body):
-    """Case builder: ingest a small corpus, rewrite the 5-gram DB body, run dataset."""
+def _dataset_from_db(break_db):
+    """A case that ingests a small corpus, breaks its 5-gram database with
+    `break_db(tsv_path, bin_path)` and runs dataset."""
     def argv(dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b c d e\nb c d e a\n", encoding="utf-8")
         rc, db, _ = ingest(corpus, tmp_path)
         assert rc == EXIT_OK
-        header, *body = db.read_text(encoding="utf-8").splitlines(keepends=True)
-        db.write_text(header + "".join(edit_body(body)), encoding="utf-8")
+        break_db(db, db.with_suffix(".tsv.bin"))
         return ["dataset", str(db), "--vocab-size", "3", "--include-boundary",
                 "--out", str(tmp_path / "ds.tsv")]
     return argv
+
+
+def _edit_tsv_body(edit_body):
+    """A `_dataset_from_db` break: the TSV's rows rewritten by `edit_body`."""
+    def break_db(tsv, sidecar):
+        header, *body = tsv.read_text(encoding="utf-8").splitlines(keepends=True)
+        tsv.write_text(header + "".join(edit_body(body)), encoding="utf-8")
+    return break_db
+
+
+def _forge_db(edit):
+    """A `_dataset_from_db` break: the binary database's rows and counts
+    replaced by `edit(records, counts)`, its hashes made to match."""
+    def break_db(tsv, sidecar):
+        header, types, records, counts = _split_sidecar(sidecar.read_bytes())
+        sidecar.write_bytes(_join_sidecar(header, types, *edit(records, counts)))
+    return break_db
 
 
 # Case -> (build the failing argv from the prepared dataset and tmp_path;
@@ -1028,17 +1025,24 @@ MALFORMED_INPUTS = {
     "grid with a vocabulary size no 5-gram qualifies for": (
         _grid_on_small_corpus("--vocab-sizes", "1", "--fractions", "1.0"),
         "no 5-grams qualify for vocabulary size 1"),
-    "5-gram DB with its body twice": (_dataset_from_db(lambda body: body + body),
-                                      "repeated 5-gram"),
+    "5-gram DB with its body twice": (
+        _dataset_from_db(_forge_db(lambda records, counts: (np.concatenate([records] * 2),
+                                                            np.concatenate([counts] * 2)))),
+        "ngrams.tsv.bin: rows are not strictly ascending; re-run ingest"),
     "5-gram DB counts not summing to #total_tokens": (
-        _dataset_from_db(lambda body: body[1:]), "#total_tokens="),
+        _dataset_from_db(_forge_db(lambda records, counts: (records[1:], counts[1:]))),
+        "ngrams.tsv.bin: counts do not sum to total_tokens=10 below 2^63; re-run ingest"),
     "5-gram DB count below 1": (  # 0 and 2 keep the sum
-        _dataset_from_db(lambda body: [body[0].replace("\t1\n", "\t0\n"),
-                                       body[1].replace("\t1\n", "\t2\n"), *body[2:]]),
-        ":2: 5-gram count 0 is below 1"),
+        _dataset_from_db(_forge_db(lambda records, counts: (records, np.r_[0, 2, counts[2:]]))),
+        "ngrams.tsv.bin: a count is below 1; re-run ingest"),
+    # The TSV is a text view no stage parses; any edit unbinds the database.
     "5-gram DB count with a plus sign": (
-        _dataset_from_db(lambda body: [body[0].replace("\t1\n", "\t+1\n"), *body[1:]]),
-        ":2: 5-gram count '+1' is not a decimal integer"),
+        _dataset_from_db(_edit_tsv_body(
+            lambda body: [body[0].replace("\t1\n", "\t+1\n"), *body[1:]])),
+        "ngrams.tsv.bin: written for other TSV bytes"),
+    "dataset with its 5-gram DB's .bin deleted": (
+        _dataset_from_db(lambda tsv, sidecar: sidecar.unlink()),
+        "ngrams.tsv.bin: no such file; re-run ingest"),
 }
 
 
@@ -1056,8 +1060,10 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    # grid checks its flags and reads all its inputs before it writes
-    if argv[0] == "grid" or message in ("name the same file", "can't decode byte 0xff"):
+    # grid and dataset check their flags and read all their inputs before
+    # they write
+    if argv[0] in ("grid", "dataset") or message in ("name the same file",
+                                                      "can't decode byte 0xff"):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
@@ -1141,12 +1147,14 @@ def test_mutated_dataset_trains_or_exits_2(valid_dataset_lines, data):
 
 @pytest.fixture(scope="module")
 def valid_ngram_db_lines(tmp_path_factory):
-    """A valid 5-gram database, as lists of tab-separated fields per line."""
+    """A valid 5-gram TSV, as lists of tab-separated fields per line, and
+    the bytes of the binary database bound to it."""
     tmp_path = tmp_path_factory.mktemp("valid_db")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b c d e\nb c d e a\na a b\nc d\n", encoding="utf-8")
     _, db, _ = ingest(corpus, tmp_path)
-    return [line.split("\t") for line in db.read_text(encoding="utf-8").splitlines()]
+    lines = [line.split("\t") for line in db.read_text(encoding="utf-8").splitlines()]
+    return lines, db.with_suffix(".tsv.bin").read_bytes()
 
 
 # int() takes each of the last five; the writer writes none of them.
@@ -1159,7 +1167,8 @@ DB_COUNTS = st.sampled_from(["0", "-1", "1.5", "x", "1", "2", *NOT_DECIMAL])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
-    lines = [list(fields) for fields in valid_ngram_db_lines]
+    valid_lines, sidecar = valid_ngram_db_lines
+    lines = [list(fields) for fields in valid_lines]
     for _ in range(data.draw(st.integers(1, 3), label="edits")):
         i = data.draw(st.integers(0, len(lines) - 1), label="line")  # line 0 is the header
         fields = lines[i]
@@ -1194,35 +1203,28 @@ def test_mutated_ngram_db_makes_dataset_or_exits_2(valid_ngram_db_lines, data):
     with tempfile.TemporaryDirectory() as tmp:
         db = Path(tmp) / "ngrams.tsv"
         db.write_text(text, encoding="utf-8")
+        Path(tmp, "ngrams.tsv.bin").write_bytes(sidecar)
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
             rc = main(["dataset", str(db), "--vocab-size", "3", "--include-boundary",
                        "--out", str(Path(tmp) / "dataset.tsv")])
-    assert rc in (EXIT_OK, EXIT_INPUT), err.getvalue()
+    # The binary database beside the TSV is bound to the TSV's bytes: any
+    # edit that changes one leaves it stale.
+    valid_text = "".join("\t".join(fields) + "\n" for fields in valid_lines)
+    assert rc == (EXIT_OK if text == valid_text else EXIT_INPUT), text
     assert "Traceback" not in err.getvalue()
-    # A header or a complete body line whose values are not plain decimal
-    # integers, or a count below 1, never passes.
-    header, _, rest = text.partition("\n")
-    if not re.fullmatch(r"#total_tweets=[0-9]+\t#total_tokens=[0-9]+", header):
-        assert rc == EXIT_INPUT, text
-    body = rest.split("\n")[:-1]
-    if any(not re.fullmatch(r"[0-9]+", line.rpartition("\t")[2])
-           or int(line.rpartition("\t")[2]) < 1 for line in body):
-        assert rc == EXIT_INPUT, text
 
 
 @pytest.fixture(scope="module")
 def valid_sidecar(tmp_path_factory):
-    """A small ingested corpus: the TSV's bytes, its sidecar's bytes and the
-    dataset the TSV alone gives."""
+    """A small ingested corpus: the TSV's bytes, its binary database's bytes
+    and the dataset they give."""
     tmp_path = tmp_path_factory.mktemp("valid_sidecar")
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("a b c d e\nb c d e a\na a b\nc d\n", encoding="utf-8")
     _, db, _ = ingest(corpus, tmp_path)
-    sidecar = db.with_suffix(".tsv.bin")
-    data = sidecar.read_bytes()
+    data = db.with_suffix(".tsv.bin").read_bytes()
     assert _join_sidecar(*_split_sidecar(data)) == data
-    sidecar.unlink()
     _, out = make_dataset(db, tmp_path, 3, "--include-boundary")
     return db.read_bytes(), data, out.read_bytes()
 
@@ -1317,9 +1319,25 @@ SIDECAR_MUTATIONS = {
 }
 
 
+def _same_database(data, mutated):
+    """Whether `mutated` holds the database `data` holds: the same magic and
+    body, and the same JSON header but perhaps for total_tweets. Nothing
+    binds total_tweets to the body or to the TSV, and dataset does not use
+    it, so any count of tweets reads back."""
+    try:
+        header, body = read_container(mutated, b"EMBNGRM1")
+    except ValueError:
+        return False
+    valid, valid_body = read_container(data, b"EMBNGRM1")
+    tweets = header.get("total_tweets")
+    header["total_tweets"] = valid["total_tweets"]
+    return (body == valid_body and type(tweets) is int and tweets >= 0
+            and json.dumps(header, sort_keys=True) == json.dumps(valid, sort_keys=True))
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_mutated_sidecar_gives_the_text_path_dataset(valid_sidecar, data):
+def test_mutated_sidecar_exits_2(valid_sidecar, data):
     tsv, sidecar, expected = valid_sidecar
     kind = data.draw(st.sampled_from(sorted(SIDECAR_MUTATIONS)), label="kind")
     mutated = SIDECAR_MUTATIONS[kind](sidecar, data.draw)
@@ -1328,16 +1346,19 @@ def test_mutated_sidecar_gives_the_text_path_dataset(valid_sidecar, data):
         db.write_bytes(tsv)
         Path(tmp, "ngrams.tsv.bin").write_bytes(mutated)
         err = io.StringIO()
-        with (contextlib.redirect_stderr(err),
-              mock.patch("tweetembed.corpus.logger.warning") as warning):
+        with contextlib.redirect_stderr(err):
             rc = main(["dataset", str(db), "--vocab-size", "3", "--include-boundary",
                        "--out", str(Path(tmp) / "dataset.tsv")])
-        assert rc == EXIT_OK, err.getvalue()
         assert "Traceback" not in err.getvalue()
-        assert Path(tmp, "dataset.tsv").read_bytes() == expected
-    # A sidecar bound to this TSV that breaks a rule warns once; a stale one
-    # (an edited tsv_sha256) is skipped silently.
-    assert warning.call_count == 1 if kind.startswith("forge") else warning.call_count <= 1
+        if _same_database(sidecar, mutated):
+            assert rc == EXIT_OK, err.getvalue()
+            assert Path(tmp, "dataset.tsv").read_bytes() == expected
+        else:
+            assert rc == EXIT_INPUT
+            assert err.getvalue().startswith(f"error: {db}.bin: ")
+            assert err.getvalue().endswith("; re-run ingest\n")
+            assert sorted(path.name for path in Path(tmp).iterdir()) == ["ngrams.tsv",
+                                                                        "ngrams.tsv.bin"]
 
 
 @pytest.fixture(scope="module")

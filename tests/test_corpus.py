@@ -1,7 +1,7 @@
 import collections
 import random
-import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -26,17 +26,17 @@ from tweetembed.corpus import (
     build_dictionary,
     count_ngrams,
     read_ngram_db,
-    read_ngram_sidecar,
     write_dictionary,
     write_ngram_db,
     write_ngram_sidecar,
 )
+from tweetembed.cli import ingest_stage
 from tweetembed.dataset import filter_ngrams, select_vocabulary
-from tweetembed.manifest import file_sha256
+from tweetembed.manifest import file_sha256, read_container, write_container
 
 from memory import traced_peak
 from oracles import (db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter,
-                     oracle_tokenize, oracle_windows)
+                     oracle_tokenize, oracle_windows, read_ngram_tsv)
 from synth import NON_ASCII_TOKENS, non_ascii_corpus
 
 tweet_text = st.text(
@@ -53,6 +53,13 @@ def grams(text):
 def windows(tokens):
     """The padded windows of an already tokenized tweet, as counts."""
     return dict(collections.Counter(oracle_windows(tokens)))
+
+
+def ingest_and_read(db, tsv):
+    """Write `db` as `ingest` does, the TSV at `tsv` and the database beside
+    it, and read the database back."""
+    ingest_stage(db, tsv)
+    return read_ngram_db(tsv.with_suffix(".tsv.bin"), file_sha256(tsv))
 
 
 class TestTokenize:
@@ -245,8 +252,7 @@ class TestFiles:
     def test_ngram_db_round_trip(self, tmp_path):
         db = count_ngrams(["olá mundo", "olá", "=) http://a.pt"])
         path = tmp_path / "ngrams.tsv"
-        write_ngram_db(db, path)
-        loaded = read_ngram_db(path)
+        loaded = ingest_and_read(db, path)
         assert db_records(loaded) == db_records(db)
         assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
         header = path.read_text(encoding="utf-8").splitlines()[0]
@@ -270,38 +276,35 @@ class TestFiles:
         assert [int(rank) for _, _, rank in rows] == list(range(len(rows)))
 
     def test_count_beyond_64_bits_rejected(self, tmp_path):
-        path = tmp_path / "ngrams.tsv"
-        path.write_text(f"#total_tweets=1\t#total_tokens={2 ** 64}\n"
-                        f"{PAD_L1}\t{PAD_L2}\ta\t{PAD_R1}\t{PAD_R2}\t{2 ** 64}\n", encoding="utf-8")
-        with pytest.raises(ValueError, match="64 bits"):
-            read_ngram_db(path)
+        # Counts that fill int64 sum past 2^64 without wrapping, and a sum
+        # of exactly 2^63 is one past what an int64 total holds.
+        db = count_ngrams(["a b c"])
+        path = tmp_path / "ngrams.tsv.bin"
+        for counts in ([2 ** 63 - 1] * 3, [2 ** 62, 2 ** 62 - 1, 1]):
+            total = sum(counts)
+            write_ngram_sidecar(replace(db, counts=np.array(counts, dtype=np.int64),
+                                        total_tokens=total), path, "0" * 64)
+            with pytest.raises(ValueError, match=f"sum to total_tokens={total} below 2\\^63"):
+                read_ngram_db(path, "0" * 64)
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.tsv"
+        path = tmp_path / "ngrams.tsv.bin"
         path.write_text("no header\n", encoding="utf-8")
-        with pytest.raises(ValueError):
-            read_ngram_db(path)
+        with pytest.raises(ValueError, match=f"{path.name}: bad magic .*; re-run ingest"):
+            read_ngram_db(path, "0" * 64)
 
     @pytest.mark.parametrize("value", ["+3", " 3", "3 ", "\u0663", "1_0", "", "-3"])
     def test_count_or_total_that_is_not_plain_digits_rejected(self, tmp_path, value):
-        row = f"{PAD_L1}\t{PAD_L2}\ta\t{PAD_R1}\t{PAD_R2}\t"
-        path = tmp_path / "ngrams.tsv"
-        path.write_text(f"#total_tweets=1\t#total_tokens=3\n{row}{value}\n", encoding="utf-8")
-        message = re.escape(f"{path.name}:2: 5-gram count '{value}' is not a decimal integer")
-        with pytest.raises(ValueError, match=message):
-            read_ngram_db(path)
-        for header in (f"#total_tweets={value}\t#total_tokens=3",
-                       f"#total_tweets=1\t#total_tokens={value}"):
-            path.write_text(f"{header}\n{row}3\n", encoding="utf-8")
-            with pytest.raises(ValueError, match=f"{path.name}:1: expected the header"):
-                read_ngram_db(path)
-
-
-def _db_text(tweets) -> str:
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "ngrams.tsv"
-        write_ngram_db(count_ngrams(tweets), path)
-        return path.read_text(encoding="utf-8")
+        # The counts are fixed-width integers; the header's totals are JSON
+        # integers, and a string is refused, even one int() would take.
+        path = tmp_path / "ngrams.tsv.bin"
+        write_ngram_sidecar(count_ngrams(["a b c"]), path, "0" * 64)
+        header, body = read_container(path.read_bytes(), corpus.NGRAM_SIDECAR_MAGIC)
+        body = bytes(body)
+        for key in ("total_tweets", "total_tokens"):
+            write_container(path, corpus.NGRAM_SIDECAR_MAGIC, {**header, key: value}, [body])
+            with pytest.raises(ValueError, match="unsupported header"):
+                read_ngram_db(path, "0" * 64)
 
 
 def _ascending_db(n: int) -> NGramDatabase:
@@ -329,32 +332,39 @@ class TestBlocks:
     TWEETS = ["a b c", "b c d e", "c a", "e e e a", "a b c"]  # 13 distinct 5-grams
 
     def test_round_trip_keeps_the_bytes(self, tmp_path, monkeypatch):
-        text = _db_text(self.TWEETS)
-        assert len(text.splitlines()) == 14
-        entries = build_dictionary(count_ngrams(self.TWEETS)).entries
+        # Both files, written from the count and again from the database
+        # read back, at 1, 2 and 3 rows a block.
+        db = count_ngrams(self.TWEETS)
+        assert len(db.records) == 13
+        entries = build_dictionary(db).entries
+        ingest_stage(db, tmp_path / "one.tsv")
+        expected = [(tmp_path / name).read_bytes() for name in ("one.tsv", "one.tsv.bin")]
         for block_rows in (1, 2, 3):
             _block_rows(monkeypatch, block_rows)
             first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
             assert build_dictionary(count_ngrams(self.TWEETS)).entries == entries
-            write_ngram_db(count_ngrams(self.TWEETS), first)
-            write_ngram_db(read_ngram_db(first), second)
-            assert first.read_text(encoding="utf-8") == text
-            assert second.read_text(encoding="utf-8") == text
+            ingest_stage(ingest_and_read(count_ngrams(self.TWEETS), first), second)
+            for path in (first, second):
+                assert [path.read_bytes(), path.with_suffix(".tsv.bin").read_bytes()] == expected
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda fields: fields[:5], "expected 6 columns, got 5"),
-        (lambda fields: [*fields[:5], "0"], "5-gram count 0 is below 1"),
-        (lambda fields: [*fields[:5], "x"], "5-gram count 'x' is not a decimal integer"),
-    ])
-    def test_bad_row_in_the_third_block_names_its_line(self, tmp_path, monkeypatch,
-                                                       edit, message):
-        monkeypatch.setattr(corpus, "BLOCK_ROWS", 3)
-        header, *body = _db_text(self.TWEETS).splitlines()
-        body[7] = "\t".join(edit(body[7].split("\t")))  # body[6:9] is the third block
-        path = tmp_path / "ngrams.tsv"
-        path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{path.name}:9: {message}"):
-            read_ngram_db(path)
+        (lambda records, counts: counts.__setitem__([7, 8], [0, counts[7] + counts[8]]),
+         "a count is below 1"),
+        (lambda records, counts: records.__setitem__(8, records[7]),
+         "rows are not strictly ascending"),
+        (lambda records, counts: records.__setitem__([8, 9], records[[9, 8]]),
+         "rows are not strictly ascending"),
+    ], ids=["count of 0", "repeated row", "rows swapped across blocks"])
+    def test_bad_row_in_the_third_block_is_rejected(self, tmp_path, monkeypatch, edit, message):
+        # At 3 rows a block, rows 6-8 are the third block and row 9 opens the fourth.
+        db = count_ngrams(self.TWEETS)
+        records, counts = db.records.copy(), db.counts.copy()
+        edit(records, counts)
+        path = tmp_path / "ngrams.tsv.bin"
+        write_ngram_sidecar(replace(db, records=records, counts=counts), path, "0" * 64)
+        _block_rows(monkeypatch, 3)
+        with pytest.raises(ValueError, match=f"{path.name}: {message}; re-run ingest"):
+            read_ngram_db(path, "0" * 64)
 
     def test_write_peak_does_not_grow_with_rows(self, tmp_path):
         # Formatting 65,536 rows at a time held 9 MB here.
@@ -364,8 +374,8 @@ class TestBlocks:
 
 
 class TestSidecar:
-    """The binary sidecar reads back as the database it was written from,
-    and as the database its TSV reads back as."""
+    """The binary database reads back as the database it was written from,
+    and the TSV text view beside it holds the same database."""
 
     @pytest.mark.parametrize("tweets, block_rows", [
         ([], None),
@@ -376,34 +386,33 @@ class TestSidecar:
         if block_rows:
             _block_rows(monkeypatch, block_rows)
         db = count_ngrams(tweets)
-        tsv, sidecar = tmp_path / "ngrams.tsv", tmp_path / "ngrams.tsv.bin"
-        write_ngram_db(db, tsv)
-        write_ngram_sidecar(db, sidecar, file_sha256(tsv))
-        for loaded in (read_ngram_sidecar(sidecar, file_sha256(tsv)), read_ngram_db(tsv)):
-            assert loaded.types == db.types
-            assert loaded.records.dtype == np.int32 and loaded.counts.dtype == np.int64
-            assert loaded.records.shape == db.records.shape
-            assert np.array_equal(loaded.records, db.records)
-            assert np.array_equal(loaded.counts, db.counts)
-            assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets,
-                                                                  db.total_tokens)
+        tsv = tmp_path / "ngrams.tsv"
+        loaded = ingest_and_read(db, tsv)
+        assert loaded.types == db.types
+        assert loaded.records.dtype == np.int32 and loaded.counts.dtype == np.int64
+        assert loaded.records.shape == db.records.shape
+        assert np.array_equal(loaded.records, db.records)
+        assert np.array_equal(loaded.counts, db.counts)
+        assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
+        rows, total_tweets, total_tokens = read_ngram_tsv(tsv)
+        assert (total_tweets, total_tokens) == (loaded.total_tweets, loaded.total_tokens)
+        assert rows == list(db_records(loaded).items())
 
-    def test_stale_or_missing_sidecar_is_none_without_a_warning(self, tmp_path, caplog):
-        db = count_ngrams(TestBlocks.TWEETS)
+    def test_stale_or_missing_sidecar_is_refused(self, tmp_path):
         sidecar = tmp_path / "ngrams.tsv.bin"
-        assert read_ngram_sidecar(sidecar, "0" * 64) is None
-        write_ngram_sidecar(db, sidecar, "0" * 64)
-        assert read_ngram_sidecar(sidecar, "1" * 64) is None
-        assert read_ngram_sidecar(sidecar, "0" * 64) is not None
-        assert caplog.records == []
+        with pytest.raises(ValueError, match=f"{sidecar.name}: no such file; re-run ingest"):
+            read_ngram_db(sidecar, "0" * 64)
+        write_ngram_sidecar(count_ngrams(TestBlocks.TWEETS), sidecar, "0" * 64)
+        with pytest.raises(ValueError, match=f"{sidecar.name}: written for other TSV bytes"):
+            read_ngram_db(sidecar, "1" * 64)
+        assert len(read_ngram_db(sidecar, "0" * 64).records) == 13
 
-    def test_broken_sidecar_is_none_with_one_warning(self, tmp_path, caplog):
+    def test_broken_sidecar_is_refused(self, tmp_path):
         sidecar = tmp_path / "ngrams.tsv.bin"
         write_ngram_sidecar(count_ngrams(TestBlocks.TWEETS), sidecar, "0" * 64)
         sidecar.write_bytes(sidecar.read_bytes()[:-1])
-        assert read_ngram_sidecar(sidecar, "0" * 64) is None
-        assert [r.levelname for r in caplog.records] == ["WARNING"]
-        assert "header implies" in caplog.records[0].getMessage()
+        with pytest.raises(ValueError, match=f"{sidecar.name}: .* header implies .*; re-run"):
+            read_ngram_db(sidecar, "0" * 64)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -432,8 +441,8 @@ class TestSidecar:
         n = 1 << 19
         sidecar = tmp_path / "ngrams.tsv.bin"
         write_ngram_sidecar(_ascending_db(n), sidecar, "0" * 64)
-        db, peak = traced_peak(read_ngram_sidecar, sidecar, "0" * 64)
-        assert db is not None and len(db.records) == n
+        db, peak = traced_peak(read_ngram_db, sidecar, "0" * 64)
+        assert len(db.records) == n
         extra = peak - sidecar.stat().st_size
         assert extra < 4 * n, extra / n
 
@@ -462,10 +471,10 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
             assert example_grams(vocab, rows) == expected
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"
-        write_ngram_db(db, first)
-        loaded = read_ngram_db(first)
-        write_ngram_db(loaded, second)
-        assert first.read_bytes() == second.read_bytes()
+        loaded = ingest_and_read(db, first)
+        ingest_stage(loaded, second)
+        for suffix in (".tsv", ".tsv.bin"):
+            assert first.with_suffix(suffix).read_bytes() == second.with_suffix(suffix).read_bytes()
     assert loaded.types == sorted(set(loaded.types))
     assert np.array_equal(loaded.records, db.records) and np.array_equal(loaded.counts, db.counts)
     assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
@@ -494,24 +503,3 @@ def test_distinct_rows_match_a_counter(data):
     ordered = [tuple(row) for row in array[order].tolist()]
     assert ordered == sorted(rows)
     assert first.tolist() == [i == 0 or ordered[i] != ordered[i - 1] for i in range(len(rows))]
-
-
-@settings(max_examples=30, deadline=None)
-@given(non_ascii_tweets.filter(any), st.randoms(use_true_random=False), st.data())
-def test_shuffled_file_reads_to_the_same_database(tweets, rnd, data):
-    header, *body = _db_text(tweets).splitlines(keepends=True)
-    rnd.shuffle(body)
-    db = count_ngrams(tweets)
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(corpus, "BLOCK_ROWS", 3):
-        path = Path(tmp) / "ngrams.tsv"
-        path.write_text(header + "".join(body), encoding="utf-8")
-        loaded = read_ngram_db(path)
-        assert loaded.types == db.types
-        assert np.array_equal(loaded.records, db.records)
-        assert np.array_equal(loaded.counts, db.counts)
-        assert (loaded.total_tweets, loaded.total_tokens) == (db.total_tweets, db.total_tokens)
-        i = data.draw(st.integers(0, len(body) - 1), label="repeated row")
-        body.insert(data.draw(st.integers(0, len(body)), label="at"), body[i])
-        path.write_text(header + "".join(body), encoding="utf-8")
-        with pytest.raises(ValueError, match="1 repeated 5-gram rows"):
-            read_ngram_db(path)

@@ -5,7 +5,7 @@ import pytest
 
 from tweetembed import manifest
 from tweetembed.corpus import (BOUNDARY_TOKENS, Dictionary, NGramDatabase, build_dictionary,
-                               count_ngrams, read_ngram_db)
+                               count_ngrams)
 from tweetembed.dataset import (
     DatasetSplit,
     Vocabulary,
@@ -95,14 +95,13 @@ class TestFilterNGrams:
         assert reconstructed == oracle_filter(db_records(db), vocab.words, include_boundary)
         assert len(rows) == len(reconstructed)  # no duplicates
 
-    def test_boundary_token_as_center_is_never_a_word(self, tmp_path):
-        # A hand-written database may put a boundary token in the center.
-        path = tmp_path / "ngrams.tsv"
-        path.write_text("#total_tweets=1\t#total_tokens=3\n"
-                        "<PAD_L1>\t<PAD_L2>\ta\tb\t<PAD_R1>\t1\n"
-                        "<PAD_L2>\ta\tb\t<PAD_R1>\t<PAD_R2>\t1\n"
-                        "a\tb\t<PAD_R1>\t<PAD_R2>\t<PAD_R2>\t1\n", encoding="utf-8")
-        db = read_ngram_db(path)
+    def test_boundary_token_as_center_is_never_a_word(self):
+        # A hand-made database may put a boundary token in the center. Ids:
+        # the four pads 0-3 in BOUNDARY_TOKENS order, then a 4 and b 5.
+        db = NGramDatabase([*BOUNDARY_TOKENS, "a", "b"],
+                           np.array([[0, 1, 4, 5, 2], [1, 4, 5, 2, 3], [4, 5, 2, 3, 3]],
+                                    dtype=np.int32),
+                           np.ones(3, dtype=np.int64), 1, 3)
         dictionary = build_dictionary(db)
         assert dictionary.entries == [("a", 1), ("b", 1)]
         vocab = select_vocabulary(dictionary, 2)

@@ -339,14 +339,14 @@ class TestTrain:
         assert (out / failing).read_bytes() == previous
         assert not list(out.rglob("*.tmp"))  # any process's `<name>.<pid>.tmp`
         if failing == "ngrams.tsv.bin":
-            # The second run's TSV is in place beside the first run's sidecar,
-            # now stale: dataset reads the TSV, as it does with no sidecar.
-            (other / "ngrams.tsv.bin").unlink()
-            for out_dir in (out, other):
-                assert main(["dataset", str(out_dir / "ngrams.tsv"), "--vocab-size", "5",
-                             "--include-boundary", "--out", str(out_dir / "again.tsv"),
-                             "--seed", "4", "--deterministic"]) == EXIT_OK
-            assert (out / "again.tsv").read_bytes() == (other / "again.tsv").read_bytes()
+            # The second run's TSV is in place beside the first run's binary
+            # database, now stale: dataset refuses it until ingest is re-run.
+            assert main(["dataset", str(out / "ngrams.tsv"), "--vocab-size", "5",
+                         "--include-boundary", "--out", str(out / "again.tsv"),
+                         "--seed", "4", "--deterministic"]) == EXIT_INPUT
+            err = capsys.readouterr().err
+            assert f"{out / 'ngrams.tsv.bin'}: written for other TSV bytes" in err
+            assert not (out / "again.tsv").exists()
 
     @pytest.mark.parametrize("failing", ["model.ckpt", "run_log.tsv"])
     def test_write_failing_in_a_later_epoch_keeps_last_good_file(self, failing, tmp_path,
