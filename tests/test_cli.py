@@ -19,7 +19,8 @@ from hypothesis import strategies as st
 
 from tweetembed import cli
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
-from tweetembed.corpus import BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db
+from tweetembed.corpus import (BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db,
+                              write_ngram_sidecar)
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
 from tweetembed.manifest import file_sha256, read_container
@@ -250,7 +251,24 @@ class TestDataset:
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
             "2992a1a445981444f05a1e0594d674ef90c8b2264e03350188031ec657f3fdfc")
 
-    def test_reordered_ngram_db_exits_2(self, bigger_corpus, tmp_path, capsys):
+    def test_reordered_ngram_db_gives_the_same_dataset(self, bigger_corpus, tmp_path):
+        # dataset hashes the TSV but reads the rows from the binary: a copy
+        # of the TSV with its rows shuffled, beside a binary bound to the
+        # copy's bytes, gives the same dataset.
+        _, db_path, _ = ingest(bigger_corpus, tmp_path)
+        header, *body = db_path.read_text(encoding="utf-8").splitlines(keepends=True)
+        random.Random(3).shuffle(body)
+        shuffled = tmp_path / "shuffled.tsv"
+        shuffled.write_text(header + "".join(body), encoding="utf-8")
+        assert shuffled.read_bytes() != db_path.read_bytes()
+        write_ngram_sidecar(read_db(db_path), f"{shuffled}.bin", file_sha256(shuffled))
+        rc, a = make_dataset(db_path, tmp_path / "sorted", 5, "--include-boundary")
+        assert rc == EXIT_OK
+        rc, b = make_dataset(shuffled, tmp_path / "shuffled", 5, "--include-boundary")
+        assert rc == EXIT_OK
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_stale_sidecar_exits_2(self, bigger_corpus, tmp_path, capsys):
         # Rows shuffled in place: the TSV holds the same rows, but its bytes
         # no longer match the database's tsv_sha256.
         _, db_path, _ = ingest(bigger_corpus, tmp_path)
