@@ -19,8 +19,8 @@ from typing import Iterator
 import numpy as np
 
 from . import __version__
-from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, read_ngram_db,
-                     write_dictionary, write_ngram_db, write_ngram_sidecar)
+from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, ngram_db_bin,
+                     read_ngram_db, write_dictionary, write_ngram_db)
 from .dataset import (
     DatasetSplit,
     Vocabulary,
@@ -157,16 +157,6 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
 # `train` itself, with the settings from `train_settings`.
 
 
-def ingest_stage(db: NGramDatabase, db_path: Path) -> None:
-    """Write the counted corpus (`count_ngrams` over `_read_corpus_lines`);
-    the stage has no settings. The database is `<db_path>.bin`, bound to
-    the hash of the TSV text view at `db_path`. The stage's dictionary file
-    is written by the caller, so `grid` can free the dictionary before the
-    database's files are written."""
-    write_ngram_db(db, db_path)
-    write_ngram_sidecar(db, db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
-
-
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
                         args: argparse.Namespace) -> tuple[Vocabulary, np.ndarray]:
     """The |V|-dependent half of the dataset stage; `grid` runs it once per |V|."""
@@ -244,10 +234,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     db_path = Path(args.out_db)
     dict_path = Path(args.out_dict)
     manifest_path = db_path.with_suffix(db_path.suffix + ".manifest.json")
-    _check_distinct(db_path, db_path.with_suffix(db_path.suffix + ".bin"), dict_path,
-                    manifest_path, inputs=(corpus_path,))
+    _check_distinct(db_path, ngram_db_bin(db_path), dict_path, manifest_path, inputs=(corpus_path,))
     db = count_ngrams(_read_corpus_lines(corpus_path))
-    ingest_stage(db, db_path)
+    write_ngram_db(db, db_path)
     dictionary = build_dictionary(db)
     write_dictionary(dictionary, dict_path)
     if db.total_tweets == 0:
@@ -271,11 +260,8 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     out_path = Path(args.out)
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
-    bin_path = db_path.with_suffix(db_path.suffix + ".bin")
-    _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, bin_path))
-    # The binary is the database; it must be bound to the TSV's bytes.
-    db_sha256 = file_sha256(db_path)
-    db = read_ngram_db(bin_path, db_sha256)
+    _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, ngram_db_bin(db_path)))
+    db, db_sha256 = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     # The examples are a copy: dropping the database here frees it, and the
     # file bytes its arrays view, before the split and the write.
@@ -399,8 +385,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
     # The run's own files; each cell writes into a directory named for it.
-    _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
-                                                  "summary.tsv", "grid.manifest.json")),
+    _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "dictionary.tsv", "summary.tsv",
+                                                  "grid.manifest.json")),
+                    ngram_db_bin(out_dir / "ngrams.tsv"),
                     inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]
@@ -414,6 +401,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise InputError(f"grid got {what} {value} more than once")
+    train_settings(args, vocab_sizes[0])  # refuses a bad training flag before the corpus is read
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
     db = count_ngrams(_read_corpus_lines(corpus_path))
@@ -423,7 +411,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dictionary(dictionary, out_dir / "dictionary.tsv")
     del dictionary
-    ingest_stage(db, out_dir / "ngrams.tsv")
+    write_ngram_db(db, out_dir / "ngrams.tsv")
     del db
     corpus_sha256 = file_sha256(corpus_path)
 

@@ -6,8 +6,8 @@ left attached, so "ronaldo" and "ronaldo!" remain distinct tokens.
 
 The 5-gram database is the binary file `<out-db>.bin` (`ngrams.tsv.bin`),
 bound to the sha256 of the text view `ngrams.tsv` written beside it. The
-text view is for reading by eye; `dataset` reads only the binary, and
-refuses it when it is missing or is not bound to the text view's bytes.
+text view is for reading by eye. `write_ngram_db` writes both files, and
+`read_ngram_db` refuses a binary that is missing or not bound to them.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Callable, Iterable
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .manifest import atomic_write, read_container, row_blocks, write_container
+from .manifest import atomic_write, file_sha256, read_container, row_blocks, write_container
 
 HANDLE_TOKEN = "T_HANDLE"
 LINK_TOKEN = "LINK"
@@ -37,9 +37,10 @@ BOUNDARY_TOKENS = (PAD_L1, PAD_L2, PAD_R1, PAD_R2)
 # take this many rows at a time. write_ngram_db formats manifest.row_blocks'
 # blocks instead.
 BLOCK_ROWS = 65536
-NGRAM_SIDECAR_MAGIC = b"EMBNGRM1"
-_SIDECAR_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
-                 "tsv_sha256", "types_bytes")
+NGRAM_DB_MAGIC = b"EMBNGRM1"
+_NGRAM_DB_KEYS = ("body_sha256", "format", "rows", "total_tokens", "total_tweets",
+                  "tsv_sha256", "types_bytes")
+_TSV_HEADER = "#total_tweets={}\t#total_tokens={}\n"
 
 
 def normalize_token(raw: str) -> str:
@@ -251,21 +252,36 @@ def build_dictionary(db: NGramDatabase) -> Dictionary:
     return Dictionary(list(zip([db.types[i] for i in words], freqs[words].tolist())))
 
 
-def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
-    """The database's text view, which no stage reads: a header with corpus
-    totals, then one row per distinct 5-gram.
+def ngram_db_bin(path: Path | str) -> Path:
+    """The binary database beside the TSV text view at `path`: `<path>.bin`."""
+    return Path(f"{path}.bin")
 
-    Rows are `w1..w5<TAB>count` in the database's row order, which sorts
-    them by the tokens in code-point (UTF-8 byte) order, so output bytes do
-    not depend on counting order. Each block of `manifest.row_blocks` rows
-    (six cells each) is one (n, 6) object array written with one join:
-    five `token<TAB>` cells gathered by type id, then a `count\n` cell
-    gathered from one string per distinct count in the block, so the
-    block's strings are shared, not made per row.
+
+def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
+    """Write the text view at `path`, which no stage reads, then the
+    database `read_ngram_db` reads, `<path>.bin`, bound to its sha256.
+
+    The text view is a header with corpus totals, then one row
+    `w1..w5<TAB>count` per distinct 5-gram, in the database's row order,
+    which sorts them by the tokens in code-point (UTF-8 byte) order, so
+    output bytes do not depend on counting order. Each block of
+    `manifest.row_blocks` rows (six cells each) is one (n, 6) object array
+    joined, encoded, hashed and written at once: five `token<TAB>` cells
+    gathered by type id, then a `count\n` cell gathered from one string per
+    distinct count in the block, so the block's strings are shared.
+
+    The binary has `manifest.write_container`'s layout with the magic
+    "EMBNGRM1": a JSON header with format 1, tsv_sha256, total_tweets,
+    total_tokens, types_bytes, rows and body_sha256; then the body: the
+    types joined by "\n" in UTF-8 (no token holds whitespace), records as
+    <i4 row-major and counts as <i8. Neither file holds timestamps, and the
+    arrays are written from their own buffers.
     """
+    data = _TSV_HEADER.format(db.total_tweets, db.total_tokens).encode("utf-8")
+    tsv_digest = hashlib.sha256(data)
     cells = np.array([token + "\t" for token in db.types], dtype=object)
-    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"#total_tweets={db.total_tweets}\t#total_tokens={db.total_tokens}\n")
+    with atomic_write(path, "wb") as fh:
+        fh.write(data)
         for rows in row_blocks(len(db.records), 6):
             ids = db.records[rows]
             counts, count_ids = np.unique(db.counts[rows], return_inverse=True)
@@ -273,20 +289,9 @@ def write_ngram_db(db: NGramDatabase, path: Path | str) -> None:
             block = np.empty((len(ids), 6), dtype=object)
             block[:, :5] = cells[ids]
             block[:, 5] = count_cells[count_ids]
-            fh.write("".join(block.ravel().tolist()))
-
-
-def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) -> None:
-    """The database file `read_ngram_db` reads, bound to the TSV text view
-    whose sha256 is `tsv_sha256`.
-
-    Layout, `manifest.write_container`'s with the magic "EMBNGRM1": a JSON
-    header with format 1, tsv_sha256, total_tweets, total_tokens,
-    types_bytes, rows and body_sha256; then the body: the types joined by
-    "\n" in UTF-8 (no token holds whitespace), records as <i4 row-major and
-    counts as <i8. The file holds no timestamps, and the arrays are written
-    from their own buffers.
-    """
+            data = "".join(block.ravel().tolist()).encode("utf-8")
+            tsv_digest.update(data)
+            fh.write(data)
     body = ["\n".join(db.types).encode("utf-8"),
             np.ascontiguousarray(db.records, dtype="<i4"),
             np.ascontiguousarray(db.counts, dtype="<i8")]
@@ -295,14 +300,14 @@ def write_ngram_sidecar(db: NGramDatabase, path: Path | str, tsv_sha256: str) ->
         digest.update(part)
     header = {
         "format": 1,
-        "tsv_sha256": tsv_sha256,
+        "tsv_sha256": tsv_digest.hexdigest(),
         "total_tweets": db.total_tweets,
         "total_tokens": db.total_tokens,
         "types_bytes": len(body[0]),
         "rows": len(db.records),
         "body_sha256": digest.hexdigest(),
     }
-    write_container(path, NGRAM_SIDECAR_MAGIC, header, body)
+    write_container(ngram_db_bin(path), NGRAM_DB_MAGIC, header, body)
 
 
 def _rows_ascend(records: np.ndarray) -> bool:
@@ -334,33 +339,38 @@ def _exact_sum(counts: np.ndarray) -> int:
     return (high << 32) + low
 
 
-def read_ngram_db(path: Path | str, tsv_sha256: str) -> NGramDatabase:
-    """The database in `path`, a file from `write_ngram_sidecar` bound to
-    the TSV whose sha256 is `tsv_sha256`.
+def read_ngram_db(path: Path | str) -> tuple[NGramDatabase, str]:
+    """The database `write_ngram_db` wrote for the TSV at `path`, read from
+    `<path>.bin`, and the TSV's sha256; of the TSV only the hash and the
+    header line it vouches for are read.
 
     Anything else is a ValueError that names the file and says to re-run
-    ingest: a missing file, one written for other TSV bytes, a bad magic
-    or header, a size the header does not imply, a body that does not hash
-    to its body_sha256, or a database that breaks an invariant of
-    NGramDatabase (types strictly ascending with the boundary tokens, ids
-    in range, rows strictly ascending, counts at least 1 summing to
-    total_tokens below 2^63). The file's bytes are read once; the arrays
-    are read-only views of them.
+    ingest: a missing file, a binary written for other TSV bytes or totals,
+    a bad magic or header, a size the header does not imply, a body that
+    does not hash to its body_sha256, or a database that breaks an
+    invariant of NGramDatabase (types strictly ascending with the boundary
+    tokens, ids in range, rows strictly ascending, counts at least 1
+    summing to total_tokens below 2^63). The binary's bytes are read once;
+    the arrays are read-only views of them.
     """
-    path = Path(path)
+    bin_path = ngram_db_bin(path)
     try:
-        header, body = read_container(path.read_bytes(), NGRAM_SIDECAR_MAGIC)
-        if sorted(header) != sorted(_SIDECAR_KEYS):
-            raise ValueError(f"header keys are not {', '.join(_SIDECAR_KEYS)}")
+        tsv_sha256 = file_sha256(path)
+        header, body = read_container(bin_path.read_bytes(), NGRAM_DB_MAGIC)
+        if sorted(header) != sorted(_NGRAM_DB_KEYS):
+            raise ValueError(f"header keys are not {', '.join(_NGRAM_DB_KEYS)}")
         sizes = [header[key] for key in ("format", "total_tweets", "total_tokens",
                                          "types_bytes", "rows")]
-        if (not all(type(size) is int and size >= 0 for size in sizes) or header["format"] != 1
-                or not isinstance(header["tsv_sha256"], str)
-                or not isinstance(header["body_sha256"], str)):
+        # The two hashes are compared with a str, which refuses any other type.
+        if not all(type(size) is int and size >= 0 for size in sizes) or header["format"] != 1:
             raise ValueError(f"unsupported header {header}")
         if header["tsv_sha256"] != tsv_sha256:
             raise ValueError("written for other TSV bytes (tsv_sha256 is not the TSV's sha256)")
         _, total_tweets, total_tokens, types_bytes, rows = sizes
+        tsv_header = _TSV_HEADER.format(total_tweets, total_tokens).encode("utf-8")
+        with open(path, "rb") as fh:
+            if fh.read(len(tsv_header)) != tsv_header:
+                raise ValueError(f"header totals {total_tweets}, {total_tokens} are not the TSV's")
         counts_start = types_bytes + 20 * rows
         if counts_start + 8 * rows != len(body):
             raise ValueError(f"{len(body)} body bytes, header implies {counts_start + 8 * rows}")
@@ -383,11 +393,11 @@ def read_ngram_db(path: Path | str, tsv_sha256: str) -> NGramDatabase:
             raise ValueError("a count is below 1")
         if _exact_sum(db.counts) != total_tokens or total_tokens >= 2 ** 63:
             raise ValueError(f"counts do not sum to total_tokens={total_tokens} below 2^63")
-    except FileNotFoundError:
-        raise ValueError(f"{path}: no such file; re-run ingest") from None
+    except FileNotFoundError as exc:
+        raise ValueError(f"{exc.filename}: no such file; re-run ingest") from None
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}; re-run ingest") from None
-    return db
+        raise ValueError(f"{bin_path}: {exc}; re-run ingest") from None
+    return db, tsv_sha256
 
 
 def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:

@@ -14,6 +14,7 @@ import numpy as np
 from .dataset import DatasetSplit
 from .manifest import atomic_write
 from .model import (
+    MAX_NLL,
     N_CONTEXT,
     PARAM_FIELDS,
     ModelHyper,
@@ -49,8 +50,8 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be at least 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:  # also refuses NaN
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
 
 
 @dataclass
@@ -163,9 +164,11 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     cross entropy on the full train and validation sets and emit an
     EpochLog. After every good epoch it writes the checkpoint (with
     `vocab_hash`), then the run log so far, then calls `on_epoch`; on
-    divergence (train loss non-finite or above 10 ln|V|, ten times the
-    loss of a uniform prediction, which a fresh model is close to)
-    training aborts and the last good checkpoint and log stay on disk.
+    divergence (train loss non-finite or above the smaller of 10 ln|V|, ten
+    times the loss of a uniform prediction, which a fresh model is close
+    to, and MAX_NLL / 2, which the mean passes whenever most rows are
+    clamped at LOSS_FLOOR) training aborts and the last good checkpoint and
+    log stay on disk.
     With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible. Every step and evaluation works in one `Workspace`,
     allocated here for the run. The rows are held once, in the split: a
@@ -185,7 +188,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     train_ctx, train_tgt = split.train[:, :N_CONTEXT], split.train[:, N_CONTEXT]
     val_ctx, val_tgt = split.validation[:, :N_CONTEXT], split.validation[:, N_CONTEXT]
 
-    limit = 10.0 * math.log(hyper.vocab_size)
+    limit = min(10.0 * math.log(hyper.vocab_size), MAX_NLL / 2)
     n = train_tgt.shape[0]
     logs: list[EpochLog] = []
     for epoch in range(1, cfg.epochs + 1):
@@ -201,7 +204,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
         if not math.isfinite(train_loss) or train_loss > limit:
             raise TrainingDiverged(
                 f"train loss {train_loss:.4f} at epoch {epoch} "
-                f"(limit 10 ln|V| = {limit:.4f}); keeping last good checkpoint"
+                f"(limit min(10 ln|V|, MAX_NLL / 2) = {limit:.4f}); keeping last good checkpoint"
             )
         entry = EpochLog(epoch, train_loss, val_loss, wall)
         logs.append(entry)

@@ -19,11 +19,11 @@ from hypothesis import strategies as st
 
 from tweetembed import cli
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
-from tweetembed.corpus import (BOUNDARY_TOKENS, Dictionary, NGramDatabase, read_ngram_db,
-                              write_ngram_sidecar)
+from tweetembed.corpus import (BOUNDARY_TOKENS, NGRAM_DB_MAGIC, Dictionary, NGramDatabase,
+                              read_ngram_db)
 from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
                                 write_vocabulary)
-from tweetembed.manifest import file_sha256, read_container
+from tweetembed.manifest import file_sha256, read_container, write_container
 from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
 from memory import count_calls, live_instances
@@ -48,7 +48,7 @@ def ingest(corpus, out_dir, *extra):
 
 def read_db(db_path):
     """The database `ingest` wrote beside the TSV at `db_path`."""
-    return read_ngram_db(db_path.with_suffix(db_path.suffix + ".bin"), file_sha256(db_path))
+    return read_ngram_db(db_path)[0]
 
 
 class TestIngest:
@@ -261,7 +261,9 @@ class TestDataset:
         shuffled = tmp_path / "shuffled.tsv"
         shuffled.write_text(header + "".join(body), encoding="utf-8")
         assert shuffled.read_bytes() != db_path.read_bytes()
-        write_ngram_sidecar(read_db(db_path), f"{shuffled}.bin", file_sha256(shuffled))
+        bin_header, bin_body = read_container(Path(f"{db_path}.bin").read_bytes(), NGRAM_DB_MAGIC)
+        write_container(f"{shuffled}.bin", NGRAM_DB_MAGIC,
+                        {**bin_header, "tsv_sha256": file_sha256(shuffled)}, [bin_body])
         rc, a = make_dataset(db_path, tmp_path / "sorted", 5, "--include-boundary")
         assert rc == EXIT_OK
         rc, b = make_dataset(shuffled, tmp_path / "shuffled", 5, "--include-boundary")
@@ -341,6 +343,24 @@ class TestTrain:
                              "--learning-rate", "1000.0")
         assert rc == EXIT_DIVERGED
         assert "error" in capsys.readouterr().err
+
+    def test_divergence_at_256_words_exits_3(self, tmp_path, capsys):
+        # At |V| = 256 the mean loss, with each row capped at MAX_NLL = 27.63,
+        # never reaches 10 ln|V| = 55.45. Learning rate 1000 clamps 16,816 of
+        # the 17,993 train targets in epoch 1 (loss 25.90), past MAX_NLL / 2;
+        # the default rate trains.
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("\n".join(zipf_corpus(3000, seed=3, vocab_types=600)) + "\n",
+                          encoding="utf-8")
+        _, db_path, _ = ingest(corpus, tmp_path)
+        rc, dataset = make_dataset(db_path, tmp_path, 256, "--include-boundary")
+        assert rc == EXIT_OK
+        flags = ["--epochs", "2", "--emb-dim", "8", "--ctx-dim", "8"]
+        rc, ckpt, _ = train_cmd(dataset, tmp_path, *flags, "--learning-rate", "1000")
+        assert rc == EXIT_DIVERGED
+        assert "train loss 25.8952 at epoch 1" in capsys.readouterr().err
+        assert not ckpt.exists()
+        assert train_cmd(dataset, tmp_path, *flags)[0] == EXIT_OK
 
     # At learning rate 1000 the run diverges in epoch 1; at 10 with batch 16,
     # in epoch 2, after one checkpoint.
@@ -595,8 +615,9 @@ class TestGrid:
         assert at_train == [before] * 4
 
     def test_hashes_each_file_once(self, bigger_corpus, tmp_path, monkeypatch):
-        # The corpus once for the grid manifest and both cell manifests; the
-        # 5-gram DB once, for its sidecar; each cell's checkpoint once.
+        # The corpus once for the grid manifest and both cell manifests, and
+        # each cell's checkpoint once; the 5-gram DB's TSV is hashed as it is
+        # written, never read back.
         calls = count_calls(monkeypatch, file_sha256)
         out_dir = tmp_path / "grid"
         rc = main(["grid", str(bigger_corpus), "--out-dir", str(out_dir),
@@ -604,8 +625,7 @@ class TestGrid:
                    "--batch-size", "32", "--emb-dim", "8", "--ctx-dim", "8", "--deterministic"])
         assert rc == EXIT_OK
         assert sorted(Path(args[0]) for args in calls) == sorted([
-            bigger_corpus, out_dir / "ngrams.tsv", out_dir / "v6_f050" / "model.ckpt",
-            out_dir / "v6_f100" / "model.ckpt"])
+            bigger_corpus, out_dir / "v6_f050" / "model.ckpt", out_dir / "v6_f100" / "model.ckpt"])
 
     def test_rejects_off_grid_fraction(self, bigger_corpus, tmp_path, capsys):
         rc = main(["grid", str(bigger_corpus), "--out-dir", str(tmp_path / "g"),
@@ -701,13 +721,13 @@ def _set_header_key(dataset, key, value):
     dataset.write_text("\t".join(fields) + "\n" + "".join(rows), encoding="utf-8")
 
 
-def _train_on(break_dataset):
-    """Case builder: break the prepared dataset, then train on it."""
+def _train_on(break_dataset, flags=()):
+    """Case builder: break the prepared dataset, then train on it with `flags`."""
     def argv(dataset, tmp_path):
         break_dataset(dataset)
         return ["train", str(dataset), "--out-checkpoint", str(tmp_path / "m.ckpt"),
                 "--out-log", str(tmp_path / "log.tsv"), "--epochs", "1",
-                "--emb-dim", "8", "--ctx-dim", "8"]
+                "--emb-dim", "8", "--ctx-dim", "8", *flags]
     return argv
 
 
@@ -881,12 +901,12 @@ def _grid_on_small_corpus(*flags):
     return argv
 
 
-def _dataset_from_db(break_db):
-    """A case that ingests a small corpus, breaks its 5-gram database with
-    `break_db(tsv_path, bin_path)` and runs dataset."""
+def _dataset_from_db(break_db, text="a b c d e\nb c d e a\n"):
+    """A case that ingests the corpus `text`, breaks its 5-gram database
+    with `break_db(tsv_path, bin_path)` and runs dataset."""
     def argv(dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
-        corpus.write_text("a b c d e\nb c d e a\n", encoding="utf-8")
+        corpus.write_text(text, encoding="utf-8")
         rc, db, _ = ingest(corpus, tmp_path)
         assert rc == EXIT_OK
         break_db(db, db.with_suffix(".tsv.bin"))
@@ -900,6 +920,15 @@ def _edit_tsv_body(edit_body):
     def break_db(tsv, sidecar):
         header, *body = tsv.read_text(encoding="utf-8").splitlines(keepends=True)
         tsv.write_text(header + "".join(edit_body(body)), encoding="utf-8")
+    return break_db
+
+
+def _edit_bin_header(**values):
+    """A `_dataset_from_db` break: the binary database's header given
+    `values`, its body and both hashes kept."""
+    def break_db(tsv, sidecar):
+        header, body = read_container(sidecar.read_bytes(), NGRAM_DB_MAGIC)
+        write_container(sidecar, NGRAM_DB_MAGIC, {**header, **values}, [body])
     return break_db
 
 
@@ -1061,6 +1090,19 @@ MALFORMED_INPUTS = {
     "dataset with its 5-gram DB's .bin deleted": (
         _dataset_from_db(lambda tsv, sidecar: sidecar.unlink()),
         "ngrams.tsv.bin: no such file; re-run ingest"),
+    "dataset with its 5-gram DB's TSV deleted": (
+        _dataset_from_db(lambda tsv, sidecar: tsv.unlink()),
+        "ngrams.tsv: no such file; re-run ingest"),
+    # The body hash does not cover the header; the TSV's header line binds the totals.
+    "5-gram DB .bin claiming 7 tweets for a 4-tweet corpus": (
+        _dataset_from_db(_edit_bin_header(total_tweets=7), "a b c d e\nb c d e a\na a b\nc d\n"),
+        "ngrams.tsv.bin: header totals 7, 15 are not the TSV's; re-run ingest"),
+    "train --learning-rate nan": (_train_on(lambda ds: None, ("--learning-rate", "nan")),
+                                  "learning_rate must be finite and positive, got nan"),
+    "grid --learning-rate inf": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", "--learning-rate", "inf"),
+        "learning_rate must be finite and positive, got inf"),
 }
 
 
@@ -1079,9 +1121,9 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     # grid and dataset check their flags and read all their inputs before
-    # they write
-    if argv[0] in ("grid", "dataset") or message in ("name the same file",
-                                                      "can't decode byte 0xff"):
+    # they write, and train checks its learning rate before its manifest
+    if (argv[0] in ("grid", "dataset") or "learning_rate" in message
+            or message in ("name the same file", "can't decode byte 0xff")):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
@@ -1338,18 +1380,14 @@ SIDECAR_MUTATIONS = {
 
 
 def _same_database(data, mutated):
-    """Whether `mutated` holds the database `data` holds: the same magic and
-    body, and the same JSON header but perhaps for total_tweets. Nothing
-    binds total_tweets to the body or to the TSV, and dataset does not use
-    it, so any count of tweets reads back."""
+    """Whether `mutated` holds the database `data` holds: the same magic,
+    JSON header and body."""
     try:
         header, body = read_container(mutated, b"EMBNGRM1")
     except ValueError:
         return False
     valid, valid_body = read_container(data, b"EMBNGRM1")
-    tweets = header.get("total_tweets")
-    header["total_tweets"] = valid["total_tweets"]
-    return (body == valid_body and type(tweets) is int and tweets >= 0
+    return (body == valid_body
             and json.dumps(header, sort_keys=True) == json.dumps(valid, sort_keys=True))
 
 

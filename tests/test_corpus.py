@@ -25,12 +25,11 @@ from tweetembed.corpus import (
     _rows_ascend,
     build_dictionary,
     count_ngrams,
+    ngram_db_bin,
     read_ngram_db,
     write_dictionary,
     write_ngram_db,
-    write_ngram_sidecar,
 )
-from tweetembed.cli import ingest_stage
 from tweetembed.dataset import filter_ngrams, select_vocabulary
 from tweetembed.manifest import file_sha256, read_container, write_container
 
@@ -58,8 +57,10 @@ def windows(tokens):
 def ingest_and_read(db, tsv):
     """Write `db` as `ingest` does, the TSV at `tsv` and the database beside
     it, and read the database back."""
-    ingest_stage(db, tsv)
-    return read_ngram_db(tsv.with_suffix(".tsv.bin"), file_sha256(tsv))
+    write_ngram_db(db, tsv)
+    loaded, tsv_sha256 = read_ngram_db(tsv)
+    assert tsv_sha256 == file_sha256(tsv)
+    return loaded
 
 
 class TestTokenize:
@@ -279,32 +280,34 @@ class TestFiles:
         # Counts that fill int64 sum past 2^64 without wrapping, and a sum
         # of exactly 2^63 is one past what an int64 total holds.
         db = count_ngrams(["a b c"])
-        path = tmp_path / "ngrams.tsv.bin"
+        path = tmp_path / "ngrams.tsv"
         for counts in ([2 ** 63 - 1] * 3, [2 ** 62, 2 ** 62 - 1, 1]):
             total = sum(counts)
-            write_ngram_sidecar(replace(db, counts=np.array(counts, dtype=np.int64),
-                                        total_tokens=total), path, "0" * 64)
+            write_ngram_db(replace(db, counts=np.array(counts, dtype=np.int64),
+                                   total_tokens=total), path)
             with pytest.raises(ValueError, match=f"sum to total_tokens={total} below 2\\^63"):
-                read_ngram_db(path, "0" * 64)
+                read_ngram_db(path)
 
     def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "ngrams.tsv.bin"
-        path.write_text("no header\n", encoding="utf-8")
-        with pytest.raises(ValueError, match=f"{path.name}: bad magic .*; re-run ingest"):
-            read_ngram_db(path, "0" * 64)
+        path = tmp_path / "ngrams.tsv"
+        write_ngram_db(count_ngrams(["a b c"]), path)
+        ngram_db_bin(path).write_text("no header\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"{path.name}.bin: bad magic .*; re-run ingest"):
+            read_ngram_db(path)
 
     @pytest.mark.parametrize("value", ["+3", " 3", "3 ", "\u0663", "1_0", "", "-3"])
     def test_count_or_total_that_is_not_plain_digits_rejected(self, tmp_path, value):
         # The counts are fixed-width integers; the header's totals are JSON
         # integers, and a string is refused, even one int() would take.
-        path = tmp_path / "ngrams.tsv.bin"
-        write_ngram_sidecar(count_ngrams(["a b c"]), path, "0" * 64)
-        header, body = read_container(path.read_bytes(), corpus.NGRAM_SIDECAR_MAGIC)
+        path = tmp_path / "ngrams.tsv"
+        write_ngram_db(count_ngrams(["a b c"]), path)
+        header, body = read_container(ngram_db_bin(path).read_bytes(), corpus.NGRAM_DB_MAGIC)
         body = bytes(body)
         for key in ("total_tweets", "total_tokens"):
-            write_container(path, corpus.NGRAM_SIDECAR_MAGIC, {**header, key: value}, [body])
+            write_container(ngram_db_bin(path), corpus.NGRAM_DB_MAGIC, {**header, key: value},
+                            [body])
             with pytest.raises(ValueError, match="unsupported header"):
-                read_ngram_db(path, "0" * 64)
+                read_ngram_db(path)
 
 
 def _ascending_db(n: int) -> NGramDatabase:
@@ -337,13 +340,13 @@ class TestBlocks:
         db = count_ngrams(self.TWEETS)
         assert len(db.records) == 13
         entries = build_dictionary(db).entries
-        ingest_stage(db, tmp_path / "one.tsv")
+        write_ngram_db(db, tmp_path / "one.tsv")
         expected = [(tmp_path / name).read_bytes() for name in ("one.tsv", "one.tsv.bin")]
         for block_rows in (1, 2, 3):
             _block_rows(monkeypatch, block_rows)
             first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
             assert build_dictionary(count_ngrams(self.TWEETS)).entries == entries
-            ingest_stage(ingest_and_read(count_ngrams(self.TWEETS), first), second)
+            write_ngram_db(ingest_and_read(count_ngrams(self.TWEETS), first), second)
             for path in (first, second):
                 assert [path.read_bytes(), path.with_suffix(".tsv.bin").read_bytes()] == expected
 
@@ -360,11 +363,11 @@ class TestBlocks:
         db = count_ngrams(self.TWEETS)
         records, counts = db.records.copy(), db.counts.copy()
         edit(records, counts)
-        path = tmp_path / "ngrams.tsv.bin"
-        write_ngram_sidecar(replace(db, records=records, counts=counts), path, "0" * 64)
+        path = tmp_path / "ngrams.tsv"
+        write_ngram_db(replace(db, records=records, counts=counts), path)
         _block_rows(monkeypatch, 3)
-        with pytest.raises(ValueError, match=f"{path.name}: {message}; re-run ingest"):
-            read_ngram_db(path, "0" * 64)
+        with pytest.raises(ValueError, match=f"{path.name}.bin: {message}; re-run ingest"):
+            read_ngram_db(path)
 
     def test_write_peak_does_not_grow_with_rows(self, tmp_path):
         # Formatting 65,536 rows at a time held 9 MB here.
@@ -399,20 +402,28 @@ class TestSidecar:
         assert rows == list(db_records(loaded).items())
 
     def test_stale_or_missing_sidecar_is_refused(self, tmp_path):
-        sidecar = tmp_path / "ngrams.tsv.bin"
-        with pytest.raises(ValueError, match=f"{sidecar.name}: no such file; re-run ingest"):
-            read_ngram_db(sidecar, "0" * 64)
-        write_ngram_sidecar(count_ngrams(TestBlocks.TWEETS), sidecar, "0" * 64)
+        tsv = tmp_path / "ngrams.tsv"
+        sidecar = ngram_db_bin(tsv)
+        assert sidecar == tmp_path / "ngrams.tsv.bin"
+        write_ngram_db(count_ngrams(TestBlocks.TWEETS), tsv)
+        assert len(read_ngram_db(tsv)[0].records) == 13
+        tsv.write_bytes(tsv.read_bytes() + b"\n")
         with pytest.raises(ValueError, match=f"{sidecar.name}: written for other TSV bytes"):
-            read_ngram_db(sidecar, "1" * 64)
-        assert len(read_ngram_db(sidecar, "0" * 64).records) == 13
+            read_ngram_db(tsv)
+        sidecar.unlink()
+        with pytest.raises(ValueError, match=f"{sidecar.name}: no such file; re-run ingest"):
+            read_ngram_db(tsv)
+        tsv.unlink()
+        with pytest.raises(ValueError, match=f"{tsv.name}: no such file; re-run ingest"):
+            read_ngram_db(tsv)
 
     def test_broken_sidecar_is_refused(self, tmp_path):
-        sidecar = tmp_path / "ngrams.tsv.bin"
-        write_ngram_sidecar(count_ngrams(TestBlocks.TWEETS), sidecar, "0" * 64)
+        tsv = tmp_path / "ngrams.tsv"
+        sidecar = ngram_db_bin(tsv)
+        write_ngram_db(count_ngrams(TestBlocks.TWEETS), tsv)
         sidecar.write_bytes(sidecar.read_bytes()[:-1])
         with pytest.raises(ValueError, match=f"{sidecar.name}: .* header implies .*; re-run"):
-            read_ngram_db(sidecar, "0" * 64)
+            read_ngram_db(tsv)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -439,11 +450,11 @@ class TestSidecar:
         # 2^19 ascending rows, one count each. Beyond the file's own bytes
         # the checks hold a few blocks at most, not 8 bytes per row.
         n = 1 << 19
-        sidecar = tmp_path / "ngrams.tsv.bin"
-        write_ngram_sidecar(_ascending_db(n), sidecar, "0" * 64)
-        db, peak = traced_peak(read_ngram_db, sidecar, "0" * 64)
+        tsv = tmp_path / "ngrams.tsv"
+        write_ngram_db(_ascending_db(n), tsv)
+        (db, _), peak = traced_peak(read_ngram_db, tsv)
         assert len(db.records) == n
-        extra = peak - sidecar.stat().st_size
+        extra = peak - ngram_db_bin(tsv).stat().st_size
         assert extra < 4 * n, extra / n
 
 
@@ -472,7 +483,7 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"
         loaded = ingest_and_read(db, first)
-        ingest_stage(loaded, second)
+        write_ngram_db(loaded, second)
         for suffix in (".tsv", ".tsv.bin"):
             assert first.with_suffix(suffix).read_bytes() == second.with_suffix(suffix).read_bytes()
     assert loaded.types == sorted(set(loaded.types))

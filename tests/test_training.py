@@ -229,10 +229,10 @@ class TestTrain:
         assert all(entry.wall_seconds == 0.0 for entry in outputs[0][0])
 
     def test_divergence_keeps_last_good_checkpoint(self, tmp_path):
-        # lr=1000 survives epoch 1 (loss 10.49) and trips the 10 ln|V| = 16.09
-        # guard at epoch 2 (loss 17.76), so the checkpoint on disk must be the
-        # epoch-1 state. A separate one-epoch run with the same seed
-        # reproduces that state exactly.
+        # lr=1000 survives epoch 1 (loss 10.49) and trips the guard,
+        # min(10 ln|V|, MAX_NLL / 2) = 13.82, at epoch 2 (loss 17.76), so the
+        # checkpoint on disk must be the epoch-1 state. A separate one-epoch
+        # run with the same seed reproduces that state exactly.
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         reference = tmp_path / "reference.ckpt"
         train(toy_split(), hyper,
@@ -387,15 +387,16 @@ class TestTrain:
             assert [e.epoch for e in read_run_log(broken / failing)] == [1]
 
     def test_clamping_run_warns_at_most_twice_per_epoch(self, caplog, tmp_path):
-        # At learning rate 1000 most target probabilities fall below
-        # LOSS_FLOOR, yet at |V| = 32 the clamped loss (at most 27.6) stays
-        # under the 10 ln|V| = 34.7 divergence limit, so both epochs run.
+        # At learning rate 5 both evaluations of each epoch clamp some target
+        # probabilities at LOSS_FLOOR (44 and 16 rows, then 21 and 9), yet
+        # the train loss (8.25, then 6.04) stays under the MAX_NLL / 2 = 13.82
+        # divergence limit, so both epochs run.
         db = count_ngrams(zipf_corpus(300, seed=3, vocab_types=60))
         vocab = select_vocabulary(build_dictionary(db), 32)
         split = split_dataset(filter_ngrams(db, vocab, include_boundary=True),
                               validation_ratio=0.2, seed=1)
         hyper = ModelHyper(vocab_size=32, d_in=4, d_ctx=4)
-        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=1000.0, seed=3)
+        cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=5.0, seed=3)
         assert len(split.train) > 10 * cfg.batch_size  # many batches per epoch
 
         def clamp_warnings():
