@@ -161,7 +161,7 @@ def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: i
                         args: argparse.Namespace) -> tuple[Vocabulary, np.ndarray]:
     """The |V|-dependent half of the dataset stage; `grid` runs it once per |V|."""
     vocab = select_vocabulary(dictionary, vocab_size)
-    examples = filter_ngrams(db, vocab, include_boundary=args.include_boundary)
+    examples = filter_ngrams(db, dictionary.ids[:vocab_size], args.include_boundary)
     if len(examples) == 0:
         raise InputError(f"no 5-grams qualify for vocabulary size {vocab_size}; "
                          "try a larger vocabulary or --include-boundary")
@@ -251,7 +251,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     print(f"tweets: {db.total_tweets}")
     print(f"tokens: {db.total_tokens}")
     print(f"distinct 5-grams: {len(db.records)}")
-    print(f"dictionary entries: {len(dictionary)}")
+    print(f"dictionary entries: {len(dictionary.ids)}")
     return EXIT_OK
 
 
@@ -261,6 +261,10 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, ngram_db_bin(db_path)))
+    if args.vocab_size < 1:
+        raise InputError(f"--vocab-size must be at least 1, got {args.vocab_size}")
+    if not 0.0 < args.validation_ratio < 1.0:
+        raise InputError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
     db, db_sha256 = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     # The examples are a copy: dropping the database here frees it, and the
@@ -396,6 +400,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     for fraction in fractions:
         if fraction not in PAPER_FRACTIONS:
             raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
+    if not 0.0 < args.validation_ratio < 1.0:
+        raise InputError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
     # Each cell's directory is named for its size and fraction.
     for what, values in (("vocabulary size", vocab_sizes), ("fraction", fractions)):
         for i, value in enumerate(values):

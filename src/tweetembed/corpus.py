@@ -218,17 +218,14 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
 
 @dataclass
 class Dictionary:
-    """Words sorted by corpus frequency; rank is the list position.
+    """Corpus words by rank: `ids` holds their int32 ids into `types` (the
+    database's own list) in rank order, `freqs` their int64 frequencies.
+    Frequencies are non-increasing, ties in word order (code-point, so
+    type-id, order); boundary tokens are excluded."""
 
-    Frequencies are non-increasing; ties are broken by ascending word
-    order (UTF-8 byte order, which matches code-point order). Boundary
-    tokens are excluded.
-    """
-
-    entries: list[tuple[str, int]]
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    types: list[str]
+    ids: np.ndarray
+    freqs: np.ndarray
 
 
 def build_dictionary(db: NGramDatabase) -> Dictionary:
@@ -247,9 +244,9 @@ def build_dictionary(db: NGramDatabase) -> Dictionary:
                              weights=db.counts[lo:lo + BLOCK_ROWS], minlength=len(db.types))
     freqs = freqs.astype(np.int64)
     freqs[db.boundary_ids()] = 0  # never legal as a center; guard anyway
-    words = np.flatnonzero(freqs)
+    words = np.flatnonzero(freqs).astype(np.int32)
     words = words[np.argsort(-freqs[words], kind="stable")]
-    return Dictionary(list(zip([db.types[i] for i in words], freqs[words].tolist())))
+    return Dictionary(db.types, words, freqs[words])
 
 
 def ngram_db_bin(path: Path | str) -> Path:
@@ -401,7 +398,9 @@ def read_ngram_db(path: Path | str) -> tuple[NGramDatabase, str]:
 
 
 def write_dictionary(dictionary: Dictionary, path: Path | str) -> None:
-    """TSV `word<TAB>frequency<TAB>rank`, rank ascending from 0."""
+    """TSV `word<TAB>frequency<TAB>rank`, rank from 0, one `manifest.row_blocks` block a write."""
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rank, (word, freq) in enumerate(dictionary.entries):
-            fh.write(f"{word}\t{freq}\t{rank}\n")
+        for rows in row_blocks(len(dictionary.ids), 3):
+            block = zip(dictionary.ids[rows].tolist(), dictionary.freqs[rows].tolist())
+            fh.write("".join(f"{dictionary.types[i]}\t{freq}\t{rank}\n"
+                             for rank, (i, freq) in enumerate(block, rows.start)))

@@ -12,7 +12,7 @@ import hashlib
 import math
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,27 +32,19 @@ class Vocabulary:
     """
 
     words: list[str]
-    word_to_id: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.word_to_id = {word: i for i, word in enumerate(self.words)}
 
     @property
     def size(self) -> int:
         return len(self.words)
 
-    def boundary_id(self, token: str) -> int:
-        return self.size + BOUNDARY_TOKENS.index(token)
-
 
 def select_vocabulary(dictionary: Dictionary, size: int) -> Vocabulary:
     if size < 1:
         raise ValueError("vocabulary size must be positive")
-    if size > len(dictionary):
-        raise ValueError(
-            f"requested vocabulary size {size} exceeds dictionary length {len(dictionary)}"
-        )
-    return Vocabulary([word for word, _ in dictionary.entries[:size]])
+    if size > len(dictionary.ids):
+        raise ValueError(f"requested vocabulary size {size} exceeds dictionary length "
+                         f"{len(dictionary.ids)}")
+    return Vocabulary([dictionary.types[i] for i in dictionary.ids[:size].tolist()])
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:
@@ -61,16 +53,17 @@ def vocabulary_hash(vocab: Vocabulary) -> str:
     return digest.hexdigest()
 
 
-def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
+def filter_ngrams(db: NGramDatabase, vocab_ids: np.ndarray,
                   include_boundary: bool = False) -> np.ndarray:
     """One example row `c1 c2 c4 c5 target` for every distinct qualifying 5-gram.
 
-    A 5-gram qualifies when its center word and all four context tokens
-    are in the vocabulary; with include_boundary, context tokens may also
-    be boundary tokens (mapped to the reserved ids). Counts do not
-    replicate rows: each distinct 5-gram yields exactly one row. Rows are
-    ordered by the 5-gram's tokens, so they are independent of counting
-    order. Returns shape (0, 5) when nothing qualifies.
+    `vocab_ids[i]` is the type id of vocabulary id i's word (a prefix of
+    `Dictionary.ids`). A 5-gram qualifies when its center word and all
+    four context tokens are in the vocabulary; with include_boundary,
+    context tokens may also be boundary tokens (mapped to the reserved
+    ids). Counts do not replicate rows: each distinct 5-gram yields
+    exactly one row. Rows are ordered by the 5-gram's tokens, so they are
+    independent of counting order. Returns shape (0, 5) when nothing qualifies.
 
     The keep mask is built one database column at a time, through
     per-type tables of which types may stand there. The (k, 5) int64
@@ -79,12 +72,12 @@ def filter_ngrams(db: NGramDatabase, vocab: Vocabulary,
     and mapped to vocabulary ids. So the call holds 2 bytes per database
     row, the result's 40 per kept row and one block's temporaries.
     """
-    lookup = np.array([vocab.word_to_id.get(token, -1) for token in db.types], dtype=np.int64)
+    lookup = np.full(len(db.types), -1, dtype=np.int64)  # type id -> vocabulary id
+    lookup[vocab_ids] = np.arange(len(vocab_ids))
+    keep = (lookup >= 0)[db.records[:, 2]]  # the center is a word
     if include_boundary:
-        lookup[db.boundary_ids()] = [vocab.boundary_id(pad) for pad in BOUNDARY_TOKENS]
+        lookup[db.boundary_ids()] = len(vocab_ids) + np.arange(len(BOUNDARY_TOKENS))
     in_context = lookup >= 0
-    as_center = in_context & (lookup < vocab.size)
-    keep = as_center[db.records[:, 2]]
     for col in (0, 1, 3, 4):
         keep &= in_context[db.records[:, col]]
     examples = np.empty((np.count_nonzero(keep), 5), dtype=np.int64)

@@ -52,6 +52,8 @@ class TrainConfig:
             raise ValueError("batch_size must be at least 1")
         if not 0 < self.learning_rate < math.inf:  # also refuses NaN
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

@@ -6,15 +6,26 @@ import sys
 import tracemalloc
 
 
-def traced_peak(call, *args, **kwargs):
-    """`call(*args, **kwargs)`'s result and the most bytes tracemalloc saw
-    allocated at once during it, as `(result, peak)`."""
+def _traced(which, call, args, kwargs):
     tracemalloc.start()
     try:
         result = call(*args, **kwargs)
-        return result, tracemalloc.get_traced_memory()[1]
+        return result, tracemalloc.get_traced_memory()[which]
     finally:
         tracemalloc.stop()
+
+
+def traced_peak(call, *args, **kwargs):
+    """`call(*args, **kwargs)`'s result and the most bytes tracemalloc saw
+    allocated at once during it, as `(result, peak)`."""
+    return _traced(1, call, args, kwargs)
+
+
+def traced_held(call, *args, **kwargs):
+    """`call(*args, **kwargs)`'s result and the bytes it allocated that
+    are still allocated when it returns, what the result holds, as
+    `(result, held)`."""
+    return _traced(0, call, args, kwargs)
 
 
 def live_instances(cls) -> int:

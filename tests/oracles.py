@@ -76,6 +76,24 @@ def oracle_dictionary(records: dict) -> list[tuple[str, int]]:
     return items
 
 
+def dictionary_entries(dictionary) -> list[tuple[str, int]]:
+    """A `Dictionary`'s (word, frequency) pairs in rank order, the oracles' form."""
+    return [(dictionary.types[i], freq)
+            for i, freq in zip(dictionary.ids.tolist(), dictionary.freqs.tolist())]
+
+
+def oracle_write_dictionary(entries: list[tuple[str, int]], path) -> None:
+    """The dictionary file written one `word<TAB>frequency<TAB>rank` line at a time."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for rank, (word, freq) in enumerate(entries):
+            fh.write(f"{word}\t{freq}\t{rank}\n")
+
+
+def type_ids(db, words) -> np.ndarray:
+    """The type ids of `words` in `db`, in order: the vocabulary `filter_ngrams` takes."""
+    return np.array([db.types.index(word) for word in words], dtype=np.int32)
+
+
 def oracle_filter(records: dict, vocab_words: list[str],
                   include_boundary: bool = False) -> set[tuple[str, ...]]:
     """Token-level scan; returns the set of qualifying 5-gram token tuples."""

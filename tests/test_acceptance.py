@@ -26,7 +26,8 @@ from tweetembed.model import (
 )
 from tweetembed.training import TrainConfig, train
 
-from oracles import db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter
+from oracles import (db_records, dictionary_entries, example_grams, oracle_count,
+                     oracle_dictionary, oracle_filter)
 from synth import class_corpus, class_gold, zipf_corpus
 
 
@@ -48,7 +49,7 @@ def class_tuples():
     db = count_ngrams(tweets)
     dictionary = build_dictionary(db)
     vocab = select_vocabulary(dictionary, 256)
-    tuples = filter_ngrams(db, vocab)
+    tuples = filter_ngrams(db, dictionary.ids[:256])
     return vocab, tuples
 
 
@@ -126,10 +127,10 @@ def test_criterion_2_pipeline_oracle():
                  and db.total_tokens == n_tokens)
 
     dictionary = build_dictionary(db)
-    dict_ok = dictionary.entries == oracle_dictionary(records)
+    dict_ok = dictionary_entries(dictionary) == oracle_dictionary(records)
 
     top = select_vocabulary(dictionary, 6)
-    tuples = filter_ngrams(db, top)
+    tuples = filter_ngrams(db, dictionary.ids[:6])
     reconstructed = set(example_grams(top, tuples))
     filter_ok = reconstructed == oracle_filter(db_records(db), top.words)
     elapsed = time.perf_counter() - started
@@ -158,8 +159,7 @@ def test_criterion_4_tuple_counts_grow_with_vocabulary():
     dictionary = build_dictionary(db)
     counts = []
     for size in (256, 1024, 4096):
-        vocab = select_vocabulary(dictionary, size)
-        counts.append(len(filter_ngrams(db, vocab)))
+        counts.append(len(filter_ngrams(db, dictionary.ids[:size])))
     ok = counts[0] <= counts[1] <= counts[2]
     verdict(4, ok, f"tuples {counts[0]} -> {counts[1]} -> {counts[2]}")
     assert ok
@@ -288,8 +288,7 @@ def test_criterion_9_throughput_scaling_shape(tmp_path):
     fractions = (0.25, 0.5, 1.0)
     cells = {}
     for size in vocab_sizes:
-        vocab = select_vocabulary(dictionary, size)
-        tuples = filter_ngrams(db, vocab)
+        tuples = filter_ngrams(db, dictionary.ids[:size])
         for fraction in fractions:
             split = split_dataset(tuples, validation_ratio=0.1,
                                   fraction=fraction, seed=13)

@@ -901,6 +901,14 @@ def _grid_on_small_corpus(*flags):
     return argv
 
 
+def _dataset_flags(*flags):
+    """Case builder: dataset on a 5-gram database that does not exist, with `flags`."""
+    def argv(dataset, tmp_path):
+        return [str(arg) for arg in ["dataset", tmp_path / "ngrams.tsv", "--vocab-size", "3",
+                                     "--out", tmp_path / "ds.tsv", *flags]]
+    return argv
+
+
 def _dataset_from_db(break_db, text="a b c d e\nb c d e a\n"):
     """A case that ingests the corpus `text`, breaks its 5-gram database
     with `break_db(tsv_path, bin_path)` and runs dataset."""
@@ -1103,6 +1111,21 @@ MALFORMED_INPUTS = {
         _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
                               "--epochs", "1", "--learning-rate", "inf"),
         "learning_rate must be finite and positive, got inf"),
+    "train --seed -1": (_train_on(lambda ds: None, ("--seed", "-1")),
+                        "seed must be non-negative, got -1"),
+    "grid --seed -1": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", "--seed", "-1"),
+        "seed must be non-negative, got -1"),
+    "grid --validation-ratio 1.5": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", "--validation-ratio", "1.5"),
+        "--validation-ratio must be in (0, 1), got 1.5"),
+    # Refused before the database, which does not exist, is read.
+    "dataset --vocab-size 0": (_dataset_flags("--vocab-size", "0"),
+                               "--vocab-size must be at least 1, got 0"),
+    "dataset --validation-ratio 0": (_dataset_flags("--validation-ratio", "0"),
+                                     "--validation-ratio must be in (0, 1), got 0.0"),
 }
 
 
@@ -1121,8 +1144,8 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
     # grid and dataset check their flags and read all their inputs before
-    # they write, and train checks its learning rate before its manifest
-    if (argv[0] in ("grid", "dataset") or "learning_rate" in message
+    # they write, and train checks its learning rate and seed before its manifest
+    if (argv[0] in ("grid", "dataset") or message.startswith(("learning_rate", "seed"))
             or message in ("name the same file", "can't decode byte 0xff")):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint

@@ -33,9 +33,10 @@ from tweetembed.corpus import (
 from tweetembed.dataset import filter_ngrams, select_vocabulary
 from tweetembed.manifest import file_sha256, read_container, write_container
 
-from memory import traced_peak
-from oracles import (db_records, example_grams, oracle_count, oracle_dictionary, oracle_filter,
-                     oracle_tokenize, oracle_windows, read_ngram_tsv)
+from memory import traced_held, traced_peak
+from oracles import (db_records, dictionary_entries, example_grams, oracle_count,
+                     oracle_dictionary, oracle_filter, oracle_tokenize, oracle_windows,
+                     oracle_write_dictionary, read_ngram_tsv)
 from synth import NON_ASCII_TOKENS, non_ascii_corpus
 
 tweet_text = st.text(
@@ -219,34 +220,47 @@ class TestCountNGrams:
 class TestBuildDictionary:
     def test_center_counting(self):
         db = count_ngrams(["a a b"])
-        assert build_dictionary(db).entries == [("a", 2), ("b", 1)]
+        assert dictionary_entries(build_dictionary(db)) == [("a", 2), ("b", 1)]
 
     def test_single_word(self):
         db = count_ngrams(["x"])
-        assert build_dictionary(db).entries == [("x", 1)]
+        assert dictionary_entries(build_dictionary(db)) == [("x", 1)]
 
     def test_ties_break_lexicographically(self):
         db = count_ngrams(["b a", "a b"])
-        assert build_dictionary(db).entries == [("a", 2), ("b", 2)]
+        assert dictionary_entries(build_dictionary(db)) == [("a", 2), ("b", 2)]
 
     def test_frequencies_sum_to_total_tokens(self):
         rnd = random.Random(11)
         tweets = [" ".join(rnd.choices("abcde", k=rnd.randint(1, 7))) for _ in range(60)]
         db = count_ngrams(tweets)
         dictionary = build_dictionary(db)
-        assert sum(freq for _, freq in dictionary.entries) == db.total_tokens
+        assert sum(freq for _, freq in dictionary_entries(dictionary)) == db.total_tokens
 
     def test_matches_oracle(self):
         rnd = random.Random(5)
         tweets = [" ".join(rnd.choices(["x", "y", "zz", "=)"], k=rnd.randint(1, 8)))
                   for _ in range(80)]
         db = count_ngrams(tweets)
-        assert build_dictionary(db).entries == oracle_dictionary(db_records(db))
+        assert dictionary_entries(build_dictionary(db)) == oracle_dictionary(db_records(db))
 
     def test_boundary_tokens_excluded(self):
         db = count_ngrams(["a b c"])
-        words = [w for w, _ in build_dictionary(db).entries]
+        words = [w for w, _ in dictionary_entries(build_dictionary(db))]
         assert not set(words) & set(BOUNDARY_TOKENS)
+
+    def test_holds_12_bytes_per_type(self, monkeypatch):
+        # The benchmark's corpus_bound corpus (seed 1, 25,016 types). One
+        # Python (word, count) tuple per type held 65 bytes per type; the
+        # int32 ids and int64 frequencies hold 12 per word, and the types
+        # are the database's own list.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from gen import generate
+        from run import WORKLOADS
+        db = count_ngrams(generate(WORKLOADS["corpus_bound"].corpus, 1))
+        dictionary, held = traced_held(build_dictionary, db)
+        assert len(db.types) == 25016 and dictionary.types is db.types
+        assert held <= 12 * len(db.types) + 1024, held / len(db.types)
 
 
 class TestFiles:
@@ -273,8 +287,17 @@ class TestFiles:
         path = tmp_path / "dictionary.tsv"
         write_dictionary(dictionary, path)
         rows = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
-        assert [(word, int(freq)) for word, freq, _ in rows] == dictionary.entries
+        assert [(word, int(freq)) for word, freq, _ in rows] == dictionary_entries(dictionary)
         assert [int(rank) for _, _, rank in rows] == list(range(len(rows)))
+
+    def test_dictionary_blocks_write_the_per_line_file(self, tmp_path, monkeypatch):
+        # Five words (ties, a non-ASCII one) at 1, 1, 2 and 3 rows a block.
+        dictionary = build_dictionary(count_ngrams(["olá b a", "c a b", "=) olá"]))
+        oracle_write_dictionary(dictionary_entries(dictionary), tmp_path / "lines.tsv")
+        for values in (1, 4, 6, 9):  # three values a row
+            monkeypatch.setattr(manifest, "TEXT_BLOCK_VALUES", values)
+            write_dictionary(dictionary, tmp_path / "blocks.tsv")
+            assert (tmp_path / "blocks.tsv").read_bytes() == (tmp_path / "lines.tsv").read_bytes()
 
     def test_count_beyond_64_bits_rejected(self, tmp_path):
         # Counts that fill int64 sum past 2^64 without wrapping, and a sum
@@ -339,13 +362,13 @@ class TestBlocks:
         # read back, at 1, 2 and 3 rows a block.
         db = count_ngrams(self.TWEETS)
         assert len(db.records) == 13
-        entries = build_dictionary(db).entries
+        entries = dictionary_entries(build_dictionary(db))
         write_ngram_db(db, tmp_path / "one.tsv")
         expected = [(tmp_path / name).read_bytes() for name in ("one.tsv", "one.tsv.bin")]
         for block_rows in (1, 2, 3):
             _block_rows(monkeypatch, block_rows)
             first, second = tmp_path / "a.tsv", tmp_path / "b.tsv"
-            assert build_dictionary(count_ngrams(self.TWEETS)).entries == entries
+            assert dictionary_entries(build_dictionary(count_ngrams(self.TWEETS))) == entries
             write_ngram_db(ingest_and_read(count_ngrams(self.TWEETS), first), second)
             for path in (first, second):
                 assert [path.read_bytes(), path.with_suffix(".tsv.bin").read_bytes()] == expected
@@ -473,11 +496,11 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
     grams = list(db_records(db))
     assert grams == sorted(records)  # rows ascend in token order
     dictionary = build_dictionary(db)
-    assert dictionary.entries == oracle_dictionary(records)
-    if dictionary.entries:
-        vocab = select_vocabulary(dictionary, min(vocab_size, len(dictionary)))
+    assert dictionary_entries(dictionary) == oracle_dictionary(records)
+    if len(dictionary.ids):
+        vocab = select_vocabulary(dictionary, min(vocab_size, len(dictionary.ids)))
         for include_boundary in (False, True):
-            rows = filter_ngrams(db, vocab, include_boundary=include_boundary)
+            rows = filter_ngrams(db, dictionary.ids[:vocab.size], include_boundary=include_boundary)
             expected = sorted(oracle_filter(records, vocab.words, include_boundary))
             assert example_grams(vocab, rows) == expected
     with tempfile.TemporaryDirectory() as tmp:

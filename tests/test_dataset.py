@@ -21,18 +21,20 @@ from tweetembed.dataset import (
 from tweetembed.rng import derive_seed, permutation
 
 from memory import traced_peak
-from oracles import (db_records, example_grams, oracle_derive_seed, oracle_filter,
-                     oracle_permutation)
+from oracles import (db_records, dictionary_entries, example_grams, oracle_derive_seed,
+                     oracle_filter, oracle_permutation, type_ids)
 
 
 def small_dictionary():
-    return Dictionary([("a", 5), ("b", 3), ("c", 1)])
+    """Frequencies a 5, b 3, c 1; the types are the four pads (ids 0-3), then a, b, c."""
+    return Dictionary([*BOUNDARY_TOKENS, "a", "b", "c"], np.array([4, 5, 6], dtype=np.int32),
+                      np.array([5, 3, 1], dtype=np.int64))
 
 
 class TestSelectVocabulary:
     def test_prefix_selection(self):
         vocab = select_vocabulary(small_dictionary(), 2)
-        assert vocab.word_to_id == {"a": 0, "b": 1}
+        assert {word: i for i, word in enumerate(vocab.words)} == {"a": 0, "b": 1}
 
     def test_full_dictionary(self):
         vocab = select_vocabulary(small_dictionary(), 3)
@@ -43,9 +45,13 @@ class TestSelectVocabulary:
             select_vocabulary(small_dictionary(), 32768)
 
     def test_boundary_ids_are_reserved_block(self):
-        vocab = select_vocabulary(small_dictionary(), 2)
-        assert [vocab.boundary_id(t) for t in
-                ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")] == [2, 3, 4, 5]
+        # One window <PAD_L1> <PAD_L2> a <PAD_R1> <PAD_R2>; with |V| = 2 the
+        # pads map to 2, 3, 4, 5 in that order.
+        dictionary = small_dictionary()
+        db = NGramDatabase(dictionary.types, np.array([[0, 1, 4, 2, 3]], dtype=np.int32),
+                           np.ones(1, dtype=np.int64), 1, 1)
+        rows = filter_ngrams(db, dictionary.ids[:2], include_boundary=True)
+        assert rows.tolist() == [[2, 3, 4, 5, 0]]
 
 
 def random_db(seed, n_tweets=120, alphabet="abcdefgh"):
@@ -57,22 +63,19 @@ def random_db(seed, n_tweets=120, alphabet="abcdefgh"):
 class TestFilterNGrams:
     def test_boundary_grams_rejected_by_default(self):
         db = count_ngrams(["a b"])  # every window touches a pad
-        vocab = Vocabulary(["a", "b"])
-        empty = filter_ngrams(db, vocab)
+        empty = filter_ngrams(db, type_ids(db, ["a", "b"]))
         assert empty.shape == (0, 5) and empty.dtype == np.int64
 
     def test_boundary_flag_admits_padded_windows(self):
         db = count_ngrams(["a b"])
-        vocab = Vocabulary(["a", "b"])
-        rows = filter_ngrams(db, vocab, include_boundary=True)
+        rows = filter_ngrams(db, type_ids(db, ["a", "b"]), include_boundary=True)
         assert len(rows) == 2
         # window centered on "a": <PAD_L1> <PAD_L2> a b <PAD_R1>
         assert [2, 3, 1, 4, 0] in rows.tolist()
 
     def test_distinct_gram_yields_one_tuple_regardless_of_count(self):
         db = count_ngrams(["a b c a b"] * 7)
-        vocab = Vocabulary(["a", "b", "c"])
-        rows = filter_ngrams(db, vocab)
+        rows = filter_ngrams(db, type_ids(db, ["a", "b", "c"]))
         assert rows.tolist() == [[0, 1, 0, 1, 2]]
 
     def test_growing_vocabulary_never_shrinks_output(self):
@@ -81,7 +84,8 @@ class TestFilterNGrams:
         token_sets = []
         for size in (2, 4, 6, 8):
             vocab = select_vocabulary(dictionary, size)
-            token_sets.append(set(example_grams(vocab, filter_ngrams(db, vocab))))
+            rows = filter_ngrams(db, dictionary.ids[:size])
+            token_sets.append(set(example_grams(vocab, rows)))
         for smaller, larger in zip(token_sets, token_sets[1:]):
             assert smaller <= larger
 
@@ -90,7 +94,7 @@ class TestFilterNGrams:
         db = random_db(8)
         dictionary = build_dictionary(db)
         vocab = select_vocabulary(dictionary, 5)
-        rows = filter_ngrams(db, vocab, include_boundary=include_boundary)
+        rows = filter_ngrams(db, dictionary.ids[:5], include_boundary=include_boundary)
         reconstructed = set(example_grams(vocab, rows))
         assert reconstructed == oracle_filter(db_records(db), vocab.words, include_boundary)
         assert len(rows) == len(reconstructed)  # no duplicates
@@ -103,9 +107,8 @@ class TestFilterNGrams:
                                     dtype=np.int32),
                            np.ones(3, dtype=np.int64), 1, 3)
         dictionary = build_dictionary(db)
-        assert dictionary.entries == [("a", 1), ("b", 1)]
-        vocab = select_vocabulary(dictionary, 2)
-        assert filter_ngrams(db, vocab, include_boundary=True).tolist() == [
+        assert dictionary_entries(dictionary) == [("a", 1), ("b", 1)]
+        assert filter_ngrams(db, dictionary.ids[:2], include_boundary=True).tolist() == [
             [2, 3, 1, 4, 0], [3, 0, 4, 5, 1]]
 
     def test_peak_memory_per_database_row(self):
@@ -117,8 +120,8 @@ class TestFilterNGrams:
         words = np.array([f"w{i}" for i in range(3000)])
         db = count_ngrams([" ".join(row) for row in
                            words[rng.integers(0, 3000, (10000, 12))].tolist()])
-        vocab = select_vocabulary(build_dictionary(db), 1500)
-        rows, peak = traced_peak(filter_ngrams, db, vocab, include_boundary=True)
+        vocab_ids = build_dictionary(db).ids[:1500]
+        rows, peak = traced_peak(filter_ngrams, db, vocab_ids, include_boundary=True)
         assert 0 < len(rows) < len(db.records) // 4
         assert peak < 12 * len(db.records), peak / len(db.records)
 
@@ -136,7 +139,7 @@ class TestFilterNGrams:
         del keys
         db = NGramDatabase([*BOUNDARY_TOKENS, *words], index + 4,
                            np.ones(len(index), dtype=np.int64), len(index), len(index))
-        rows, peak = traced_peak(filter_ngrams, db, Vocabulary(words[:1990]))
+        rows, peak = traced_peak(filter_ngrams, db, type_ids(db, words[:1990]))
         assert len(index) * 0.97 < len(rows) < len(index)
         # A word's vocabulary id is its index, so the rows are the kept index rows.
         assert np.array_equal(rows, index[(index < 1990).all(axis=1)][:, [0, 1, 3, 4, 2]])
@@ -144,9 +147,11 @@ class TestFilterNGrams:
 
     def test_tuples_round_trip_to_database_grams(self):
         db = random_db(21)
-        vocab = select_vocabulary(build_dictionary(db), 6)
+        dictionary = build_dictionary(db)
+        vocab = select_vocabulary(dictionary, 6)
         records = db_records(db)
-        for gram in example_grams(vocab, filter_ngrams(db, vocab, include_boundary=True)):
+        rows = filter_ngrams(db, dictionary.ids[:6], include_boundary=True)
+        for gram in example_grams(vocab, rows):
             assert gram in records
 
 
@@ -251,8 +256,9 @@ class TestPermutation:
 class TestFiles:
     def test_dataset_round_trip(self, tmp_path, monkeypatch):
         db = random_db(2)
-        vocab = select_vocabulary(build_dictionary(db), 6)
-        tuples = filter_ngrams(db, vocab, include_boundary=True)
+        dictionary = build_dictionary(db)
+        vocab = select_vocabulary(dictionary, 6)
+        tuples = filter_ngrams(db, dictionary.ids[:6], include_boundary=True)
         split = split_dataset(tuples, validation_ratio=0.2, fraction=0.75, seed=3)
         path = tmp_path / "dataset.tsv"
         write_dataset(split, vocab, path)

@@ -14,7 +14,6 @@ from tweetembed.corpus import build_dictionary, count_ngrams
 from tweetembed.dataset import (
     DatasetSplit,
     filter_ngrams,
-    select_vocabulary,
     split_dataset,
 )
 from tweetembed.model import (
@@ -150,8 +149,7 @@ def toy_split(seed=13):
     """Tiny 5-word toy language with deterministic successors."""
     tweets = ["a b c d e a b c d e", "b c d e a b c d e a", "c d e a b c d e a b"] * 20
     db = count_ngrams(tweets)
-    vocab = select_vocabulary(build_dictionary(db), 5)
-    tuples = filter_ngrams(db, vocab, include_boundary=True)
+    tuples = filter_ngrams(db, build_dictionary(db).ids[:5], include_boundary=True)
     return split_dataset(tuples, validation_ratio=0.2, fraction=1.0, seed=seed)
 
 
@@ -392,8 +390,8 @@ class TestTrain:
         # the train loss (8.25, then 6.04) stays under the MAX_NLL / 2 = 13.82
         # divergence limit, so both epochs run.
         db = count_ngrams(zipf_corpus(300, seed=3, vocab_types=60))
-        vocab = select_vocabulary(build_dictionary(db), 32)
-        split = split_dataset(filter_ngrams(db, vocab, include_boundary=True),
+        examples = filter_ngrams(db, build_dictionary(db).ids[:32], include_boundary=True)
+        split = split_dataset(examples,
                               validation_ratio=0.2, seed=1)
         hyper = ModelHyper(vocab_size=32, d_in=4, d_ctx=4)
         cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=5.0, seed=3)
