@@ -23,7 +23,6 @@ from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, 
                      read_ngram_db, write_dictionary, write_ngram_db)
 from .dataset import (
     DatasetSplit,
-    Vocabulary,
     filter_ngrams,
     read_dataset,
     read_vocabulary,
@@ -83,10 +82,6 @@ THRESHOLD_DEFAULTS = {
 }
 
 
-class InputError(Exception):
-    pass
-
-
 # `_read_corpus_lines` reads the corpus at least this many bytes at a time.
 CORPUS_CHUNK_BYTES = 1 << 18
 # The characters str.splitlines ends a line at; "\r\n" is one boundary.
@@ -99,7 +94,7 @@ def _read_corpus_lines(path: Path) -> Iterator[str]:
 
     The bytes are decoded here, without newline translation, so the
     offset of a byte that is not UTF-8 is known even in a pipe: it raises
-    InputError naming the path and that offset when its chunk is read, so
+    ValueError naming the path and that offset when its chunk is read, so
     a caller that writes only after it has read every line writes nothing.
     A chunk's unfinished last line, or a last line ended by a "\r" that may
     be the first half of a "\r\n", is carried into the next chunk. A read
@@ -118,7 +113,7 @@ def _read_corpus_lines(path: Path) -> Iterator[str]:
             except UnicodeDecodeError as exc:
                 # It fails on the bytes it held plus `data`, which end at `read`.
                 offset = read - len(exc.object) + exc.start
-                raise InputError(f"{path}: can't decode byte 0x{exc.object[exc.start]:02x} "
+                raise ValueError(f"{path}: can't decode byte 0x{exc.object[exc.start]:02x} "
                                  f"at byte offset {offset} as UTF-8 ({exc.reason})") from None
             if not data:
                 break
@@ -137,18 +132,18 @@ def _read_corpus_lines(path: Path) -> Iterator[str]:
 
 
 def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
-    """InputError when two of a stage's output paths name the same file, or
+    """ValueError when two of a stage's output paths name the same file, or
     an output names one of its inputs, which the write would replace;
     callers check before writing anything."""
     seen: dict[Path, Path] = {}
     for path in outputs:
         other = seen.setdefault(path.resolve(), path)
         if other is not path:
-            raise InputError(f"output paths {other} and {path} name the same file")
+            raise ValueError(f"output paths {other} and {path} name the same file")
     for path in inputs:
         other = seen.get(path.resolve())
         if other is not None:
-            raise InputError(f"output path {other} and input path {path} name the same file")
+            raise ValueError(f"output path {other} and input path {path} name the same file")
 
 
 # Stage functions, shared by the stage commands and `grid`: each takes its
@@ -158,17 +153,17 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
 
 
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
-                        args: argparse.Namespace) -> tuple[Vocabulary, np.ndarray]:
+                        args: argparse.Namespace) -> tuple[list[str], np.ndarray]:
     """The |V|-dependent half of the dataset stage; `grid` runs it once per |V|."""
     vocab = select_vocabulary(dictionary, vocab_size)
     examples = filter_ngrams(db, dictionary.ids[:vocab_size], args.include_boundary)
     if len(examples) == 0:
-        raise InputError(f"no 5-grams qualify for vocabulary size {vocab_size}; "
+        raise ValueError(f"no 5-grams qualify for vocabulary size {vocab_size}; "
                          "try a larger vocabulary or --include-boundary")
     return vocab, examples
 
 
-def dataset_stage(examples: np.ndarray, vocab: Vocabulary, fraction: float,
+def dataset_stage(examples: np.ndarray, vocab: list[str], fraction: float,
                   args: argparse.Namespace, out_path: Path,
                   vocab_path: Path) -> tuple[DatasetSplit, dict]:
     split = split_dataset(examples, validation_ratio=args.validation_ratio,
@@ -176,7 +171,7 @@ def dataset_stage(examples: np.ndarray, vocab: Vocabulary, fraction: float,
     write_dataset(split, vocab, out_path)
     write_vocabulary(vocab, vocab_path)
     return split, {
-        "vocab_size": vocab.size,
+        "vocab_size": len(vocab),
         "fraction": fraction,
         "validation_ratio": args.validation_ratio,
         "seed": args.seed,
@@ -207,7 +202,7 @@ def train_settings(args: argparse.Namespace,
     }
 
 
-def export_stage(params: ModelParams, vocab: Vocabulary, checkpoint_path: Path,
+def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
                  args: argparse.Namespace, out_path: Path) -> tuple[EmbeddingTable, dict]:
     table = export_embeddings(params, vocab, manifest_hash=file_sha256(checkpoint_path),
                               source=args.source)
@@ -262,9 +257,9 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, ngram_db_bin(db_path)))
     if args.vocab_size < 1:
-        raise InputError(f"--vocab-size must be at least 1, got {args.vocab_size}")
+        raise ValueError(f"--vocab-size must be at least 1, got {args.vocab_size}")
     if not 0.0 < args.validation_ratio < 1.0:
-        raise InputError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
+        raise ValueError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
     db, db_sha256 = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     # The examples are a copy: dropping the database here frees it, and the
@@ -310,7 +305,7 @@ def cmd_export(args: argparse.Namespace) -> int:
     params, header = load_checkpoint(checkpoint_path)
     vocab = read_vocabulary(vocab_path)
     if header["vocab_hash"] != vocabulary_hash(vocab):
-        raise InputError(
+        raise ValueError(
             f"vocabulary/checkpoint mismatch: {vocab_path} does not hash to "
             f"the vocabulary this checkpoint was trained on"
         )
@@ -351,7 +346,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
+def grid_cell(examples: np.ndarray, vocab: list[str], fraction: float,
               classes: list[GoldClass], pairs: list[EquivalencePair], corpus_sha256: str,
               cell: Path, args: argparse.Namespace) -> tuple[tuple, dict]:
     """Run the dataset, train, export and eval stages for one grid cell into
@@ -360,7 +355,7 @@ def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
     cell.mkdir(exist_ok=True)
     split, dataset_config = dataset_stage(examples, vocab, fraction, args,
                                           cell / "dataset.tsv", cell / "vocab.tsv")
-    hyper, cfg, train_config = train_settings(args, vocab.size)
+    hyper, cfg, train_config = train_settings(args, len(vocab))
     params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
                          vocabulary_hash(vocab))
     table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
@@ -371,7 +366,7 @@ def grid_cell(examples: np.ndarray, vocab: Vocabulary, fraction: float,
                                    args.deterministic, digests={"corpus": corpus_sha256})
     emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
     write_manifest(cell_manifest, cell / "manifest.json")
-    row = (vocab.size, fraction, len(split.train),
+    row = (len(vocab), fraction, len(split.train),
            sum(entry.wall_seconds for entry in logs) / len(logs),
            logs[-1].train_loss, logs[-1].validation_loss)
     return row, config
@@ -396,17 +391,17 @@ def cmd_grid(args: argparse.Namespace) -> int:
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]
     if not vocab_sizes or not fractions:
-        raise InputError("grid needs at least one vocabulary size and one fraction")
+        raise ValueError("grid needs at least one vocabulary size and one fraction")
     for fraction in fractions:
         if fraction not in PAPER_FRACTIONS:
-            raise InputError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
+            raise ValueError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
     if not 0.0 < args.validation_ratio < 1.0:
-        raise InputError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
+        raise ValueError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
     # Each cell's directory is named for its size and fraction.
     for what, values in (("vocabulary size", vocab_sizes), ("fraction", fractions)):
         for i, value in enumerate(values):
             if value in values[:i]:
-                raise InputError(f"grid got {what} {value} more than once")
+                raise ValueError(f"grid got {what} {value} more than once")
     train_settings(args, vocab_sizes[0])  # refuses a bad training flag before the corpus is read
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
@@ -554,7 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, ValueError, OSError, MemoryError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TrainingDiverged, NonFiniteGradientError) as exc:

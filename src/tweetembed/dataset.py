@@ -4,6 +4,10 @@ A set of training examples is one (N, 5) int64 array, one example per row,
 with columns `c1 c2 c4 c5 target`: the ids of the context words at
 positions i-2, i-1, i+1, i+2, then the id of the center word. The dataset
 file stores the same rows.
+
+A vocabulary is a list of distinct words; a word's id is its index and its
+dictionary rank. The boundary tokens get the reserved ids |V|..|V|+3 (in
+BOUNDARY_TOKENS order), valid only as context, never as prediction targets.
 """
 
 from __future__ import annotations
@@ -22,34 +26,18 @@ from .manifest import atomic_write, row_blocks
 from .rng import permutation
 
 
-@dataclass
-class Vocabulary:
-    """Top-ranked embeddable words, each once; id equals dictionary rank.
-
-    The four boundary tokens get reserved ids size..size+3 (in
-    BOUNDARY_TOKENS order). They are valid only in context positions,
-    never as prediction targets, and are not listed in `words`.
-    """
-
-    words: list[str]
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
-
-
-def select_vocabulary(dictionary: Dictionary, size: int) -> Vocabulary:
+def select_vocabulary(dictionary: Dictionary, size: int) -> list[str]:
     if size < 1:
         raise ValueError("vocabulary size must be positive")
     if size > len(dictionary.ids):
         raise ValueError(f"requested vocabulary size {size} exceeds dictionary length "
                          f"{len(dictionary.ids)}")
-    return Vocabulary([dictionary.types[i] for i in dictionary.ids[:size].tolist()])
+    return [dictionary.types[i] for i in dictionary.ids[:size].tolist()]
 
 
-def vocabulary_hash(vocab: Vocabulary) -> str:
+def vocabulary_hash(vocab: list[str]) -> str:
     """Content hash tying datasets, checkpoints and embeddings together."""
-    digest = hashlib.sha256("\n".join(vocab.words).encode("utf-8"))
+    digest = hashlib.sha256("\n".join(vocab).encode("utf-8"))
     return digest.hexdigest()
 
 
@@ -128,13 +116,13 @@ def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
     return DatasetSplit(shuffled[n_val:], shuffled[:n_val], seed, fraction, validation_ratio)
 
 
-def write_vocabulary(vocab: Vocabulary, path: Path | str) -> None:
+def write_vocabulary(vocab: list[str], path: Path | str) -> None:
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
-        for i, word in enumerate(vocab.words):
+        for i, word in enumerate(vocab):
             fh.write(f"{word}\t{i}\n")
 
 
-def read_vocabulary(path: Path | str) -> Vocabulary:
+def read_vocabulary(path: Path | str) -> list[str]:
     """Parse `word<TAB>id` lines. A line without exactly two fields, an id
     other than its line's 0-based position written as `write_vocabulary`
     writes it (ASCII digits, no sign or leading zero), or a word seen before
@@ -155,10 +143,10 @@ def read_vocabulary(path: Path | str) -> Vocabulary:
                 raise ValueError(f"{path}:{lineno}: word {word!r} is listed twice")
             seen.add(word)
             words.append(word)
-    return Vocabulary(words)
+    return words
 
 
-def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> None:
+def write_dataset(split: DatasetSplit, vocab: list[str], path: Path | str) -> None:
     """TSV rows `c1 c2 c4 c5 target`, validation block first, then train.
 
     The header records everything needed to interpret and reproduce the
@@ -169,12 +157,12 @@ def write_dataset(split: DatasetSplit, vocab: Vocabulary, path: Path | str) -> N
     `id\n` cell gathered from one string per id, so no Python int is made
     per row.
     """
-    context = np.array([f"{i}\t" for i in range(vocab.size + len(BOUNDARY_TOKENS))],
+    context = np.array([f"{i}\t" for i in range(len(vocab) + len(BOUNDARY_TOKENS))],
                        dtype=object)
-    target = np.array([f"{i}\n" for i in range(vocab.size)], dtype=object)
+    target = np.array([f"{i}\n" for i in range(len(vocab))], dtype=object)
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(
-            f"#vocab_size={vocab.size}"
+            f"#vocab_size={len(vocab)}"
             f"\t#vocab_hash={vocabulary_hash(vocab)}"
             f"\t#seed={split.seed}"
             f"\t#validation_ratio={split.validation_ratio}"

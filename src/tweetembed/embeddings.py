@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import Vocabulary
 from .manifest import atomic_write, row_blocks, write_container
 from .model import ModelParams
 
@@ -41,7 +40,7 @@ class EmbeddingTable:
         return self.vectors.shape[1]
 
 
-def export_embeddings(params: ModelParams, vocab: Vocabulary,
+def export_embeddings(params: ModelParams, vocab: list[str],
                       manifest_hash: str = "", source: str = "output") -> EmbeddingTable:
     """Embedding table from trained parameters.
 
@@ -49,17 +48,17 @@ def export_embeddings(params: ModelParams, vocab: Vocabulary,
     source="input" instead exports the input-embedding rows (boundary-token
     rows excluded), for comparison studies only.
     """
-    if params.hyper.vocab_size != vocab.size:
+    if params.hyper.vocab_size != len(vocab):
         raise ValueError(
-            f"checkpoint vocab size {params.hyper.vocab_size} != vocabulary size {vocab.size}"
+            f"checkpoint vocab size {params.hyper.vocab_size} != vocabulary size {len(vocab)}"
         )
     if source == "output":
         vectors = params.w_output.T.copy()
     elif source == "input":
-        vectors = params.w_input[: vocab.size].copy()
+        vectors = params.w_input[: len(vocab)].copy()
     else:
         raise ValueError(f"unknown embedding source {source!r}")
-    return EmbeddingTable(list(vocab.words), vectors, manifest_hash)
+    return EmbeddingTable(list(vocab), vectors, manifest_hash)
 
 
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:

@@ -303,7 +303,7 @@ def read_run_log(path) -> list[EpochLog]:
 def example_grams(vocab, examples) -> list[tuple[str, ...]]:
     """Training example rows (c1 c2 c4 c5 target ids) as 5-gram token
     tuples, in row order; ids past the words are the four pads."""
-    tokens = [*vocab.words, *PADS]
+    tokens = [*vocab, *PADS]
     return [tuple(tokens[i] for i in (c1, c2, target, c4, c5))
             for c1, c2, c4, c5, target in examples.tolist()]
 

@@ -132,7 +132,7 @@ def test_criterion_2_pipeline_oracle():
     top = select_vocabulary(dictionary, 6)
     tuples = filter_ngrams(db, dictionary.ids[:6])
     reconstructed = set(example_grams(top, tuples))
-    filter_ok = reconstructed == oracle_filter(db_records(db), top.words)
+    filter_ok = reconstructed == oracle_filter(db_records(db), top)
     elapsed = time.perf_counter() - started
 
     ok = counts_ok and dict_ok and filter_ok and elapsed < 5.0
@@ -249,8 +249,7 @@ def test_criterion_7_intrinsic_test_recovery(class_tuples, full_run):
 def _synth_pairs(vocab):
     from tweetembed.evaluation import EquivalencePair
 
-    words = vocab.words
-    return [EquivalencePair(words[i], words[i + 1]) for i in range(0, 20, 2)]
+    return [EquivalencePair(vocab[i], vocab[i + 1]) for i in range(0, 20, 2)]
 
 
 def test_criterion_8_grid_determinism(tmp_path):

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -21,8 +22,7 @@ from tweetembed import cli
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, main
 from tweetembed.corpus import (BOUNDARY_TOKENS, NGRAM_DB_MAGIC, Dictionary, NGramDatabase,
                               read_ngram_db)
-from tweetembed.dataset import (Vocabulary, read_dataset, read_vocabulary, vocabulary_hash,
-                                write_vocabulary)
+from tweetembed.dataset import read_dataset, read_vocabulary, vocabulary_hash, write_vocabulary
 from tweetembed.manifest import file_sha256, read_container, write_container
 from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
@@ -139,7 +139,7 @@ def test_invalid_utf8_error_gives_the_offset_in_the_file(lead, text, at, bad, ch
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "CORPUS_CHUNK_BYTES", chunk):
         path = Path(tmp) / "corpus.txt"
         path.write_bytes(data)
-        with pytest.raises(cli.InputError, match=re.escape(
+        with pytest.raises(ValueError, match=re.escape(
                 f"{path}: can't decode byte 0x{data[offset]:02x} at byte offset {offset} ")):
             list(cli._read_corpus_lines(path))
 
@@ -151,7 +151,7 @@ def test_invalid_utf8_error_gives_the_offset_in_a_pipe(tmp_path):
     writer = threading.Thread(target=fifo.write_bytes, args=(b"ol\xc3\xa1\ncaf\xff\n",))
     writer.start()
     try:
-        with pytest.raises(cli.InputError, match="can't decode byte 0xff at byte offset 8 "):
+        with pytest.raises(ValueError, match="can't decode byte 0xff at byte offset 8 "):
             list(cli._read_corpus_lines(fifo))
     finally:
         writer.join()
@@ -408,7 +408,6 @@ class TestTrain:
 def clustered_checkpoint(tmp_path):
     """Checkpoint with hand-placed output columns: 2 tight clusters of 3 words."""
     words = ["a1", "a2", "a3", "b1", "b2", "b3"]
-    vocab = Vocabulary(words)
     hyper = ModelHyper(vocab_size=6, d_in=4, d_ctx=3)
     params = init_params(hyper, seed=0)
     params.w_output[...] = np.array([
@@ -417,9 +416,9 @@ def clustered_checkpoint(tmp_path):
         [0.0, 0.02, 0.0, 0.01, 0.0, 0.02],
     ])
     ckpt = tmp_path / "model.ckpt"
-    save_checkpoint(params, ckpt, seed=0, vocab_hash=vocabulary_hash(vocab))
+    save_checkpoint(params, ckpt, seed=0, vocab_hash=vocabulary_hash(words))
     vocab_path = tmp_path / "vocab.tsv"
-    write_vocabulary(vocab, vocab_path)
+    write_vocabulary(words, vocab_path)
     classes = tmp_path / "classes.tsv"
     classes.write_text(
         "".join(f"ca\t{w}\n" for w in words[:3]) +
@@ -491,7 +490,7 @@ class TestExportAndEval:
 
     def test_vocab_hash_mismatch_exits_2(self, tmp_path, capsys):
         ckpt, _, _, _ = clustered_checkpoint(tmp_path)
-        wrong = Vocabulary(["x1", "x2", "x3", "x4", "x5", "x6"])
+        wrong = ["x1", "x2", "x3", "x4", "x5", "x6"]
         wrong_path = tmp_path / "wrong_vocab.tsv"
         write_vocabulary(wrong, wrong_path)
         rc = main(["export", str(ckpt), "--vocab", str(wrong_path),
@@ -765,7 +764,7 @@ def _export_blank_hash_reversed(dataset, tmp_path):
     ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
     ckpt.write_bytes(_with_header(ckpt.read_bytes(), lambda h: h.update(vocab_hash="")))
     reversed_vocab = tmp_path / "reversed.vocab.tsv"
-    write_vocabulary(Vocabulary(read_vocabulary(vocab_path).words[::-1]), reversed_vocab)
+    write_vocabulary(read_vocabulary(vocab_path)[::-1], reversed_vocab)
     return ["export", str(ckpt), "--vocab", str(reversed_vocab),
             "--out", str(tmp_path / "emb.txt")]
 
@@ -1551,7 +1550,9 @@ def test_mutated_checkpoint_exports_or_exits_2(valid_checkpoint, data):
                 if _has_slot(node, key):
                     del node[key]
             elif isinstance(node, dict) or _has_slot(node, key):
-                node[key] = data.draw(CKPT_HEADER_VALUES, label="header value")
+                # A copy: the strategy hands out one shared [] and {}, which a
+                # later edit could otherwise make contain itself.
+                node[key] = copy.deepcopy(data.draw(CKPT_HEADER_VALUES, label="header value"))
 
     edited = _with_header(blob, edit)
     body_start = 12 + int.from_bytes(edited[8:12], "little")

@@ -500,8 +500,8 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
     if len(dictionary.ids):
         vocab = select_vocabulary(dictionary, min(vocab_size, len(dictionary.ids)))
         for include_boundary in (False, True):
-            rows = filter_ngrams(db, dictionary.ids[:vocab.size], include_boundary=include_boundary)
-            expected = sorted(oracle_filter(records, vocab.words, include_boundary))
+            rows = filter_ngrams(db, dictionary.ids[:len(vocab)], include_boundary=include_boundary)
+            expected = sorted(oracle_filter(records, vocab, include_boundary))
             assert example_grams(vocab, rows) == expected
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "a.tsv", Path(tmp) / "b.tsv"

@@ -8,7 +8,6 @@ from tweetembed.corpus import (BOUNDARY_TOKENS, Dictionary, NGramDatabase, build
                                count_ngrams)
 from tweetembed.dataset import (
     DatasetSplit,
-    Vocabulary,
     filter_ngrams,
     read_dataset,
     read_vocabulary,
@@ -34,11 +33,11 @@ def small_dictionary():
 class TestSelectVocabulary:
     def test_prefix_selection(self):
         vocab = select_vocabulary(small_dictionary(), 2)
-        assert {word: i for i, word in enumerate(vocab.words)} == {"a": 0, "b": 1}
+        assert {word: i for i, word in enumerate(vocab)} == {"a": 0, "b": 1}
 
     def test_full_dictionary(self):
         vocab = select_vocabulary(small_dictionary(), 3)
-        assert vocab.words == ["a", "b", "c"]
+        assert vocab == ["a", "b", "c"]
 
     def test_oversized_request_names_both_numbers(self):
         with pytest.raises(ValueError, match=r"32768.*\b3\b"):
@@ -96,7 +95,7 @@ class TestFilterNGrams:
         vocab = select_vocabulary(dictionary, 5)
         rows = filter_ngrams(db, dictionary.ids[:5], include_boundary=include_boundary)
         reconstructed = set(example_grams(vocab, rows))
-        assert reconstructed == oracle_filter(db_records(db), vocab.words, include_boundary)
+        assert reconstructed == oracle_filter(db_records(db), vocab, include_boundary)
         assert len(rows) == len(reconstructed)  # no duplicates
 
     def test_boundary_token_as_center_is_never_a_word(self):
@@ -280,7 +279,7 @@ class TestFiles:
         rows = rng.integers(0, 3000, (200_000, 5))
         split = DatasetSplit(rows[20_000:], rows[:20_000], seed=1, fraction=1.0,
                              validation_ratio=0.1)
-        vocab = Vocabulary([f"w{i}" for i in range(3000)])
+        vocab = [f"w{i}" for i in range(3000)]
         path, expected = tmp_path / "dataset.tsv", tmp_path / "savetxt.tsv"
         _, peak = traced_peak(write_dataset, split, vocab, path)
         np.savetxt(expected, rows, fmt="%d", delimiter="\t")
@@ -293,15 +292,15 @@ class TestFiles:
         empty = np.empty((0, 5), dtype=np.int64)
         split = DatasetSplit(empty, empty, seed=1, fraction=1.0, validation_ratio=0.1)
         path = tmp_path / "dataset.tsv"
-        write_dataset(split, Vocabulary(["a", "b"]), path)
+        write_dataset(split, ["a", "b"], path)
         loaded, _ = read_dataset(path)
         assert loaded.train.shape == loaded.validation.shape == (0, 5)
         assert not recwarn.list
 
     def test_vocabulary_round_trip(self, tmp_path):
-        vocab = Vocabulary(["um", "dois", "três"])
+        vocab = ["um", "dois", "três"]
         path = tmp_path / "vocab.tsv"
         write_vocabulary(vocab, path)
         loaded = read_vocabulary(path)
-        assert loaded.words == vocab.words
+        assert loaded == vocab
         assert vocabulary_hash(loaded) == vocabulary_hash(vocab)

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from tweetembed import manifest
-from tweetembed.dataset import Vocabulary
 from tweetembed.embeddings import (
     EmbeddingTable,
     export_embeddings,
@@ -27,7 +26,7 @@ class TestExport:
         hyper = ModelHyper(vocab_size=3, d_in=4, d_ctx=2)
         params = init_params(hyper, seed=0)
         params.w_output[...] = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        vocab = Vocabulary(["um", "dois", "três"])
+        vocab = ["um", "dois", "três"]
         table = export_embeddings(params, vocab)
         assert table.index == {"um": 0, "dois": 1, "três": 2}
         np.testing.assert_array_equal(table.vectors, [[1.0, 4.0], [2.0, 5.0], [3.0, 6.0]])
@@ -35,7 +34,7 @@ class TestExport:
     def test_row_count_excludes_boundary_tokens(self):
         hyper = ModelHyper(vocab_size=6, d_in=4, d_ctx=4)
         params = init_params(hyper, seed=1)
-        vocab = Vocabulary([f"w{i}" for i in range(6)])
+        vocab = [f"w{i}" for i in range(6)]
         table = export_embeddings(params, vocab)
         assert len(table.words) == 6
         assert table.vectors.shape == (6, 4)
@@ -43,7 +42,7 @@ class TestExport:
     def test_input_source_flag(self):
         hyper = ModelHyper(vocab_size=3, d_in=5, d_ctx=2)
         params = init_params(hyper, seed=2)
-        vocab = Vocabulary(["a", "b", "c"])
+        vocab = ["a", "b", "c"]
         table = export_embeddings(params, vocab, source="input")
         assert table.vectors.shape == (3, 5)
         np.testing.assert_array_equal(table.vectors, params.w_input[:3])
@@ -51,11 +50,11 @@ class TestExport:
     def test_size_mismatch_rejected(self):
         params = init_params(ModelHyper(vocab_size=3, d_in=4, d_ctx=4), seed=0)
         with pytest.raises(ValueError):
-            export_embeddings(params, Vocabulary(["a", "b"]))
+            export_embeddings(params, ["a", "b"])
 
     def test_metadata_carries_manifest_hash(self):
         params = init_params(ModelHyper(vocab_size=2, d_in=4, d_ctx=4), seed=0)
-        table = export_embeddings(params, Vocabulary(["a", "b"]), manifest_hash="cafe")
+        table = export_embeddings(params, ["a", "b"], manifest_hash="cafe")
         assert (len(table.words), table.dim, table.manifest_hash) == (2, 4, "cafe")
 
 
