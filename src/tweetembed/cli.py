@@ -28,6 +28,7 @@ from .dataset import (
     read_vocabulary,
     select_vocabulary,
     split_dataset,
+    split_sizes,
     vocabulary_hash,
     write_dataset,
     write_vocabulary,
@@ -48,6 +49,7 @@ from .evaluation import (
     EquivalencePair,
     GoldClass,
     TestReport,
+    check_suite,
     load_equivalence_pairs,
     load_gold_classes,
     emit_report,
@@ -71,6 +73,8 @@ EXIT_INPUT = 2
 EXIT_DIVERGED = 3
 
 PAPER_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
+GRID_CELL_FILES = ("dataset.tsv", "vocab.tsv", "model.ckpt", "run_log.tsv", "embeddings.txt",
+                   "embeddings.txt.bin", "report.json", "report.txt", "manifest.json")
 
 # eval's threshold flags (dest name -> default, e.g. "0.70,0.80"), also the
 # settings grid scores with; manifests record the strings
@@ -214,8 +218,7 @@ def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
 def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
                args: argparse.Namespace) -> tuple[list[TestReport], dict]:
     """Score the standard suite. The report embeds the run's manifest, so
-    the caller writes it with `emit_report` once the manifest is built.
-    `run_standard_suite` rejects a threshold outside (0, 1)."""
+    the caller writes it with `emit_report` once the manifest is built."""
     config = {name: getattr(args, name) for name in THRESHOLD_DEFAULTS}
     reports = run_standard_suite(
         table, classes, pairs,
@@ -351,16 +354,17 @@ def grid_cell(examples: np.ndarray, vocab: list[str], fraction: float,
               cell: Path, args: argparse.Namespace) -> tuple[tuple, dict]:
     """Run the dataset, train, export and eval stages for one grid cell into
     `cell`; returns its summary row and manifest config. The cell's split,
-    parameters, table and reports are freed when it returns."""
+    parameters, tables and reports are freed when it returns."""
     cell.mkdir(exist_ok=True)
     split, dataset_config = dataset_stage(examples, vocab, fraction, args,
                                           cell / "dataset.tsv", cell / "vocab.tsv")
     hyper, cfg, train_config = train_settings(args, len(vocab))
     params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
                          vocabulary_hash(vocab))
-    table, export_config = export_stage(params, vocab, cell / "model.ckpt", args,
-                                        cell / "embeddings.txt")
-    reports, eval_config = eval_stage(table, classes, pairs, args)
+    text_path = cell / "embeddings.txt"
+    export_config = export_stage(params, vocab, cell / "model.ckpt", args, text_path)[1]
+    # Scored from the six-decimal text, as `eval` scores it.
+    reports, eval_config = eval_stage(read_embeddings_text(text_path), classes, pairs, args)
     config = {**dataset_config, **train_config, **export_config, **eval_config}
     cell_manifest = build_manifest("grid-cell", config, {"corpus": Path(args.corpus)},
                                    args.deterministic, digests={"corpus": corpus_sha256})
@@ -376,18 +380,13 @@ def cmd_grid(args: argparse.Namespace) -> int:
     """Ingest once, then run the other stages for every |V| x fraction cell;
     a cell's manifest config is the union of the stage configs.
 
-    Each |V|'s qualifying examples are taken before any file is written,
-    so a size the corpus cannot fill exits 2 having written nothing. The
-    dictionary is then written and freed before the 5-gram database's
-    files are written, the database before the first cell trains, and
-    each |V|'s examples after its last cell."""
+    Every input is read and checked, and each cell's examples and split
+    sizes are taken, before any file is written. The dictionary is then
+    written and freed before the 5-gram database's files are written, the
+    database before the first cell trains, and each |V|'s examples after
+    its last cell."""
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
-    # The run's own files; each cell writes into a directory named for it.
-    _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "dictionary.tsv", "summary.tsv",
-                                                  "grid.manifest.json")),
-                    ngram_db_bin(out_dir / "ngrams.tsv"),
-                    inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
     vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
     fractions = [float(x) for x in args.fractions.split(",") if x]
     if not vocab_sizes or not fractions:
@@ -402,13 +401,22 @@ def cmd_grid(args: argparse.Namespace) -> int:
         for i, value in enumerate(values):
             if value in values[:i]:
                 raise ValueError(f"grid got {what} {value} more than once")
+    cells = {(v, f): out_dir / f"v{v}_f{int(f * 100):03d}" for v in vocab_sizes for f in fractions}
+    _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "dictionary.tsv", "summary.tsv",
+                                                  "grid.manifest.json")),
+                    ngram_db_bin(out_dir / "ngrams.tsv"), *cells.values(),
+                    *(cell / name for cell in cells.values() for name in GRID_CELL_FILES),
+                    inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
     train_settings(args, vocab_sizes[0])  # refuses a bad training flag before the corpus is read
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
+    check_suite(classes, pairs)  # grid scores at the paper's thresholds, THRESHOLD_DEFAULTS
     db = count_ngrams(_read_corpus_lines(corpus_path))
     dictionary = build_dictionary(db)
     selected = {vocab_size: qualifying_examples(db, dictionary, vocab_size, args)
                 for vocab_size in vocab_sizes}
+    for vocab_size, fraction in cells:
+        split_sizes(len(selected[vocab_size][1]), args.validation_ratio, fraction)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_dictionary(dictionary, out_dir / "dictionary.tsv")
     del dictionary
@@ -421,7 +429,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
         vocab, examples = selected.pop(vocab_size)
         for fraction in fractions:
             row, config = grid_cell(examples, vocab, fraction, classes, pairs, corpus_sha256,
-                                    out_dir / f"v{vocab_size}_f{int(fraction * 100):03d}", args)
+                                    cells[vocab_size, fraction], args)
             summary_rows.append(row)
     summary_path = out_dir / "summary.tsv"
     with atomic_write(summary_path, "w", encoding="utf-8", newline="\n") as fh:

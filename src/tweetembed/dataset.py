@@ -92,6 +92,20 @@ class DatasetSplit:
     validation_ratio: float
 
 
+def split_sizes(n: int, validation_ratio: float, fraction: float) -> tuple[int, int]:
+    """`split_dataset`'s validation and train row counts; ValueError if no train rows."""
+    if not 0.0 < validation_ratio < 1.0:
+        raise ValueError(f"validation_ratio must be in (0, 1), got {validation_ratio}")
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    n_val = math.floor(validation_ratio * n)
+    n_train = math.floor(fraction * (n - n_val))
+    if n_train == 0:
+        raise ValueError(f"{n} examples leave no training rows at validation ratio "
+                         f"{validation_ratio} and fraction {fraction}")
+    return n_val, n_train
+
+
 def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
                   fraction: float = 1.0, seed: int = 13) -> DatasetSplit:
     """Deterministic validation/train split with optional train subsampling.
@@ -102,14 +116,7 @@ def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
     Validation is therefore identical across fractions for a fixed seed,
     and a smaller fraction's train set is a prefix of a larger one's.
     """
-    if len(examples) == 0:
-        raise ValueError("cannot split an empty example set")
-    if not 0.0 < validation_ratio < 1.0:
-        raise ValueError(f"validation_ratio must be in (0, 1), got {validation_ratio}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
-    n_val = math.floor(validation_ratio * len(examples))
-    n_train = math.floor(fraction * (len(examples) - n_val))
+    n_val, n_train = split_sizes(len(examples), validation_ratio, fraction)
     # Only the rows returned are gathered, so a fraction below 1 copies
     # only its share of the examples.
     shuffled = examples[permutation(len(examples), seed)[:n_val + n_train]]

@@ -38,7 +38,7 @@ import json
 import logging
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -134,12 +134,7 @@ def load_equivalence_pairs(path: Path | str) -> list[EquivalencePair]:
             for left, right in _read_tab_pairs(Path(path))]
 
 
-def _check_threshold(threshold: float) -> None:
-    if not 0.0 < threshold < 1.0:
-        raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-
-
-def _pair_reports(name: str, thresholds: Iterable[float], cos: np.ndarray,
+def _pair_reports(name: str, thresholds: Sequence[float], cos: np.ndarray,
                   present: np.ndarray, usable: np.ndarray, left: np.ndarray,
                   right: np.ndarray, above: bool) -> list[TestReport]:
     """One report per threshold over the gold pairs (left[k], right[k]).
@@ -151,9 +146,6 @@ def _pair_reports(name: str, thresholds: Iterable[float], cos: np.ndarray,
     sims = cos[left, right][usable[left] & usable[right]]
     reports = []
     for threshold in thresholds:
-        _check_threshold(threshold)
-        if len(left) == 0:
-            raise ValueError("coverage needs at least one pair")
         cov = covered / len(left)
         passed = int(np.count_nonzero(sims > threshold if above else sims < threshold))
         score = passed / len(sims) if len(sims) else None
@@ -198,19 +190,37 @@ def emit_report(reports: Sequence[TestReport], manifest: dict,
         fh.write(format_report_table(reports))
 
 
+def check_suite(classes: Sequence[GoldClass], pairs: Sequence[EquivalencePair],
+                membership_thresholds: Sequence[float] = MEMBERSHIP_THRESHOLDS,
+                distinction_thresholds: Sequence[float] = DISTINCTION_THRESHOLDS,
+                equivalence_thresholds: Sequence[float] = EQUIVALENCE_THRESHOLDS) -> None:
+    """ValueError for a suite no table can score: a threshold outside (0, 1),
+    distinction thresholds with fewer than 2 classes, or a test without pairs."""
+    if distinction_thresholds and len(classes) < 2:
+        raise ValueError("class distinction needs at least 2 classes")
+    words = {w for cls in classes for w in cls.members}
+    # Distinction has a pair when some class word shares no class with another.
+    cross = any(words - {x for c in classes if w in c.members for x in c.members} for w in words)
+    for thresholds, has_pairs in ((membership_thresholds, classes),
+                                  (distinction_thresholds, cross), (equivalence_thresholds, pairs)):
+        for threshold in thresholds:
+            if not 0.0 < threshold < 1.0:
+                raise ValueError(f"threshold must be in (0, 1), got {threshold}")
+            if not has_pairs:
+                raise ValueError("coverage needs at least one pair")
+
+
 def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],
                        pairs: Sequence[EquivalencePair],
-                       membership_thresholds: Iterable[float] = MEMBERSHIP_THRESHOLDS,
-                       distinction_thresholds: Iterable[float] = DISTINCTION_THRESHOLDS,
-                       equivalence_thresholds: Iterable[float] = EQUIVALENCE_THRESHOLDS,
+                       membership_thresholds: Sequence[float] = MEMBERSHIP_THRESHOLDS,
+                       distinction_thresholds: Sequence[float] = DISTINCTION_THRESHOLDS,
+                       equivalence_thresholds: Sequence[float] = EQUIVALENCE_THRESHOLDS,
                        ) -> list[TestReport]:
-    """All four tests, each at its thresholds (the defaults are the paper's).
-
-    Raises ValueError for a threshold outside (0, 1), for distinction
-    thresholds with fewer than 2 classes, and for a threshold test with no
-    pairs. The topological test is skipped (with a warning) when its
-    coverage precondition cannot be met on the given table.
-    """
+    """All four tests, each at its thresholds (the defaults are the paper's),
+    once `check_suite` accepts them. The topological test is skipped (with a
+    warning) when its coverage precondition cannot be met on the given table."""
+    check_suite(classes, pairs, membership_thresholds, distinction_thresholds,
+                equivalence_thresholds)
     words = sorted({w for cls in classes for w in cls.members}
                    | {w for pair in pairs for w in (pair.left, pair.right)})
     col = {w: i for i, w in enumerate(words)}
@@ -239,9 +249,6 @@ def run_standard_suite(table: EmbeddingTable, classes: Sequence[GoldClass],
     in_class = member.any(axis=1)
     reports = _pair_reports("class_membership", membership_thresholds, cos, present, usable,
                             *np.nonzero(np.triu(shared, 1)), above=True)
-    distinction_thresholds = tuple(distinction_thresholds)
-    if distinction_thresholds and len(classes) < 2:
-        raise ValueError("class distinction needs at least 2 classes")
     cross = np.triu(~shared & in_class[:, None] & in_class[None, :], 1)
     reports += _pair_reports("class_distinction", distinction_thresholds, cos, present, usable,
                              *np.nonzero(cross), above=False)

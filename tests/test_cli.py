@@ -23,6 +23,7 @@ from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, mai
 from tweetembed.corpus import (BOUNDARY_TOKENS, NGRAM_DB_MAGIC, Dictionary, NGramDatabase,
                               read_ngram_db)
 from tweetembed.dataset import read_dataset, read_vocabulary, vocabulary_hash, write_vocabulary
+from tweetembed.embeddings import read_embeddings_text
 from tweetembed.manifest import file_sha256, read_container, write_container
 from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
 
@@ -590,6 +591,8 @@ class TestGrid:
             for artifact in ("dataset.tsv", "model.ckpt", "run_log.tsv",
                              "embeddings.txt", "report.json", "manifest.json"):
                 assert (out_dir / cell / artifact).is_file()
+            # the files grid checks before it writes are the files a cell holds
+            assert sorted(os.listdir(out_dir / cell)) == sorted(cli.GRID_CELL_FILES)
 
     def test_cells_train_without_the_database_or_an_earlier_cell(self, bigger_corpus, tmp_path,
                                                                   monkeypatch):
@@ -625,6 +628,27 @@ class TestGrid:
         assert rc == EXIT_OK
         assert sorted(Path(args[0]) for args in calls) == sorted([
             bigger_corpus, out_dir / "v6_f050" / "model.ckpt", out_dir / "v6_f100" / "model.ckpt"])
+
+    def test_scores_the_text_table_eval_reads(self, bigger_corpus, tmp_path, monkeypatch):
+        # Scoring the in-memory float64 table could pass a pair that the
+        # six-decimal embeddings.txt, which `eval` reads, fails.
+        scored = []
+        real_eval_stage = cli.eval_stage
+
+        def probed_eval_stage(table, *args):
+            scored.append(table)
+            return real_eval_stage(table, *args)
+
+        monkeypatch.setattr(cli, "eval_stage", probed_eval_stage)
+        out_dir = tmp_path / "grid"
+        rc = main(["grid", str(bigger_corpus), "--out-dir", str(out_dir),
+                   "--vocab-sizes", "6", "--fractions", "1.0", "--epochs", "1",
+                   "--batch-size", "32", "--emb-dim", "8", "--ctx-dim", "8", "--deterministic"])
+        assert rc == EXIT_OK
+        (table,) = scored
+        text = read_embeddings_text(out_dir / "v6_f100" / "embeddings.txt")
+        assert table.words == text.words
+        assert np.array_equal(table.vectors, text.vectors)
 
     def test_rejects_off_grid_fraction(self, bigger_corpus, tmp_path, capsys):
         rc = main(["grid", str(bigger_corpus), "--out-dir", str(tmp_path / "g"),
@@ -891,12 +915,20 @@ def _corpus_with_invalid_utf8(command):
     return argv
 
 
-def _grid_on_small_corpus(*flags):
-    """Case builder: grid on a two-tweet corpus of six words with `flags`."""
+def _grid_on_small_corpus(*flags, corpus="corpus.txt",
+                          text="olá mundo bom dia\nbom dia meu amigo\n", gold=()):
+    """Case builder: grid on the corpus `text` (by default two tweets of six
+    words), written to `corpus` under tmp_path, with `flags`. Each (flag,
+    file text) in `gold` is written to a file and passed as that flag."""
     def argv(dataset, tmp_path):
-        corpus = tmp_path / "corpus.txt"
-        corpus.write_text("olá mundo bom dia\nbom dia meu amigo\n", encoding="utf-8")
-        return [str(arg) for arg in ["grid", corpus, "--out-dir", tmp_path / "grid", *flags]]
+        path = tmp_path / corpus
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+        files = []
+        for flag, content in gold:
+            (tmp_path / f"{flag[2:]}.tsv").write_text(content, encoding="utf-8")
+            files += [flag, tmp_path / f"{flag[2:]}.tsv"]
+        return [str(arg) for arg in ["grid", path, "--out-dir", tmp_path / "grid", *flags, *files]]
     return argv
 
 
@@ -908,17 +940,17 @@ def _dataset_flags(*flags):
     return argv
 
 
-def _dataset_from_db(break_db, text="a b c d e\nb c d e a\n"):
+def _dataset_from_db(break_db, text="a b c d e\nb c d e a\n",
+                     flags=("--vocab-size", "3", "--include-boundary")):
     """A case that ingests the corpus `text`, breaks its 5-gram database
-    with `break_db(tsv_path, bin_path)` and runs dataset."""
+    with `break_db(tsv_path, bin_path)` and runs dataset with `flags`."""
     def argv(dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(text, encoding="utf-8")
         rc, db, _ = ingest(corpus, tmp_path)
         assert rc == EXIT_OK
         break_db(db, db.with_suffix(".tsv.bin"))
-        return ["dataset", str(db), "--vocab-size", "3", "--include-boundary",
-                "--out", str(tmp_path / "ds.tsv")]
+        return ["dataset", str(db), *flags, "--out", str(tmp_path / "ds.tsv")]
     return argv
 
 
@@ -1079,6 +1111,24 @@ MALFORMED_INPUTS = {
     "grid with a vocabulary size no 5-gram qualifies for": (
         _grid_on_small_corpus("--vocab-sizes", "1", "--fractions", "1.0"),
         "no 5-grams qualify for vocabulary size 1"),
+    # The 1.0 cell could train; the 0.25 cell's 3 examples leave it none.
+    "grid with a cell whose split has no training rows": (
+        _grid_on_small_corpus("--vocab-sizes", "7", "--fractions", "1.0,0.25", "--epochs", "1",
+                              text="a b c d e f g\n"),
+        "3 examples leave no training rows at validation ratio 0.1 and fraction 0.25"),
+    # These are found from the gold data alone, before the corpus is read.
+    "grid with one gold class": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", gold=[("--classes", "dias\tbom\ndias\tdia\n")]),
+        "class distinction needs at least 2 classes"),
+    "grid with no equivalence pairs": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", gold=[("--pairs", "# none\n")]),
+        "coverage needs at least one pair"),
+    "grid writing a cell's dataset.tsv over its corpus": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
+                              "--epochs", "1", corpus="grid/v6_f100/dataset.tsv"),
+        "name the same file"),
     "5-gram DB with its body twice": (
         _dataset_from_db(_forge_db(lambda records, counts: (np.concatenate([records] * 2),
                                                             np.concatenate([counts] * 2)))),
@@ -1097,6 +1147,10 @@ MALFORMED_INPUTS = {
     "dataset with its 5-gram DB's .bin deleted": (
         _dataset_from_db(lambda tsv, sidecar: sidecar.unlink()),
         "ngrams.tsv.bin: no such file; re-run ingest"),
+    "dataset whose split has no training rows": (
+        _dataset_from_db(lambda tsv, sidecar: None, "a b c d e f g\n",
+                         ("--vocab-size", "7", "--fraction", "0.25")),
+        "3 examples leave no training rows at validation ratio 0.1 and fraction 0.25"),
     "dataset with its 5-gram DB's TSV deleted": (
         _dataset_from_db(lambda tsv, sidecar: tsv.unlink()),
         "ngrams.tsv: no such file; re-run ingest"),
