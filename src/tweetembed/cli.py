@@ -186,8 +186,7 @@ def dataset_stage(examples: np.ndarray, vocab: list[str], fraction: float,
 def train_settings(args: argparse.Namespace,
                    vocab_size: int) -> tuple[ModelHyper, TrainConfig, dict]:
     """The model and training settings the flags give, and their manifest config."""
-    hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim,
-                       sigmoid_logits=args.sigmoid_logits)
+    hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim)
     cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
                       learning_rate=args.learning_rate, seed=args.seed,
                       deterministic=args.deterministic)
@@ -201,7 +200,6 @@ def train_settings(args: argparse.Namespace,
         "seed": cfg.seed,
         "emb_dim": hyper.d_in,
         "ctx_dim": hyper.d_ctx,
-        "sigmoid_logits": hyper.sigmoid_logits,
         "vocab_size": hyper.vocab_size,
     }
 
@@ -468,8 +466,6 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
                         help="input word embedding width")
     parser.add_argument("--ctx-dim", type=int, default=64,
                         help="context layer width (= exported embedding width)")
-    parser.add_argument("--sigmoid-logits", action="store_true",
-                        help="squash the output projection through a sigmoid before softmax")
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:

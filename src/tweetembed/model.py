@@ -40,10 +40,7 @@ which is the order the row-by-row scatter in `tests/oracles.py` adds them
 in, so repeated ids and -0.0 entries give the same bits.
 
 The columns of the output projection are the word embeddings exported
-downstream. By default the projection feeds the softmax directly;
-`sigmoid_logits=True` squashes it through a sigmoid first, which bounds
-every logit to (0, 1) and caps the confidence the model can express. The
-flag exists for comparison runs only.
+downstream. The projection is the softmax's input: the logits.
 
 All arithmetic is float64. Checkpoints use a versioned binary container,
 documented at `save_checkpoint`.
@@ -83,7 +80,6 @@ class ModelHyper:
     vocab_size: int
     d_in: int = 64
     d_ctx: int = 64
-    sigmoid_logits: bool = False
 
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
@@ -168,17 +164,13 @@ def init_params(hyper: ModelHyper, seed: int) -> ModelParams:
     return params
 
 
-def sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Numerically stable logistic function.
+def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Numerically stable logistic function, into `out`.
 
     With e = exp(-|x|): 1 / (1 + e) for x >= 0 and e / (1 + e) otherwise,
-    so exp never overflows. With `out`, the result goes there and `x`,
-    another float64 array of the same shape, is overwritten as scratch;
-    without it, `x` is left alone and the result is a new array.
+    so exp never overflows. `x`, a float64 array of `out`'s shape, is
+    overwritten as scratch.
     """
-    if out is None:
-        x = np.array(x, dtype=np.float64)  # a copy, which the passes below overwrite
-        out = np.empty_like(x)
     np.abs(x, out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)             # e, in [0, 1], or NaN where x is NaN
@@ -215,10 +207,7 @@ class Workspace:
     ctx_pre: np.ndarray    # (rows, d_ctx): the context pre-activation, then d_act and d_ctx_pre
     ctx_act: np.ndarray    # (rows, d_ctx)
     one_minus: np.ndarray  # (rows, d_ctx): 1 - ctx_act
-    out_pre: np.ndarray    # (rows, |V|): the output projection, then the softmax and d_out_pre
-    # out_pre itself, or under sigmoid_logits the sigmoid of it in a (rows, |V|)
-    # array of its own, since those logits outlive the softmax
-    logits: np.ndarray
+    out_pre: np.ndarray    # (rows, |V|): the logits, then the softmax and d_out_pre
     top: np.ndarray        # (rows,): evaluate's row maxima, then its row sums
     row_ids: np.ndarray    # 0 .. rows - 1
     columns: np.ndarray    # 0 .. d_in - 1
@@ -229,8 +218,6 @@ class Workspace:
         self.rows = rows
         vars(self).update({name: np.empty(shape, dtype)
                            for name, (shape, dtype) in self._layout(hyper, rows).items()})
-        if not hyper.sigmoid_logits:
-            self.logits = self.out_pre
         self.row_ids[:] = np.arange(rows)
         self.columns[:] = np.arange(hyper.d_in)
 
@@ -239,8 +226,6 @@ class Workspace:
         widths = {"merged": N_CONTEXT * hyper.d_in, "d_merged": N_CONTEXT * hyper.d_in,
                   "ctx_pre": hyper.d_ctx, "ctx_act": hyper.d_ctx, "one_minus": hyper.d_ctx,
                   "out_pre": hyper.vocab_size}
-        if hyper.sigmoid_logits:
-            widths["logits"] = hyper.vocab_size
         layout = {name: ((rows, width), np.float64) for name, width in widths.items()}
         layout["cells"] = ((rows, N_CONTEXT, hyper.d_in), np.int64)
         layout["top"] = ((rows,), np.float64)
@@ -281,9 +266,8 @@ def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace
     ctx_pre = np.matmul(merged, params.w_ctx, out=ws.ctx_pre[:b])
     ctx_pre += params.b_ctx
     ctx_act = sigmoid(ctx_pre, out=ws.ctx_act[:b])
-    out_pre = np.matmul(ctx_act, params.w_output, out=ws.out_pre[:b])
-    out_pre += params.b_out
-    logits = sigmoid(out_pre, out=ws.logits[:b]) if params.hyper.sigmoid_logits else out_pre
+    logits = np.matmul(ctx_act, params.w_output, out=ws.out_pre[:b])
+    logits += params.b_out
     return merged, ctx_act, logits
 
 
@@ -366,15 +350,9 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
     if ws is None:
         ws = Workspace(params.hyper, batch)
     merged, ctx_act, logits = _forward_to_logits(params, contexts, ws)
-    # Over the logits themselves, unless the sigmoid chain still needs them.
-    d_out_pre = softmax(logits, out=ws.out_pre[:batch])
+    d_out_pre = softmax(logits, out=logits)
     d_out_pre[ws.row_ids[:batch], targets] -= 1.0
     d_out_pre /= batch
-    if params.hyper.sigmoid_logits:
-        # logits = sigmoid(out_pre), so chain through the logistic derivative
-        d_out_pre *= logits
-        d_out_pre *= np.subtract(1.0, logits, out=logits)
-
     d_ctx_pre = np.matmul(d_out_pre, params.w_output.T, out=ws.ctx_pre[:batch])  # d_act
     d_ctx_pre *= ctx_act
     d_ctx_pre *= np.subtract(1.0, ctx_act, out=ws.one_minus[:batch])
@@ -410,7 +388,6 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
             "vocab_size": params.hyper.vocab_size,
             "d_in": params.hyper.d_in,
             "d_ctx": params.hyper.d_ctx,
-            "sigmoid_logits": params.hyper.sigmoid_logits,
         },
         "seed": seed,
         "vocab_hash": vocab_hash,
@@ -424,7 +401,7 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
 
 
 _HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")
-_HYPER_KEYS = ("vocab_size", "d_in", "d_ctx", "sigmoid_logits")
+_HYPER_KEYS = ("vocab_size", "d_in", "d_ctx")
 
 
 def _parse_header(header: dict, path: Path) -> ModelHyper:
@@ -437,10 +414,13 @@ def _parse_header(header: dict, path: Path) -> ModelHyper:
     if header["dtype"] != "<f8":
         raise ValueError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
     raw = header["hyper"]
-    if not isinstance(raw, dict) or sorted(raw) != sorted(_HYPER_KEYS):
-        raise ValueError(f"{path}: checkpoint hyper must have exactly {', '.join(_HYPER_KEYS)}")
-    sizes = [raw[key] for key in _HYPER_KEYS[:3]]
-    if not all(type(size) is int for size in sizes) or type(raw["sigmoid_logits"]) is not bool:
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: checkpoint hyper is not an object")
+    faults = [f"unexpected key {key}" for key in sorted(set(raw) - set(_HYPER_KEYS))]
+    faults += [f"missing key {key}" for key in _HYPER_KEYS if key not in raw]
+    if faults:
+        raise ValueError(f"{path}: checkpoint hyper has {', '.join(faults)}")
+    if not all(type(raw[key]) is int for key in _HYPER_KEYS):
         raise ValueError(f"{path}: checkpoint hyper has a value of the wrong type: {raw}")
     hyper = ModelHyper(**raw)
     table = header["arrays"]

@@ -255,8 +255,6 @@ def oracle_forward(params, contexts):
                       dtype=np.float64).reshape(len(contexts), -1)
     ctx_act = oracle_sigmoid(merged @ params.w_ctx + params.b_ctx)
     logits = ctx_act @ params.w_output + params.b_out
-    if params.hyper.sigmoid_logits:
-        logits = oracle_sigmoid(logits)
     return merged, ctx_act, logits, oracle_softmax(logits)
 
 
@@ -271,13 +269,10 @@ def oracle_backward(params, contexts, targets):
     """The mean cross-entropy gradient with one fresh array per step, and
     the shared input rows accumulated by `np.add.at` into zeros."""
     batch = targets.shape[0]
-    merged, ctx_act, logits, probs = oracle_forward(params, contexts)
+    merged, ctx_act, _, probs = oracle_forward(params, contexts)
     d_out_pre = probs.copy()
     d_out_pre[np.arange(batch), targets] -= 1.0
     d_out_pre = d_out_pre / batch
-    if params.hyper.sigmoid_logits:
-        d_out_pre = d_out_pre * logits
-        d_out_pre = d_out_pre * (1.0 - logits)
     d_act = d_out_pre @ params.w_output.T
     d_ctx_pre = d_act * ctx_act * (1.0 - ctx_act)
     d_merged = d_ctx_pre @ params.w_ctx.T

@@ -1,12 +1,15 @@
 """The package holds only what its commands run: every public top-level
 function and class in `src/tweetembed` is used somewhere in the package
 outside its own definition. Helpers that only tests need live in
-`tests/oracles.py`. Only `manifest.py` packs binary file framing."""
+`tests/oracles.py`. Only `manifest.py` packs binary file framing. Each
+command takes exactly the options listed here."""
 
+import argparse
 import ast
 from pathlib import Path
 
 import tweetembed
+from tweetembed.cli import build_parser
 
 PACKAGE = Path(tweetembed.__file__).parent
 # Entry points called from outside the package.
@@ -49,3 +52,30 @@ def test_only_manifest_frames_binary_files():
             if "struct" in names:
                 importers.append(path.name)
     assert importers == ["manifest.py"]
+
+
+# Every command also takes --seed, --deterministic and --threads. --threads
+# is parsed and ignored (counting runs in one process); it stays while
+# perfbench/run.py still passes it.
+COMMON_OPTIONS = {"--seed", "--deterministic", "--threads"}
+MODEL_OPTIONS = {"--epochs", "--batch-size", "--learning-rate", "--emb-dim", "--ctx-dim"}
+COMMAND_OPTIONS = {
+    "ingest": {"--out-db", "--out-dict"},
+    "dataset": {"--vocab-size", "--fraction", "--validation-ratio", "--include-boundary", "--out"},
+    "train": {"--out-checkpoint", "--out-log", *MODEL_OPTIONS},
+    "export": {"--vocab", "--source", "--out"},
+    "eval": {"--classes", "--pairs", "--membership-thresholds", "--distinction-thresholds",
+             "--equivalence-thresholds", "--out"},
+    "grid": {"--out-dir", "--vocab-sizes", "--fractions", "--validation-ratio",
+             "--include-boundary", "--classes", "--pairs", *MODEL_OPTIONS},
+}
+
+
+def test_each_command_takes_exactly_its_listed_options():
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    options = {name: {option for action in parser._actions
+                      if not isinstance(action, argparse._HelpAction)
+                      for option in action.option_strings}
+               for name, parser in commands.choices.items()}
+    assert options == {name: listed | COMMON_OPTIONS for name, listed in COMMAND_OPTIONS.items()}

@@ -25,7 +25,8 @@ from tweetembed.corpus import (BOUNDARY_TOKENS, NGRAM_DB_MAGIC, Dictionary, NGra
 from tweetembed.dataset import read_dataset, read_vocabulary, vocabulary_hash, write_vocabulary
 from tweetembed.embeddings import read_embeddings_text
 from tweetembed.manifest import file_sha256, read_container, write_container
-from tweetembed.model import ModelHyper, ModelParams, init_params, save_checkpoint
+from tweetembed.model import (CHECKPOINT_MAGIC, ModelHyper, ModelParams, init_params,
+                              save_checkpoint)
 
 from memory import count_calls, live_instances
 from oracles import db_records, read_run_log
@@ -381,7 +382,7 @@ class TestTrain:
         assert manifest["config"] == {
             "epochs": 10, "batch_size": batch_size, "learning_rate": learning_rate, "beta1": 0.9,
             "beta2": 0.999, "epsilon": 1e-8, "seed": 13, "emb_dim": 8, "ctx_dim": 8,
-            "sigmoid_logits": False, "vocab_size": 6, "out_checkpoint": str(ckpt)}
+            "vocab_size": 6, "out_checkpoint": str(ckpt)}
         finished = log.read_text(encoding="utf-8") if log.exists() else ""
         assert finished == "".join(line + "\n" for line in out.splitlines()
                                    if line[:1].isdigit())
@@ -534,7 +535,9 @@ class TestExportAndEval:
         # class-structured corpus, scored against its own gold classes. The
         # pass counts rest on trained floats, so a BLAS that rounds
         # differently could move one; these hashes were taken with numpy
-        # and OpenBLAS on x86-64.
+        # and OpenBLAS on x86-64. The checkpoint body (the trained
+        # parameters) is pinned apart from its header, which changes when a
+        # header key does.
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("\n".join(class_corpus(400, seed=6, n_classes=4, words_per_class=8,
                                                   subset_size=4)) + "\n", encoding="utf-8")
@@ -562,8 +565,11 @@ class TestExportAndEval:
              "--out", str(report)],
         ):
             assert main([*argv, "--deterministic"]) == EXIT_OK
-        assert hashlib.sha256((tmp_path / "model.ckpt").read_bytes()).hexdigest() == (
-            "d4dfdfcbc0aa574f5cd7ed6cb39f9bcdb5b708fb770683a7e641ee731fe647a5")
+        checkpoint = (tmp_path / "model.ckpt").read_bytes()
+        assert hashlib.sha256(checkpoint).hexdigest() == (
+            "6b14d547b0f69ac4bb11483efa9a68bcf5e8569a5b69a3988f93e43749ce7038")
+        assert hashlib.sha256(read_container(checkpoint, CHECKPOINT_MAGIC)[1]).hexdigest() == (
+            "b49d64bf698e5a7c65ad986bf345f43f656b144d0d21cecdd393e2d801979ad9")
         assert hashlib.sha256((tmp_path / "run_log.tsv").read_bytes()).hexdigest() == (
             "00c8bb4bfc75f051439de959ecbd9858aa530277603ab589aae945105c75035e")
         reports = json.loads(report.read_text(encoding="utf-8"))["reports"]
@@ -660,7 +666,7 @@ class TestGrid:
 STAGE_SETTINGS = ["--seed", "5", "--deterministic"]
 DATASET_SETTINGS = ["--validation-ratio", "0.2", "--include-boundary"]
 TRAIN_SETTINGS = ["--epochs", "2", "--batch-size", "32", "--learning-rate", "0.01",
-                  "--emb-dim", "8", "--ctx-dim", "8", "--sigmoid-logits"]
+                  "--emb-dim", "8", "--ctx-dim", "8"]
 
 
 @pytest.fixture
@@ -721,7 +727,6 @@ class TestGridMatchesStages:
                 assert cell_config[key] == value, (manifest.name, key)
                 if key not in ("vocab_size", "fraction"):
                     assert grid_config[key] == value, (manifest.name, key)
-        assert grid_config["sigmoid_logits"] is True
         assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ("4,6", "0.5,1.0")
 
 
@@ -1043,6 +1048,9 @@ MALFORMED_INPUTS = {
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
     "checkpoint hyper size as a string": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_in="4")), "wrong type"),
+    "export on a checkpoint whose hyper carries sigmoid_logits": (
+        _export_broken_checkpoint(lambda h: h["hyper"].update(sigmoid_logits=False)),
+        "checkpoint hyper has unexpected key sigmoid_logits"),
     "checkpoint header nested 100,000 deep": (_export_nested_header, "unreadable header"),
     "checkpoint with an empty vocabulary hash, reversed vocabulary": (
         _export_blank_hash_reversed, "vocabulary/checkpoint mismatch"),
@@ -1196,9 +1204,11 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    # grid and dataset check their flags and read all their inputs before
-    # they write, and train checks its learning rate and seed before its manifest
-    if (argv[0] in ("grid", "dataset") or message.startswith(("learning_rate", "seed"))
+    # grid, dataset and export check their flags and read all their inputs
+    # before they write, and train checks its learning rate and seed before
+    # its manifest
+    if (argv[0] in ("grid", "dataset", "export")
+            or message.startswith(("learning_rate", "seed"))
             or message in ("name the same file", "can't decode byte 0xff")):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
@@ -1573,7 +1583,7 @@ def valid_checkpoint(tmp_path_factory):
 # Paths into the checkpoint's JSON header, and values to put there.
 CKPT_HEADER_PATHS = st.sampled_from([
     ("format",), ("dtype",), ("seed",), ("vocab_hash",), ("hyper",), ("arrays",),
-    ("hyper", "vocab_size"), ("hyper", "d_in"), ("hyper", "d_ctx"), ("hyper", "sigmoid_logits"),
+    ("hyper", "vocab_size"), ("hyper", "d_in"), ("hyper", "d_ctx"),
     ("arrays", 0), ("arrays", 0, "name"), ("arrays", 3, "shape"), ("arrays", 4, "shape"),
 ])
 CKPT_HEADER_VALUES = st.sampled_from([None, False, True, 0, -1, 1, 2, 3, 4, 6, 7, 1.0, 1.5,

@@ -32,6 +32,12 @@ def tiny_hyper(**kwargs):
     return ModelHyper(**defaults)
 
 
+def fresh_sigmoid(x):
+    """`sigmoid` into a new array, leaving `x` alone."""
+    x = np.array(x, dtype=np.float64)  # a copy, which sigmoid overwrites as scratch
+    return sigmoid(x, np.empty_like(x))
+
+
 def one(context):
     """A batch of size 1 holding one context."""
     return np.array([context], dtype=np.int64)
@@ -144,14 +150,6 @@ class TestForward:
         params = init_params(tiny_hyper(), seed=4)
         np.testing.assert_array_equal(losses(params, (1, 2, 3, 4)), losses(params, (1, 2, 3, 4)))
 
-    def test_sigmoid_logits_mode_bounds_logits(self):
-        # Each loss is logsumexp(logits) - logit_target, so the losses span
-        # exactly the logits' range, which the sigmoid keeps inside (0, 1).
-        params = init_params(tiny_hyper(sigmoid_logits=True), seed=4)
-        nll = losses(params, (0, 1, 2, 3))
-        assert np.ptp(nll) < 1.0
-        assert abs(np.exp(-nll).sum() - 1.0) < 1e-6
-
 
 class TestSoftmaxAndLoss:
     def test_shift_invariance(self):
@@ -165,7 +163,7 @@ class TestSoftmaxAndLoss:
 
     def test_sigmoid_matches_closed_form(self):
         x = np.linspace(-30, 30, 101)
-        np.testing.assert_allclose(sigmoid(x), 1 / (1 + np.exp(-x)), atol=1e-12)
+        np.testing.assert_allclose(fresh_sigmoid(x), 1 / (1 + np.exp(-x)), atol=1e-12)
 
     def test_bit_identical_to_reference_implementations(self):
         rng = np.random.default_rng(3)
@@ -173,10 +171,10 @@ class TestSoftmaxAndLoss:
         rows = np.vstack([edges, edges[::-1], np.roll(edges, 3), edges * 0.5,
                           rng.normal(0.0, 5.0, (6, 8)), rng.normal(0.0, 300.0, (6, 8))])
         for x in (rows, rows[4], edges[:6]):
-            assert np.array_equal(sigmoid(x), oracle_sigmoid(x), equal_nan=True)
+            assert np.array_equal(fresh_sigmoid(x), oracle_sigmoid(x), equal_nan=True)
             assert np.array_equal(softmax(x), oracle_softmax(x), equal_nan=True)
-        for x in (np.float64(-0.0), np.float64(745.0), np.float64(np.nan)):
-            assert np.array_equal(sigmoid(x), oracle_sigmoid(x), equal_nan=True)
+        for x in (np.array(-0.0), np.array(745.0), np.array(np.nan)):
+            assert np.array_equal(fresh_sigmoid(x), oracle_sigmoid(x), equal_nan=True)
 
     def test_uniform_loss_is_log_vocab(self):
         params = zero_params(tiny_hyper(vocab_size=2048))
@@ -231,9 +229,8 @@ def random_batch(rng, hyper, size):
 
 
 class TestBackward:
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_gradient_matches_finite_differences(self, sigmoid_logits):
-        hyper = tiny_hyper(vocab_size=12, d_in=5, d_ctx=6, sigmoid_logits=sigmoid_logits)
+    def test_gradient_matches_finite_differences(self):
+        hyper = tiny_hyper(vocab_size=12, d_in=5, d_ctx=6)
         params = init_params(hyper, seed=3)
         rng = np.random.default_rng(0)
         batch = random_batch(rng, hyper, 7)
@@ -244,13 +241,12 @@ class TestBackward:
             rel = np.abs(analytic - numeric) / (np.abs(analytic) + 1e-6)
             assert rel.max() < 1e-3, f"{name}: max rel err {rel.max():.2e}"
 
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_bits_match_add_at_oracle(self, sigmoid_logits):
+    def test_bits_match_add_at_oracle(self):
         # 300 rows (not a multiple of 256) over seven ids: two words and
         # the four boundary ids repeat in almost every row. Zeroing w_ctx
         # makes every d_merged product a signed zero, which the GEMM sums
         # to +0.0, so the whole w_input gradient must be +0.0.
-        hyper = tiny_hyper(vocab_size=12, d_in=5, d_ctx=6, sigmoid_logits=sigmoid_logits)
+        hyper = tiny_hyper(vocab_size=12, d_in=5, d_ctx=6)
         params = init_params(hyper, seed=4)
         rng = np.random.default_rng(11)
         contexts = rng.choice([0, 3, 12, 13, 14, 15, 7], size=(300, 4),
@@ -327,8 +323,8 @@ class TestEvaluate:
         # warns once.
         rng = np.random.default_rng(7)
         default_block = tweetembed.model.EVAL_BLOCK_LOGITS
-        for sigmoid_logits, clamped in ((False, False), (True, False), (False, True)):
-            hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3, sigmoid_logits=sigmoid_logits)
+        for clamped in (False, True):
+            hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3)
             params = init_params(hyper, seed=1)
             contexts, targets = random_batch(rng, hyper, 23)
             if clamped:
@@ -341,7 +337,7 @@ class TestEvaluate:
                 monkeypatch.setattr(tweetembed.model, "EVAL_BLOCK_LOGITS", block_logits)
                 caplog.clear()
                 got = evaluate(params, contexts, targets)
-                assert abs(got - expected) <= 1e-12 * expected, (sigmoid_logits, block_logits)
+                assert abs(got - expected) <= 1e-12 * expected, (clamped, block_logits)
                 warnings = [r.getMessage() for r in caplog.records]
                 assert warnings == (
                     [f"{n_clamped} target probabilities clamped to 1e-12 before log"]
@@ -352,16 +348,14 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, sigmoid_logits,
-                                                             monkeypatch):
+    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, monkeypatch):
         # At |V| = 302 a summed group is 2^20 // 302 = 3472 rows, which no
         # chunk height here divides, so chunks straddle group ends and 8000
         # rows leave a short last group. Heights 3 and 13 would end each
         # full group with a 1-row chunk (see the next test). With chunks
         # capped at 5000 rows, not EVAL_CHUNK_ROWS, a workspace of 3472 rows
         # computes each group in one product.
-        hyper = ModelHyper(vocab_size=302, sigmoid_logits=sigmoid_logits)
+        hyper = ModelHyper(vocab_size=302)
         params = init_params(hyper, seed=2)
         rng = np.random.default_rng(5)
         contexts = rng.integers(0, hyper.vocab_size + 4, (8000, 4))
@@ -437,13 +431,11 @@ class TestEvaluate:
 
 
 class TestWorkspace:
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_nbytes_counts_every_array(self, sigmoid_logits):
-        hyper = ModelHyper(vocab_size=300, d_in=5, d_ctx=7, sigmoid_logits=sigmoid_logits)
+    def test_nbytes_counts_every_array(self):
+        hyper = ModelHyper(vocab_size=300, d_in=5, d_ctx=7)
         ws = Workspace(hyper, 11)
         arrays = {id(a): a for a in vars(ws).values() if isinstance(a, np.ndarray)}
         assert Workspace.nbytes(hyper, 11) == sum(a.nbytes for a in arrays.values())
-        assert (ws.logits is ws.out_pre) != sigmoid_logits
 
     def test_training_rows(self):
         # max(batch, min(256, 2^20 // |V|))
@@ -453,7 +445,7 @@ class TestWorkspace:
 
     def test_reused_workspace_gives_the_same_gradient(self):
         # A smaller batch after a larger one reads only its own rows.
-        hyper = tiny_hyper(vocab_size=12, sigmoid_logits=True)
+        hyper = tiny_hyper(vocab_size=12)
         params = init_params(hyper, seed=4)
         rng = np.random.default_rng(8)
         ws = Workspace(hyper, 9)
@@ -467,7 +459,7 @@ class TestWorkspace:
 
 class TestCheckpoint:
     def test_round_trip_exact(self, tmp_path):
-        hyper = tiny_hyper(vocab_size=9, d_in=3, d_ctx=5, sigmoid_logits=True)
+        hyper = tiny_hyper(vocab_size=9, d_in=3, d_ctx=5)
         params = init_params(hyper, seed=77)
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path, seed=77, vocab_hash="abc123")

@@ -243,27 +243,22 @@ class TestTrain:
                   diverging, tmp_path / "diverging.log", "")
         assert diverging.read_bytes() == reference.read_bytes()
 
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_hot_path_bytes_match_reference_implementations(self, sigmoid_logits,
-                                                            tmp_path, monkeypatch):
+    def test_hot_path_bytes_match_reference_implementations(self, tmp_path, monkeypatch):
         # Guard for hot-path rewrites: swapping softmax, sigmoid and adam_step
         # for their textbook forms must not change one byte of the checkpoint.
         # The hot path passes `out=`, so the oracles' fresh results are
         # copied there; a call the hot path stopped making would fail
         # `calls`.
-        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4, sigmoid_logits=sigmoid_logits)
+        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=21, deterministic=True)
         fast, slow = tmp_path / "fast.ckpt", tmp_path / "slow.ckpt"
         _, fast_logs = train(toy_split(), hyper, cfg, fast, tmp_path / "fast.log", "")
         calls = {"softmax": 0, "sigmoid": 0}
 
         def into_out(name, oracle):
-            def wrapped(x, out=None):
+            def wrapped(x, out):
                 calls[name] += 1
-                result = oracle(x)
-                if out is None:
-                    return result
-                out[...] = result
+                out[...] = oracle(x)
                 return out
             return wrapped
 
@@ -275,7 +270,7 @@ class TestTrain:
         assert fast_logs == slow_logs
         steps = -(-len(toy_split().train) // cfg.batch_size) * cfg.epochs
         assert calls["softmax"] == steps
-        assert calls["sigmoid"] >= steps * (2 if sigmoid_logits else 1)
+        assert calls["sigmoid"] >= steps
 
     @pytest.mark.parametrize("failing", [
         "model.ckpt", "run_log.tsv", "ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
@@ -441,11 +436,10 @@ class TestTrain:
                 with pytest.raises(MemoryError, match="activations"):
                     _check_fits_in_memory(hyper, rows)
 
-    @pytest.mark.parametrize("sigmoid_logits", [False, True])
-    def test_step_allocates_only_the_gradient(self, sigmoid_logits):
+    def test_step_allocates_only_the_gradient(self):
         # Once the workspace and Adam's state exist, a step allocates the
         # gradient vector from np.bincount and little else.
-        hyper = ModelHyper(vocab_size=2048, sigmoid_logits=sigmoid_logits)
+        hyper = ModelHyper(vocab_size=2048)
         params = init_params(hyper, seed=1)
         state = AdamState.for_params(params)
         cfg = TrainConfig()
