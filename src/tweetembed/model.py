@@ -19,6 +19,21 @@ builds one per run, and a caller that passes none gets one for its own
 rows. So a training step allocates one array, its gradient vector, and
 how fast it runs does not hang on the allocator's state.
 
+A workspace may carry a `Worker`, one helper thread; `training.train`
+gives it one when it could set OpenBLAS to one thread. Then the passes
+run in two parts at once, the first on the calling thread and the second
+on the worker, on disjoint rows of the workspace: `backward_arrays`
+splits its rows from the gather to `d_merged` at half the batch, and the
+output layer's gradient by columns at the multiple of 8 nearest |V| / 2;
+`evaluate` splits each chunk's rows in half. The partition is fixed by
+the sizes alone. A part of rows has at least 2 rows and a part of
+columns at least 8, so no product is one row or one column long, and
+each part covers at least PART_MIN_VALUES values (rows x |V| logits,
+batch x columns gradient entries); so at batch 256 a step splits from
+|V| = 512 up. Otherwise, and without a worker, a pass is one part. The
+worker calls only private helpers and `softmax`/`sigmoid`; every public
+function runs on the calling thread.
+
 The loss is the mean cross entropy, -ln p_target per row, clamped at
 -ln LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) -
 logit_target and never builds the probability matrix. It sums the losses
@@ -30,6 +45,10 @@ only and returns the gradient in the parameters' own layout: one flat
 vector with a view per array (`ModelParams`). The hot paths perform the
 same IEEE operations in the same order as the textbook forms kept in
 `tests/oracles.py`, so training yields the same parameters to the bit.
+Row for row, both parts perform the same operations as one part does. So
+the bits are the same in one part or two wherever a matrix product
+rounds a row alike whatever its row count, which OpenBLAS 0.3.31 does
+when |V| and the layer widths are multiples of 8 (see `evaluate`).
 
 The input-embedding gradient is a scatter: row r of the batch adds its
 four context slices of d_merged into the rows of w_input their ids name.
@@ -50,8 +69,11 @@ from __future__ import annotations
 
 import logging
 import math
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -68,6 +90,10 @@ MAX_NLL = float(-np.log(LOSS_FLOOR))
 # time and computes them at most EVAL_CHUNK_ROWS rows at a time.
 EVAL_BLOCK_LOGITS = 2 ** 20
 EVAL_CHUNK_ROWS = 256
+# A pass runs in two parts only if each part covers this many values (see
+# the module docstring): below it, handing a part to the worker cost more
+# than it saved (|V| 128 and 256 at batch 256, the grid_matrix workload).
+PART_MIN_VALUES = 2 ** 16
 
 CHECKPOINT_MAGIC = b"EMBCKPT1"
 PARAM_FIELDS = ("w_input", "w_ctx", "b_ctx", "w_output", "b_out")
@@ -192,13 +218,75 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+class Worker:
+    """One helper thread that runs the second part of a two-part pass
+    while the calling thread runs the first (see the module docstring).
+
+    `run` returns when both parts have; an exception raised in either part
+    reaches its caller unchanged, the calling thread's first. `close`
+    (also on leaving a `with` block) stops and joins the thread.
+    """
+
+    def __init__(self) -> None:
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        self._thread = threading.Thread(target=self._serve, name="tweetembed-worker",
+                                        daemon=True)
+        self._thread.start()
+
+    def _serve(self) -> None:
+        while (task := self._tasks.get()) is not None:
+            try:
+                task()
+            except BaseException as exc:  # handed to the caller of `run`
+                self._done.put(exc)
+            else:
+                self._done.put(None)
+
+    def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
+        self._tasks.put(second)
+        try:
+            first()
+        finally:
+            error = self._done.get()  # the worker's part never outlives the call
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        self._tasks.put(None)
+        self._thread.join()
+
+    def __enter__(self) -> "Worker":
+        return self
+
+    def __exit__(self, *exc_info: object) -> None:
+        self.close()
+
+
+def _in_parts(worker: Worker | None, size: int, part: Callable[[int, int], None],
+              values: int, step: int = 1, least: int = 1) -> None:
+    """`part(0, size)`, or `part(0, cut)` here and `part(cut, size)` on
+    `worker` at once, where cut is the multiple of `step` nearest size / 2.
+    Two parts only with a worker and, in each part, at least `least` items
+    and PART_MIN_VALUES values, at `values` values per item."""
+    cut = step * round(size / (2 * step))
+    least = max(least, -(-PART_MIN_VALUES // values))
+    if worker is None or not least <= cut <= size - least:
+        part(0, size)
+    else:
+        worker.run(lambda: part(0, cut), lambda: part(cut, size))
+
+
 class Workspace:
     """The scratch arrays of the forward and backward passes over up to
-    `rows` rows, allocated once and reused by every call that is given it.
+    `rows` rows, allocated once and reused by every call that is given it,
+    and the `worker` that runs their second parts (None: one part).
 
-    A pass over b rows writes the first b rows of each array, so every
-    intermediate is a C-contiguous array of the shape a fresh one would
-    have, and the passes round exactly as with fresh arrays.
+    A pass over b rows writes the first b rows of each array, a part
+    over rows [lo, hi) of them rows lo to hi - 1, so every intermediate is
+    a C-contiguous array of the shape a fresh one would have, and the
+    passes round exactly as with fresh arrays. The two parts never write
+    the same row, so they share the arrays.
     """
 
     merged: np.ndarray     # (rows, 4 d_in): the gathered context rows
@@ -212,10 +300,11 @@ class Workspace:
     row_ids: np.ndarray    # 0 .. rows - 1
     columns: np.ndarray    # 0 .. d_in - 1
 
-    def __init__(self, hyper: ModelHyper, rows: int) -> None:
+    def __init__(self, hyper: ModelHyper, rows: int, worker: Worker | None = None) -> None:
         if rows < 1:
             raise ValueError("a workspace needs at least one row")
         self.rows = rows
+        self.worker = worker
         vars(self).update({name: np.empty(shape, dtype)
                            for name, (shape, dtype) in self._layout(hyper, rows).items()})
         self.row_ids[:] = np.arange(rows)
@@ -252,21 +341,22 @@ def _eval_group_rows(hyper: ModelHyper) -> int:
     return max(1, EVAL_BLOCK_LOGITS // hyper.vocab_size)
 
 
-def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace
-                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace,
+                       first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The forward pass up to the softmax input, for a (B, 4) int array of
-    context ids, written into the first B rows of `ws`: (merged, ctx_act,
-    logits), shapes (B, 4 * d_in), (B, d_ctx) and (B, |V|)."""
+    context ids, written into rows first .. first + B - 1 of `ws`: (merged,
+    ctx_act, logits), shapes (B, 4 * d_in), (B, d_ctx) and (B, |V|)."""
     b = contexts.shape[0]
-    merged = ws.merged[:b]
+    rows = slice(first, first + b)
+    merged = ws.merged[rows]
     # mode="wrap" writes straight into `out`; "raise" would copy it first.
     # Ids are in range (see the module docstring), so no id wraps.
     np.take(params.w_input, contexts, axis=0, out=merged.reshape(b, N_CONTEXT, -1),
             mode="wrap")
-    ctx_pre = np.matmul(merged, params.w_ctx, out=ws.ctx_pre[:b])
+    ctx_pre = np.matmul(merged, params.w_ctx, out=ws.ctx_pre[rows])
     ctx_pre += params.b_ctx
-    ctx_act = sigmoid(ctx_pre, out=ws.ctx_act[:b])
-    logits = np.matmul(ctx_act, params.w_output, out=ws.out_pre[:b])
+    ctx_act = sigmoid(ctx_pre, out=ws.ctx_act[rows])
+    logits = np.matmul(ctx_act, params.w_output, out=ws.out_pre[rows])
     logits += params.b_out
     return merged, ctx_act, logits
 
@@ -286,19 +376,24 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     alone, not on the batch size. Without `ws`, one of
     min(n, EVAL_CHUNK_ROWS, group) rows is built. Memory is the workspace
     plus 8 bytes per row of a group, whatever n is. The LOSS_FLOOR clamp
-    warns at most once per call, with the count over all groups.
+    warns at most once per call, with the count over all groups. With a
+    worker in `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES
+    logits each runs as two halves at once, each writing its own rows'
+    slots of the group's buffer, so the sum adds the same values in the
+    same order.
 
     A chunk's logits round like the whole group's when the BLAS computes
     each row of a product the same way whatever the row count. numpy
     multiplies a single row as matrix-vector products, which round
-    otherwise, so no chunk of a longer group is one row long. OpenBLAS
-    0.3.31 (Haswell kernels) rounds a few products of a row differently
-    with the product's row count, and with the BLAS thread count, when a
-    width (|V| or d_ctx) is 1 to 5 above a multiple of 8 (one thread
-    against two differed at 129-133, 300, 301, 1001 and 2053 columns, never
-    at 64, 96, 128, 256, 1000 or 2048); the loss was unchanged wherever
-    the row count was checked, since a last-bit change in a logit is far
-    below the last bit of a loss.
+    otherwise, so no chunk of a longer group, and no half, is one row
+    long. OpenBLAS 0.3.31 (Haswell kernels) rounds a few products of a row
+    differently with the product's row count, and with the BLAS thread
+    count, when a width (|V| or d_ctx) is 1 to 5 above a multiple of 8
+    (one thread against two differed at 129-133, 300, 301, 1001 and 2053
+    columns, never at 64, 96, 128, 256, 1000 or 2048); the loss was
+    unchanged wherever the row count was checked, since a last-bit change
+    in a logit is far below the last bit of a loss. `training.train` runs
+    on one BLAS thread, so there only the row count matters.
     """
     n = targets.shape[0]
     if n == 0:
@@ -316,21 +411,31 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
         if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
             bounds[-2] -= 1  # a 1-row product is a matrix-vector one, which rounds otherwise
         for lo, hi in zip(bounds, bounds[1:]):
-            logits = _forward_to_logits(params, contexts[start + lo:start + hi], ws)[-1]
-            m = hi - lo
-            top = np.max(logits, axis=1, out=ws.top[:m])
-            part = np.subtract(top, logits[ws.row_ids[:m], targets[start + lo:start + hi]],
-                               out=nll[lo:hi])
-            logits -= top[:, None]
-            np.exp(logits, out=logits)
-            np.log(np.sum(logits, axis=1, out=top), out=top)
-            part += top
+            def rows(a: int, b: int) -> None:  # rows lo + a .. lo + b - 1 of the group
+                at = slice(start + lo + a, start + lo + b)
+                _nll_rows(params, contexts[at], targets[at], ws, a, nll[lo + a:lo + b])
+
+            _in_parts(ws.worker, hi - lo, rows, params.hyper.vocab_size, least=2)
         n_clamped += int(np.count_nonzero(nll > MAX_NLL))
         np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
         total += float(nll.sum())
     if n_clamped:
         logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
     return total / n
+
+
+def _nll_rows(params: ModelParams, contexts: np.ndarray, targets: np.ndarray, ws: Workspace,
+              first: int, nll: np.ndarray) -> None:
+    """`evaluate`'s unclamped -ln p_target of each row, into `nll`, computed
+    in rows first .. first + B - 1 of `ws`."""
+    logits = _forward_to_logits(params, contexts, ws, first)[-1]
+    m = targets.shape[0]
+    top = np.max(logits, axis=1, out=ws.top[first:first + m])
+    np.subtract(top, logits[ws.row_ids[:m], targets], out=nll)
+    logits -= top[:, None]
+    np.exp(logits, out=logits)
+    np.log(np.sum(logits, axis=1, out=top), out=top)
+    nll += top
 
 
 def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
@@ -342,32 +447,56 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
     not given), so the gradient vector is the one array the call
     allocates. The shared input matrix accumulates contributions from all
     four context positions, in one `np.bincount` (see the module
-    docstring); rows for ids absent from the batch stay zero.
+    docstring); rows for ids absent from the batch stay zero. With a
+    worker in `ws`, the row passes and the output layer's gradient run in
+    two parts (see the module docstring).
     """
     batch = targets.shape[0]
     if batch == 0:
         raise ValueError("backward pass needs a non-empty batch")
     if ws is None:
         ws = Workspace(params.hyper, batch)
-    merged, ctx_act, logits = _forward_to_logits(params, contexts, ws)
-    d_out_pre = softmax(logits, out=logits)
-    d_out_pre[ws.row_ids[:batch], targets] -= 1.0
-    d_out_pre /= batch
-    d_ctx_pre = np.matmul(d_out_pre, params.w_output.T, out=ws.ctx_pre[:batch])  # d_act
-    d_ctx_pre *= ctx_act
-    d_ctx_pre *= np.subtract(1.0, ctx_act, out=ws.one_minus[:batch])
-    d_merged = np.matmul(d_ctx_pre, params.w_ctx.T, out=ws.d_merged[:batch])
+
+    def rows(lo: int, hi: int) -> None:
+        _backward_rows(params, contexts[lo:hi], targets[lo:hi], ws, lo, batch)
+
+    _in_parts(ws.worker, batch, rows, params.hyper.vocab_size, least=2)
+    merged, ctx_act = ws.merged[:batch], ws.ctx_act[:batch]
+    d_out_pre, d_ctx_pre = ws.out_pre[:batch], ws.ctx_pre[:batch]
     # w_input leads `flat`, so the scatter's output is the gradient vector:
     # entry id * d_in + column of w_input, zeros past it.
-    cells = np.multiply(contexts[..., None], params.hyper.d_in, out=ws.cells[:batch])
-    cells += ws.columns
-    grads = ModelParams(params.hyper, np.bincount(cells.ravel(), weights=d_merged.ravel(),
-                                                  minlength=param_count(params.hyper)))
-    np.matmul(ctx_act.T, d_out_pre, out=grads.w_output)
-    d_out_pre.sum(axis=0, out=grads.b_out)
+    grads = ModelParams(params.hyper, np.bincount(
+        ws.cells[:batch].ravel(), weights=ws.d_merged[:batch].ravel(),
+        minlength=param_count(params.hyper)))
+
+    def columns(lo: int, hi: int) -> None:
+        np.matmul(ctx_act.T, d_out_pre[:, lo:hi], out=grads.w_output[:, lo:hi])
+        d_out_pre[:, lo:hi].sum(axis=0, out=grads.b_out[lo:hi])
+
+    _in_parts(ws.worker, params.hyper.vocab_size, columns, batch, step=8, least=8)
     np.matmul(merged.T, d_ctx_pre, out=grads.w_ctx)
     d_ctx_pre.sum(axis=0, out=grads.b_ctx)
     return grads
+
+
+def _backward_rows(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
+                   ws: Workspace, first: int, batch: int) -> None:
+    """The row-local part of `backward_arrays` for B rows of a batch of
+    `batch`, in rows first .. first + B - 1 of `ws`: the forward pass, then
+    d_out_pre in `out_pre`, d_ctx_pre in `ctx_pre`, d_merged and the
+    scatter's cells."""
+    m = targets.shape[0]
+    rows = slice(first, first + m)
+    ctx_act, logits = _forward_to_logits(params, contexts, ws, first)[1:]
+    d_out_pre = softmax(logits, out=logits)
+    d_out_pre[ws.row_ids[:m], targets] -= 1.0
+    d_out_pre /= batch
+    d_ctx_pre = np.matmul(d_out_pre, params.w_output.T, out=ws.ctx_pre[rows])  # d_act
+    d_ctx_pre *= ctx_act
+    d_ctx_pre *= np.subtract(1.0, ctx_act, out=ws.one_minus[rows])
+    np.matmul(d_ctx_pre, params.w_ctx.T, out=ws.d_merged[rows])
+    cells = np.multiply(contexts[..., None], params.hyper.d_in, out=ws.cells[rows])
+    cells += ws.columns
 
 
 def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash: str) -> None:

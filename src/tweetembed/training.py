@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
 import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,7 +22,9 @@ from .model import (
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
+    Worker,
     Workspace,
+    _in_parts,
     backward_arrays,
     evaluate,
     init_params,
@@ -59,16 +64,20 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment accumulators, in the parameters' layout, step
-    count, and the two ADAM_BLOCK-value slice buffers `adam_step` works in."""
+    count, the `worker` that runs the second part of each update (None:
+    one part), and two pairs of ADAM_BLOCK-value slice buffers that
+    `adam_step` works in, one pair per part."""
 
     m: ModelParams
     v: ModelParams
     t: int = 0
-    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, ADAM_BLOCK)), repr=False)
+    worker: Worker | None = field(default=None, repr=False)
+    scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 2, ADAM_BLOCK)),
+                                repr=False)
 
     @classmethod
-    def for_params(cls, params: ModelParams) -> "AdamState":
-        return cls(m=ModelParams(params.hyper), v=ModelParams(params.hyper))
+    def for_params(cls, params: ModelParams, worker: Worker | None = None) -> "AdamState":
+        return cls(m=ModelParams(params.hyper), v=ModelParams(params.hyper), worker=worker)
 
 
 @dataclass
@@ -108,6 +117,10 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     check reads all of the gradients before any slice or the step count is
     updated, so a rejected step changes nothing. The bias correction stays
     on m and v (not folded into the step size), so eps keeps its meaning.
+    With a worker in `state`, the vectors are updated in two parts at once,
+    split at the ADAM_BLOCK boundary nearest their middle, each part in its
+    own pair of slice buffers, when each part has model.PART_MIN_VALUES
+    values (at d = 64, from |V| of about 900).
     """
     t = state.t + 1
     g = grads.flat
@@ -118,25 +131,29 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     state.t = t
     m_scale = 1.0 - ADAM_BETA1 ** t
     v_scale = 1.0 - ADAM_BETA2 ** t
-    step_buf, denom_buf = state.scratch
-    for start in range(0, g.size, ADAM_BLOCK):
-        part = slice(start, start + ADAM_BLOCK)
-        g_part, m, v = g[part], state.m.flat[part], state.v.flat[part]
-        step, denom = step_buf[:g_part.size], denom_buf[:g_part.size]
-        np.multiply(g_part, 1.0 - ADAM_BETA1, out=step)  # (1 - b1) g
-        m *= ADAM_BETA1
-        m += step
-        np.multiply(g_part, g_part, out=step)            # (1 - b2) g^2
-        step *= 1.0 - ADAM_BETA2
-        v *= ADAM_BETA2
-        v += step
-        np.divide(m, m_scale, out=step)                  # lr * m_hat
-        step *= cfg.learning_rate
-        np.divide(v, v_scale, out=denom)                 # sqrt(v_hat) + eps
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPSILON
-        step /= denom
-        params.flat[part] -= step
+
+    def update(lo: int, hi: int) -> None:
+        step_buf, denom_buf = state.scratch[0 if lo == 0 else 1]
+        for start in range(lo, hi, ADAM_BLOCK):
+            part = slice(start, min(start + ADAM_BLOCK, hi))
+            g_part, m, v = g[part], state.m.flat[part], state.v.flat[part]
+            step, denom = step_buf[:g_part.size], denom_buf[:g_part.size]
+            np.multiply(g_part, 1.0 - ADAM_BETA1, out=step)  # (1 - b1) g
+            m *= ADAM_BETA1
+            m += step
+            np.multiply(g_part, g_part, out=step)            # (1 - b2) g^2
+            step *= 1.0 - ADAM_BETA2
+            v *= ADAM_BETA2
+            v += step
+            np.divide(m, m_scale, out=step)                  # lr * m_hat
+            step *= cfg.learning_rate
+            np.divide(v, v_scale, out=denom)                 # sqrt(v_hat) + eps
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPSILON
+            step /= denom
+            params.flat[part] -= step
+
+    _in_parts(state.worker, g.size, update, 1, step=ADAM_BLOCK)
 
 
 def _check_fits_in_memory(hyper: ModelHyper, rows: int) -> None:
@@ -144,8 +161,9 @@ def _check_fits_in_memory(hyper: ModelHyper, rows: int) -> None:
 
     Training holds four float64 arrays per parameter (the parameters, one
     batch's gradients and Adam's two moments) and one `Workspace` of
-    `rows` rows, which holds every activation of a step; the check counts
-    all of them. Adam's scratch adds only two slices of ADAM_BLOCK values.
+    `rows` rows, which holds every activation of a step and is shared by
+    both parts of a pass; the check counts all of them. Adam's scratch adds
+    only two pairs of ADAM_BLOCK-value slices, one pair per part.
     """
     needed = 4 * 8 * param_count(hyper) + Workspace.nbytes(hyper, rows)
     physical = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -153,6 +171,48 @@ def _check_fits_in_memory(hyper: ModelHyper, rows: int) -> None:
         raise MemoryError(f"a |V|={hyper.vocab_size} model needs {needed} bytes for parameters, "
                           f"gradients, Adam moments and activations; "
                           f"physical memory is {physical} bytes")
+
+
+@functools.cache
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The get and set functions of the loaded OpenBLAS's thread count,
+    found through its C API in the libraries this process has mapped, or
+    None (another BLAS, or no /proc/self/maps)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "blas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(handle, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(handle, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Set OpenBLAS to one thread for the block and restore its previous
+    count on leaving it, however it is left; yields whether it could."""
+    api = _openblas_threads()
+    if api is None:
+        yield False
+        return
+    get, put = api
+    previous = get()
+    put(1)
+    try:
+        yield True
+    finally:
+        put(previous)
 
 
 def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
@@ -173,47 +233,61 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     log stay on disk.
     With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible. Every step and evaluation works in one `Workspace`,
-    allocated here for the run. The rows are held once, in the split: a
-    batch is one gather of its rows (contexts, then target), and `evaluate`
-    reads column views. A step's gradient is referenced only for its Adam
-    update, so it is freed before the next step allocates one. A model
-    larger than physical memory is a MemoryError before anything is
-    allocated.
+    allocated here for the run.
+
+    For the run, OpenBLAS is set to one thread and `train` owns one
+    `Worker` thread, which runs the second part of each step, loss
+    evaluation and Adam update (see `model` and `adam_step`); on every
+    exit the worker is joined and OpenBLAS gets its thread count back.
+    Without an OpenBLAS whose count can be set, every pass is one part and
+    the BLAS keeps its threads. So a run uses two cores whatever the
+    BLAS's own setting, and its bytes do not depend on that setting. The
+    trade-off: a host with more than two cores loses OpenBLAS's wider
+    products while training, and a pass too small to split (see
+    model.PART_MIN_VALUES) runs on one core.
+
+    The rows are held once, in the split: a batch is one gather of its
+    rows (contexts, then target), and `evaluate` reads column views. A
+    step's gradient is referenced only for its Adam update, so it is freed
+    before the next step allocates one. A model larger than physical
+    memory is a MemoryError before anything is allocated.
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
     rows = Workspace.training_rows(hyper, cfg.batch_size)
     _check_fits_in_memory(hyper, rows)
     params = init_params(hyper, cfg.seed)
-    state = AdamState.for_params(params)
-    ws = Workspace(hyper, rows)
     train_ctx, train_tgt = split.train[:, :N_CONTEXT], split.train[:, N_CONTEXT]
     val_ctx, val_tgt = split.validation[:, :N_CONTEXT], split.validation[:, N_CONTEXT]
 
     limit = min(10.0 * math.log(hyper.vocab_size), MAX_NLL / 2)
     n = train_tgt.shape[0]
     logs: list[EpochLog] = []
-    for epoch in range(1, cfg.epochs + 1):
-        started = time.perf_counter()
-        order = permutation(n, derive_seed(cfg.seed, epoch))
-        for start in range(0, n, cfg.batch_size):
-            batch = split.train[order[start : start + cfg.batch_size]]
-            adam_step(params, backward_arrays(params, batch[:, :N_CONTEXT], batch[:, N_CONTEXT],
-                                              ws), state, cfg)
-        train_loss = evaluate(params, train_ctx, train_tgt, ws)
-        val_loss = evaluate(params, val_ctx, val_tgt, ws) if len(val_tgt) else math.nan
-        wall = 0.0 if cfg.deterministic else time.perf_counter() - started
-        if not math.isfinite(train_loss) or train_loss > limit:
-            raise TrainingDiverged(
-                f"train loss {train_loss:.4f} at epoch {epoch} "
-                f"(limit min(10 ln|V|, MAX_NLL / 2) = {limit:.4f}); keeping last good checkpoint"
-            )
-        entry = EpochLog(epoch, train_loss, val_loss, wall)
-        logs.append(entry)
-        save_checkpoint(params, checkpoint_path, cfg.seed, vocab_hash)
-        write_run_log(logs, log_path)
-        if on_epoch is not None:
-            on_epoch(entry)
+    with _one_blas_thread() as pinned, \
+            (Worker() if pinned else contextlib.nullcontext()) as worker:
+        state = AdamState.for_params(params, worker)
+        ws = Workspace(hyper, rows, worker)
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.perf_counter()
+            order = permutation(n, derive_seed(cfg.seed, epoch))
+            for start in range(0, n, cfg.batch_size):
+                batch = split.train[order[start : start + cfg.batch_size]]
+                adam_step(params, backward_arrays(params, batch[:, :N_CONTEXT],
+                                                  batch[:, N_CONTEXT], ws), state, cfg)
+            train_loss = evaluate(params, train_ctx, train_tgt, ws)
+            val_loss = evaluate(params, val_ctx, val_tgt, ws) if len(val_tgt) else math.nan
+            wall = 0.0 if cfg.deterministic else time.perf_counter() - started
+            if not math.isfinite(train_loss) or train_loss > limit:
+                raise TrainingDiverged(
+                    f"train loss {train_loss:.4f} at epoch {epoch} (limit min(10 ln|V|, "
+                    f"MAX_NLL / 2) = {limit:.4f}); keeping last good checkpoint"
+                )
+            entry = EpochLog(epoch, train_loss, val_loss, wall)
+            logs.append(entry)
+            save_checkpoint(params, checkpoint_path, cfg.seed, vocab_hash)
+            write_run_log(logs, log_path)
+            if on_epoch is not None:
+                on_epoch(entry)
     return params, logs
 
 

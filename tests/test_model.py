@@ -382,9 +382,9 @@ class TestEvaluate:
         def run(rows):
             calls = []
 
-            def recorded(params, contexts, ws):
+            def recorded(params, contexts, ws, first=0):
                 calls.append(len(contexts))
-                return forward(params, contexts, ws)
+                return forward(params, contexts, ws, first)
 
             monkeypatch.setattr(tweetembed.model, "_forward_to_logits", recorded)
             loss = evaluate(params, contexts, targets, Workspace(hyper, rows))

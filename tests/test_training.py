@@ -248,29 +248,38 @@ class TestTrain:
         # for their textbook forms must not change one byte of the checkpoint.
         # The hot path passes `out=`, so the oracles' fresh results are
         # copied there; a call the hot path stopped making would fail
-        # `calls`.
+        # `calls`, which holds each call's row count. A step's softmax runs
+        # once per row part: at this size one part, and two halves when
+        # PART_MIN_VALUES = 0 and OpenBLAS can be set to one thread.
         hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
         cfg = TrainConfig(epochs=3, batch_size=16, seed=21, deterministic=True)
-        fast, slow = tmp_path / "fast.ckpt", tmp_path / "slow.ckpt"
-        _, fast_logs = train(toy_split(), hyper, cfg, fast, tmp_path / "fast.log", "")
-        calls = {"softmax": 0, "sigmoid": 0}
+        n = len(toy_split().train)
+        batches = [min(cfg.batch_size, n - start) for start in range(0, n, cfg.batch_size)]
+        two = tweetembed.training._openblas_threads() is not None
+        for min_values, split in ((tweetembed.model.PART_MIN_VALUES, False), (0, two)):
+            monkeypatch.setattr(tweetembed.model, "PART_MIN_VALUES", min_values)
+            fast, slow = tmp_path / f"fast{min_values}.ckpt", tmp_path / f"slow{min_values}.ckpt"
+            _, fast_logs = train(toy_split(), hyper, cfg, fast, tmp_path / "fast.log", "")
+            calls = {"softmax": [], "sigmoid": []}
 
-        def into_out(name, oracle):
-            def wrapped(x, out):
-                calls[name] += 1
-                out[...] = oracle(x)
-                return out
-            return wrapped
+            def into_out(name, oracle):
+                def wrapped(x, out):
+                    calls[name].append(len(x))  # list.append is atomic across threads
+                    out[...] = oracle(x)
+                    return out
+                return wrapped
 
-        monkeypatch.setattr(tweetembed.model, "softmax", into_out("softmax", oracle_softmax))
-        monkeypatch.setattr(tweetembed.model, "sigmoid", into_out("sigmoid", oracle_sigmoid))
-        monkeypatch.setattr(tweetembed.training, "adam_step", oracle_adam_step)
-        _, slow_logs = train(toy_split(), hyper, cfg, slow, tmp_path / "slow.log", "")
-        assert fast.read_bytes() == slow.read_bytes()
-        assert fast_logs == slow_logs
-        steps = -(-len(toy_split().train) // cfg.batch_size) * cfg.epochs
-        assert calls["softmax"] == steps
-        assert calls["sigmoid"] >= steps
+            with monkeypatch.context() as patched:
+                patched.setattr(tweetembed.model, "softmax", into_out("softmax", oracle_softmax))
+                patched.setattr(tweetembed.model, "sigmoid", into_out("sigmoid", oracle_sigmoid))
+                patched.setattr(tweetembed.training, "adam_step", oracle_adam_step)
+                _, slow_logs = train(toy_split(), hyper, cfg, slow, tmp_path / "slow.log", "")
+            assert fast.read_bytes() == slow.read_bytes()
+            assert fast_logs == slow_logs
+            parts = [part for rows in batches * cfg.epochs
+                     for part in ((rows // 2, rows - rows // 2) if split and rows >= 4 else (rows,))]
+            assert sorted(calls["softmax"]) == sorted(parts)
+            assert len(calls["sigmoid"]) >= len(parts)
 
     @pytest.mark.parametrize("failing", [
         "model.ckpt", "run_log.tsv", "ngrams.tsv", "ngrams.tsv.bin", "dictionary.tsv",
