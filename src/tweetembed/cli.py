@@ -205,12 +205,11 @@ def train_settings(args: argparse.Namespace,
 
 
 def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
-                 args: argparse.Namespace, out_path: Path) -> tuple[EmbeddingTable, dict]:
-    table = export_embeddings(params, vocab, manifest_hash=file_sha256(checkpoint_path),
-                              source=args.source)
+                 out_path: Path) -> EmbeddingTable:
+    table = export_embeddings(params, vocab, manifest_hash=file_sha256(checkpoint_path))
     write_embeddings_text(table, out_path)
     write_embeddings_binary(table, out_path.with_suffix(out_path.suffix + ".bin"))
-    return table, {"source": args.source}
+    return table
 
 
 def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
@@ -310,10 +309,10 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"vocabulary/checkpoint mismatch: {vocab_path} does not hash to "
             f"the vocabulary this checkpoint was trained on"
         )
-    table, config = export_stage(params, vocab, checkpoint_path, args, out_path)
+    table = export_stage(params, vocab, checkpoint_path, out_path)
     manifest = build_manifest(
         "export",
-        {**config, "out": str(out_path)},
+        {"out": str(out_path)},
         {"checkpoint": checkpoint_path, "vocab": vocab_path},
         args.deterministic, digests={"checkpoint": table.manifest_hash},
     )
@@ -360,10 +359,10 @@ def grid_cell(examples: np.ndarray, vocab: list[str], fraction: float,
     params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
                          vocabulary_hash(vocab))
     text_path = cell / "embeddings.txt"
-    export_config = export_stage(params, vocab, cell / "model.ckpt", args, text_path)[1]
+    export_stage(params, vocab, cell / "model.ckpt", text_path)
     # Scored from the six-decimal text, as `eval` scores it.
     reports, eval_config = eval_stage(read_embeddings_text(text_path), classes, pairs, args)
-    config = {**dataset_config, **train_config, **export_config, **eval_config}
+    config = {**dataset_config, **train_config, **eval_config}
     cell_manifest = build_manifest("grid-cell", config, {"corpus": Path(args.corpus)},
                                    args.deterministic, digests={"corpus": corpus_sha256})
     emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
@@ -515,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="checkpoint + vocab -> text embeddings")
     p.add_argument("checkpoint")
     p.add_argument("--vocab", required=True)
-    p.add_argument("--source", choices=("output", "input"), default="output")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_export)
@@ -542,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_train_flags(p)
     _add_model_flags(p)
     _add_common(p)
-    # grid exports and scores every cell like `export` and `eval` do by default
-    p.set_defaults(func=cmd_grid, source="output", **THRESHOLD_DEFAULTS)
+    # grid scores every cell like `eval` does by default
+    p.set_defaults(func=cmd_grid, **THRESHOLD_DEFAULTS)
 
     return parser
 

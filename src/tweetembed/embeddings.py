@@ -41,24 +41,14 @@ class EmbeddingTable:
 
 
 def export_embeddings(params: ModelParams, vocab: list[str],
-                      manifest_hash: str = "", source: str = "output") -> EmbeddingTable:
-    """Embedding table from trained parameters.
-
-    The exported vector for word id j is column j of the output projection.
-    source="input" instead exports the input-embedding rows (boundary-token
-    rows excluded), for comparison studies only.
-    """
+                      manifest_hash: str = "") -> EmbeddingTable:
+    """Embedding table from trained parameters: the exported vector for
+    word id j is column j of the output projection."""
     if params.hyper.vocab_size != len(vocab):
         raise ValueError(
             f"checkpoint vocab size {params.hyper.vocab_size} != vocabulary size {len(vocab)}"
         )
-    if source == "output":
-        vectors = params.w_output.T.copy()
-    elif source == "input":
-        vectors = params.w_input[: len(vocab)].copy()
-    else:
-        raise ValueError(f"unknown embedding source {source!r}")
-    return EmbeddingTable(list(vocab), vectors, manifest_hash)
+    return EmbeddingTable(list(vocab), params.w_output.T.copy(), manifest_hash)
 
 
 def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:

@@ -19,10 +19,10 @@ builds one per run, and a caller that passes none gets one for its own
 rows. So a training step allocates one array, its gradient vector, and
 how fast it runs does not hang on the allocator's state.
 
-A workspace may carry a `Worker`, one helper thread; `training.train`
+A workspace may carry a one-thread `ThreadPoolExecutor`; `training.train`
 gives it one when it could set OpenBLAS to one thread. Then the passes
 run in two parts at once, the first on the calling thread and the second
-on the worker, on disjoint rows of the workspace: `backward_arrays`
+on the pool, on disjoint rows of the workspace: `backward_arrays`
 splits its rows from the gather to `d_merged` at half the batch, and the
 output layer's gradient by columns at the multiple of 8 nearest |V| / 2;
 `evaluate` splits each chunk's rows in half. The partition is fixed by
@@ -30,9 +30,10 @@ the sizes alone. A part of rows has at least 2 rows and a part of
 columns at least 8, so no product is one row or one column long, and
 each part covers at least PART_MIN_VALUES values (rows x |V| logits,
 batch x columns gradient entries); so at batch 256 a step splits from
-|V| = 512 up. Otherwise, and without a worker, a pass is one part. The
-worker calls only private helpers and `softmax`/`sigmoid`; every public
-function runs on the calling thread.
+|V| = 512 up. Otherwise, and without a pool, a pass is one part, and
+the pool's thread starts only when a pass first splits. The pool calls
+only private helpers and `softmax`/`sigmoid`; every public function runs
+on the calling thread.
 
 The loss is the mean cross entropy, -ln p_target per row, clamped at
 -ln LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) -
@@ -69,8 +70,7 @@ from __future__ import annotations
 
 import logging
 import math
-import queue
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -91,7 +91,7 @@ MAX_NLL = float(-np.log(LOSS_FLOOR))
 EVAL_BLOCK_LOGITS = 2 ** 20
 EVAL_CHUNK_ROWS = 256
 # A pass runs in two parts only if each part covers this many values (see
-# the module docstring): below it, handing a part to the worker cost more
+# the module docstring): below it, handing a part to the pool cost more
 # than it saved (|V| 128 and 256 at batch 256, the grid_matrix workload).
 PART_MIN_VALUES = 2 ** 16
 
@@ -218,69 +218,32 @@ def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-class Worker:
-    """One helper thread that runs the second part of a two-part pass
-    while the calling thread runs the first (see the module docstring).
-
-    `run` returns when both parts have; an exception raised in either part
-    reaches its caller unchanged, the calling thread's first. `close`
-    (also on leaving a `with` block) stops and joins the thread.
-    """
-
-    def __init__(self) -> None:
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        self._thread = threading.Thread(target=self._serve, name="tweetembed-worker",
-                                        daemon=True)
-        self._thread.start()
-
-    def _serve(self) -> None:
-        while (task := self._tasks.get()) is not None:
-            try:
-                task()
-            except BaseException as exc:  # handed to the caller of `run`
-                self._done.put(exc)
-            else:
-                self._done.put(None)
-
-    def run(self, first: Callable[[], None], second: Callable[[], None]) -> None:
-        self._tasks.put(second)
-        try:
-            first()
-        finally:
-            error = self._done.get()  # the worker's part never outlives the call
-        if error is not None:
-            raise error
-
-    def close(self) -> None:
-        self._tasks.put(None)
-        self._thread.join()
-
-    def __enter__(self) -> "Worker":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-
-def _in_parts(worker: Worker | None, size: int, part: Callable[[int, int], None],
+def _in_parts(pool: ThreadPoolExecutor | None, size: int, part: Callable[[int, int], None],
               values: int, step: int = 1, least: int = 1) -> None:
     """`part(0, size)`, or `part(0, cut)` here and `part(cut, size)` on
-    `worker` at once, where cut is the multiple of `step` nearest size / 2.
-    Two parts only with a worker and, in each part, at least `least` items
-    and PART_MIN_VALUES values, at `values` values per item."""
+    `pool` at once, where cut is the multiple of `step` nearest size / 2.
+    Two parts only with a pool and, in each part, at least `least` items
+    and PART_MIN_VALUES values, at `values` values per item. Both parts
+    have ended when it returns; an exception raised in either reaches the
+    caller unchanged, the calling thread's first."""
     cut = step * round(size / (2 * step))
     least = max(least, -(-PART_MIN_VALUES // values))
-    if worker is None or not least <= cut <= size - least:
+    if pool is None or not least <= cut <= size - least:
         part(0, size)
-    else:
-        worker.run(lambda: part(0, cut), lambda: part(cut, size))
+        return
+    second = pool.submit(part, cut, size)
+    try:
+        part(0, cut)
+    finally:
+        error = second.exception()  # the pool's part never outlives the call
+    if error is not None:
+        raise error
 
 
 class Workspace:
     """The scratch arrays of the forward and backward passes over up to
     `rows` rows, allocated once and reused by every call that is given it,
-    and the `worker` that runs their second parts (None: one part).
+    and the `pool` that runs their second parts (None: one part).
 
     A pass over b rows writes the first b rows of each array, a part
     over rows [lo, hi) of them rows lo to hi - 1, so every intermediate is
@@ -300,11 +263,12 @@ class Workspace:
     row_ids: np.ndarray    # 0 .. rows - 1
     columns: np.ndarray    # 0 .. d_in - 1
 
-    def __init__(self, hyper: ModelHyper, rows: int, worker: Worker | None = None) -> None:
+    def __init__(self, hyper: ModelHyper, rows: int,
+                 pool: ThreadPoolExecutor | None = None) -> None:
         if rows < 1:
             raise ValueError("a workspace needs at least one row")
         self.rows = rows
-        self.worker = worker
+        self.pool = pool
         vars(self).update({name: np.empty(shape, dtype)
                            for name, (shape, dtype) in self._layout(hyper, rows).items()})
         self.row_ids[:] = np.arange(rows)
@@ -377,7 +341,7 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     min(n, EVAL_CHUNK_ROWS, group) rows is built. Memory is the workspace
     plus 8 bytes per row of a group, whatever n is. The LOSS_FLOOR clamp
     warns at most once per call, with the count over all groups. With a
-    worker in `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES
+    pool in `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES
     logits each runs as two halves at once, each writing its own rows'
     slots of the group's buffer, so the sum adds the same values in the
     same order.
@@ -415,7 +379,7 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
                 at = slice(start + lo + a, start + lo + b)
                 _nll_rows(params, contexts[at], targets[at], ws, a, nll[lo + a:lo + b])
 
-            _in_parts(ws.worker, hi - lo, rows, params.hyper.vocab_size, least=2)
+            _in_parts(ws.pool, hi - lo, rows, params.hyper.vocab_size, least=2)
         n_clamped += int(np.count_nonzero(nll > MAX_NLL))
         np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
         total += float(nll.sum())
@@ -448,7 +412,7 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
     allocates. The shared input matrix accumulates contributions from all
     four context positions, in one `np.bincount` (see the module
     docstring); rows for ids absent from the batch stay zero. With a
-    worker in `ws`, the row passes and the output layer's gradient run in
+    pool in `ws`, the row passes and the output layer's gradient run in
     two parts (see the module docstring).
     """
     batch = targets.shape[0]
@@ -460,7 +424,7 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
     def rows(lo: int, hi: int) -> None:
         _backward_rows(params, contexts[lo:hi], targets[lo:hi], ws, lo, batch)
 
-    _in_parts(ws.worker, batch, rows, params.hyper.vocab_size, least=2)
+    _in_parts(ws.pool, batch, rows, params.hyper.vocab_size, least=2)
     merged, ctx_act = ws.merged[:batch], ws.ctx_act[:batch]
     d_out_pre, d_ctx_pre = ws.out_pre[:batch], ws.ctx_pre[:batch]
     # w_input leads `flat`, so the scatter's output is the gradient vector:
@@ -473,7 +437,7 @@ def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarr
         np.matmul(ctx_act.T, d_out_pre[:, lo:hi], out=grads.w_output[:, lo:hi])
         d_out_pre[:, lo:hi].sum(axis=0, out=grads.b_out[lo:hi])
 
-    _in_parts(ws.worker, params.hyper.vocab_size, columns, batch, step=8, least=8)
+    _in_parts(ws.pool, params.hyper.vocab_size, columns, batch, step=8, least=8)
     np.matmul(merged.T, d_ctx_pre, out=grads.w_ctx)
     d_ctx_pre.sum(axis=0, out=grads.b_ctx)
     return grads

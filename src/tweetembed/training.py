@@ -8,6 +8,7 @@ import functools
 import math
 import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
@@ -22,7 +23,6 @@ from .model import (
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
-    Worker,
     Workspace,
     _in_parts,
     backward_arrays,
@@ -64,20 +64,21 @@ class TrainConfig:
 @dataclass
 class AdamState:
     """First/second moment accumulators, in the parameters' layout, step
-    count, the `worker` that runs the second part of each update (None:
+    count, the `pool` that runs the second part of each update (None:
     one part), and two pairs of ADAM_BLOCK-value slice buffers that
     `adam_step` works in, one pair per part."""
 
     m: ModelParams
     v: ModelParams
     t: int = 0
-    worker: Worker | None = field(default=None, repr=False)
+    pool: ThreadPoolExecutor | None = field(default=None, repr=False)
     scratch: np.ndarray = field(default_factory=lambda: np.empty((2, 2, ADAM_BLOCK)),
                                 repr=False)
 
     @classmethod
-    def for_params(cls, params: ModelParams, worker: Worker | None = None) -> "AdamState":
-        return cls(m=ModelParams(params.hyper), v=ModelParams(params.hyper), worker=worker)
+    def for_params(cls, params: ModelParams,
+                   pool: ThreadPoolExecutor | None = None) -> "AdamState":
+        return cls(m=ModelParams(params.hyper), v=ModelParams(params.hyper), pool=pool)
 
 
 @dataclass
@@ -117,7 +118,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     check reads all of the gradients before any slice or the step count is
     updated, so a rejected step changes nothing. The bias correction stays
     on m and v (not folded into the step size), so eps keeps its meaning.
-    With a worker in `state`, the vectors are updated in two parts at once,
+    With a pool in `state`, the vectors are updated in two parts at once,
     split at the ADAM_BLOCK boundary nearest their middle, each part in its
     own pair of slice buffers, when each part has model.PART_MIN_VALUES
     values (at d = 64, from |V| of about 900).
@@ -153,7 +154,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
             step /= denom
             params.flat[part] -= step
 
-    _in_parts(state.worker, g.size, update, 1, step=ADAM_BLOCK)
+    _in_parts(state.pool, g.size, update, 1, step=ADAM_BLOCK)
 
 
 def _check_fits_in_memory(hyper: ModelHyper, rows: int) -> None:
@@ -235,16 +236,17 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     byte-reproducible. Every step and evaluation works in one `Workspace`,
     allocated here for the run.
 
-    For the run, OpenBLAS is set to one thread and `train` owns one
-    `Worker` thread, which runs the second part of each step, loss
-    evaluation and Adam update (see `model` and `adam_step`); on every
-    exit the worker is joined and OpenBLAS gets its thread count back.
-    Without an OpenBLAS whose count can be set, every pass is one part and
-    the BLAS keeps its threads. So a run uses two cores whatever the
-    BLAS's own setting, and its bytes do not depend on that setting. The
-    trade-off: a host with more than two cores loses OpenBLAS's wider
-    products while training, and a pass too small to split (see
-    model.PART_MIN_VALUES) runs on one core.
+    For the run, OpenBLAS is set to one thread and `train` owns a
+    one-thread `ThreadPoolExecutor`, which runs the second part of each
+    step, loss evaluation and Adam update (see `model` and `adam_step`);
+    its thread starts when a pass first splits, and on every exit it is
+    joined and OpenBLAS gets its thread count back. Without an OpenBLAS
+    whose count can be set, every pass is one part and the BLAS keeps its
+    threads. So a run uses two cores whatever the BLAS's own setting, and
+    its bytes do not depend on that setting. The trade-off: a host with
+    more than two cores loses OpenBLAS's wider products while training,
+    and a pass too small to split (see model.PART_MIN_VALUES) runs on one
+    core.
 
     The rows are held once, in the split: a batch is one gather of its
     rows (contexts, then target), and `evaluate` reads column views. A
@@ -264,9 +266,10 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     n = train_tgt.shape[0]
     logs: list[EpochLog] = []
     with _one_blas_thread() as pinned, \
-            (Worker() if pinned else contextlib.nullcontext()) as worker:
-        state = AdamState.for_params(params, worker)
-        ws = Workspace(hyper, rows, worker)
+            (ThreadPoolExecutor(max_workers=1, thread_name_prefix="tweetembed-worker")
+             if pinned else contextlib.nullcontext()) as pool:
+        state = AdamState.for_params(params, pool)
+        ws = Workspace(hyper, rows, pool)
         for epoch in range(1, cfg.epochs + 1):
             started = time.perf_counter()
             order = permutation(n, derive_seed(cfg.seed, epoch))

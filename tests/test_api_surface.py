@@ -63,7 +63,7 @@ COMMAND_OPTIONS = {
     "ingest": {"--out-db", "--out-dict"},
     "dataset": {"--vocab-size", "--fraction", "--validation-ratio", "--include-boundary", "--out"},
     "train": {"--out-checkpoint", "--out-log", *MODEL_OPTIONS},
-    "export": {"--vocab", "--source", "--out"},
+    "export": {"--vocab", "--out"},
     "eval": {"--classes", "--pairs", "--membership-thresholds", "--distinction-thresholds",
              "--equivalence-thresholds", "--out"},
     "grid": {"--out-dir", "--vocab-sizes", "--fractions", "--validation-ratio",

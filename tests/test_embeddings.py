@@ -39,14 +39,6 @@ class TestExport:
         assert len(table.words) == 6
         assert table.vectors.shape == (6, 4)
 
-    def test_input_source_flag(self):
-        hyper = ModelHyper(vocab_size=3, d_in=5, d_ctx=2)
-        params = init_params(hyper, seed=2)
-        vocab = ["a", "b", "c"]
-        table = export_embeddings(params, vocab, source="input")
-        assert table.vectors.shape == (3, 5)
-        np.testing.assert_array_equal(table.vectors, params.w_input[:3])
-
     def test_size_mismatch_rejected(self):
         params = init_params(ModelHyper(vocab_size=3, d_in=4, d_ctx=4), seed=0)
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
-"""Training in two parts: one OpenBLAS thread, one worker thread.
+"""Training in two parts: one OpenBLAS thread, one pool thread.
 
-While `train` runs, OpenBLAS is set to one thread and a worker thread runs
-the second part of each step, loss evaluation and Adam update. These tests
-hold that the split changes no byte, that nothing of it outlives `train`
-however it ends, and that every public function runs on the calling thread.
+While `train` runs, OpenBLAS is set to one thread and a one-thread pool
+runs the second part of each step, loss evaluation and Adam update. These
+tests hold the fixed partition, that the split changes no byte, that
+nothing of it outlives `train` however it ends, and that every public
+function runs on the calling thread.
 """
 
 import functools
@@ -13,6 +14,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -20,15 +22,15 @@ import pytest
 import tweetembed.model
 import tweetembed.training
 from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, main
-from tweetembed.model import ModelHyper
-from tweetembed.training import TrainConfig, TrainingDiverged, train
+from tweetembed.model import ModelHyper, _in_parts, param_count
+from tweetembed.training import ADAM_BLOCK, TrainConfig, TrainingDiverged, train
 
 from synth import zipf_corpus
 from test_training import random_split
 
 MODULES = ("corpus", "dataset", "rng", "model", "training", "embeddings", "evaluation",
            "manifest", "cli")
-# What the worker may call besides private helpers.
+# What the pool's thread may call besides private helpers.
 WORKER_MAY_CALL = frozenset({"model.softmax", "model.sigmoid"})
 
 
@@ -40,7 +42,7 @@ def blas_api():
 
 
 def worker_threads():
-    return [t for t in threading.enumerate() if t.name == "tweetembed-worker"]
+    return [t for t in threading.enumerate() if t.name.startswith("tweetembed-worker")]
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +125,66 @@ def test_two_parts_write_the_bytes_of_one(vocab_size, tmp_path, monkeypatch):
 
 
 class Fault(Exception):
-    """Raised inside the worker's part."""
+    """Raised inside a part."""
+
+
+@pytest.fixture
+def pool():
+    with ThreadPoolExecutor(max_workers=1) as executor:
+        yield executor
+
+
+PARTITIONS = [
+    # (size, step, least, values per item, with a pool): the expected parts.
+    # A step's rows at batch 256: whole at |V| 256, halved at |V| 512.
+    (256, 1, 2, 256, True, [(0, 256)]),
+    (256, 1, 2, 512, True, [(0, 128), (128, 256)]),
+    # The output layer's columns at |V| 2053, batch 256: cut at a multiple of 8.
+    (2053, 8, 8, 256, True, [(0, 1024), (1024, 2053)]),
+    # Adam at |V| 2048, d = 64: cut at an ADAM_BLOCK boundary.
+    (param_count(ModelHyper(2048)), ADAM_BLOCK, 1, 1, True,
+     [(0, 4 * ADAM_BLOCK), (4 * ADAM_BLOCK, 280896)]),
+    # No part of 1 row or 1 column, however many values it covers.
+    (3, 1, 2, 2 ** 16, True, [(0, 3)]),
+    (4, 1, 2, 2 ** 16, True, [(0, 2), (2, 4)]),
+    (9, 8, 8, 2 ** 16, True, [(0, 9)]),
+    (16, 8, 8, 2 ** 16, True, [(0, 8), (8, 16)]),
+    # Without a pool, one part.
+    (256, 1, 2, 512, False, [(0, 256)]),
+]
+
+
+@pytest.mark.parametrize("size,step,least,values,with_pool,expected", PARTITIONS)
+def test_in_parts_partition_is_fixed_by_the_sizes(size, step, least, values, with_pool,
+                                                   expected, pool):
+    parts = []  # (lo, hi, on the calling thread); list.append is atomic across threads
+    caller = threading.get_ident()
+    _in_parts(pool if with_pool else None, size,
+              lambda lo, hi: parts.append((lo, hi, threading.get_ident() == caller)),
+              values, step=step, least=least)
+    assert sorted(parts) == [(lo, hi, lo == 0) for lo, hi in expected]
+
+
+def test_in_parts_raises_the_callers_fault_after_the_pools_part_ended(pool):
+    # The two parts share a workspace, so the pool's part must not run on
+    # once the call is over, even when both parts raise.
+    pool_started, caller_raised, pool_ended = (threading.Event() for _ in range(3))
+    faults = {0: Fault("in the caller's part"), 2: Fault("in the pool's part")}
+
+    def part(lo, hi):
+        if lo == 0:
+            assert pool_started.wait(timeout=60)
+            caller_raised.set()
+        else:
+            pool_started.set()
+            assert caller_raised.wait(timeout=60)
+            pool_ended.set()
+        raise faults[lo]
+
+    with pytest.raises(Fault) as caught:
+        _in_parts(pool, 4, part, 2 ** 16, least=2)
+    assert caught.value is faults[0]
+    assert pool_ended.is_set()
 
 
 @pytest.mark.parametrize("ending", ["returns", "diverges", "worker_raises"])
@@ -135,7 +196,7 @@ def test_train_leaves_no_thread_and_restores_the_blas_count(ending, tmp_path, mo
 
     def failing_softmax(logits, out):
         if threading.current_thread() is not threading.main_thread():
-            raised.append(Fault("in the worker"))
+            raised.append(Fault("in the pool's part"))
             raise raised[-1]
         return softmax(logits, out=out)
 
@@ -165,6 +226,19 @@ def test_train_leaves_no_thread_and_restores_the_blas_count(ending, tmp_path, mo
         assert worker_threads() == []
     finally:
         put(previous)
+
+
+def test_a_run_where_no_pass_splits_starts_no_thread(tmp_path):
+    # grid_matrix's shape: |V| 128 at batch 256 has no pass large enough
+    # to split, so the pool never starts its thread.
+    get, _ = blas_api()
+    hyper = ModelHyper(128)
+    split = random_split(hyper, 1200, 200, seed=2)
+    seen = []
+    train(split, hyper, TrainConfig(epochs=2, batch_size=256),
+          tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "",
+          on_epoch=lambda _: seen.append((get(), len(worker_threads()))))
+    assert seen == [(1, 0), (1, 0)]
 
 
 @pytest.mark.parametrize("fault,code", [(ValueError, EXIT_INPUT), (MemoryError, EXIT_INPUT),
