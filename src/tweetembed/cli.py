@@ -10,7 +10,6 @@ unreadable or unwritable path, or a directory where a file belongs),
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import sys
 from pathlib import Path
@@ -62,7 +61,6 @@ from .training import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPSILON,
-    NonFiniteGradientError,
     TrainConfig,
     TrainingDiverged,
     train,
@@ -86,53 +84,35 @@ THRESHOLD_DEFAULTS = {
 }
 
 
-# `_read_corpus_lines` reads the corpus at least this many bytes at a time.
+# `_read_corpus_lines` reads the corpus this many bytes at a time, plus the
+# rest of the line the read ends in.
 CORPUS_CHUNK_BYTES = 1 << 18
-# The characters str.splitlines ends a line at; "\r\n" is one boundary.
-_LINE_BOUNDARIES = frozenset("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
 
 
 def _read_corpus_lines(path: Path) -> Iterator[str]:
     """The lines `path.read_text(encoding="utf-8").splitlines()` gives,
     read in chunks, so the corpus is never held whole.
 
-    The bytes are decoded here, without newline translation, so the
-    offset of a byte that is not UTF-8 is known even in a pipe: it raises
-    ValueError naming the path and that offset when its chunk is read, so
-    a caller that writes only after it has read every line writes nothing.
-    A chunk's unfinished last line, or a last line ended by a "\r" that may
-    be the first half of a "\r\n", is carried into the next chunk. A read
-    takes at least as many bytes as the carried text has characters, so a
-    line longer than CORPUS_CHUNK_BYTES grows by a quarter or more per read
-    and is copied a bounded number of times.
+    Each chunk is CORPUS_CHUNK_BYTES bytes of the file opened in binary
+    plus the rest of the line they end in, so it ends at a b"\n" or at the
+    end of the file. No other UTF-8 character holds the byte 0x0a, and
+    "\n" ends a line for str.splitlines ("\r\n" included), so a chunk
+    never splits a character or a line boundary, and its own splitlines
+    are the file's. A byte that is not UTF-8 raises ValueError naming the
+    path and the byte's offset in the file, which holds in a pipe too,
+    when its chunk is read, so a caller that writes only after it has read
+    every line writes nothing.
     """
-    decoder = codecs.getincrementaldecoder("utf-8")()
     with path.open("rb") as fh:
-        tail, read = "", 0
-        while True:
-            data = fh.read(max(CORPUS_CHUNK_BYTES, len(tail)))
-            read += len(data)
+        offset = 0
+        while chunk := fh.read(CORPUS_CHUNK_BYTES) + fh.readline():
             try:
-                text = tail + decoder.decode(data, final=not data)
+                text = chunk.decode("utf-8")
             except UnicodeDecodeError as exc:
-                # It fails on the bytes it held plus `data`, which end at `read`.
-                offset = read - len(exc.object) + exc.start
-                raise ValueError(f"{path}: can't decode byte 0x{exc.object[exc.start]:02x} "
-                                 f"at byte offset {offset} as UTF-8 ({exc.reason})") from None
-            if not data:
-                break
-            if not text:  # `data` ended inside a character
-                continue
-            lines = text.splitlines()
-            end = text[-1]
-            if end == "\r":
-                tail = lines.pop() + end
-            elif end in _LINE_BOUNDARIES:
-                tail = ""
-            else:
-                tail = lines.pop()
-            yield from lines
-        yield from tail.splitlines()
+                raise ValueError(f"{path}: can't decode byte 0x{chunk[exc.start]:02x} at byte "
+                                 f"offset {offset + exc.start} as UTF-8 ({exc.reason})") from None
+            offset += len(chunk)
+            yield from text.splitlines()
 
 
 def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
@@ -554,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (TrainingDiverged, NonFiniteGradientError) as exc:
+    except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
 

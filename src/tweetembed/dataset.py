@@ -214,9 +214,12 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
         if not re.fullmatch("[0-9a-f]{64}", meta["vocab_hash"]):
             raise ValueError(f"{path}:1: #vocab_hash={meta['vocab_hash']!r} is not the 64 "
                              "lowercase hex digits of a vocabulary hash")
-        n_val = int(meta["validation"])
-        n_train = int(meta["train"])
-        vocab_size = int(meta["vocab_size"])
+        try:
+            n_val, n_train, vocab_size, seed = (int(meta[key]) for key in
+                                                ("validation", "train", "vocab_size", "seed"))
+            fraction, validation_ratio = float(meta["fraction"]), float(meta["validation_ratio"])
+        except ValueError as exc:
+            raise ValueError(f"{path}:1: malformed dataset header ({exc})") from None
         n_ids = vocab_size + len(BOUNDARY_TOKENS)
         body_start = fh.tell()
         with warnings.catch_warnings():
@@ -252,15 +255,6 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
                          f"[0, {n_ids}), target in [0, {vocab_size})): {rows[first].tolist()}")
     if n_val < 0 or n_train < 0 or len(rows) != n_val + n_train:
         raise ValueError(f"{path}: row count does not match header block sizes")
-    split = DatasetSplit(
-        train=rows[n_val:],
-        validation=rows[:n_val],
-        seed=int(meta["seed"]),
-        fraction=float(meta["fraction"]),
-        validation_ratio=float(meta["validation_ratio"]),
-    )
-    parsed = {
-        "vocab_size": vocab_size,
-        "vocab_hash": meta["vocab_hash"],
-    }
-    return split, parsed
+    split = DatasetSplit(train=rows[n_val:], validation=rows[:n_val], seed=seed,
+                         fraction=fraction, validation_ratio=validation_ratio)
+    return split, {"vocab_size": vocab_size, "vocab_hash": meta["vocab_hash"]}

@@ -68,9 +68,13 @@ def write_embeddings_text(table: EmbeddingTable, path: Path | str) -> None:
 def read_embeddings_text(path: Path | str) -> EmbeddingTable:
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        n, dim = (int(x) for x in fh.readline().split())
+        header = fh.readline().rstrip("\n")
+        try:  # np.empty refuses a negative count
+            n, dim = (int(x) for x in header.split())
+            vectors = np.empty((n, dim), dtype=np.float64)
+        except ValueError:
+            raise ValueError(f"{path}:1: expected a header of 2 counts, got {header!r}") from None
         words: list[str] = []
-        vectors = np.empty((n, dim), dtype=np.float64)
         for i, line in enumerate(fh):
             if i == n:
                 raise ValueError(f"{path}: header promised {n} rows, found more")
@@ -78,7 +82,10 @@ def read_embeddings_text(path: Path | str) -> EmbeddingTable:
             if len(parts) != dim + 1:
                 raise ValueError(f"{path}:{i + 2}: expected {dim + 1} fields")
             words.append(parts[0])
-            vectors[i] = [float(x) for x in parts[1:]]
+            try:
+                vectors[i] = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i + 2}: {exc}") from None
     if len(words) != n:
         raise ValueError(f"{path}: header promised {n} rows, found {len(words)}")
     return EmbeddingTable(words, vectors)

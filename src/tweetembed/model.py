@@ -20,9 +20,10 @@ rows. So a training step allocates one array, its gradient vector, and
 how fast it runs does not hang on the allocator's state.
 
 A workspace may carry a one-thread `ThreadPoolExecutor`; `training.train`
-gives it one when it could set OpenBLAS to one thread. Then the passes
-run in two parts at once, the first on the calling thread and the second
-on the pool, on disjoint rows of the workspace: `backward_arrays`
+gives it the one `training._second_core` yields, which exists only
+while OpenBLAS is set to one thread. Then the passes run in two parts at
+once, the first on the calling thread and the second on the pool, on
+disjoint rows of the workspace: `backward_arrays`
 splits its rows from the gather to `d_merged` at half the batch, and the
 output layer's gradient by columns at the multiple of 8 nearest |V| / 2;
 `evaluate` splits each chunk's rows in half. The partition is fixed by

@@ -94,12 +94,9 @@ class EpochLog:
                 f"\t{self.wall_seconds:.3f}\n")
 
 
-class NonFiniteGradientError(RuntimeError):
-    """A gradient array contained NaN or infinity; names the matrix."""
-
-
 class TrainingDiverged(RuntimeError):
-    """Training loss exploded or went non-finite; the last good checkpoint is kept."""
+    """Training loss exploded or went non-finite, or a gradient held NaN or
+    infinity (the message names the matrix); the last good checkpoint is kept."""
 
 
 def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
@@ -128,7 +125,7 @@ def adam_step(params: ModelParams, grads: ModelParams, state: AdamState,
     if not np.all(np.isfinite(g)):
         name = next(name for name in PARAM_FIELDS
                     if not np.all(np.isfinite(getattr(grads, name))))
-        raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
+        raise TrainingDiverged(f"non-finite gradient in {name} at step {t}")
     state.t = t
     m_scale = 1.0 - ADAM_BETA1 ** t
     v_scale = 1.0 - ADAM_BETA2 ** t
@@ -200,18 +197,22 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
 
 
 @contextlib.contextmanager
-def _one_blas_thread() -> Iterator[bool]:
-    """Set OpenBLAS to one thread for the block and restore its previous
-    count on leaving it, however it is left; yields whether it could."""
+def _second_core() -> Iterator[ThreadPoolExecutor | None]:
+    """Set OpenBLAS to one thread and yield a one-thread pool for the
+    second part of each pass; on leaving the block, however it is left,
+    join the pool, then give OpenBLAS its thread count back. Without an
+    OpenBLAS whose count can be set, yield None and leave the BLAS alone:
+    a pool exists only while OpenBLAS is pinned."""
     api = _openblas_threads()
     if api is None:
-        yield False
+        yield None
         return
     get, put = api
     previous = get()
     put(1)
     try:
-        yield True
+        with ThreadPoolExecutor(max_workers=1, thread_name_prefix="tweetembed-worker") as pool:
+            yield pool
     finally:
         put(previous)
 
@@ -236,17 +237,17 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     byte-reproducible. Every step and evaluation works in one `Workspace`,
     allocated here for the run.
 
-    For the run, OpenBLAS is set to one thread and `train` owns a
-    one-thread `ThreadPoolExecutor`, which runs the second part of each
-    step, loss evaluation and Adam update (see `model` and `adam_step`);
-    its thread starts when a pass first splits, and on every exit it is
-    joined and OpenBLAS gets its thread count back. Without an OpenBLAS
-    whose count can be set, every pass is one part and the BLAS keeps its
-    threads. So a run uses two cores whatever the BLAS's own setting, and
-    its bytes do not depend on that setting. The trade-off: a host with
-    more than two cores loses OpenBLAS's wider products while training,
-    and a pass too small to split (see model.PART_MIN_VALUES) runs on one
-    core.
+    For the run, `_second_core` sets OpenBLAS to one thread and gives
+    `train` a one-thread `ThreadPoolExecutor`, which runs the second part
+    of each step, loss evaluation and Adam update (see `model` and
+    `adam_step`); its thread starts when a pass first splits, and on every
+    exit it is joined and OpenBLAS gets its thread count back. Without an
+    OpenBLAS whose count can be set, every pass is one part and the BLAS
+    keeps its threads. So a run uses two cores whatever the BLAS's own
+    setting, and its bytes do not depend on that setting. The trade-off: a
+    host with more than two cores loses OpenBLAS's wider products while
+    training, and a pass too small to split (see model.PART_MIN_VALUES)
+    runs on one core.
 
     The rows are held once, in the split: a batch is one gather of its
     rows (contexts, then target), and `evaluate` reads column views. A
@@ -265,9 +266,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     limit = min(10.0 * math.log(hyper.vocab_size), MAX_NLL / 2)
     n = train_tgt.shape[0]
     logs: list[EpochLog] = []
-    with _one_blas_thread() as pinned, \
-            (ThreadPoolExecutor(max_workers=1, thread_name_prefix="tweetembed-worker")
-             if pinned else contextlib.nullcontext()) as pool:
+    with _second_core() as pool:
         state = AdamState.for_params(params, pool)
         ws = Workspace(hyper, rows, pool)
         for epoch in range(1, cfg.epochs + 1):

@@ -12,7 +12,7 @@ import numpy as np
 
 from tweetembed.model import PARAM_FIELDS, ModelParams
 from tweetembed.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EpochLog,
-                                 NonFiniteGradientError)
+                                 TrainingDiverged)
 
 PADS = ("<PAD_L1>", "<PAD_L2>", "<PAD_R1>", "<PAD_R2>")
 
@@ -234,7 +234,7 @@ def oracle_adam_step(params, grads, state, cfg):
     for name in PARAM_FIELDS:
         g = getattr(grads, name)
         if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient in {name} at step {t}")
+            raise TrainingDiverged(f"non-finite gradient in {name} at step {t}")
         m = getattr(state.m, name)
         v = getattr(state.v, name)
         m *= ADAM_BETA1

@@ -159,6 +159,37 @@ def test_invalid_utf8_error_gives_the_offset_in_a_pipe(tmp_path):
         writer.join()
 
 
+# Corpora whose bytes meet the edge of the reader's first CORPUS_CHUNK_BYTES
+# read, where the rest of the line is read on to the next b"\n".
+EDGE = cli.CORPUS_CHUNK_BYTES
+CHUNK_EDGE_CORPORA = {
+    "a CR LF whose CR is the read's last byte": b"a" * (EDGE - 1) + b"\r\nb\rc\n",
+    "a line three reads long": b"x" * (3 * EDGE) + "\u2028\n".encode("utf-8") + b"y",
+    "a 4-byte character across the read's edge": (b"a" * (EDGE - 2)
+                                                  + "\U0001f600\x85z\n".encode("utf-8") + b"end"),
+    "a read ending at a newline": b"a" * (EDGE - 1) + b"\n" + b"b" * EDGE + b"\r",
+    "an invalid byte just past the read's edge": b"a" * EDGE + b"\xff\n",
+    "an invalid byte as the read's last byte": b"a" * (EDGE - 1) + b"\xc3\n",
+    "a character cut short at the file's end past the edge": b"a" * EDGE + b"\n\xe2\x82",
+}
+
+
+@pytest.mark.parametrize("case", list(CHUNK_EDGE_CORPORA))
+def test_chunk_edges_at_the_real_chunk_size(case, tmp_path):
+    data = CHUNK_EDGE_CORPORA[case]
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(data)
+    try:
+        expected = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: can't decode byte 0x{data[exc.start]:02x} at byte offset {exc.start} "
+                f"as UTF-8 ({exc.reason})")):
+            list(cli._read_corpus_lines(path))
+    else:
+        assert list(cli._read_corpus_lines(path)) == expected
+
+
 @pytest.fixture
 def bigger_corpus(tmp_path):
     rng = np.random.default_rng(17)
@@ -1007,6 +1038,11 @@ MALFORMED_INPUTS = {
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
     "blank #vocab_hash=": (_train_on(lambda ds: _set_header_key(ds, "vocab_hash", "")),
                            "dataset.tsv:1: #vocab_hash='' is not the 64 lowercase hex digits"),
+    "#train= not a number": (_train_on(lambda ds: _set_header_key(ds, "train", "x")),
+                             "dataset.tsv:1: malformed dataset header (invalid literal for int()"),
+    "#fraction= not a number": (
+        _train_on(lambda ds: _set_header_key(ds, "fraction", "half")),
+        "dataset.tsv:1: malformed dataset header (could not convert string to float: 'half')"),
     # No machine's memory holds the arrays of this |V|, so train refuses it
     # before allocating; a |V| whose model could fit in RAM must never be
     # tried here.
@@ -1015,6 +1051,12 @@ MALFORMED_INPUTS = {
         "physical memory is"),
     "embeddings with more rows than the header": (
         _eval_on("2 2\nolá 0.1 0.2\nbom 0.3 0.4\ndia 0.5 0.6\n"), "rows"),
+    "embeddings header of three numbers": (_eval_on("3 2 1\nolá 0.1 0.2\n"),
+                                           "emb.txt:1: expected a header of 2 counts, got '3 2 1'"),
+    "embeddings header with a negative count": (
+        _eval_on("-1 2\nolá 0.1 0.2\n"), "emb.txt:1: expected a header of 2 counts, got '-1 2'"),
+    "embeddings row with a non-number": (_eval_on("2 2\nolá 0.1 0.2\nbom 0.3 zz\n"),
+                                         "emb.txt:3: could not convert string to float: 'zz'"),
     "embeddings repeating a word": (_eval_on("3 2\nmonday 1 0\ntuesday 0 1\nmonday 0 1\n"),
                                     "'monday' more than once"),
     "--classes line without a tab": (_eval_on(classes="months\tjaneiro\nfevereiro\n"),
