@@ -13,7 +13,7 @@ import argparse
 import functools
 import sys
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -192,6 +192,14 @@ def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
     return table
 
 
+def _list_flag(text: str, flag: str, parse: Callable[[str], float]) -> list:
+    """The items of a comma-separated list flag; a ValueError names the flag and the bad item."""
+    try:
+        return [parse(x) for x in text.split(",") if x]
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
                args: argparse.Namespace) -> tuple[list[TestReport], dict]:
     """Score the standard suite. The report embeds the run's manifest, so
@@ -199,7 +207,8 @@ def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[Equi
     config = {name: getattr(args, name) for name in THRESHOLD_DEFAULTS}
     reports = run_standard_suite(
         table, classes, pairs,
-        **{name: [float(x) for x in text.split(",") if x] for name, text in config.items()},
+        **{name: _list_flag(text, "--" + name.replace("_", "-"), float)
+           for name, text in config.items()},
     )
     return reports, config
 
@@ -364,8 +373,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
     its last cell."""
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
-    vocab_sizes = [int(x) for x in args.vocab_sizes.split(",") if x]
-    fractions = [float(x) for x in args.fractions.split(",") if x]
+    vocab_sizes = _list_flag(args.vocab_sizes, "--vocab-sizes", int)
+    fractions = _list_flag(args.fractions, "--fractions", float)
     if not vocab_sizes or not fractions:
         raise ValueError("grid needs at least one vocabulary size and one fraction")
     for fraction in fractions:

@@ -74,6 +74,8 @@ def read_embeddings_text(path: Path | str) -> EmbeddingTable:
             vectors = np.empty((n, dim), dtype=np.float64)
         except ValueError:
             raise ValueError(f"{path}:1: expected a header of 2 counts, got {header!r}") from None
+        except MemoryError as exc:
+            raise ValueError(f"{path}:1: header {header!r}: {exc}") from None
         words: list[str] = []
         for i, line in enumerate(fh):
             if i == n:

@@ -72,7 +72,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -468,34 +468,20 @@ def save_checkpoint(params: ModelParams, path: Path | str, seed: int, vocab_hash
     """Versioned binary checkpoint, in `manifest.write_container`'s layout
     with the magic "EMBCKPT1".
 
-    The JSON header holds the hyperparameters, seed, vocabulary hash and
-    the array table (name + shape, in PARAM_FIELDS order); the body is
-    `flat` as little-endian float64, which is the arrays row-major,
-    concatenated in table order, written from the vector's own buffer (a
-    copy only on a big-endian host). The file contains no timestamps, so
-    identical runs produce identical bytes. The file is replaced
-    atomically, so a crash mid-write keeps the previous checkpoint.
+    The JSON header holds the format (1), the hyperparameters, seed and
+    vocabulary hash. Format 1 and the hyperparameters fix the body's
+    layout: `flat` as little-endian float64, which is the arrays row-major,
+    concatenated in PARAM_FIELDS order, written from the vector's own
+    buffer (a copy only on a big-endian host). The file contains no
+    timestamps, so identical runs produce identical bytes. The file is
+    replaced atomically, so a crash mid-write keeps the previous checkpoint.
     """
-    header = {
-        "format": 1,
-        "hyper": {
-            "vocab_size": params.hyper.vocab_size,
-            "d_in": params.hyper.d_in,
-            "d_ctx": params.hyper.d_ctx,
-        },
-        "seed": seed,
-        "vocab_hash": vocab_hash,
-        "dtype": "<f8",
-        "arrays": [
-            {"name": name, "shape": list(getattr(params, name).shape)}
-            for name in PARAM_FIELDS
-        ],
-    }
+    header = {"format": 1, "hyper": asdict(params.hyper), "seed": seed, "vocab_hash": vocab_hash}
     write_container(path, CHECKPOINT_MAGIC, header, [params.flat.astype("<f8", copy=False)])
 
 
-_HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash", "dtype", "arrays")
-_HYPER_KEYS = ("vocab_size", "d_in", "d_ctx")
+_HEADER_KEYS = ("format", "hyper", "seed", "vocab_hash")
+_HYPER_KEYS = tuple(f.name for f in fields(ModelHyper))
 
 
 def _parse_header(header: dict, path: Path) -> ModelHyper:
@@ -505,8 +491,6 @@ def _parse_header(header: dict, path: Path) -> ModelHyper:
         raise ValueError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     if header["format"] != 1:
         raise ValueError(f"{path}: unsupported checkpoint format {header['format']!r}")
-    if header["dtype"] != "<f8":
-        raise ValueError(f"{path}: unsupported checkpoint dtype {header['dtype']!r}")
     raw = header["hyper"]
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: checkpoint hyper is not an object")
@@ -516,26 +500,17 @@ def _parse_header(header: dict, path: Path) -> ModelHyper:
         raise ValueError(f"{path}: checkpoint hyper has {', '.join(faults)}")
     if not all(type(raw[key]) is int for key in _HYPER_KEYS):
         raise ValueError(f"{path}: checkpoint hyper has a value of the wrong type: {raw}")
-    hyper = ModelHyper(**raw)
-    table = header["arrays"]
-    names = ([entry.get("name") if isinstance(entry, dict) else None for entry in table]
-             if isinstance(table, list) else None)
-    if names != list(PARAM_FIELDS):
-        raise ValueError(f"{path}: checkpoint array names {names} are not {list(PARAM_FIELDS)}")
-    for entry, (name, shape) in zip(table, _param_shapes(hyper).items()):
-        if entry.get("shape") != list(shape):
-            raise ValueError(f"{path}: array {name} has shape {entry.get('shape')}, "
-                             f"but hyper implies {list(shape)}")
-    return hyper
+    return ModelHyper(**raw)
 
 
 def load_checkpoint(path: Path | str) -> tuple[ModelParams, dict]:
     """Read a checkpoint; returns the parameters and the header metadata.
 
-    Raises ValueError unless the file is exactly what `save_checkpoint`
-    writes: the magic, a header with every key, format 1, dtype "<f8",
-    the arrays named in PARAM_FIELDS order with the shapes the header's
-    hyperparameters imply, and no byte after the last array.
+    Raises ValueError unless the file is what `save_checkpoint` writes:
+    the magic, a header with its four keys, format 1, integer
+    hyperparameters, and a body exactly as long as they imply. Other
+    header keys are ignored, so checkpoints whose header also carries a
+    "dtype" and an "arrays" table, as older ones do, still load.
     """
     path = Path(path)
     try:

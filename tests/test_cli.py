@@ -23,10 +23,10 @@ from tweetembed.cli import EXIT_DIVERGED, EXIT_INPUT, EXIT_OK, build_parser, mai
 from tweetembed.corpus import (BOUNDARY_TOKENS, NGRAM_DB_MAGIC, Dictionary, NGramDatabase,
                               read_ngram_db)
 from tweetembed.dataset import read_dataset, read_vocabulary, vocabulary_hash, write_vocabulary
-from tweetembed.embeddings import read_embeddings_text
+from tweetembed.embeddings import TABLE_MAGIC, read_embeddings_text
 from tweetembed.manifest import file_sha256, read_container, write_container
 from tweetembed.model import (CHECKPOINT_MAGIC, ModelHyper, ModelParams, init_params,
-                              save_checkpoint)
+                              load_checkpoint, save_checkpoint)
 
 from memory import count_calls, live_instances
 from oracles import db_records, read_run_log
@@ -598,7 +598,7 @@ class TestExportAndEval:
             assert main([*argv, "--deterministic"]) == EXIT_OK
         checkpoint = (tmp_path / "model.ckpt").read_bytes()
         assert hashlib.sha256(checkpoint).hexdigest() == (
-            "6b14d547b0f69ac4bb11483efa9a68bcf5e8569a5b69a3988f93e43749ce7038")
+            "1fe2e6ff215ee109f35df3337939ccad12d73e3619adb29add487e2646b25fec")
         assert hashlib.sha256(read_container(checkpoint, CHECKPOINT_MAGIC)[1]).hexdigest() == (
             "b49d64bf698e5a7c65ad986bf345f43f656b144d0d21cecdd393e2d801979ad9")
         assert hashlib.sha256((tmp_path / "run_log.tsv").read_bytes()).hexdigest() == (
@@ -1057,6 +1057,10 @@ MALFORMED_INPUTS = {
         _eval_on("-1 2\nolá 0.1 0.2\n"), "emb.txt:1: expected a header of 2 counts, got '-1 2'"),
     "embeddings row with a non-number": (_eval_on("2 2\nolá 0.1 0.2\nbom 0.3 zz\n"),
                                          "emb.txt:3: could not convert string to float: 'zz'"),
+    # 466 TiB of float64: more than any address space holds.
+    "embeddings header declaring an unallocatable table": (
+        _eval_on("1000000000000 64\nolá 0.1 0.2\n"),
+        "emb.txt:1: header '1000000000000 64': Unable to allocate"),
     "embeddings repeating a word": (_eval_on("3 2\nmonday 1 0\ntuesday 0 1\nmonday 0 1\n"),
                                     "'monday' more than once"),
     "--classes line without a tab": (_eval_on(classes="months\tjaneiro\nfevereiro\n"),
@@ -1073,21 +1077,22 @@ MALFORMED_INPUTS = {
         _eval_on(flags=("--distinction-thresholds", "-0.2")), "threshold must be in (0, 1)"),
     "--equivalence-thresholds nan": (
         _eval_on(flags=("--equivalence-thresholds", "nan")), "threshold must be in (0, 1)"),
+    "--membership-thresholds item not a number": (
+        _eval_on(flags=("--membership-thresholds", "0.5,0.8x")),
+        "--membership-thresholds: could not convert string to float: '0.8x'"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
     "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),
                             "format 2"),
-    "checkpoint dtype <f4": (_export_broken_checkpoint(lambda h: h.update(dtype="<f4")),
-                             "dtype '<f4'"),
     "checkpoint header without hyper": (_export_broken_checkpoint(lambda h: h.pop("hyper")),
                                         "lacks hyper"),
     "checkpoint shorter than its length field": (_export_broken_checkpoint(cut=10),
                                                  "no header length"),
     "checkpoint cut inside an array": (_export_broken_checkpoint(cut=-8), "truncated"),
-    "checkpoint arrays out of order": (
-        _export_broken_checkpoint(lambda h: h["arrays"].reverse()), "array names"),
+    # The header's hyperparameters alone fix the body's length.
     "checkpoint shape not implied by hyper": (
-        _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)), "hyper implies"),
+        _export_broken_checkpoint(lambda h: h["hyper"].update(d_ctx=4)),
+        "truncated checkpoint (920 body bytes, header implies 1104)"),
     "checkpoint hyper size as a string": (
         _export_broken_checkpoint(lambda h: h["hyper"].update(d_in="4")), "wrong type"),
     "export on a checkpoint whose hyper carries sigmoid_logits": (
@@ -1151,6 +1156,12 @@ MALFORMED_INPUTS = {
     "grid repeating a vocabulary size": (
         _grid_on_small_corpus("--vocab-sizes", "6,6", "--fractions", "0.5,0.5"),
         "grid got vocabulary size 6 more than once"),
+    "grid --vocab-sizes item not an integer": (
+        _grid_on_small_corpus("--vocab-sizes", "6,12x", "--fractions", "1.0"),
+        "--vocab-sizes: invalid literal for int() with base 10: '12x'"),
+    "grid --fractions item not a number": (
+        _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0,0.5x"),
+        "--fractions: could not convert string to float: '0.5x'"),
     "grid repeating a fraction": (
         _grid_on_small_corpus("--vocab-sizes", "2", "--fractions", "1.0,0.5,1"),
         "grid got fraction 1.0 more than once"),
@@ -1692,6 +1703,33 @@ def test_mutated_checkpoint_exports_or_exits_2(valid_checkpoint, data):
     header = json.loads(edited[12:body_start])
     if header.get("vocab_hash") != vocabulary_hash(read_vocabulary(vocab_path)):
         assert rc == EXIT_INPUT, header
+
+
+
+def test_checkpoint_with_the_older_header_layout_exports_the_same_bytes(tmp_path):
+    # Checkpoints used to repeat the parameter layout in the header: a
+    # "dtype" and a name and shape per array. A header carrying them still
+    # loads and exports the same table; only the .bin's manifest_hash, the
+    # checkpoint file's own digest, differs.
+    ckpt, vocab_path, _, _ = clustered_checkpoint(tmp_path)
+    params = load_checkpoint(ckpt)[0]
+
+    def older(header):
+        header["dtype"] = "<f8"
+        header["arrays"] = [{"name": name, "shape": list(getattr(params, name).shape)}
+                            for name in ("w_input", "w_ctx", "b_ctx", "w_output", "b_out")]
+
+    old = tmp_path / "old.ckpt"
+    old.write_bytes(_with_header(ckpt.read_bytes(), older))
+    tables = []
+    for checkpoint in (ckpt, old):
+        out = tmp_path / f"{checkpoint.stem}.txt"
+        assert main(["export", str(checkpoint), "--vocab", str(vocab_path), "--out", str(out),
+                     "--deterministic"]) == EXIT_OK
+        header, body = read_container(out.with_suffix(".txt.bin").read_bytes(), TABLE_MAGIC)
+        assert header.pop("manifest_hash") == file_sha256(checkpoint)
+        tables.append((out.read_bytes(), header, bytes(body)))
+    assert tables[0] == tables[1]
 
 
 class TestSubprocessEntry:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import tweetembed.model
+from tweetembed.manifest import read_container
 from tweetembed.model import (
     CHECKPOINT_MAGIC,
     LOSS_FLOOR,
@@ -469,6 +470,16 @@ class TestCheckpoint:
         assert header["vocab_hash"] == "abc123"
         for name in PARAM_FIELDS:
             np.testing.assert_array_equal(getattr(loaded, name), getattr(params, name))
+
+    def test_header_holds_the_format_hyper_seed_and_vocab_hash_only(self, tmp_path):
+        # The hyperparameters fix the body's layout; the header states it nowhere else.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(tiny_hyper(vocab_size=9, d_in=3, d_ctx=5), seed=2), path,
+                        seed=2, vocab_hash="abc123")
+        header, body = read_container(path.read_bytes(), CHECKPOINT_MAGIC)
+        assert header == {"format": 1, "hyper": {"vocab_size": 9, "d_in": 3, "d_ctx": 5},
+                          "seed": 2, "vocab_hash": "abc123"}
+        assert len(body) == 8 * param_count(tiny_hyper(vocab_size=9, d_in=3, d_ctx=5))
 
     def test_identical_saves_identical_bytes(self, tmp_path):
         params = init_params(tiny_hyper(), seed=1)
