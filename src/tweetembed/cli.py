@@ -441,8 +441,9 @@ def cmd_grid(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=13)
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+    if seed:  # read only by the dataset split and training
+        parser.add_argument("--seed", type=int, default=13)
     parser.add_argument("--deterministic", action="store_true",
                         help="zero timestamps/timings so outputs are byte-reproducible")
     # Ignored: counting runs in one process; kept so existing command lines parse.
@@ -488,7 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--include-boundary", action="store_true",
                    help="admit 5-grams whose context includes boundary tokens")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_dataset)
 
     p = sub.add_parser("train", help="dataset file -> checkpoint + run log")
@@ -497,7 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-log", required=True)
     _add_train_flags(p)
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("export", help="checkpoint + vocab -> text embeddings")
@@ -528,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", default=str(DEFAULT_PAIRS_FILE))
     _add_train_flags(p)
     _add_model_flags(p)
-    _add_common(p)
+    _add_common(p, seed=True)
     # grid scores every cell like `eval` does by default
     p.set_defaults(func=cmd_grid, **THRESHOLD_DEFAULTS)
 

@@ -36,21 +36,20 @@ the pool's thread starts only when a pass first splits. The pool calls
 only private helpers and `softmax`/`sigmoid`; every public function runs
 on the calling thread.
 
-The loss is the mean cross entropy, -ln p_target per row, clamped at
--ln LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) -
-logit_target and never builds the probability matrix. It sums the losses
-in groups of 2^20 // |V| rows and computes each group in chunks of the
-workspace's rows, so its memory is the workspace plus 8 bytes per row of
-a group, whatever the dataset's size. The training step
-(`backward_arrays`) applies `softmax` to the logits for the gradient
-only and returns the gradient in the parameters' own layout: one flat
-vector with a view per array (`ModelParams`). The hot paths perform the
-same IEEE operations in the same order as the textbook forms kept in
-`tests/oracles.py`, so training yields the same parameters to the bit.
-Row for row, both parts perform the same operations as one part does. So
-the bits are the same in one part or two wherever a matrix product
-rounds a row alike whatever its row count, which OpenBLAS 0.3.31 does
-when |V| and the layer widths are multiples of 8 (see `evaluate`).
+The loss is the mean cross entropy, -ln p_target per row, clamped at -ln
+LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) - logit_target
+and never builds the probability matrix. It computes, clamps and sums
+the losses in chunks of EVAL_CHUNK_ROWS rows, so its memory is the
+workspace plus 8 bytes per row of a chunk, whatever the dataset's size.
+The training step (`backward_arrays`) applies `softmax` to the logits
+for the gradient only and returns the gradient in the parameters' own
+layout: one flat vector with a view per array (`ModelParams`). The hot
+paths perform the same IEEE operations in the same order as the textbook
+forms kept in `tests/oracles.py`, so training yields the same parameters
+to the bit. Row for row, both parts perform the same operations as one
+part does. So the bits are the same in one part or two wherever a matrix
+product rounds a row alike whatever its row count, which OpenBLAS 0.3.31
+does when |V| and the layer widths are multiples of 8 (see `evaluate`).
 
 The input-embedding gradient is a scatter: row r of the batch adds its
 four context slices of d_merged into the rows of w_input their ids name.
@@ -87,9 +86,7 @@ N_BOUNDARY = 4
 LOSS_FLOOR = 1e-12
 # -ln(LOSS_FLOOR): a row's loss is capped here, i.e. p_target is clamped at LOSS_FLOOR.
 MAX_NLL = float(-np.log(LOSS_FLOOR))
-# `evaluate` sums the losses of max(1, EVAL_BLOCK_LOGITS // |V|) rows at a
-# time and computes them at most EVAL_CHUNK_ROWS rows at a time.
-EVAL_BLOCK_LOGITS = 2 ** 20
+# `evaluate` computes and sums the losses EVAL_CHUNK_ROWS rows at a time.
 EVAL_CHUNK_ROWS = 256
 # A pass runs in two parts only if each part covers this many values (see
 # the module docstring): below it, handing a part to the pool cost more
@@ -293,18 +290,6 @@ class Workspace:
         return sum(np.dtype(dtype).itemsize * math.prod(shape)
                    for shape, dtype in cls._layout(hyper, rows).values())
 
-    @staticmethod
-    def training_rows(hyper: ModelHyper, batch_size: int) -> int:
-        """Rows for one training step and for `evaluate`'s chunks:
-        max(batch_size, min(EVAL_CHUNK_ROWS, evaluate's group)). A small
-        batch does not shrink the chunks `evaluate` runs in."""
-        return max(batch_size, min(EVAL_CHUNK_ROWS, _eval_group_rows(hyper)))
-
-
-def _eval_group_rows(hyper: ModelHyper) -> int:
-    """How many rows' losses `evaluate` sums at a time."""
-    return max(1, EVAL_BLOCK_LOGITS // hyper.vocab_size)
-
 
 def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace,
                        first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -332,25 +317,23 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
 
     Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
     computed in place on the workspace's logits; no probability matrix is
-    built. The losses are summed in groups of max(1, 2^20 // |V|) rows:
-    each group's losses fill one buffer, computed
-    min(ws.rows, EVAL_CHUNK_ROWS, group) rows at a time, and are then
-    clamped and summed at once, so the sum's order does not depend on the
-    workspace. A training workspace (`Workspace.training_rows`) has at
-    least min(EVAL_CHUNK_ROWS, group) rows, so its chunks depend on |V|
-    alone, not on the batch size. Without `ws`, one of
-    min(n, EVAL_CHUNK_ROWS, group) rows is built. Memory is the workspace
-    plus 8 bytes per row of a group, whatever n is. The LOSS_FLOOR clamp
-    warns at most once per call, with the count over all groups. With a
-    pool in `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES
-    logits each runs as two halves at once, each writing its own rows'
-    slots of the group's buffer, so the sum adds the same values in the
-    same order.
+    built. The rows run in chunks of EVAL_CHUNK_ROWS (all n when fewer),
+    the last two sharing their rows when the last would be one row long;
+    each chunk's losses are clamped and summed on their own, and the sums
+    added in order. So the chunks, and the loss's bits, depend on neither
+    |V|, the batch size nor the workspace, which needs a chunk's rows
+    (`training.train` builds max(batch, EVAL_CHUNK_ROWS); without `ws`,
+    min(n, EVAL_CHUNK_ROWS) are built). Memory is the workspace plus 8
+    bytes per row of a chunk, whatever n is. The LOSS_FLOOR clamp warns at
+    most once per call, with the count over all chunks. With a pool in
+    `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES logits each
+    runs as two halves at once, each writing its own rows' slots of the
+    chunk's losses, so the sum adds the same values in the same order.
 
-    A chunk's logits round like the whole group's when the BLAS computes
+    A half's logits round like the whole chunk's when the BLAS computes
     each row of a product the same way whatever the row count. numpy
     multiplies a single row as matrix-vector products, which round
-    otherwise, so no chunk of a longer group, and no half, is one row
+    otherwise, so no chunk of a longer dataset, and no half, is one row
     long. OpenBLAS 0.3.31 (Haswell kernels) rounds a few products of a row
     differently with the product's row count, and with the BLAS thread
     count, when a width (|V| or d_ctx) is 1 to 5 above a multiple of 8
@@ -363,24 +346,21 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    group = _eval_group_rows(params.hyper)
     if ws is None:
-        ws = Workspace(params.hyper, min(n, EVAL_CHUNK_ROWS, group))
-    chunk = min(ws.rows, EVAL_CHUNK_ROWS, group)
-    losses = np.empty(min(n, group))
+        ws = Workspace(params.hyper, min(n, EVAL_CHUNK_ROWS))
+    bounds = [*range(0, n, EVAL_CHUNK_ROWS), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1  # a 1-row product is a matrix-vector one, which rounds otherwise
+    losses = np.empty(min(n, EVAL_CHUNK_ROWS))
     total = 0.0
     n_clamped = 0
-    for start in range(0, n, group):
-        nll = losses[:min(group, n - start)]
-        bounds = [*range(0, len(nll), chunk), len(nll)]
-        if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-            bounds[-2] -= 1  # a 1-row product is a matrix-vector one, which rounds otherwise
-        for lo, hi in zip(bounds, bounds[1:]):
-            def rows(a: int, b: int) -> None:  # rows lo + a .. lo + b - 1 of the group
-                at = slice(start + lo + a, start + lo + b)
-                _nll_rows(params, contexts[at], targets[at], ws, a, nll[lo + a:lo + b])
+    for lo, hi in zip(bounds, bounds[1:]):
+        nll = losses[:hi - lo]
 
-            _in_parts(ws.pool, hi - lo, rows, params.hyper.vocab_size, least=2)
+        def rows(a: int, b: int) -> None:  # rows lo + a .. lo + b - 1 of the dataset
+            _nll_rows(params, contexts[lo + a:lo + b], targets[lo + a:lo + b], ws, a, nll[a:b])
+
+        _in_parts(ws.pool, hi - lo, rows, params.hyper.vocab_size, least=2)
         n_clamped += int(np.count_nonzero(nll > MAX_NLL))
         np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
         total += float(nll.sum())

@@ -18,6 +18,7 @@ import numpy as np
 from .dataset import DatasetSplit
 from .manifest import atomic_write
 from .model import (
+    EVAL_CHUNK_ROWS,
     MAX_NLL,
     N_CONTEXT,
     PARAM_FIELDS,
@@ -235,7 +236,10 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     log stay on disk.
     With cfg.deterministic, wall_seconds is recorded as 0.0 so logs are
     byte-reproducible. Every step and evaluation works in one `Workspace`,
-    allocated here for the run.
+    allocated here for the run, of max(batch size, model.EVAL_CHUNK_ROWS)
+    rows so that `evaluate` runs the same chunks whatever the batch. The
+    trade-off: a batch below 256 still gets 256 rows, which at
+    |V| = 32768 are 64 MB of logits, as many as at the default batch.
 
     For the run, `_second_core` sets OpenBLAS to one thread and gives
     `train` a one-thread `ThreadPoolExecutor`, which runs the second part
@@ -257,7 +261,7 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     """
     if len(split.train) == 0:
         raise ValueError("training split is empty")
-    rows = Workspace.training_rows(hyper, cfg.batch_size)
+    rows = max(cfg.batch_size, EVAL_CHUNK_ROWS)
     _check_fits_in_memory(hyper, rows)
     params = init_params(hyper, cfg.seed)
     train_ctx, train_tgt = split.train[:, :N_CONTEXT], split.train[:, N_CONTEXT]

@@ -1,6 +1,6 @@
 """The package holds only what its commands run: every public top-level
-function and class in `src/tweetembed` is used somewhere in the package
-outside its own definition. Helpers that only tests need live in
+function, class and constant in `src/tweetembed` is used somewhere in the
+package outside its own definition. Helpers that only tests need live in
 `tests/oracles.py`. Only `manifest.py` packs binary file framing. Each
 command takes exactly the options listed here."""
 
@@ -16,16 +16,26 @@ PACKAGE = Path(tweetembed.__file__).parent
 ENTRY_POINTS = {"cli.run"}
 
 
+def _top_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's
+    name, or each name a top-level assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [name.id for target in targets for name in ast.walk(target)
+            if isinstance(name, ast.Name)]
+
+
 def test_every_public_definition_is_used_in_the_package():
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(PACKAGE.glob("*.py"))}
     defined: dict[str, ast.AST] = {}
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")
-                    and f"{module}.{node.name}" not in ENTRY_POINTS):
-                defined[f"{module}.{node.name}"] = node
+            for name in _top_level_names(node):
+                if not name.startswith("_") and f"{module}.{name}" not in ENTRY_POINTS:
+                    defined[f"{module}.{name}"] = node
     used: set[str] = set()
     for module, tree in trees.items():
         for top in tree.body:
@@ -54,14 +64,17 @@ def test_only_manifest_frames_binary_files():
     assert importers == ["manifest.py"]
 
 
-# Every command also takes --seed, --deterministic and --threads. --threads
-# is parsed and ignored (counting runs in one process); it stays while
-# perfbench/run.py still passes it.
-COMMON_OPTIONS = {"--seed", "--deterministic", "--threads"}
-MODEL_OPTIONS = {"--epochs", "--batch-size", "--learning-rate", "--emb-dim", "--ctx-dim"}
+# Every command also takes --deterministic and --threads. --threads is
+# parsed and ignored (counting runs in one process); it stays while
+# perfbench/run.py still passes it. Only the commands that read --seed
+# take it.
+COMMON_OPTIONS = {"--deterministic", "--threads"}
+MODEL_OPTIONS = {"--seed", "--epochs", "--batch-size", "--learning-rate", "--emb-dim",
+                 "--ctx-dim"}
 COMMAND_OPTIONS = {
     "ingest": {"--out-db", "--out-dict"},
-    "dataset": {"--vocab-size", "--fraction", "--validation-ratio", "--include-boundary", "--out"},
+    "dataset": {"--vocab-size", "--fraction", "--validation-ratio", "--include-boundary", "--out",
+                "--seed"},
     "train": {"--out-checkpoint", "--out-log", *MODEL_OPTIONS},
     "export": {"--vocab", "--out"},
     "eval": {"--classes", "--pairs", "--membership-thresholds", "--distinction-thresholds",

@@ -694,7 +694,8 @@ class TestGrid:
         assert "fraction" in capsys.readouterr().err
 
 
-STAGE_SETTINGS = ["--seed", "5", "--deterministic"]
+STAGE_SETTINGS = ["--deterministic"]
+SEED_SETTINGS = ["--seed", "5"]  # for the commands that read it
 DATASET_SETTINGS = ["--validation-ratio", "0.2", "--include-boundary"]
 TRAIN_SETTINGS = ["--epochs", "2", "--batch-size", "32", "--learning-rate", "0.01",
                   "--emb-dim", "8", "--ctx-dim", "8"]
@@ -713,9 +714,9 @@ def staged_and_grid(bigger_corpus, tmp_path):
         ["ingest", str(bigger_corpus), "--out-db", str(staged / "ngrams.tsv"),
          "--out-dict", str(staged / "dictionary.tsv")],
         ["dataset", str(staged / "ngrams.tsv"), "--vocab-size", "6", "--fraction", "0.5",
-         "--out", str(ds), *DATASET_SETTINGS],
+         "--out", str(ds), *DATASET_SETTINGS, *SEED_SETTINGS],
         ["train", str(ds), "--out-checkpoint", str(staged / "model.ckpt"),
-         "--out-log", str(staged / "run_log.tsv"), *TRAIN_SETTINGS],
+         "--out-log", str(staged / "run_log.tsv"), *TRAIN_SETTINGS, *SEED_SETTINGS],
         ["export", str(staged / "model.ckpt"), "--vocab", str(ds) + ".vocab.tsv",
          "--out", str(emb)],
         ["eval", str(emb), "--out", str(staged / "report.json")],
@@ -724,7 +725,7 @@ def staged_and_grid(bigger_corpus, tmp_path):
     grid = tmp_path / "grid"
     assert main(["grid", str(bigger_corpus), "--out-dir", str(grid), "--vocab-sizes", "4,6",
                  "--fractions", "0.5,1.0", *DATASET_SETTINGS, *TRAIN_SETTINGS,
-                 *STAGE_SETTINGS]) == EXIT_OK
+                 *SEED_SETTINGS, *STAGE_SETTINGS]) == EXIT_OK
     return staged, grid
 
 
@@ -1748,4 +1749,10 @@ class TestSubprocessEntry:
     def test_argparse_rejects_unknown_command(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
+        assert exc.value.code == 2
+
+    def test_argparse_rejects_a_seed_the_command_does_not_read(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(tmp_path / "embeddings.txt"), "--out", str(tmp_path / "report.json"),
+                  "--seed", "1"])
         assert exc.value.code == 2

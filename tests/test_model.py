@@ -219,6 +219,21 @@ def numeric_gradient(params, batch, name, h=1e-4):
     return grad
 
 
+_FORWARD = tweetembed.model._forward_to_logits
+
+
+def record_forward_rows(monkeypatch):
+    """A list to which each later `_forward_to_logits` call appends its row count."""
+    calls = []
+
+    def recorded(params, contexts, ws, first=0):
+        calls.append(len(contexts))
+        return _FORWARD(params, contexts, ws, first)
+
+    monkeypatch.setattr(tweetembed.model, "_forward_to_logits", recorded)
+    return calls
+
+
 def random_batch(rng, hyper, size):
     """(contexts, targets) int64 arrays; each row's context ids are drawn before its target."""
     contexts, targets = [], []
@@ -317,13 +332,12 @@ class TestBackward:
 
 class TestEvaluate:
     def test_matches_per_example_mean(self, caplog, monkeypatch):
-        # The default block holds all 23 rows; blocks of 50 and 40 logits
-        # hold 5 and 4 rows and leave a short last block. The clamped case
-        # pins one target's logit far below the rest, so every row with that
-        # target, in several blocks, hits LOSS_FLOOR, and evaluate still
-        # warns once.
+        # The default chunk holds all 23 rows; chunks of 5 and 4 rows leave
+        # a short last chunk. The clamped case pins one target's logit far
+        # below the rest, so every row with that target, in several chunks,
+        # hits LOSS_FLOOR, and evaluate still warns once.
         rng = np.random.default_rng(7)
-        default_block = tweetembed.model.EVAL_BLOCK_LOGITS
+        default_chunk = tweetembed.model.EVAL_CHUNK_ROWS
         for clamped in (False, True):
             hyper = tiny_hyper(vocab_size=10, d_in=3, d_ctx=3)
             params = init_params(hyper, seed=1)
@@ -334,11 +348,11 @@ class TestEvaluate:
             n_clamped = int((targets == targets[0]).sum())
             if clamped:
                 assert n_clamped > 1 and expected > n_clamped * MAX_NLL / 23
-            for block_logits in (default_block, 50, 40):
-                monkeypatch.setattr(tweetembed.model, "EVAL_BLOCK_LOGITS", block_logits)
+            for chunk in (default_chunk, 5, 4):
+                monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", chunk)
                 caplog.clear()
                 got = evaluate(params, contexts, targets)
-                assert abs(got - expected) <= 1e-12 * expected, (clamped, block_logits)
+                assert abs(got - expected) <= 1e-12 * expected, (clamped, chunk)
                 warnings = [r.getMessage() for r in caplog.records]
                 assert warnings == (
                     [f"{n_clamped} target probabilities clamped to 1e-12 before log"]
@@ -349,74 +363,66 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
 
-    def test_chunks_across_groups_are_bit_equal_to_one_pass(self, monkeypatch):
-        # At |V| = 302 a summed group is 2^20 // 302 = 3472 rows, which no
-        # chunk height here divides, so chunks straddle group ends and 8000
-        # rows leave a short last group. Heights 3 and 13 would end each
-        # full group with a 1-row chunk (see the next test). With chunks
-        # capped at 5000 rows, not EVAL_CHUNK_ROWS, a workspace of 3472 rows
-        # computes each group in one product.
+    def test_loss_bits_do_not_follow_the_workspace(self):
+        # A training workspace is as tall as the batch, or taller. At
+        # |V| = 302, where the BLAS rounds some logits with a product's row
+        # count, workspaces of 256, 512 and 5000 rows and none at all run
+        # the same chunks, 31 of 256 rows and one of 64, so the loss keeps
+        # its bits.
         hyper = ModelHyper(vocab_size=302)
         params = init_params(hyper, seed=2)
         rng = np.random.default_rng(5)
         contexts = rng.integers(0, hyper.vocab_size + 4, (8000, 4))
         targets = rng.integers(0, hyper.vocab_size, 8000)
-        with monkeypatch.context() as patch:
-            patch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", 5000)
-            whole = evaluate(params, contexts, targets, Workspace(hyper, 3472))
-            for rows in (3, 7, 13, 256, 1000, 5000):
-                got = evaluate(params, contexts, targets, Workspace(hyper, rows))
-                assert got.hex() == whole.hex(), rows
-        assert evaluate(params, contexts, targets).hex() == whole.hex()
+        whole = evaluate(params, contexts, targets)
+        for rows in (256, 512, 5000):
+            got = evaluate(params, contexts, targets, Workspace(hyper, rows))
+            assert got.hex() == whole.hex(), rows
 
     def test_chunk_height_does_not_follow_a_wider_workspace(self, monkeypatch):
-        # A training workspace is as tall as the batch; a batch above
-        # EVAL_CHUNK_ROWS must not widen evaluate's chunks, since at some
-        # widths the BLAS rounds a row's logits with the row count.
-        hyper = ModelHyper(vocab_size=300)
-        params = init_params(hyper, seed=8)
-        rng = np.random.default_rng(9)
-        contexts = rng.integers(0, hyper.vocab_size + 4, (4000, 4))
-        targets = rng.integers(0, hyper.vocab_size, 4000)
-        forward = tweetembed.model._forward_to_logits
-
-        def run(rows):
-            calls = []
-
-            def recorded(params, contexts, ws, first=0):
-                calls.append(len(contexts))
-                return forward(params, contexts, ws, first)
-
-            monkeypatch.setattr(tweetembed.model, "_forward_to_logits", recorded)
+        # A batch above EVAL_CHUNK_ROWS must not widen evaluate's chunks,
+        # since at some widths the BLAS rounds a row's logits with the row
+        # count, and neither may |V|: at |V| = 5000 the chunks are 256 rows
+        # as at |V| = 300.
+        def run(hyper, n, rows):
+            params = init_params(hyper, seed=8)
+            rng = np.random.default_rng(9)
+            contexts = rng.integers(0, hyper.vocab_size + 4, (n, 4))
+            targets = rng.integers(0, hyper.vocab_size, n)
+            calls = record_forward_rows(monkeypatch)
             loss = evaluate(params, contexts, targets, Workspace(hyper, rows))
             return calls, loss.hex()
 
-        wide, narrow = run(512), run(256)
+        hyper = ModelHyper(vocab_size=300)
+        wide, narrow = run(hyper, 4000, 512), run(hyper, 4000, 256)
         assert wide == narrow
-        # Groups of 2^20 // 300 = 3495 rows and the 505 left over.
-        assert wide[0] == [256] * 13 + [167, 256, 249]
+        assert wide[0] == [256] * 15 + [160]
+        assert run(ModelHyper(vocab_size=5000, d_in=8, d_ctx=8), 600, 256)[0] == [256, 256, 88]
 
     def test_no_chunk_of_one_row(self, monkeypatch):
         # numpy multiplies a single row by matrix-vector products, which
-        # round some logits otherwise. So a group of 4 rows in a 3-row
-        # workspace runs as chunks of 2 and 2, not 3 and 1; large logits
-        # and 4-row losses let such a rounding reach the result.
-        monkeypatch.setattr(tweetembed.model, "EVAL_BLOCK_LOGITS", 4 * 302)
-        hyper = ModelHyper(vocab_size=302)
+        # round some logits otherwise. So when the last chunk would be one
+        # row long, the last two share their rows: 7 rows in chunks of 3
+        # run as 3, 2 and 2.
+        hyper = tiny_hyper(vocab_size=12)
         params = init_params(hyper, seed=2)
-        params.w_output[...] *= 40.0
         rng = np.random.default_rng(5)
-        contexts = rng.integers(0, hyper.vocab_size + 4, (400, 4))
-        targets = rng.integers(0, hyper.vocab_size, 400)
-        small, whole = Workspace(hyper, 3), Workspace(hyper, 4)
-        for i in range(0, 400, 4):
-            rows = slice(i, i + 4)
-            assert (evaluate(params, contexts[rows], targets[rows], small).hex()
-                    == evaluate(params, contexts[rows], targets[rows], whole).hex()), i
+        contexts, targets = random_batch(rng, hyper, 300)
+        calls = record_forward_rows(monkeypatch)
+        for chunk in (3, 8):
+            monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", chunk)
+            for n in range(2, 300):
+                calls.clear()
+                evaluate(params, contexts[:n], targets[:n])
+                assert sum(calls) == n and min(calls) >= 2 and max(calls) <= chunk, (chunk, n)
+        calls.clear()
+        monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", 3)
+        evaluate(params, contexts[:7], targets[:7])
+        assert calls == [3, 2, 2]
 
     def test_peak_memory_does_not_grow_with_rows(self):
-        # At |V| = 128 a summed group is 8192 rows; computed in one pass,
-        # one call peaked at 32 MB of temporaries.
+        # Computed 8192 rows at a time at |V| = 128, one call peaked at
+        # 32 MB of temporaries.
         hyper = ModelHyper(vocab_size=128)
         params = init_params(hyper, seed=3)
         rng = np.random.default_rng(6)
@@ -437,12 +443,6 @@ class TestWorkspace:
         ws = Workspace(hyper, 11)
         arrays = {id(a): a for a in vars(ws).values() if isinstance(a, np.ndarray)}
         assert Workspace.nbytes(hyper, 11) == sum(a.nbytes for a in arrays.values())
-
-    def test_training_rows(self):
-        # max(batch, min(256, 2^20 // |V|))
-        for vocab_size, batch, rows in ((128, 16, 256), (128, 1000, 1000), (2048, 256, 256),
-                                        (32768, 16, 32), (2 ** 21, 1, 1)):
-            assert Workspace.training_rows(ModelHyper(vocab_size=vocab_size), batch) == rows
 
     def test_reused_workspace_gives_the_same_gradient(self):
         # A smaller batch after a larger one reads only its own rows.

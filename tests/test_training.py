@@ -17,6 +17,7 @@ from tweetembed.dataset import (
     split_dataset,
 )
 from tweetembed.model import (
+    EVAL_CHUNK_ROWS,
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
@@ -294,6 +295,7 @@ class TestTrain:
         train_flags = ["--epochs", "1", "--batch-size", "16", "--emb-dim", "4", "--ctx-dim", "4"]
 
         def pipeline(out, seed):
+            seeded = ["--seed", seed]  # for the commands that read it
             rng = np.random.default_rng(seed)
             corpus = tmp_path / f"corpus{seed}.txt"
             corpus.write_text("".join(" ".join(rng.choice(list("abcdef"), size=7)) + "\n"
@@ -302,17 +304,17 @@ class TestTrain:
                 ["ingest", corpus, "--out-db", out / "ngrams.tsv",
                  "--out-dict", out / "dictionary.tsv"],
                 ["dataset", out / "ngrams.tsv", "--vocab-size", "5", "--include-boundary",
-                 "--out", out / "dataset.tsv"],
+                 "--out", out / "dataset.tsv", *seeded],
                 ["train", out / "dataset.tsv", "--out-checkpoint", out / "model.ckpt",
-                 "--out-log", out / "run_log.tsv", *train_flags],
+                 "--out-log", out / "run_log.tsv", *train_flags, *seeded],
                 ["export", out / "model.ckpt", "--vocab", out / "dataset.tsv.vocab.tsv",
                  "--out", out / "embeddings.txt"],
                 ["eval", out / "embeddings.txt", "--membership-thresholds", f"0.{seed}",
                  "--out", out / "report.json"],
                 ["grid", corpus, "--out-dir", out / "grid", "--vocab-sizes", "5",
-                 "--fractions", "1.0", "--include-boundary", *train_flags],
+                 "--fractions", "1.0", "--include-boundary", *train_flags, *seeded],
             ):
-                rc = main([str(arg) for arg in argv] + ["--seed", str(seed), "--deterministic"])
+                rc = main([str(arg) for arg in argv] + ["--deterministic"])
                 if rc != EXIT_OK:
                     return rc
             return EXIT_OK
@@ -431,7 +433,7 @@ class TestTrain:
         # Physical memory between the four parameter-sized arrays alone and
         # those plus the workspace must be refused.
         hyper = ModelHyper(vocab_size=2048)
-        rows = Workspace.training_rows(hyper, 256)
+        rows = max(256, EVAL_CHUNK_ROWS)
         arrays = 4 * 8 * param_count(hyper)
         workspace = Workspace.nbytes(hyper, rows)
         assert workspace > 4 * 2 ** 20
@@ -480,7 +482,7 @@ class TestTrain:
         _, peak = traced_peak(train, random_split(hyper, 1792, 256, seed=8), hyper, cfg,
                               tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
         counted = (4 * 8 * param_count(hyper)
-                   + Workspace.nbytes(hyper, Workspace.training_rows(hyper, cfg.batch_size)))
+                   + Workspace.nbytes(hyper, max(cfg.batch_size, EVAL_CHUNK_ROWS)))
         assert peak < counted + 1.5 * 2 ** 20, peak - counted
 
     def test_epoch_callback_streams_logs(self, tmp_path):
