@@ -522,7 +522,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--vocab-sizes", required=True, help="comma-separated sizes")
-    p.add_argument("--fractions", default="0.25,0.5,0.75,1.0")
+    p.add_argument("--fractions", default=",".join(map(str, PAPER_FRACTIONS)))
     p.add_argument("--validation-ratio", type=float, default=0.1)
     p.add_argument("--include-boundary", action="store_true")
     p.add_argument("--classes", default=str(DEFAULT_CLASSES_FILE))

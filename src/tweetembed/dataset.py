@@ -13,6 +13,7 @@ BOUNDARY_TOKENS order), valid only as context, never as prediction targets.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -79,17 +80,12 @@ def filter_ngrams(db: NGramDatabase, vocab_ids: np.ndarray,
 
 @dataclass
 class DatasetSplit:
-    """Disjoint train/validation example arrays plus the parameters that made them.
-
-    `train` and `validation` are (N, 5) int64 arrays of rows
-    `c1 c2 c4 c5 target` (see the module docstring).
-    """
+    """Disjoint train/validation example arrays, each (N, 5) int64 of rows
+    `c1 c2 c4 c5 target` (see the module docstring). The dataset manifest
+    records the split settings that made them."""
 
     train: np.ndarray
     validation: np.ndarray
-    seed: int
-    fraction: float
-    validation_ratio: float
 
 
 def split_sizes(n: int, validation_ratio: float, fraction: float) -> tuple[int, int]:
@@ -120,7 +116,7 @@ def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
     # Only the rows returned are gathered, so a fraction below 1 copies
     # only its share of the examples.
     shuffled = examples[permutation(len(examples), seed)[:n_val + n_train]]
-    return DatasetSplit(shuffled[n_val:], shuffled[:n_val], seed, fraction, validation_ratio)
+    return DatasetSplit(shuffled[n_val:], shuffled[:n_val])
 
 
 def write_vocabulary(vocab: list[str], path: Path | str) -> None:
@@ -156,27 +152,19 @@ def read_vocabulary(path: Path | str) -> list[str]:
 def write_dataset(split: DatasetSplit, vocab: list[str], path: Path | str) -> None:
     """TSV rows `c1 c2 c4 c5 target`, validation block first, then train.
 
-    The header records everything needed to interpret and reproduce the
-    file: vocabulary size and hash, shuffle seed, validation ratio,
-    fraction, and the two block lengths. Each block of `manifest.row_blocks`
-    rows (five cells each) is one (n, 5) object array written with one
-    join, as in `corpus.write_ngram_db`: four `id<TAB>` cells and one
-    `id\n` cell gathered from one string per id, so no Python int is made
-    per row.
+    The header holds what `read_dataset` needs: vocabulary size and hash and
+    the two block lengths (the split settings are in the dataset manifest).
+    Each block of `manifest.row_blocks` rows (five cells each) is one (n, 5)
+    object array written with one join, as in `corpus.write_ngram_db`: four
+    `id<TAB>` cells and one `id\n` cell gathered from one string per id, so
+    no Python int is made per row.
     """
     context = np.array([f"{i}\t" for i in range(len(vocab) + len(BOUNDARY_TOKENS))],
                        dtype=object)
     target = np.array([f"{i}\n" for i in range(len(vocab))], dtype=object)
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(
-            f"#vocab_size={len(vocab)}"
-            f"\t#vocab_hash={vocabulary_hash(vocab)}"
-            f"\t#seed={split.seed}"
-            f"\t#validation_ratio={split.validation_ratio}"
-            f"\t#fraction={split.fraction}"
-            f"\t#validation={len(split.validation)}"
-            f"\t#train={len(split.train)}\n"
-        )
+        fh.write(f"#vocab_size={len(vocab)}\t#vocab_hash={vocabulary_hash(vocab)}"
+                 f"\t#validation={len(split.validation)}\t#train={len(split.train)}\n")
         for block in (split.validation, split.train):
             for rows in row_blocks(len(block), 5):
                 ids = block[rows]
@@ -189,39 +177,44 @@ def write_dataset(split: DatasetSplit, vocab: list[str], path: Path | str) -> No
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
     """Parse a dataset file; returns the split and its header metadata.
 
-    The body is parsed in one pass into an (N, 5) int64 array; the split's
-    blocks are views of it. A row that is not 5 integers (a float, an empty
-    line) is a ValueError, and so is a #vocab_hash other than the 64
-    lowercase hex digits `vocabulary_hash` writes: a checkpoint trained
-    under any other hash could never be exported.
+    The header must hold #vocab_size, #vocab_hash, #validation and #train
+    once each; other keys (such as the split settings older files repeat)
+    are ignored. The body is parsed in one pass into an (N, 5) int64 array;
+    the split's blocks are views of it. A row that is not 5 integers (a
+    float, an empty line) is a ValueError, and so is a #vocab_hash other
+    than the 64 lowercase hex digits `vocabulary_hash` writes: a checkpoint
+    trained under any other hash could never be exported.
     The model indexes its weights with the ids unchecked, so any id out of
     range (context [0, |V| + 4), target [0, |V|)) is a ValueError here too,
     naming the first offending line.
     """
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
         meta: dict[str, str] = {}
-        for part in header.split("\t"):
+        for part in fh.readline().rstrip("\n").split("\t"):
             if not part.startswith("#") or "=" not in part:
                 raise ValueError(f"{path}: malformed dataset header field {part!r}")
             key, value = part[1:].split("=", 1)
+            if key in meta:
+                raise ValueError(f"{path}:1: dataset header repeats #{key}=")
             meta[key] = value
-        missing = [f"#{key}=" for key in ("vocab_size", "vocab_hash", "seed", "validation_ratio",
-                                          "fraction", "validation", "train") if key not in meta]
+        missing = [f"#{key}=" for key in ("vocab_size", "vocab_hash", "validation", "train")
+                   if key not in meta]
         if missing:
             raise ValueError(f"{path}: dataset header lacks {', '.join(missing)}")
         if not re.fullmatch("[0-9a-f]{64}", meta["vocab_hash"]):
             raise ValueError(f"{path}:1: #vocab_hash={meta['vocab_hash']!r} is not the 64 "
                              "lowercase hex digits of a vocabulary hash")
         try:
-            n_val, n_train, vocab_size, seed = (int(meta[key]) for key in
-                                                ("validation", "train", "vocab_size", "seed"))
-            fraction, validation_ratio = float(meta["fraction"]), float(meta["validation_ratio"])
+            n_val, n_train, vocab_size = (int(meta[key]) for key in
+                                          ("validation", "train", "vocab_size"))
         except ValueError as exc:
             raise ValueError(f"{path}:1: malformed dataset header ({exc})") from None
         n_ids = vocab_size + len(BOUNDARY_TOKENS)
-        body_start = fh.tell()
+        # loadtxt skips empty lines, which are malformed rows too, so the lines
+        # it is given stop at the first one, kept in `empty`: line 2 + rows.
+        empty: list[str] = []
+        lines = itertools.takewhile(lambda line: line != "\n" or empty.append(line), fh)
         with warnings.catch_warnings():
             # An empty body warns and parses as shape (0, 1); the checks below cover it.
             warnings.simplefilter("ignore", UserWarning)
@@ -229,20 +222,12 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
             # an int column and only warn; that is a malformed row here.
             warnings.simplefilter("error", DeprecationWarning)
             try:
-                rows = np.loadtxt(fh, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
+                rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
             except (ValueError, DeprecationWarning) as exc:
                 raise ValueError(f"{path}: expected 5 integer fields ({exc})") from None
-        # loadtxt skips empty lines, which are malformed rows too: a body with
-        # more lines than rows has one.
-        fh.seek(body_start)
-        n_lines, last = 0, "\n"
-        for chunk in iter(lambda: fh.read(1 << 20), ""):
-            n_lines += chunk.count("\n")
-            last = chunk[-1]
-        if n_lines + (last != "\n") != len(rows):
-            fh.seek(body_start)
-            lineno = next(i for i, line in enumerate(fh, start=2) if line == "\n")
-            raise ValueError(f"{path}:{lineno}: expected 5 integer fields, got an empty line")
+        if empty:
+            raise ValueError(f"{path}:{len(rows) + 2}: expected 5 integer fields, "
+                             "got an empty line")
     if rows.size == 0:
         rows = rows.reshape(0, 5)
     if rows.shape[1] != 5:
@@ -255,6 +240,5 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
                          f"[0, {n_ids}), target in [0, {vocab_size})): {rows[first].tolist()}")
     if n_val < 0 or n_train < 0 or len(rows) != n_val + n_train:
         raise ValueError(f"{path}: row count does not match header block sizes")
-    split = DatasetSplit(train=rows[n_val:], validation=rows[:n_val], seed=seed,
-                         fraction=fraction, validation_ratio=validation_ratio)
+    split = DatasetSplit(train=rows[n_val:], validation=rows[:n_val])
     return split, {"vocab_size": vocab_size, "vocab_hash": meta["vocab_hash"]}

@@ -265,7 +265,6 @@ class Workspace:
                  pool: ThreadPoolExecutor | None = None) -> None:
         if rows < 1:
             raise ValueError("a workspace needs at least one row")
-        self.rows = rows
         self.pool = pool
         vars(self).update({name: np.empty(shape, dtype)
                            for name, (shape, dtype) in self._layout(hyper, rows).items()})
@@ -292,10 +291,10 @@ class Workspace:
 
 
 def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace,
-                       first: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                       first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """The forward pass up to the softmax input, for a (B, 4) int array of
-    context ids, written into rows first .. first + B - 1 of `ws`: (merged,
-    ctx_act, logits), shapes (B, 4 * d_in), (B, d_ctx) and (B, |V|)."""
+    context ids, written into rows first .. first + B - 1 of `ws`: (ctx_act,
+    logits), shapes (B, d_ctx) and (B, |V|)."""
     b = contexts.shape[0]
     rows = slice(first, first + b)
     merged = ws.merged[rows]
@@ -308,7 +307,7 @@ def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace,
     ctx_act = sigmoid(ctx_pre, out=ws.ctx_act[rows])
     logits = np.matmul(ctx_act, params.w_output, out=ws.out_pre[rows])
     logits += params.b_out
-    return merged, ctx_act, logits
+    return ctx_act, logits
 
 
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
@@ -432,7 +431,7 @@ def _backward_rows(params: ModelParams, contexts: np.ndarray, targets: np.ndarra
     scatter's cells."""
     m = targets.shape[0]
     rows = slice(first, first + m)
-    ctx_act, logits = _forward_to_logits(params, contexts, ws, first)[1:]
+    ctx_act, logits = _forward_to_logits(params, contexts, ws, first)
     d_out_pre = softmax(logits, out=logits)
     d_out_pre[ws.row_ids[:m], targets] -= 1.0
     d_out_pre /= batch

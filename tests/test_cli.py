@@ -263,7 +263,7 @@ class TestDataset:
         assert hashlib.sha256((tmp_path / "ngrams.tsv.bin").read_bytes()).hexdigest() == (
             "66950762caa2224f9bce504136d1c0ef4aa6bca118aa45374bfd016a8cf74fb9")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "21887ca62d1a34d44fc3f583cb7de02c3b21f1ec4b630da6f4bf79827afa89ce")
+            "183eab14f6358938f55324726f068cb38ae9c8d00992335f0fb1c989eba1cc30")
 
     def test_non_ascii_bytes_are_pinned(self, tmp_path):
         # Accents, an emoji, "İ", "ß", handles, links, a pad spelling written
@@ -282,7 +282,7 @@ class TestDataset:
         assert hashlib.sha256(dic.read_bytes()).hexdigest() == (
             "f2519597dcdf536a9ab3e0918352e4d8314ed964febce658cea784af682252e1")
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "2992a1a445981444f05a1e0594d674ef90c8b2264e03350188031ec657f3fdfc")
+            "051ef071088f1a066921e9a10e6e113ceb68758d277df2074561537163d3f212")
 
     def test_reordered_ngram_db_gives_the_same_dataset(self, bigger_corpus, tmp_path):
         # dataset hashes the TSV but reads the rows from the binary: a copy
@@ -359,6 +359,22 @@ class TestTrain:
             sub = tmp_path / name
             sub.mkdir()
             _, ckpt, log = train_cmd(prepared_dataset, sub, "--epochs", "2",
+                                     "--emb-dim", "8", "--ctx-dim", "8", "--deterministic")
+            blobs.append((ckpt.read_bytes(), log.read_bytes()))
+        assert blobs[0] == blobs[1]
+
+    def test_seven_field_header_trains_to_the_same_bytes(self, prepared_dataset, tmp_path):
+        # Files written before the header lost the split settings carry them
+        # between #vocab_hash= and #validation=; train ignores them.
+        header, body = prepared_dataset.read_text(encoding="utf-8").split("\n", 1)
+        size, vocab_hash, *blocks = header.split("\t")
+        old = tmp_path / "old" / "dataset.tsv"
+        old.parent.mkdir()
+        old.write_text("\t".join([size, vocab_hash, "#seed=13", "#validation_ratio=0.1",
+                                  "#fraction=1.0", *blocks]) + "\n" + body, encoding="utf-8")
+        blobs = []
+        for dataset in (prepared_dataset, old):
+            _, ckpt, log = train_cmd(dataset, dataset.parent, "--epochs", "2",
                                      "--emb-dim", "8", "--ctx-dim", "8", "--deterministic")
             blobs.append((ckpt.read_bytes(), log.read_bytes()))
         assert blobs[0] == blobs[1]
@@ -781,6 +797,19 @@ def _set_header_key(dataset, key, value):
     dataset.write_text("\t".join(fields) + "\n" + "".join(rows), encoding="utf-8")
 
 
+def _repeat_header_key(dataset, key):
+    header, *rows = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    field = next(f for f in header.rstrip("\n").split("\t") if f.startswith(f"#{key}="))
+    dataset.write_text(header.rstrip("\n") + "\t" + field + "\n" + "".join(rows),
+                       encoding="utf-8")
+
+
+def _empty_line_after(dataset, n_rows):
+    header, *rows = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    dataset.write_text(header + "".join(rows[:n_rows]) + "\n" + "".join(rows[n_rows:]),
+                       encoding="utf-8")
+
+
 def _train_on(break_dataset, flags=()):
     """Case builder: break the prepared dataset, then train on it with `flags`."""
     def argv(dataset, tmp_path):
@@ -1036,14 +1065,20 @@ MALFORMED_INPUTS = {
     "empty line before the first row": (
         _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
         ":2: expected 5 integer fields, got an empty line"),
+    # The prepared dataset has 359 rows, on lines 2 to 360.
+    "empty line between two rows": (
+        _train_on(lambda ds: _empty_line_after(ds, 100)),
+        "dataset.tsv:102: expected 5 integer fields, got an empty line"),
+    "empty line after the last row": (
+        _train_on(lambda ds: _empty_line_after(ds, 359)),
+        "dataset.tsv:361: expected 5 integer fields, got an empty line"),
     "header without #train=": (_train_on(lambda ds: _drop_header_key(ds, "train")), "#train="),
     "blank #vocab_hash=": (_train_on(lambda ds: _set_header_key(ds, "vocab_hash", "")),
                            "dataset.tsv:1: #vocab_hash='' is not the 64 lowercase hex digits"),
     "#train= not a number": (_train_on(lambda ds: _set_header_key(ds, "train", "x")),
                              "dataset.tsv:1: malformed dataset header (invalid literal for int()"),
-    "#fraction= not a number": (
-        _train_on(lambda ds: _set_header_key(ds, "fraction", "half")),
-        "dataset.tsv:1: malformed dataset header (could not convert string to float: 'half')"),
+    "header repeating #train=": (_train_on(lambda ds: _repeat_header_key(ds, "train")),
+                                 "dataset.tsv:1: dataset header repeats #train="),
     # No machine's memory holds the arrays of this |V|, so train refuses it
     # before allocating; a |V| whose model could fit in RAM must never be
     # tried here.

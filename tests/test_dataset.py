@@ -162,7 +162,6 @@ def make_tuples(n):
 def assert_splits_equal(a, b):
     assert np.array_equal(a.train, b.train)
     assert np.array_equal(a.validation, b.validation)
-    assert (a.seed, a.fraction, a.validation_ratio) == (b.seed, b.fraction, b.validation_ratio)
 
 
 class TestSplitDataset:
@@ -277,8 +276,7 @@ class TestFiles:
         # 236 bytes per row, and 65,536 rows of them at once 16 MB.
         rng = np.random.default_rng(4)
         rows = rng.integers(0, 3000, (200_000, 5))
-        split = DatasetSplit(rows[20_000:], rows[:20_000], seed=1, fraction=1.0,
-                             validation_ratio=0.1)
+        split = DatasetSplit(rows[20_000:], rows[:20_000])
         vocab = [f"w{i}" for i in range(3000)]
         path, expected = tmp_path / "dataset.tsv", tmp_path / "savetxt.tsv"
         _, peak = traced_peak(write_dataset, split, vocab, path)
@@ -290,7 +288,7 @@ class TestFiles:
 
     def test_empty_blocks_round_trip_without_warning(self, tmp_path, recwarn):
         empty = np.empty((0, 5), dtype=np.int64)
-        split = DatasetSplit(empty, empty, seed=1, fraction=1.0, validation_ratio=0.1)
+        split = DatasetSplit(empty, empty)
         path = tmp_path / "dataset.tsv"
         write_dataset(split, ["a", "b"], path)
         loaded, _ = read_dataset(path)

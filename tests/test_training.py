@@ -159,8 +159,7 @@ def random_split(hyper, n_train, n_val, seed):
     rows = np.empty((n_val + n_train, 5), dtype=np.int64)
     rows[:, :4] = rng.integers(0, hyper.vocab_size + 4, (len(rows), 4))
     rows[:, 4] = rng.integers(0, hyper.vocab_size, len(rows))
-    return DatasetSplit(rows[n_val:], rows[:n_val], seed=seed, fraction=1.0,
-                        validation_ratio=n_val / len(rows))
+    return DatasetSplit(rows[n_val:], rows[:n_val])
 
 
 class BrokenWrites:
