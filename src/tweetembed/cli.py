@@ -2,69 +2,37 @@
 
 Stages communicate through files so expensive steps can be reused across
 experiment cells. Every run writes a manifest next to its main output.
-Exit codes: 0 success, 2 input error (including any OSError: a missing,
-unreadable or unwritable path, or a directory where a file belongs),
-3 training divergence.
+Exit codes: 0 success, 2 input error (a flag the parser refuses, or any
+OSError: a missing, unreadable or unwritable path, or a directory where a
+file belongs), 3 training divergence.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, Iterator, NoReturn
 
 import numpy as np
 
 from . import __version__
 from .corpus import (Dictionary, NGramDatabase, build_dictionary, count_ngrams, ngram_db_bin,
                      read_ngram_db, write_dictionary, write_ngram_db)
-from .dataset import (
-    DatasetSplit,
-    filter_ngrams,
-    read_dataset,
-    read_vocabulary,
-    select_vocabulary,
-    split_dataset,
-    split_sizes,
-    vocabulary_hash,
-    write_dataset,
-    write_vocabulary,
-)
-from .embeddings import (
-    EmbeddingTable,
-    export_embeddings,
-    read_embeddings_text,
-    write_embeddings_binary,
-    write_embeddings_text,
-)
-from .evaluation import (
-    DEFAULT_CLASSES_FILE,
-    DEFAULT_PAIRS_FILE,
-    DISTINCTION_THRESHOLDS,
-    EQUIVALENCE_THRESHOLDS,
-    MEMBERSHIP_THRESHOLDS,
-    EquivalencePair,
-    GoldClass,
-    TestReport,
-    check_suite,
-    load_equivalence_pairs,
-    load_gold_classes,
-    emit_report,
-    format_report_table,
-    run_standard_suite,
-)
+from .dataset import (DatasetSplit, filter_ngrams, read_dataset, read_vocabulary,
+                      select_vocabulary, split_dataset, split_sizes, vocabulary_hash,
+                      write_dataset, write_vocabulary)
+from .embeddings import (EmbeddingTable, export_embeddings, read_embeddings_text,
+                         write_embeddings_binary, write_embeddings_text)
+from .evaluation import (DEFAULT_CLASSES_FILE, DEFAULT_PAIRS_FILE, DISTINCTION_THRESHOLDS,
+                         EQUIVALENCE_THRESHOLDS, MEMBERSHIP_THRESHOLDS, EquivalencePair,
+                         GoldClass, TestReport, check_suite, emit_report, format_report_table,
+                         load_equivalence_pairs, load_gold_classes, run_standard_suite)
 from .manifest import atomic_write, build_manifest, file_sha256, write_manifest
 from .model import ModelHyper, ModelParams, load_checkpoint
-from .training import (
-    ADAM_BETA1,
-    ADAM_BETA2,
-    ADAM_EPSILON,
-    TrainConfig,
-    TrainingDiverged,
-    train,
-)
+from .training import TrainConfig, TrainingDiverged, train
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -74,14 +42,10 @@ PAPER_FRACTIONS = (0.25, 0.5, 0.75, 1.0)
 GRID_CELL_FILES = ("dataset.tsv", "vocab.tsv", "model.ckpt", "run_log.tsv", "embeddings.txt",
                    "embeddings.txt.bin", "report.json", "report.txt", "manifest.json")
 
-# eval's threshold flags (dest name -> default, e.g. "0.70,0.80"), also the
-# settings grid scores with; manifests record the strings
-THRESHOLD_DEFAULTS = {
-    name: ",".join(f"{threshold:.2f}" for threshold in thresholds)
-    for name, thresholds in (("membership_thresholds", MEMBERSHIP_THRESHOLDS),
-                             ("distinction_thresholds", DISTINCTION_THRESHOLDS),
-                             ("equivalence_thresholds", EQUIVALENCE_THRESHOLDS))
-}
+# eval's threshold flags (dest name -> default), also the thresholds grid scores at
+THRESHOLD_DEFAULTS = {"membership_thresholds": MEMBERSHIP_THRESHOLDS,
+                      "distinction_thresholds": DISTINCTION_THRESHOLDS,
+                      "equivalence_thresholds": EQUIVALENCE_THRESHOLDS}
 
 
 # `_read_corpus_lines` reads the corpus this many bytes at a time, plus the
@@ -130,10 +94,18 @@ def _check_distinct(*outputs: Path, inputs: tuple[Path, ...] = ()) -> None:
             raise ValueError(f"output path {other} and input path {path} name the same file")
 
 
+def _config(args: argparse.Namespace, **extra) -> dict:
+    """A manifest's config: the parsed arguments, less the command and its
+    handler, the ignored --threads and --deterministic (a manifest key of
+    its own), plus `extra`."""
+    return {**{key: value for key, value in vars(args).items()
+               if key not in ("func", "command", "threads", "deterministic")}, **extra}
+
+
 # Stage functions, shared by the stage commands and `grid`: each takes its
 # in-memory inputs, the parsed flags and its output paths, writes the stage's
-# files and returns its result with its manifest config. The train stage is
-# `train` itself, with the settings from `train_settings`.
+# files and returns its result. The train stage is `train` itself, with the
+# settings from `train_settings`.
 
 
 def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: int,
@@ -148,40 +120,20 @@ def qualifying_examples(db: NGramDatabase, dictionary: Dictionary, vocab_size: i
 
 
 def dataset_stage(examples: np.ndarray, vocab: list[str], fraction: float,
-                  args: argparse.Namespace, out_path: Path,
-                  vocab_path: Path) -> tuple[DatasetSplit, dict]:
+                  args: argparse.Namespace, out_path: Path, vocab_path: Path) -> DatasetSplit:
     split = split_dataset(examples, validation_ratio=args.validation_ratio,
                           fraction=fraction, seed=args.seed)
     write_dataset(split, vocab, out_path)
     write_vocabulary(vocab, vocab_path)
-    return split, {
-        "vocab_size": len(vocab),
-        "fraction": fraction,
-        "validation_ratio": args.validation_ratio,
-        "seed": args.seed,
-        "include_boundary": args.include_boundary,
-    }
+    return split
 
 
-def train_settings(args: argparse.Namespace,
-                   vocab_size: int) -> tuple[ModelHyper, TrainConfig, dict]:
-    """The model and training settings the flags give, and their manifest config."""
-    hyper = ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim)
-    cfg = TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
-                      learning_rate=args.learning_rate, seed=args.seed,
-                      deterministic=args.deterministic)
-    return hyper, cfg, {
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "learning_rate": cfg.learning_rate,
-        "beta1": ADAM_BETA1,
-        "beta2": ADAM_BETA2,
-        "epsilon": ADAM_EPSILON,
-        "seed": cfg.seed,
-        "emb_dim": hyper.d_in,
-        "ctx_dim": hyper.d_ctx,
-        "vocab_size": hyper.vocab_size,
-    }
+def train_settings(args: argparse.Namespace, vocab_size: int) -> tuple[ModelHyper, TrainConfig]:
+    """The model and training settings the flags give."""
+    return (ModelHyper(vocab_size=vocab_size, d_in=args.emb_dim, d_ctx=args.ctx_dim),
+            TrainConfig(epochs=args.epochs, batch_size=args.batch_size,
+                        learning_rate=args.learning_rate, seed=args.seed,
+                        deterministic=args.deterministic))
 
 
 def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
@@ -192,25 +144,12 @@ def export_stage(params: ModelParams, vocab: list[str], checkpoint_path: Path,
     return table
 
 
-def _list_flag(text: str, flag: str, parse: Callable[[str], float]) -> list:
-    """The items of a comma-separated list flag; a ValueError names the flag and the bad item."""
-    try:
-        return [parse(x) for x in text.split(",") if x]
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
 def eval_stage(table: EmbeddingTable, classes: list[GoldClass], pairs: list[EquivalencePair],
-               args: argparse.Namespace) -> tuple[list[TestReport], dict]:
+               args: argparse.Namespace) -> list[TestReport]:
     """Score the standard suite. The report embeds the run's manifest, so
     the caller writes it with `emit_report` once the manifest is built."""
-    config = {name: getattr(args, name) for name in THRESHOLD_DEFAULTS}
-    reports = run_standard_suite(
-        table, classes, pairs,
-        **{name: _list_flag(text, "--" + name.replace("_", "-"), float)
-           for name, text in config.items()},
-    )
-    return reports, config
+    return run_standard_suite(table, classes, pairs,
+                              **{name: getattr(args, name) for name in THRESHOLD_DEFAULTS})
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
@@ -225,12 +164,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     write_dictionary(dictionary, dict_path)
     if db.total_tweets == 0:
         print(f"warning: corpus {corpus_path} is empty", file=sys.stderr)
-    manifest = build_manifest(
-        "ingest",
-        {"out_db": str(db_path), "out_dict": str(dict_path)},
-        {"corpus": corpus_path},
-        args.deterministic,
-    )
+    manifest = build_manifest("ingest", _config(args), {"corpus": corpus_path}, args.deterministic)
     write_manifest(manifest, manifest_path)
     print(f"tweets: {db.total_tweets}")
     print(f"tokens: {db.total_tokens}")
@@ -245,18 +179,14 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     vocab_path = out_path.with_suffix(out_path.suffix + ".vocab.tsv")
     manifest_path = out_path.with_suffix(out_path.suffix + ".manifest.json")
     _check_distinct(out_path, vocab_path, manifest_path, inputs=(db_path, ngram_db_bin(db_path)))
-    if args.vocab_size < 1:
-        raise ValueError(f"--vocab-size must be at least 1, got {args.vocab_size}")
-    if not 0.0 < args.validation_ratio < 1.0:
-        raise ValueError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
     db, db_sha256 = read_ngram_db(db_path)
     vocab, examples = qualifying_examples(db, build_dictionary(db), args.vocab_size, args)
     # The examples are a copy: dropping the database here frees it, and the
     # file bytes its arrays view, before the split and the write.
     del db
-    split, config = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
-    manifest = build_manifest("dataset", {**config, "out": str(out_path)}, {"db": db_path},
-                              args.deterministic, digests={"db": db_sha256})
+    split = dataset_stage(examples, vocab, args.fraction, args, out_path, vocab_path)
+    manifest = build_manifest("dataset", _config(args), {"db": db_path}, args.deterministic,
+                              digests={"db": db_sha256})
     write_manifest(manifest, manifest_path)
     print(f"qualifying 5-grams: {len(examples)}")
     print(f"train tuples: {len(split.train)}")
@@ -271,10 +201,10 @@ def cmd_train(args: argparse.Namespace) -> int:
     manifest_path = checkpoint_path.with_suffix(checkpoint_path.suffix + ".manifest.json")
     _check_distinct(checkpoint_path, log_path, manifest_path, inputs=(dataset_path,))
     split, meta = read_dataset(dataset_path)
-    hyper, cfg, config = train_settings(args, meta["vocab_size"])
+    hyper, cfg = train_settings(args, meta["vocab_size"])
     # Written first, so a run that diverges still leaves its manifest behind.
-    manifest = build_manifest("train", {**config, "out_checkpoint": str(checkpoint_path)},
-                              {"dataset": dataset_path}, args.deterministic)
+    manifest = build_manifest("train", _config(args), {"dataset": dataset_path},
+                              args.deterministic)
     write_manifest(manifest, manifest_path)
     _, logs = train(split, hyper, cfg, checkpoint_path, log_path, meta["vocab_hash"],
                     on_epoch=lambda entry: print(entry.line(), end=""))
@@ -299,12 +229,9 @@ def cmd_export(args: argparse.Namespace) -> int:
             f"the vocabulary this checkpoint was trained on"
         )
     table = export_stage(params, vocab, checkpoint_path, out_path)
-    manifest = build_manifest(
-        "export",
-        {"out": str(out_path)},
-        {"checkpoint": checkpoint_path, "vocab": vocab_path},
-        args.deterministic, digests={"checkpoint": table.manifest_hash},
-    )
+    manifest = build_manifest("export", _config(args),
+                              {"checkpoint": checkpoint_path, "vocab": vocab_path},
+                              args.deterministic, digests={"checkpoint": table.manifest_hash})
     write_manifest(manifest, manifest_path)
     print(f"exported {len(table.words)} x {table.dim} embeddings")
     return EXIT_OK
@@ -322,13 +249,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     table = read_embeddings_text(emb_path)
     classes = load_gold_classes(classes_path)
     pairs = load_equivalence_pairs(pairs_path)
-    reports, config = eval_stage(table, classes, pairs, args)
-    manifest = build_manifest(
-        "eval",
-        {**config, "out": str(args.out)},
-        {"embeddings": emb_path, "classes": classes_path, "pairs": pairs_path},
-        args.deterministic,
-    )
+    reports = eval_stage(table, classes, pairs, args)
+    manifest = build_manifest("eval", _config(args), {"embeddings": emb_path,
+                                                      "classes": classes_path,
+                                                      "pairs": pairs_path}, args.deterministic)
     emit_report(reports, manifest, out_json, text_path)
     write_manifest(manifest, manifest_path)
     print(format_report_table(reports), end="")
@@ -337,34 +261,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def grid_cell(examples: np.ndarray, vocab: list[str], fraction: float,
               classes: list[GoldClass], pairs: list[EquivalencePair], corpus_sha256: str,
-              cell: Path, args: argparse.Namespace) -> tuple[tuple, dict]:
+              cell: Path, args: argparse.Namespace) -> tuple:
     """Run the dataset, train, export and eval stages for one grid cell into
-    `cell`; returns its summary row and manifest config. The cell's split,
-    parameters, tables and reports are freed when it returns."""
+    `cell`; returns its summary row. The cell's split, parameters, tables
+    and reports are freed when it returns."""
     cell.mkdir(exist_ok=True)
-    split, dataset_config = dataset_stage(examples, vocab, fraction, args,
-                                          cell / "dataset.tsv", cell / "vocab.tsv")
-    hyper, cfg, train_config = train_settings(args, len(vocab))
+    split = dataset_stage(examples, vocab, fraction, args, cell / "dataset.tsv",
+                          cell / "vocab.tsv")
+    hyper, cfg = train_settings(args, len(vocab))
     params, logs = train(split, hyper, cfg, cell / "model.ckpt", cell / "run_log.tsv",
                          vocabulary_hash(vocab))
     text_path = cell / "embeddings.txt"
     export_stage(params, vocab, cell / "model.ckpt", text_path)
     # Scored from the six-decimal text, as `eval` scores it.
-    reports, eval_config = eval_stage(read_embeddings_text(text_path), classes, pairs, args)
-    config = {**dataset_config, **train_config, **eval_config}
+    reports = eval_stage(read_embeddings_text(text_path), classes, pairs, args)
+    config = _config(args, vocab_size=len(vocab), fraction=fraction)
     cell_manifest = build_manifest("grid-cell", config, {"corpus": Path(args.corpus)},
                                    args.deterministic, digests={"corpus": corpus_sha256})
     emit_report(reports, cell_manifest, cell / "report.json", cell / "report.txt")
     write_manifest(cell_manifest, cell / "manifest.json")
-    row = (len(vocab), fraction, len(split.train),
-           sum(entry.wall_seconds for entry in logs) / len(logs),
-           logs[-1].train_loss, logs[-1].validation_loss)
-    return row, config
+    return (len(vocab), fraction, len(split.train),
+            sum(entry.wall_seconds for entry in logs) / len(logs),
+            logs[-1].train_loss, logs[-1].validation_loss)
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     """Ingest once, then run the other stages for every |V| x fraction cell;
-    a cell's manifest config is the union of the stage configs.
+    a cell's manifest config is the grid's plus its |V| and fraction.
 
     Every input is read and checked, and each cell's examples and split
     sizes are taken, before any file is written. The dictionary is then
@@ -373,34 +296,22 @@ def cmd_grid(args: argparse.Namespace) -> int:
     its last cell."""
     corpus_path = Path(args.corpus)
     out_dir = Path(args.out_dir)
-    vocab_sizes = _list_flag(args.vocab_sizes, "--vocab-sizes", int)
-    fractions = _list_flag(args.fractions, "--fractions", float)
-    if not vocab_sizes or not fractions:
-        raise ValueError("grid needs at least one vocabulary size and one fraction")
-    for fraction in fractions:
-        if fraction not in PAPER_FRACTIONS:
-            raise ValueError(f"fraction must be one of {PAPER_FRACTIONS}, got {fraction}")
-    if not 0.0 < args.validation_ratio < 1.0:
-        raise ValueError(f"--validation-ratio must be in (0, 1), got {args.validation_ratio}")
-    # Each cell's directory is named for its size and fraction.
-    for what, values in (("vocabulary size", vocab_sizes), ("fraction", fractions)):
-        for i, value in enumerate(values):
-            if value in values[:i]:
-                raise ValueError(f"grid got {what} {value} more than once")
-    cells = {(v, f): out_dir / f"v{v}_f{int(f * 100):03d}" for v in vocab_sizes for f in fractions}
+    # Each cell's directory is named for its size and fraction; the parser
+    # refuses a list that repeats one.
+    cells = {(v, f): out_dir / f"v{v}_f{int(f * 100):03d}"
+             for v in args.vocab_sizes for f in args.fractions}
     _check_distinct(*(out_dir / name for name in ("ngrams.tsv", "dictionary.tsv", "summary.tsv",
                                                   "grid.manifest.json")),
                     ngram_db_bin(out_dir / "ngrams.tsv"), *cells.values(),
                     *(cell / name for cell in cells.values() for name in GRID_CELL_FILES),
                     inputs=(corpus_path, Path(args.classes), Path(args.pairs)))
-    train_settings(args, vocab_sizes[0])  # refuses a bad training flag before the corpus is read
     classes = load_gold_classes(args.classes)
     pairs = load_equivalence_pairs(args.pairs)
     check_suite(classes, pairs)  # grid scores at the paper's thresholds, THRESHOLD_DEFAULTS
     db = count_ngrams(_read_corpus_lines(corpus_path))
     dictionary = build_dictionary(db)
     selected = {vocab_size: qualifying_examples(db, dictionary, vocab_size, args)
-                for vocab_size in vocab_sizes}
+                for vocab_size in args.vocab_sizes}
     for vocab_size, fraction in cells:
         split_sizes(len(selected[vocab_size][1]), args.validation_ratio, fraction)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -411,63 +322,97 @@ def cmd_grid(args: argparse.Namespace) -> int:
     corpus_sha256 = file_sha256(corpus_path)
 
     summary_rows: list[tuple] = []
-    for vocab_size in vocab_sizes:
+    for vocab_size in args.vocab_sizes:
         vocab, examples = selected.pop(vocab_size)
-        for fraction in fractions:
-            row, config = grid_cell(examples, vocab, fraction, classes, pairs, corpus_sha256,
-                                    cells[vocab_size, fraction], args)
-            summary_rows.append(row)
+        for fraction in args.fractions:
+            summary_rows.append(grid_cell(examples, vocab, fraction, classes, pairs,
+                                          corpus_sha256, cells[vocab_size, fraction], args))
     summary_path = out_dir / "summary.tsv"
     with atomic_write(summary_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("vocab_size\tfraction\ttrain_tuples\tavg_secs_epoch\ttrain_loss\tval_loss\n")
         for row in summary_rows:
             fh.write(f"{row[0]}\t{row[1]}\t{row[2]}\t{row[3]:.3f}\t{row[4]:.6f}\t{row[5]:.6f}\n")
-    # The cells differ only in |V| and fraction, so the last cell's config
-    # with those two replaced by the grid's lists describes the whole run.
-    grid_manifest = build_manifest(
-        "grid",
-        {
-            **{key: value for key, value in config.items() if key not in ("vocab_size", "fraction")},
-            "vocab_sizes": args.vocab_sizes,
-            "fractions": args.fractions,
-            "classes": str(args.classes),
-            "pairs": str(args.pairs),
-            "out_dir": str(out_dir),
-        },
-        {"corpus": corpus_path}, args.deterministic, digests={"corpus": corpus_sha256},
-    )
+    grid_manifest = build_manifest("grid", _config(args), {"corpus": corpus_path},
+                                   args.deterministic, digests={"corpus": corpus_sha256})
     write_manifest(grid_manifest, out_dir / "grid.manifest.json")
     print(summary_path.read_text(encoding="utf-8"), end="")
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print its usage and exit, so
+    `main` reports a refused flag as it reports any input error."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(message)
+
+
+def _checked(parse: Callable[[str], float], ok: Callable[[float], bool],
+             rule: str) -> Callable[[str], float]:
+    """An argparse type: what `parse` makes of a flag's text, refused with
+    an error naming the text and `rule` unless it is `ok`."""
+    def check(text: str) -> float:
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+    return check
+
+
+_POSITIVE = _checked(int, lambda n: n >= 1, "an integer of at least 1")
+_RATIO = _checked(float, lambda x: 0.0 < x < 1.0, "a number in (0, 1)")
+_FRACTION = _checked(float, lambda x: x in PAPER_FRACTIONS,
+                     f"one of the paper's fractions {', '.join(map(str, PAPER_FRACTIONS))}")
+
+
+def _list_of(item: Callable[[str], float], distinct: bool = False) -> Callable[[str], tuple]:
+    """An argparse type: the comma-separated `item`s of a flag's text as a
+    tuple, empty items skipped. A `distinct` list names at least one value
+    and none twice."""
+    def parse(text: str) -> tuple:
+        values = tuple(item(x) for x in text.split(",") if x)
+        if distinct:
+            if not values:
+                raise argparse.ArgumentTypeError(f"{text!r} names no value")
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise argparse.ArgumentTypeError(f"{text!r} names {value} more than once")
+        return values
+    return parse
+
+
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
     if seed:  # read only by the dataset split and training
-        parser.add_argument("--seed", type=int, default=13)
+        parser.add_argument("--seed", default=TrainConfig.seed,
+                            type=_checked(int, lambda n: n >= 0, "an integer of at least 0"))
     parser.add_argument("--deterministic", action="store_true",
                         help="zero timestamps/timings so outputs are byte-reproducible")
     # Ignored: counting runs in one process; kept so existing command lines parse.
     parser.add_argument("--threads", type=int, default=1, help=argparse.SUPPRESS)
 
 
-def _add_model_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--emb-dim", type=int, default=64,
-                        help="input word embedding width")
-    parser.add_argument("--ctx-dim", type=int, default=64,
-                        help="context layer width (= exported embedding width)")
-
-
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--epochs", type=int, default=40)
-    parser.add_argument("--batch-size", type=int, default=256)
-    parser.add_argument("--learning-rate", type=float, default=0.001)
+    parser.add_argument("--epochs", type=_POSITIVE, default=TrainConfig.epochs)
+    parser.add_argument("--batch-size", type=_POSITIVE, default=TrainConfig.batch_size)
+    parser.add_argument("--learning-rate", default=TrainConfig.learning_rate,
+                        type=_checked(float, lambda x: 0.0 < x < math.inf,
+                                      "a finite number above 0"))
+    parser.add_argument("--emb-dim", type=_POSITIVE, default=ModelHyper.d_in,
+                        help="input word embedding width")
+    parser.add_argument("--ctx-dim", type=_POSITIVE, default=ModelHyper.d_ctx,
+                        help="context layer width (= exported embedding width)")
 
 
 # Built once per process: building it takes about 3 ms, and in-process
 # callers such as perfbench run `main` once per stage.
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Every flag is checked here, as it is parsed, before a command reads
+    or writes a file."""
+    parser = _Parser(
         prog="tweetembed",
         description="Train and evaluate word embeddings from a microblog corpus",
     )
@@ -483,9 +428,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset", help="5-gram database -> filtered train/validation tuples")
     p.add_argument("db")
-    p.add_argument("--vocab-size", type=int, required=True)
-    p.add_argument("--fraction", type=float, default=1.0, choices=PAPER_FRACTIONS)
-    p.add_argument("--validation-ratio", type=float, default=0.1)
+    p.add_argument("--vocab-size", type=_POSITIVE, required=True)
+    p.add_argument("--fraction", type=_FRACTION, default=1.0)
+    p.add_argument("--validation-ratio", type=_RATIO, default=0.1)
     p.add_argument("--include-boundary", action="store_true",
                    help="admit 5-grams whose context includes boundary tokens")
     p.add_argument("--out", required=True)
@@ -497,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-checkpoint", required=True)
     p.add_argument("--out-log", required=True)
     _add_train_flags(p)
-    _add_model_flags(p)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_train)
 
@@ -513,7 +457,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", default=str(DEFAULT_CLASSES_FILE))
     p.add_argument("--pairs", default=str(DEFAULT_PAIRS_FILE))
     for name, default in THRESHOLD_DEFAULTS.items():
-        p.add_argument("--" + name.replace("_", "-"), default=default)
+        p.add_argument("--" + name.replace("_", "-"), type=_list_of(_RATIO), default=default,
+                       help="comma-separated thresholds in (0, 1)")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(func=cmd_eval)
@@ -521,14 +466,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="run the vocab-size x fraction experiment matrix")
     p.add_argument("corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vocab-sizes", required=True, help="comma-separated sizes")
-    p.add_argument("--fractions", default=",".join(map(str, PAPER_FRACTIONS)))
-    p.add_argument("--validation-ratio", type=float, default=0.1)
+    p.add_argument("--vocab-sizes", type=_list_of(_POSITIVE, distinct=True), required=True,
+                   help="comma-separated sizes")
+    p.add_argument("--fractions", type=_list_of(_FRACTION, distinct=True),
+                   default=PAPER_FRACTIONS)
+    p.add_argument("--validation-ratio", type=_RATIO, default=0.1)
     p.add_argument("--include-boundary", action="store_true")
     p.add_argument("--classes", default=str(DEFAULT_CLASSES_FILE))
     p.add_argument("--pairs", default=str(DEFAULT_PAIRS_FILE))
     _add_train_flags(p)
-    _add_model_flags(p)
     _add_common(p, seed=True)
     # grid scores every cell like `eval` does by default
     p.set_defaults(func=cmd_grid, **THRESHOLD_DEFAULTS)
@@ -537,9 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)

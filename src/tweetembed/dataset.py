@@ -174,6 +174,21 @@ def write_dataset(split: DatasetSplit, vocab: list[str], path: Path | str) -> No
                 fh.write("".join(cells.ravel().tolist()))
 
 
+# Five int64 ids as np.loadtxt reads them, or stricter (at most 18 digits,
+# only spaces around them), so every body line it refuses fails this too.
+_ROW = re.compile(r"( *[+-]?[0-9]{1,18} *\t){4} *[+-]?[0-9]{1,18} *\n?")
+
+
+def _first_malformed_row(path: Path) -> str:
+    """`path:line: ...` for the first body line of `path` that is not a _ROW.
+    np.loadtxt's own errors number rows from the body, some from 0, some from 1."""
+    with path.open("r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, start=1):
+            if number > 1 and not _ROW.fullmatch(line):
+                return f"{path}:{number}: expected 5 integer fields, got {line[:80].rstrip()!r}"
+    return f"{path}: expected 5 integer fields"
+
+
 def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
     """Parse a dataset file; returns the split and its header metadata.
 
@@ -181,9 +196,10 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
     once each; other keys (such as the split settings older files repeat)
     are ignored. The body is parsed in one pass into an (N, 5) int64 array;
     the split's blocks are views of it. A row that is not 5 integers (a
-    float, an empty line) is a ValueError, and so is a #vocab_hash other
-    than the 64 lowercase hex digits `vocabulary_hash` writes: a checkpoint
-    trained under any other hash could never be exported.
+    float, an empty line) is a ValueError naming its line, and so is a
+    #vocab_hash other than the 64 lowercase hex digits `vocabulary_hash`
+    writes: a checkpoint trained under any other hash could never be
+    exported.
     The model indexes its weights with the ids unchecked, so any id out of
     range (context [0, |V| + 4), target [0, |V|)) is a ValueError here too,
     naming the first offending line.
@@ -223,15 +239,15 @@ def read_dataset(path: Path | str) -> tuple[DatasetSplit, dict]:
             warnings.simplefilter("error", DeprecationWarning)
             try:
                 rows = np.loadtxt(lines, dtype=np.int64, delimiter="\t", comments=None, ndmin=2)
-            except (ValueError, DeprecationWarning) as exc:
-                raise ValueError(f"{path}: expected 5 integer fields ({exc})") from None
+            except (ValueError, DeprecationWarning):
+                raise ValueError(_first_malformed_row(path)) from None
         if empty:
             raise ValueError(f"{path}:{len(rows) + 2}: expected 5 integer fields, "
                              "got an empty line")
     if rows.size == 0:
         rows = rows.reshape(0, 5)
     if rows.shape[1] != 5:
-        raise ValueError(f"{path}: expected 5 integer fields, got {rows.shape[1]}")
+        raise ValueError(_first_malformed_row(path))
     bad = ((rows[:, :4] < 0) | (rows[:, :4] >= n_ids)).any(axis=1)
     bad |= (rows[:, 4] < 0) | (rows[:, 4] >= vocab_size)
     if bad.any():

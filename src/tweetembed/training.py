@@ -37,7 +37,7 @@ from .rng import derive_seed, permutation
 # `adam_step` works on slices of this many values: 256 KB per float64
 # vector, so the six vectors it touches fit a 2 MB L2 cache together.
 ADAM_BLOCK = 2 ** 15
-# Adam's moment decay rates and denominator guard; the manifest records them.
+# Adam's moment decay rates and denominator guard, fixed: no flag sets them.
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import hashlib
@@ -427,9 +428,9 @@ class TestTrain:
         manifest = json.loads(ckpt.with_suffix(".ckpt.manifest.json").read_text(encoding="utf-8"))
         assert manifest["subcommand"] == "train"
         assert manifest["config"] == {
-            "epochs": 10, "batch_size": batch_size, "learning_rate": learning_rate, "beta1": 0.9,
-            "beta2": 0.999, "epsilon": 1e-8, "seed": 13, "emb_dim": 8, "ctx_dim": 8,
-            "vocab_size": 6, "out_checkpoint": str(ckpt)}
+            "dataset": str(prepared_dataset), "out_checkpoint": str(ckpt), "out_log": str(log),
+            "epochs": 10, "batch_size": batch_size, "learning_rate": learning_rate, "seed": 13,
+            "emb_dim": 8, "ctx_dim": 8}
         finished = log.read_text(encoding="utf-8") if log.exists() else ""
         assert finished == "".join(line + "\n" for line in out.splitlines()
                                    if line[:1].isdigit())
@@ -527,14 +528,14 @@ class TestExportAndEval:
             ("topological_consistency", None),
         ]
 
-    def test_threshold_defaults_are_the_paper_strings(self):
+    def test_threshold_defaults_are_the_paper_thresholds(self):
         defaults = vars(build_parser().parse_args(["eval", "emb.txt", "--out", "r.json"]))
         assert {name: defaults[name] for name in ("membership_thresholds",
                                                   "distinction_thresholds",
                                                   "equivalence_thresholds")} == {
-            "membership_thresholds": "0.70,0.80",
-            "distinction_thresholds": "0.70,0.80",
-            "equivalence_thresholds": "0.85,0.95",
+            "membership_thresholds": (0.70, 0.80),
+            "distinction_thresholds": (0.70, 0.80),
+            "equivalence_thresholds": (0.85, 0.95),
         }
 
     def test_vocab_hash_mismatch_exits_2(self, tmp_path, capsys):
@@ -769,19 +770,48 @@ class TestGridMatchesStages:
         cell_config = json.loads((grid / "v6_f050" / "manifest.json").read_text())["config"]
         grid_config = json.loads((grid / "grid.manifest.json").read_text())["config"]
         for manifest in sorted(staged.glob("*.manifest.json")):
-            for key, value in json.loads(manifest.read_text())["config"].items():
-                if key.startswith("out"):  # output paths differ between the two runs
+            record = json.loads(manifest.read_text())
+            for key, value in record["config"].items():
+                # input and output paths differ between the two runs
+                if key.startswith("out") or key in record["inputs"]:
                     continue
                 assert cell_config[key] == value, (manifest.name, key)
                 if key not in ("vocab_size", "fraction"):
                     assert grid_config[key] == value, (manifest.name, key)
-        assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ("4,6", "0.5,1.0")
+        assert (grid_config["vocab_sizes"], grid_config["fractions"]) == ([4, 6], [0.5, 1.0])
+
+    def test_manifest_configs_record_every_parsed_argument(self, staged_and_grid):
+        # A manifest's config is the parsed namespace less four keys, so a
+        # flag added to a command is recorded without naming it anywhere
+        # else; a grid cell adds its |V| and fraction.
+        (commands,) = [action for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction)]
+
+        def dests(command):
+            parser = commands.choices[command]
+            return ({action.dest for action in parser._actions
+                     if not isinstance(action, argparse._HelpAction)} | set(parser._defaults)
+                    ) - {"func", "command", "threads", "deterministic"}
+
+        staged, grid = staged_and_grid
+        manifests = [*staged.glob("*.manifest.json"), grid / "grid.manifest.json",
+                     *grid.glob("v*/manifest.json")]
+        recorded = {}
+        for path in manifests:
+            manifest = json.loads(path.read_text(encoding="utf-8"))
+            recorded.setdefault(manifest["subcommand"], []).append(set(manifest["config"]))
+        assert recorded == {
+            **{command: [dests(command)] for command in ("ingest", "dataset", "train", "export",
+                                                         "eval", "grid")},
+            "grid-cell": [dests("grid") | {"vocab_size", "fraction"}] * 4,
+        }
 
 
-def _edit_first_row(dataset, edit):
-    header, row, *rest = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
-    fields = edit(row.rstrip("\n").split("\t"))
-    dataset.write_text(header + "\t".join(fields) + "\n" + "".join(rest), encoding="utf-8")
+def _edit_row(dataset, edit, line=2):
+    """Replace the fields of the dataset's `line` (line 2 is the first row) with `edit(fields)`."""
+    lines = dataset.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[line - 1] = "\t".join(edit(lines[line - 1].rstrip("\n").split("\t"))) + "\n"
+    dataset.write_text("".join(lines), encoding="utf-8")
 
 
 def _drop_header_key(dataset, key):
@@ -998,11 +1028,23 @@ def _grid_on_small_corpus(*flags, corpus="corpus.txt",
     return argv
 
 
-def _dataset_flags(*flags):
-    """Case builder: dataset on a 5-gram database that does not exist, with `flags`."""
+def _on_missing_inputs(command, *flags):
+    """Case builder: `command` on input files that do not exist, with `flags` last."""
     def argv(dataset, tmp_path):
-        return [str(arg) for arg in ["dataset", tmp_path / "ngrams.tsv", "--vocab-size", "3",
-                                     "--out", tmp_path / "ds.tsv", *flags]]
+        missing = tmp_path / "missing"
+        base = {
+            "ingest": ["ingest", missing, "--out-db", tmp_path / "x.tsv",
+                       "--out-dict", tmp_path / "x.dict"],
+            "dataset": ["dataset", missing, "--vocab-size", "3", "--out", tmp_path / "ds.tsv"],
+            "train": ["train", missing, "--out-checkpoint", tmp_path / "m.ckpt",
+                      "--out-log", tmp_path / "log.tsv"],
+            "export": ["export", missing, "--vocab", missing, "--out", tmp_path / "e.txt"],
+            "eval": ["eval", missing, "--classes", missing, "--pairs", missing,
+                     "--out", tmp_path / "r.json"],
+            "grid": ["grid", missing, "--out-dir", tmp_path / "grid", "--vocab-sizes", "2",
+                     "--classes", missing, "--pairs", missing],
+        }[command]
+        return [str(arg) for arg in [*base, *flags]]
     return argv
 
 
@@ -1050,20 +1092,27 @@ def _forge_db(edit):
 # text the error must carry). The dataset has |V| = 6, so context ids run
 # 0..9 and targets 0..5.
 MALFORMED_INPUTS = {
-    "negative context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["-1", *f[1:]])),
+    "negative context id": (_train_on(lambda ds: _edit_row(ds, lambda f: ["-1", *f[1:]])),
                             "out of range"),
     "context id past the boundary rows": (
-        _train_on(lambda ds: _edit_first_row(ds, lambda f: ["10", *f[1:]])), "out of range"),
-    "target equal to |V|": (_train_on(lambda ds: _edit_first_row(ds, lambda f: [*f[:4], "6"])),
+        _train_on(lambda ds: _edit_row(ds, lambda f: ["10", *f[1:]])), "out of range"),
+    "target equal to |V|": (_train_on(lambda ds: _edit_row(ds, lambda f: [*f[:4], "6"])),
                             "out of range"),
-    "row with four fields": (_train_on(lambda ds: _edit_first_row(ds, lambda f: f[:4])),
-                             "5 integer fields"),
-    "float context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["1.5", *f[1:]])),
-                         "5 integer fields"),
-    "nan context id": (_train_on(lambda ds: _edit_first_row(ds, lambda f: ["nan", *f[1:]])),
-                       "5 integer fields"),
+    "row with four fields": (_train_on(lambda ds: _edit_row(ds, lambda f: f[:4])),
+                             "dataset.tsv:2: expected 5 integer fields"),
+    "float context id": (_train_on(lambda ds: _edit_row(ds, lambda f: ["1.5", *f[1:]])),
+                         "dataset.tsv:2: expected 5 integer fields"),
+    "nan context id": (_train_on(lambda ds: _edit_row(ds, lambda f: ["nan", *f[1:]])),
+                       "dataset.tsv:2: expected 5 integer fields"),
+    # np.loadtxt numbers these rows 1 (from 0) and 2 (from 1); the error names the file's line.
+    "second row starting with #": (
+        _train_on(lambda ds: _edit_row(ds, lambda f: ["#" + f[0], *f[1:]], line=3)),
+        "dataset.tsv:3: expected 5 integer fields"),
+    "second row with six fields": (
+        _train_on(lambda ds: _edit_row(ds, lambda f: [*f, "6"], line=3)),
+        "dataset.tsv:3: expected 5 integer fields"),
     "empty line before the first row": (
-        _train_on(lambda ds: _edit_first_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
+        _train_on(lambda ds: _edit_row(ds, lambda f: ["\n" + f[0], *f[1:]])),
         ":2: expected 5 integer fields, got an empty line"),
     # The prepared dataset has 359 rows, on lines 2 to 360.
     "empty line between two rows": (
@@ -1108,14 +1157,17 @@ MALFORMED_INPUTS = {
         _eval_on(pairs="# comment\n#note\n"),
         "pairs.tsv:2: expected 2 tab-separated fields, got 1"),
     "--membership-thresholds above 1": (
-        _eval_on(flags=("--membership-thresholds", "0.5,1.5")), "threshold must be in (0, 1)"),
+        _eval_on(flags=("--membership-thresholds", "0.5,1.5")),
+        "argument --membership-thresholds: '1.5' is not a number in (0, 1)"),
     "--distinction-thresholds below 0": (
-        _eval_on(flags=("--distinction-thresholds", "-0.2")), "threshold must be in (0, 1)"),
+        _eval_on(flags=("--distinction-thresholds", "-0.2")),
+        "argument --distinction-thresholds: '-0.2' is not a number in (0, 1)"),
     "--equivalence-thresholds nan": (
-        _eval_on(flags=("--equivalence-thresholds", "nan")), "threshold must be in (0, 1)"),
+        _eval_on(flags=("--equivalence-thresholds", "nan")),
+        "argument --equivalence-thresholds: 'nan' is not a number in (0, 1)"),
     "--membership-thresholds item not a number": (
         _eval_on(flags=("--membership-thresholds", "0.5,0.8x")),
-        "--membership-thresholds: could not convert string to float: '0.8x'"),
+        "argument --membership-thresholds: '0.8x' is not a number in (0, 1)"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
     "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),
@@ -1191,16 +1243,19 @@ MALFORMED_INPUTS = {
     # Both runs of a repeated value would write one cell directory.
     "grid repeating a vocabulary size": (
         _grid_on_small_corpus("--vocab-sizes", "6,6", "--fractions", "0.5,0.5"),
-        "grid got vocabulary size 6 more than once"),
+        "argument --vocab-sizes: '6,6' names 6 more than once"),
     "grid --vocab-sizes item not an integer": (
         _grid_on_small_corpus("--vocab-sizes", "6,12x", "--fractions", "1.0"),
-        "--vocab-sizes: invalid literal for int() with base 10: '12x'"),
+        "argument --vocab-sizes: '12x' is not an integer of at least 1"),
+    "grid --vocab-sizes naming no size": (
+        _grid_on_small_corpus("--vocab-sizes", ",", "--fractions", "1.0"),
+        "argument --vocab-sizes: ',' names no value"),
     "grid --fractions item not a number": (
         _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0,0.5x"),
-        "--fractions: could not convert string to float: '0.5x'"),
+        "argument --fractions: '0.5x' is not one of the paper's fractions 0.25, 0.5, 0.75, 1.0"),
     "grid repeating a fraction": (
         _grid_on_small_corpus("--vocab-sizes", "2", "--fractions", "1.0,0.5,1"),
-        "grid got fraction 1.0 more than once"),
+        "argument --fractions: '1.0,0.5,1' names 1.0 more than once"),
     # Both are found after the corpus is read, and before anything is written.
     "grid with a vocabulary size above the dictionary's": (
         _grid_on_small_corpus("--vocab-sizes", "999", "--fractions", "1.0"),
@@ -1256,26 +1311,44 @@ MALFORMED_INPUTS = {
         _dataset_from_db(_edit_bin_header(total_tweets=7), "a b c d e\nb c d e a\na a b\nc d\n"),
         "ngrams.tsv.bin: header totals 7, 15 are not the TSV's; re-run ingest"),
     "train --learning-rate nan": (_train_on(lambda ds: None, ("--learning-rate", "nan")),
-                                  "learning_rate must be finite and positive, got nan"),
+                                  "argument --learning-rate: 'nan' is not a finite number above 0"),
     "grid --learning-rate inf": (
         _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
                               "--epochs", "1", "--learning-rate", "inf"),
-        "learning_rate must be finite and positive, got inf"),
+        "argument --learning-rate: 'inf' is not a finite number above 0"),
     "train --seed -1": (_train_on(lambda ds: None, ("--seed", "-1")),
-                        "seed must be non-negative, got -1"),
+                        "argument --seed: '-1' is not an integer of at least 0"),
     "grid --seed -1": (
         _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
                               "--epochs", "1", "--seed", "-1"),
-        "seed must be non-negative, got -1"),
+        "argument --seed: '-1' is not an integer of at least 0"),
     "grid --validation-ratio 1.5": (
         _grid_on_small_corpus("--vocab-sizes", "6", "--fractions", "1.0", "--include-boundary",
                               "--epochs", "1", "--validation-ratio", "1.5"),
-        "--validation-ratio must be in (0, 1), got 1.5"),
-    # Refused before the database, which does not exist, is read.
-    "dataset --vocab-size 0": (_dataset_flags("--vocab-size", "0"),
-                               "--vocab-size must be at least 1, got 0"),
-    "dataset --validation-ratio 0": (_dataset_flags("--validation-ratio", "0"),
-                                     "--validation-ratio must be in (0, 1), got 0.0"),
+        "argument --validation-ratio: '1.5' is not a number in (0, 1)"),
+    # Every command refuses a bad flag as it parses it, before it reads an
+    # input (none of these exists) or writes a file.
+    "ingest --threads x": (_on_missing_inputs("ingest", "--threads", "x"),
+                           "argument --threads: invalid int value: 'x'"),
+    "dataset --vocab-size 0": (_on_missing_inputs("dataset", "--vocab-size", "0"),
+                               "argument --vocab-size: '0' is not an integer of at least 1"),
+    "dataset --validation-ratio 0": (
+        _on_missing_inputs("dataset", "--validation-ratio", "0"),
+        "argument --validation-ratio: '0' is not a number in (0, 1)"),
+    "dataset --fraction 0.3": (
+        _on_missing_inputs("dataset", "--fraction", "0.3"),
+        "argument --fraction: '0.3' is not one of the paper's fractions 0.25, 0.5, 0.75, 1.0"),
+    "train --epochs 0": (_on_missing_inputs("train", "--epochs", "0"),
+                         "argument --epochs: '0' is not an integer of at least 1"),
+    "train --emb-dim -4": (_on_missing_inputs("train", "--emb-dim", "-4"),
+                           "argument --emb-dim: '-4' is not an integer of at least 1"),
+    "export --threads 1.5": (_on_missing_inputs("export", "--threads", "1.5"),
+                             "argument --threads: invalid int value: '1.5'"),
+    "eval --membership-thresholds 1.5": (
+        _on_missing_inputs("eval", "--membership-thresholds", "1.5"),
+        "argument --membership-thresholds: '1.5' is not a number in (0, 1)"),
+    "grid --batch-size 0": (_on_missing_inputs("grid", "--batch-size", "0"),
+                            "argument --batch-size: '0' is not an integer of at least 1"),
 }
 
 
@@ -1293,11 +1366,9 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
     assert "Traceback" not in err
-    # grid, dataset and export check their flags and read all their inputs
-    # before they write, and train checks its learning rate and seed before
-    # its manifest
-    if (argv[0] in ("grid", "dataset", "export")
-            or message.startswith(("learning_rate", "seed"))
+    # A flag is refused as it is parsed, before any command starts; grid,
+    # dataset and export also read all their inputs before they write.
+    if (argv[0] in ("grid", "dataset", "export") or err.startswith("error: argument --")
             or message in ("name the same file", "can't decode byte 0xff")):
         assert files() == before
     if argv[0] == "train":  # a train run that exits 2 leaves no checkpoint
@@ -1781,13 +1852,12 @@ class TestSubprocessEntry:
         assert result.returncode == 0
         assert "distinct 5-grams: 7" in result.stdout
 
-    def test_argparse_rejects_unknown_command(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+    def test_argparse_rejects_unknown_command(self, capsys):
+        assert main(["frobnicate"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "error: argument command: invalid choice: 'frobnicate'")
 
-    def test_argparse_rejects_a_seed_the_command_does_not_read(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            main(["eval", str(tmp_path / "embeddings.txt"), "--out", str(tmp_path / "report.json"),
-                  "--seed", "1"])
-        assert exc.value.code == 2
+    def test_argparse_rejects_a_seed_the_command_does_not_read(self, tmp_path, capsys):
+        assert main(["eval", str(tmp_path / "embeddings.txt"), "--out",
+                     str(tmp_path / "report.json"), "--seed", "1"]) == EXIT_INPUT
+        assert capsys.readouterr().err == "error: unrecognized arguments: --seed 1\n"

@@ -70,7 +70,7 @@ def test_shorter_run_is_the_longer_run_after_its_last_epoch(dataset, clean_runs,
     checkpoints, log_lines = clean_runs
     args = build_parser().parse_args(train_argv(dataset, tmp_path))
     split, meta = read_dataset(dataset)
-    hyper, cfg, _ = train_settings(args, meta["vocab_size"])
+    hyper, cfg = train_settings(args, meta["vocab_size"])
     ckpt, log = tmp_path / "model.ckpt", tmp_path / "run_log.tsv"
     after_epoch = []
     train(split, hyper, cfg, ckpt, log, meta["vocab_hash"],
