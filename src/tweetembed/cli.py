@@ -368,18 +368,17 @@ _FRACTION = _checked(float, lambda x: x in PAPER_FRACTIONS,
                      f"one of the paper's fractions {', '.join(map(str, PAPER_FRACTIONS))}")
 
 
-def _list_of(item: Callable[[str], float], distinct: bool = False) -> Callable[[str], tuple]:
+def _list_of(item: Callable[[str], float], required: bool = False) -> Callable[[str], tuple]:
     """An argparse type: the comma-separated `item`s of a flag's text as a
-    tuple, empty items skipped. A `distinct` list names at least one value
-    and none twice."""
+    tuple, empty items skipped. No list names a value twice; a `required`
+    list names at least one."""
     def parse(text: str) -> tuple:
         values = tuple(item(x) for x in text.split(",") if x)
-        if distinct:
-            if not values:
-                raise argparse.ArgumentTypeError(f"{text!r} names no value")
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise argparse.ArgumentTypeError(f"{text!r} names {value} more than once")
+        if required and not values:
+            raise argparse.ArgumentTypeError(f"{text!r} names no value")
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise argparse.ArgumentTypeError(f"{text!r} names {value} more than once")
         return values
     return parse
 
@@ -466,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="run the vocab-size x fraction experiment matrix")
     p.add_argument("corpus")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vocab-sizes", type=_list_of(_POSITIVE, distinct=True), required=True,
+    p.add_argument("--vocab-sizes", type=_list_of(_POSITIVE, required=True), required=True,
                    help="comma-separated sizes")
-    p.add_argument("--fractions", type=_list_of(_FRACTION, distinct=True),
+    p.add_argument("--fractions", type=_list_of(_FRACTION, required=True),
                    default=PAPER_FRACTIONS)
     p.add_argument("--validation-ratio", type=_RATIO, default=0.1)
     p.add_argument("--include-boundary", action="store_true")

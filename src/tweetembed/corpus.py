@@ -116,13 +116,13 @@ def _dense_rank_in_place(key: np.ndarray) -> int:
     return int(ranks[-1])
 
 
-def _row_order(column: Callable[[int], np.ndarray], n_rows: int,
+def _row_order(column: Callable[[int], np.ndarray], n_rows: int, n_columns: int,
                n_types: int) -> tuple[np.ndarray, np.ndarray]:
-    """Sort n_rows rows of five type ids; returns (order, first).
+    """Sort n_rows rows of `n_columns` ids below `n_types`; returns (order, first).
 
-    `column(col)` gives the ids of column `col` (0-4) of every row, and is
+    `column(col)` gives the ids of column `col` of every row, and is
     called once per column, so the rows never need to exist as one
-    (n_rows, 5) array. `order` sorts the rows lexicographically and
+    (n_rows, n_columns) array. `order` sorts the rows lexicographically and
     `first` marks each sorted row that differs from the one before it, so
     the distinct rows are those at order[first]; repeated rows may come in
     any order among themselves.
@@ -132,14 +132,14 @@ def _row_order(column: Callable[[int], np.ndarray], n_rows: int,
     column's ids are shifted in while the key fits in 63 bits; when the
     next column would not fit, the key so far is first replaced, in its
     own buffer, by its dense rank among its distinct values
-    (`_dense_rank_in_place`), which takes at most bit_length(N) bits. Up
-    to 4096 types no rank is needed; up to 2^21 types and 2^21 rows, one
-    is.
+    (`_dense_rank_in_place`), which takes at most bit_length(N) bits. For
+    five columns, no rank is needed up to 4096 types, and one is up to
+    2^21 types and 2^21 rows; for four columns, none is up to 2^15 types.
     """
     bits = max(1, (n_types - 1).bit_length())
     key = np.zeros(n_rows, dtype=np.int64)
     width = 0
-    for col in range(5):
+    for col in range(n_columns):
         if width + bits > 63:
             width = _dense_rank_in_place(key).bit_length()
         key <<= bits
@@ -205,7 +205,7 @@ def count_ngrams(tweet_stream: Iterable[str]) -> NGramDatabase:
     del raw
     n_windows = int(np.count_nonzero(centre))
     order, first = _row_order(lambda col: ids[col:len(ids) - 4 + col][centre], n_windows,
-                              len(types))
+                              5, len(types))
     distinct = order[first]
     del order
     starts = np.flatnonzero(centre)[distinct]

@@ -26,10 +26,10 @@ once, the first on the calling thread and the second on the pool, on
 disjoint rows of the workspace: `backward_arrays`
 splits its rows from the gather to `d_merged` at half the batch, and the
 output layer's gradient by columns at the multiple of 8 nearest |V| / 2;
-`evaluate` splits each chunk's rows in half. The partition is fixed by
-the sizes alone. A part of rows has at least 2 rows and a part of
-columns at least 8, so no product is one row or one column long, and
-each part covers at least PART_MIN_VALUES values (rows x |V| logits,
+`evaluate` splits each chunk of distinct contexts in half. The
+partition is fixed by the sizes alone. A part of rows has at least 2
+rows and a part of columns at least 8, so no product is one row or one
+column long, and each part covers at least PART_MIN_VALUES values (rows x |V| logits,
 batch x columns gradient entries); so at batch 256 a step splits from
 |V| = 512 up. Otherwise, and without a pool, a pass is one part, and
 the pool's thread starts only when a pass first splits. The pool calls
@@ -38,9 +38,13 @@ on the calling thread.
 
 The loss is the mean cross entropy, -ln p_target per row, clamped at -ln
 LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) - logit_target
-and never builds the probability matrix. It computes, clamps and sums
-the losses in chunks of EVAL_CHUNK_ROWS rows, so its memory is the
-workspace plus 8 bytes per row of a chunk, whatever the dataset's size.
+and never builds the probability matrix. Rows that share a context share
+their logits, so it runs the forward pass once per distinct context, in
+chunks of EVAL_CHUNK_ROWS contexts, over the groups `group_contexts`
+builds (`training.train` builds them once per split and run). Each row's
+loss goes to its slot of a per-row array in dataset order, which is
+clamped and summed in chunks of EVAL_CHUNK_ROWS rows. Its memory is the
+workspace, the grouping and the per-row losses: at most 16 bytes per row.
 The training step (`backward_arrays`) applies `softmax` to the logits
 for the gradient only and returns the gradient in the parameters' own
 layout: one flat vector with a view per array (`ModelParams`). The hot
@@ -77,6 +81,7 @@ from typing import Callable
 
 import numpy as np
 
+from .corpus import _row_order
 from .manifest import read_container, write_container
 
 logger = logging.getLogger(__name__)
@@ -310,76 +315,122 @@ def _forward_to_logits(params: ModelParams, contexts: np.ndarray, ws: Workspace,
     return ctx_act, logits
 
 
+def group_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of a (N, 4) array of context ids grouped by context, for
+    `evaluate`: (order, starts).
+
+    `order` lists the row indices with the rows of each distinct context
+    together, contexts ascending; group j is order[starts[j]:starts[j + 1]],
+    and starts[-1] = N. Both are int32 while N < 2^31, so the grouping holds
+    at most 8 bytes per row. The sort is `corpus._row_order`'s packed key
+    over the four columns. When all N >= 2 rows share one context, its
+    group is cut in two after the first row, so that `evaluate` runs no
+    one-row product (see `evaluate`).
+    """
+    n = contexts.shape[0]
+    order, first = _row_order(lambda col: contexts[:, col], n, N_CONTEXT,
+                              vocab_size + N_BOUNDARY)
+    index = np.int32 if n < 2 ** 31 else np.int64
+    starts = np.append(np.flatnonzero(first), n).astype(index)
+    if len(starts) == 2 and n > 1:
+        starts = np.array([0, 1, n], dtype=index)
+    return order.astype(index), starts
+
+
+def _chunk_bounds(n: int) -> list[int]:
+    """The bounds of n items in chunks of EVAL_CHUNK_ROWS (all n when fewer),
+    the last two chunks sharing their items when the last would hold one."""
+    bounds = [*range(0, n, EVAL_CHUNK_ROWS), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    return bounds
+
+
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
-             ws: Workspace | None = None) -> float:
-    """Mean cross entropy over a dataset, streamed through a workspace.
+             ws: Workspace | None = None,
+             groups: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+    """Mean cross entropy over a dataset, one forward pass per distinct context.
 
-    Each row's loss is -ln p_target = logsumexp(logits) - logit_target,
-    computed in place on the workspace's logits; no probability matrix is
-    built. The rows run in chunks of EVAL_CHUNK_ROWS (all n when fewer),
-    the last two sharing their rows when the last would be one row long;
-    each chunk's losses are clamped and summed on their own, and the sums
-    added in order. So the chunks, and the loss's bits, depend on neither
-    |V|, the batch size nor the workspace, which needs a chunk's rows
+    Rows that share a context differ only in the target, so the forward
+    pass runs once per group of `groups`, the `group_contexts` of the
+    contexts, built here when not given (`training.train` builds one per
+    split and run). Each row's loss, -ln p_target, is (top - logit_target)
+    + log sum exp(logits - top), top the maximum of its context's logits:
+    the two roundings a pass over the rows themselves makes, computed in
+    place on the workspace's logits; no probability matrix is built. The
+    groups run in chunks of EVAL_CHUNK_ROWS (all of them when fewer), the
+    last two sharing their groups when the last would be one group long,
+    and each row's loss goes to its slot of a float64 array in dataset
+    order. That array is clamped at MAX_NLL, summed in chunks of
+    EVAL_CHUNK_ROWS rows (the last two sharing theirs likewise), and the
+    sums added in order. So the loss's bits depend on neither |V|, the
+    batch size, the grouping nor the workspace, which needs a chunk's rows
     (`training.train` builds max(batch, EVAL_CHUNK_ROWS); without `ws`,
-    min(n, EVAL_CHUNK_ROWS) are built). Memory is the workspace plus 8
-    bytes per row of a chunk, whatever n is. The LOSS_FLOOR clamp warns at
-    most once per call, with the count over all chunks. With a pool in
-    `ws`, a chunk whose halves have 2 rows and PART_MIN_VALUES logits each
-    runs as two halves at once, each writing its own rows' slots of the
-    chunk's losses, so the sum adds the same values in the same order.
+    min(groups, EVAL_CHUNK_ROWS) are built). Beside the workspace, memory
+    is the grouping and the losses, at most 16 bytes per row; building a
+    grouping here peaks at about 25 (the packed key, its argsort and the
+    sorted key). The LOSS_FLOOR clamp warns at most once per call, with
+    the count over all rows. With a pool in `ws`, a chunk whose halves
+    have 2 groups and PART_MIN_VALUES logits each runs as two halves at
+    once, each writing its own rows' losses.
 
-    A half's logits round like the whole chunk's when the BLAS computes
-    each row of a product the same way whatever the row count. numpy
-    multiplies a single row as matrix-vector products, which round
-    otherwise, so no chunk of a longer dataset, and no half, is one row
-    long. OpenBLAS 0.3.31 (Haswell kernels) rounds a few products of a row
-    differently with the product's row count, and with the BLAS thread
-    count, when a width (|V| or d_ctx) is 1 to 5 above a multiple of 8
-    (one thread against two differed at 129-133, 300, 301, 1001 and 2053
-    columns, never at 64, 96, 128, 256, 1000 or 2048); the loss was
-    unchanged wherever the row count was checked, since a last-bit change
-    in a logit is far below the last bit of a loss. `training.train` runs
-    on one BLAS thread, so there only the row count matters.
+    A group's logits round like those of the same context in any other
+    product when the BLAS computes each row of a product the same way
+    whatever the row count. numpy multiplies a single row as
+    matrix-vector products, which round otherwise, so no chunk of more
+    than one row, and no half, is one row long. OpenBLAS 0.3.31 (Haswell
+    kernels) rounds a few products of a row differently with the
+    product's row count, and with the BLAS thread count, when a width
+    (|V| or d_ctx) is 1 to 5 above a multiple of 8 (one thread against two
+    differed at 129-133, 300, 301, 1001 and 2053 columns, never at 64, 96,
+    128, 256, 1000 or 2048); the loss was unchanged wherever the row count
+    was checked, since a last-bit change in a logit is far below the last
+    bit of a loss. `training.train` runs on one BLAS thread, so there only
+    the row count matters.
     """
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
+    order, starts = group_contexts(contexts, params.hyper.vocab_size) if groups is None else groups
+    n_groups = starts.shape[0] - 1
     if ws is None:
-        ws = Workspace(params.hyper, min(n, EVAL_CHUNK_ROWS))
-    bounds = [*range(0, n, EVAL_CHUNK_ROWS), n]
-    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
-        bounds[-2] -= 1  # a 1-row product is a matrix-vector one, which rounds otherwise
-    losses = np.empty(min(n, EVAL_CHUNK_ROWS))
-    total = 0.0
-    n_clamped = 0
+        ws = Workspace(params.hyper, min(n_groups, EVAL_CHUNK_ROWS))
+    nll = np.empty(n)
+    bounds = _chunk_bounds(n_groups)
     for lo, hi in zip(bounds, bounds[1:]):
-        nll = losses[:hi - lo]
+        def part(a: int, b: int) -> None:  # groups lo + a .. lo + b - 1
+            _nll_groups(params, contexts, targets, order, starts[lo + a:lo + b + 1], ws, a, nll)
 
-        def rows(a: int, b: int) -> None:  # rows lo + a .. lo + b - 1 of the dataset
-            _nll_rows(params, contexts[lo + a:lo + b], targets[lo + a:lo + b], ws, a, nll[a:b])
-
-        _in_parts(ws.pool, hi - lo, rows, params.hyper.vocab_size, least=2)
-        n_clamped += int(np.count_nonzero(nll > MAX_NLL))
-        np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
-        total += float(nll.sum())
+        _in_parts(ws.pool, hi - lo, part, params.hyper.vocab_size, least=2)
+    n_clamped = int(np.count_nonzero(nll > MAX_NLL))
+    np.minimum(nll, MAX_NLL, out=nll)  # -ln max(p_target, LOSS_FLOOR)
     if n_clamped:
         logger.warning("%d target probabilities clamped to %.0e before log", n_clamped, LOSS_FLOOR)
+    bounds = _chunk_bounds(n)
+    total = 0.0
+    for lo, hi in zip(bounds, bounds[1:]):
+        total += float(nll[lo:hi].sum())
     return total / n
 
 
-def _nll_rows(params: ModelParams, contexts: np.ndarray, targets: np.ndarray, ws: Workspace,
-              first: int, nll: np.ndarray) -> None:
-    """`evaluate`'s unclamped -ln p_target of each row, into `nll`, computed
-    in rows first .. first + B - 1 of `ws`."""
-    logits = _forward_to_logits(params, contexts, ws, first)[-1]
-    m = targets.shape[0]
+def _nll_groups(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
+                order: np.ndarray, starts: np.ndarray, ws: Workspace, first: int,
+                nll: np.ndarray) -> None:
+    """`evaluate`'s unclamped -ln p_target of every row of the G groups
+    order[starts[j]:starts[j + 1]], into those rows' slots of `nll`; the
+    groups' contexts run in rows first .. first + G - 1 of `ws`."""
+    m = starts.shape[0] - 1
+    logits = _forward_to_logits(params, contexts[order[starts[:-1]]], ws, first)[-1]
     top = np.max(logits, axis=1, out=ws.top[first:first + m])
-    np.subtract(top, logits[ws.row_ids[:m], targets], out=nll)
+    rows = order[starts[0]:starts[-1]]
+    group = np.repeat(ws.row_ids[:m], np.diff(starts))
+    loss = logits[group, targets[rows]]
+    np.subtract(top[group], loss, out=loss)
     logits -= top[:, None]
     np.exp(logits, out=logits)
     np.log(np.sum(logits, axis=1, out=top), out=top)
-    nll += top
+    loss += top[group]
+    nll[rows] = loss
 
 
 def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,

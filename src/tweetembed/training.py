@@ -28,6 +28,7 @@ from .model import (
     _in_parts,
     backward_arrays,
     evaluate,
+    group_contexts,
     init_params,
     param_count,
     save_checkpoint,
@@ -253,6 +254,12 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     training, and a pass too small to split (see model.PART_MIN_VALUES)
     runs on one core.
 
+    Before the first epoch, the train rows and the validation rows are
+    each grouped by context once (`model.group_contexts`), and every
+    epoch's two `evaluate` calls, train set then validation set, reuse
+    the groupings; so an epoch's losses take one forward pass per
+    distinct context, and the groupings hold at most 8 bytes per row.
+
     The rows are held once, in the split: a batch is one gather of its
     rows (contexts, then target), and `evaluate` reads column views. A
     step's gradient is referenced only for its Adam update, so it is freed
@@ -266,6 +273,8 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
     params = init_params(hyper, cfg.seed)
     train_ctx, train_tgt = split.train[:, :N_CONTEXT], split.train[:, N_CONTEXT]
     val_ctx, val_tgt = split.validation[:, :N_CONTEXT], split.validation[:, N_CONTEXT]
+    train_groups = group_contexts(train_ctx, hyper.vocab_size)
+    val_groups = group_contexts(val_ctx, hyper.vocab_size) if len(val_tgt) else None
 
     limit = min(10.0 * math.log(hyper.vocab_size), MAX_NLL / 2)
     n = train_tgt.shape[0]
@@ -280,8 +289,9 @@ def train(split: DatasetSplit, hyper: ModelHyper, cfg: TrainConfig,
                 batch = split.train[order[start : start + cfg.batch_size]]
                 adam_step(params, backward_arrays(params, batch[:, :N_CONTEXT],
                                                   batch[:, N_CONTEXT], ws), state, cfg)
-            train_loss = evaluate(params, train_ctx, train_tgt, ws)
-            val_loss = evaluate(params, val_ctx, val_tgt, ws) if len(val_tgt) else math.nan
+            train_loss = evaluate(params, train_ctx, train_tgt, ws, train_groups)
+            val_loss = (evaluate(params, val_ctx, val_tgt, ws, val_groups) if len(val_tgt)
+                        else math.nan)
             wall = 0.0 if cfg.deterministic else time.perf_counter() - started
             if not math.isfinite(train_loss) or train_loss > limit:
                 raise TrainingDiverged(

@@ -10,7 +10,9 @@ import math
 
 import numpy as np
 
-from tweetembed.model import PARAM_FIELDS, ModelParams
+import tweetembed.model
+from tweetembed.model import (MAX_NLL, PARAM_FIELDS, ModelParams, Workspace,
+                             _forward_to_logits, _in_parts)
 from tweetembed.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, EpochLog,
                                  TrainingDiverged)
 
@@ -263,6 +265,43 @@ def oracle_nll(params, contexts, targets):
     p_target clamped at 1e-12 (the library's LOSS_FLOOR)."""
     probs = oracle_forward(params, contexts)[3]
     return -np.log(np.maximum(probs[np.arange(len(targets)), targets], 1e-12))
+
+
+def oracle_evaluate(params, contexts, targets, ws=None):
+    """(mean loss, clamp count) by `model.evaluate`'s row-by-row form before
+    it grouped rows by context: the forward pass runs once per row, in
+    chunks of EVAL_CHUNK_ROWS rows (the last two sharing their rows when
+    the last would be one row long), each chunk's losses clamped and
+    summed on their own and the sums added in order. With a pool in `ws`,
+    a chunk splits in halves as the library's passes do."""
+    n = targets.shape[0]
+    chunk_rows = tweetembed.model.EVAL_CHUNK_ROWS
+    if ws is None:
+        ws = Workspace(params.hyper, min(n, chunk_rows))
+    bounds = [*range(0, n, chunk_rows), n]
+    if len(bounds) > 2 and bounds[-1] - bounds[-2] == 1:
+        bounds[-2] -= 1
+    losses = np.empty(min(n, chunk_rows))
+    total = 0.0
+    n_clamped = 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        nll = losses[:hi - lo]
+
+        def rows(a, b):  # rows lo + a .. lo + b - 1 of the dataset
+            m = b - a
+            logits = _forward_to_logits(params, contexts[lo + a:lo + b], ws, a)[-1]
+            top = np.max(logits, axis=1, out=ws.top[a:b])
+            np.subtract(top, logits[ws.row_ids[:m], targets[lo + a:lo + b]], out=nll[a:b])
+            logits -= top[:, None]
+            np.exp(logits, out=logits)
+            np.log(np.sum(logits, axis=1, out=top), out=top)
+            nll[a:b] += top
+
+        _in_parts(ws.pool, hi - lo, rows, params.hyper.vocab_size, least=2)
+        n_clamped += int(np.count_nonzero(nll > MAX_NLL))
+        np.minimum(nll, MAX_NLL, out=nll)
+        total += float(nll.sum())
+    return total / n, n_clamped
 
 
 def oracle_backward(params, contexts, targets):

@@ -538,6 +538,15 @@ class TestExportAndEval:
             "equivalence_thresholds": (0.85, 0.95),
         }
 
+    def test_threshold_flags_accept_an_empty_list(self):
+        # An empty list scores no threshold row for that test.
+        for text in ("", ","):
+            args = vars(build_parser().parse_args(
+                ["eval", "emb.txt", "--out", "r.json", "--membership-thresholds", text,
+                 "--distinction-thresholds", text, "--equivalence-thresholds", text]))
+            assert [args[name] for name in ("membership_thresholds", "distinction_thresholds",
+                                            "equivalence_thresholds")] == [()] * 3
+
     def test_vocab_hash_mismatch_exits_2(self, tmp_path, capsys):
         ckpt, _, _, _ = clustered_checkpoint(tmp_path)
         wrong = ["x1", "x2", "x3", "x4", "x5", "x6"]
@@ -1168,6 +1177,16 @@ MALFORMED_INPUTS = {
     "--membership-thresholds item not a number": (
         _eval_on(flags=("--membership-thresholds", "0.5,0.8x")),
         "argument --membership-thresholds: '0.8x' is not a number in (0, 1)"),
+    # A repeated threshold would score and report the same row twice.
+    "--membership-thresholds repeating a value": (
+        _eval_on(flags=("--membership-thresholds", "0.7,0.7")),
+        "argument --membership-thresholds: '0.7,0.7' names 0.7 more than once"),
+    "--distinction-thresholds repeating a value": (
+        _eval_on(flags=("--distinction-thresholds", "0.8,0.5,0.80")),
+        "argument --distinction-thresholds: '0.8,0.5,0.80' names 0.8 more than once"),
+    "--equivalence-thresholds repeating a value": (
+        _eval_on(flags=("--equivalence-thresholds", "0.9,,0.9")),
+        "argument --equivalence-thresholds: '0.9,,0.9' names 0.9 more than once"),
     "checkpoint with trailing bytes": (_export_broken_checkpoint(tail=b"junk"),
                                        "4 trailing bytes"),
     "checkpoint format 2": (_export_broken_checkpoint(lambda h: h.update(format=2)),

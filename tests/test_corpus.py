@@ -516,7 +516,8 @@ def test_id_arrays_match_the_oracles(tweets, vocab_size):
 
 # Type counts on both sides of the thresholds where the row key holds five
 # ids (4096), takes its first rank (4097) and takes a second (2^21 + 1);
-# at 2^16 four ids would fill all 64 bits, sign bit included.
+# at 2^16 four ids would fill all 64 bits, sign bit included. Rows are
+# five ids, as in the 5-gram database, or four, as in a context.
 N_TYPES = [2, 4096, 4097, 2 ** 16, 2 ** 21, 2 ** 21 + 1]
 
 
@@ -526,9 +527,11 @@ def test_distinct_rows_match_a_counter(data):
     n_types = data.draw(st.sampled_from(N_TYPES), label="n_types")
     ids = data.draw(st.lists(st.sampled_from([0, 1, n_types - 2, n_types - 1])
                              | st.integers(0, n_types - 1), min_size=1, max_size=4), label="ids")
-    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * 5), max_size=60), label="rows")
-    array = np.array(rows, dtype=np.int32).reshape(-1, 5)
-    order, first = _row_order(lambda col: array[:, col], len(array), n_types)
+    width = data.draw(st.sampled_from([4, 5]), label="columns")
+    rows = data.draw(st.lists(st.tuples(*[st.sampled_from(ids)] * width), max_size=60),
+                     label="rows")
+    array = np.array(rows, dtype=np.int32).reshape(-1, width)
+    order, first = _row_order(lambda col: array[:, col], len(array), width, n_types)
     distinct = array[order[first]]
     expected = sorted(collections.Counter(rows).items())
     assert distinct.tolist() == [list(row) for row, _ in expected]

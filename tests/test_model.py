@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import tweetembed.model
 from tweetembed.manifest import read_container
 from tweetembed.model import (
     CHECKPOINT_MAGIC,
+    EVAL_CHUNK_ROWS,
     LOSS_FLOOR,
     MAX_NLL,
     PARAM_FIELDS,
@@ -15,6 +17,7 @@ from tweetembed.model import (
     Workspace,
     backward_arrays,
     evaluate,
+    group_contexts,
     init_params,
     load_checkpoint,
     param_count,
@@ -23,8 +26,8 @@ from tweetembed.model import (
     softmax,
 )
 
-from memory import traced_peak
-from oracles import oracle_backward, oracle_nll, oracle_sigmoid, oracle_softmax
+from memory import traced_held, traced_peak
+from oracles import oracle_backward, oracle_evaluate, oracle_nll, oracle_sigmoid, oracle_softmax
 
 
 def tiny_hyper(**kwargs):
@@ -234,6 +237,16 @@ def record_forward_rows(monkeypatch):
     return calls
 
 
+def repeated_contexts(rng, hyper, n_contexts):
+    """(contexts, targets) int64 arrays in a shuffled order: n_contexts
+    random contexts, each the context of 1 to 4 rows with distinct targets."""
+    contexts = rng.integers(0, hyper.vocab_size + 4, (n_contexts, 4))
+    counts = rng.integers(1, 5, n_contexts)
+    targets = np.concatenate([rng.choice(hyper.vocab_size, k, replace=False) for k in counts])
+    order = rng.permutation(len(targets))
+    return np.repeat(contexts, counts, axis=0)[order], targets[order]
+
+
 def random_batch(rng, hyper, size):
     """(contexts, targets) int64 arrays; each row's context ids are drawn before its target."""
     contexts, targets = [], []
@@ -401,40 +414,97 @@ class TestEvaluate:
 
     def test_no_chunk_of_one_row(self, monkeypatch):
         # numpy multiplies a single row by matrix-vector products, which
-        # round some logits otherwise. So when the last chunk would be one
-        # row long, the last two share their rows: 7 rows in chunks of 3
-        # run as 3, 2 and 2.
+        # round some logits otherwise. The forward pass runs once per
+        # distinct context, and when the last chunk would be one context
+        # long, the last two share theirs: 7 contexts in chunks of 3 run
+        # as 3, 2 and 2. A context that every row shares runs twice.
         hyper = tiny_hyper(vocab_size=12)
         params = init_params(hyper, seed=2)
         rng = np.random.default_rng(5)
-        contexts, targets = random_batch(rng, hyper, 300)
+        contexts, targets = repeated_contexts(rng, hyper, 120)
         calls = record_forward_rows(monkeypatch)
         for chunk in (3, 8):
             monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", chunk)
-            for n in range(2, 300):
+            for n in range(2, len(targets)):
                 calls.clear()
                 evaluate(params, contexts[:n], targets[:n])
-                assert sum(calls) == n and min(calls) >= 2 and max(calls) <= chunk, (chunk, n)
-        calls.clear()
+                distinct = len(np.unique(contexts[:n], axis=0))
+                if distinct > 1:
+                    assert sum(calls) == distinct, (chunk, n)
+                assert min(calls) >= 2 and max(calls) <= chunk, (chunk, n)
         monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", 3)
-        evaluate(params, contexts[:7], targets[:7])
-        assert calls == [3, 2, 2]
+        for rows, expected in ((np.arange(7), [3, 2, 2]), (np.zeros(5, dtype=int), [2])):
+            calls.clear()
+            evaluate(params, np.repeat(rows[:, None], 4, axis=1), np.arange(len(rows)) % 12)
+            assert calls == expected
 
-    def test_peak_memory_does_not_grow_with_rows(self):
-        # Computed 8192 rows at a time at |V| = 128, one call peaked at
-        # 32 MB of temporaries.
+    def test_peak_memory_is_at_most_16_bytes_per_row(self):
+        # Beside the workspace, the grouping holds an int32 row order and
+        # int32 group starts, and evaluate one float64 loss per row; numpy's
+        # indexing buffers add a fixed 80 KB. Computed 8192 rows at a time
+        # at |V| = 128, one call once peaked at 32 MB of temporaries.
         hyper = ModelHyper(vocab_size=128)
         params = init_params(hyper, seed=3)
-        rng = np.random.default_rng(6)
-        contexts = rng.integers(0, hyper.vocab_size + 4, (20000, 4))
-        targets = rng.integers(0, hyper.vocab_size, 20000)
+        contexts, targets = repeated_contexts(np.random.default_rng(6), hyper, 8000)
+        ws = Workspace(hyper, EVAL_CHUNK_ROWS)
+        for n in (2000, len(targets)):
+            groups, held = traced_held(group_contexts, contexts[:n], hyper.vocab_size)
+            peak = traced_peak(evaluate, params, contexts[:n], targets[:n], ws, groups)[1]
+            assert held <= 8 * n + 8, (n, held)
+            assert held + peak <= 16 * n + 2 ** 17, (n, (held + peak) / n)
 
-        def peak(n):
-            return traced_peak(evaluate, params, contexts[:n], targets[:n])[1]
+    @pytest.mark.parametrize("vocab_size", [128, 300, 1001, 2053])
+    def test_bits_match_the_row_by_row_oracle(self, vocab_size, monkeypatch):
+        # Each context carries 1 to 4 targets, in dataset order. With a pool
+        # and PART_MIN_VALUES = 0, every chunk of 4 contexts or more runs
+        # as two halves; at |V| 300, 1001 and 2053 the BLAS rounds some products
+        # with their row count, and the loss still keeps its bits.
+        hyper = ModelHyper(vocab_size=vocab_size)
+        params = init_params(hyper, seed=vocab_size)
+        contexts, targets = repeated_contexts(np.random.default_rng(vocab_size), hyper, 700)
+        expected = oracle_evaluate(params, contexts, targets)[0].hex()
+        cached = group_contexts(contexts, vocab_size)
+        monkeypatch.setattr(tweetembed.model, "PART_MIN_VALUES", 0)
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            for ws_pool in (None, pool):
+                for groups in (None, cached):
+                    ws = Workspace(hyper, EVAL_CHUNK_ROWS, ws_pool)
+                    got = evaluate(params, contexts, targets, ws, groups)
+                    assert got.hex() == expected, (ws_pool, groups is None)
 
-        big, small = peak(20000), peak(2000)
-        assert big < 4 * 2 ** 20
-        assert abs(big - small) <= 0.1 * big, (big, small)
+    def test_clamped_rows_match_the_oracle_and_its_count(self, caplog):
+        # Two targets' logits are pinned far below the rest, so every row
+        # naming one of them, in several chunks and groups, hits LOSS_FLOOR.
+        hyper = ModelHyper(vocab_size=300)
+        params = init_params(hyper, seed=4)
+        contexts, targets = repeated_contexts(np.random.default_rng(11), hyper, 600)
+        params.b_out[[targets[0], targets[1]]] = -100.0
+        expected, n_clamped = oracle_evaluate(params, contexts, targets)
+        assert n_clamped > 2
+        for groups in (None, group_contexts(contexts, hyper.vocab_size)):
+            caplog.clear()
+            assert evaluate(params, contexts, targets, groups=groups).hex() == expected.hex()
+            assert [r.getMessage() for r in caplog.records] == [
+                f"{n_clamped} target probabilities clamped to 1e-12 before log"]
+
+
+class TestGroupContexts:
+    def test_groups_hold_the_rows_of_each_context(self):
+        hyper = tiny_hyper(vocab_size=12)
+        contexts, _ = repeated_contexts(np.random.default_rng(3), hyper, 50)
+        order, starts = group_contexts(contexts, hyper.vocab_size)
+        assert order.dtype == starts.dtype == np.int32
+        assert sorted(order.tolist()) == list(range(len(contexts)))
+        assert starts[0] == 0 and starts[-1] == len(contexts)
+        distinct = [contexts[order[lo:hi]] for lo, hi in zip(starts, starts[1:])]
+        assert all((group == group[0]).all() for group in distinct)
+        firsts = [tuple(group[0]) for group in distinct]
+        assert firsts == sorted(set(map(tuple, contexts.tolist())))
+
+    def test_a_context_every_row_shares_is_cut_after_the_first_row(self):
+        contexts = np.full((5, 4), 3)
+        assert group_contexts(contexts, 8)[1].tolist() == [0, 1, 5]
+        assert group_contexts(contexts[:1], 8)[1].tolist() == [0, 1]
 
 
 class TestWorkspace:

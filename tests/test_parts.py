@@ -104,7 +104,7 @@ def test_two_parts_write_the_bytes_of_one(vocab_size, tmp_path, monkeypatch):
             return original(*args, **kwargs)
         return wrapped
 
-    for name in ("_backward_rows", "_nll_rows"):
+    for name in ("_backward_rows", "_nll_groups"):
         monkeypatch.setattr(tweetembed.model, name, recorded(name))
     files = []
     interval = sys.getswitchinterval()

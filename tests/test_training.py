@@ -24,6 +24,7 @@ from tweetembed.model import (
     Workspace,
     backward_arrays,
     evaluate,
+    group_contexts,
     init_params,
     load_checkpoint,
     param_count,
@@ -40,7 +41,7 @@ from tweetembed.training import (
     write_run_log,
 )
 
-from memory import traced_peak
+from memory import count_calls, traced_peak
 from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax, read_run_log
 from synth import zipf_corpus
 
@@ -471,6 +472,24 @@ class TestTrain:
         _, peak = traced_peak(train, split, hyper, TrainConfig(epochs=1, batch_size=1024, seed=1),
                               tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
         assert peak < 40 * len(split.train), peak / len(split.train)
+
+    def test_each_split_is_grouped_once_per_run(self, tmp_path, monkeypatch):
+        # Every epoch's two evaluations reuse the groupings built before the
+        # first epoch, and still report the loss of an ungrouped call.
+        hyper = ModelHyper(vocab_size=16, d_in=4, d_ctx=4)
+        split = random_split(hyper, 3000, 400, seed=6)
+        split.train[1::2, :4] = split.train[::2, :4]  # half the train rows repeat a context
+        groupings = count_calls(monkeypatch, group_contexts)
+        evaluations = count_calls(monkeypatch, evaluate)
+        _, logs = train(split, hyper, TrainConfig(epochs=3, seed=2), tmp_path / "model.ckpt",
+                        tmp_path / "run_log.tsv", "")
+        assert [len(args[0]) for args in groupings] == [3000, 400]
+        assert len(evaluations) == 6
+        assert all(args[4] is not None for args in evaluations)
+        params, _ = load_checkpoint(tmp_path / "model.ckpt")
+        assert evaluate(params, split.train[:, :4], split.train[:, 4]) == logs[-1].train_loss
+        assert (evaluate(params, split.validation[:, :4], split.validation[:, 4])
+                == logs[-1].validation_loss)
 
     def test_peak_memory_is_what_the_fit_check_counts(self, tmp_path):
         # Parameters, Adam's two moments, one gradient and one workspace, as
