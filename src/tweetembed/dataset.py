@@ -28,8 +28,7 @@ from .rng import permutation
 
 
 def select_vocabulary(dictionary: Dictionary, size: int) -> list[str]:
-    if size < 1:
-        raise ValueError("vocabulary size must be positive")
+    """The dictionary's first `size` words; ValueError when it holds fewer."""
     if size > len(dictionary.ids):
         raise ValueError(f"requested vocabulary size {size} exceeds dictionary length "
                          f"{len(dictionary.ids)}")
@@ -43,7 +42,7 @@ def vocabulary_hash(vocab: list[str]) -> str:
 
 
 def filter_ngrams(db: NGramDatabase, vocab_ids: np.ndarray,
-                  include_boundary: bool = False) -> np.ndarray:
+                  include_boundary: bool) -> np.ndarray:
     """One example row `c1 c2 c4 c5 target` for every distinct qualifying 5-gram.
 
     `vocab_ids[i]` is the type id of vocabulary id i's word (a prefix of
@@ -89,11 +88,11 @@ class DatasetSplit:
 
 
 def split_sizes(n: int, validation_ratio: float, fraction: float) -> tuple[int, int]:
-    """`split_dataset`'s validation and train row counts; ValueError if no train rows."""
-    if not 0.0 < validation_ratio < 1.0:
-        raise ValueError(f"validation_ratio must be in (0, 1), got {validation_ratio}")
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"fraction must be in (0, 1], got {fraction}")
+    """`split_dataset`'s validation and train row counts; ValueError if no train rows.
+
+    The ratio lies in (0, 1) and the fraction in (0, 1], as the parser
+    checks them (`--validation-ratio`, `--fraction`); only the row count
+    comes from a file, so only the empty train split is checked here."""
     n_val = math.floor(validation_ratio * n)
     n_train = math.floor(fraction * (n - n_val))
     if n_train == 0:
@@ -102,9 +101,10 @@ def split_sizes(n: int, validation_ratio: float, fraction: float) -> tuple[int, 
     return n_val, n_train
 
 
-def split_dataset(examples: np.ndarray, validation_ratio: float = 0.1,
-                  fraction: float = 1.0, seed: int = 13) -> DatasetSplit:
-    """Deterministic validation/train split with optional train subsampling.
+def split_dataset(examples: np.ndarray, validation_ratio: float, fraction: float,
+                  seed: int) -> DatasetSplit:
+    """Deterministic validation/train split with optional train subsampling,
+    at settings the parser has checked (see `split_sizes`).
 
     The example rows are permuted by the explicit seeded shuffle (see rng
     module), the first floor(validation_ratio * n) become validation, and

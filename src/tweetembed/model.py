@@ -13,11 +13,12 @@ boundary.
 
 One function, `_forward_to_logits`, runs the network up to the softmax
 input; `evaluate` and `backward_arrays` both call it. Both write every
-intermediate array into a `Workspace`, with `out=` or in place. A
-workspace is allocated once for a number of rows: `training.train`
-builds one per run, and a caller that passes none gets one for its own
-rows. So a training step allocates one array, its gradient vector, and
-how fast it runs does not hang on the allocator's state.
+intermediate array into a `Workspace`, with `out=` or in place. Each
+takes its workspace, and `evaluate` its grouping, from the caller:
+`training.train` builds one workspace per run and one grouping per split
+and run, and nothing in this module builds either for a call. So a
+training step allocates one array, its gradient vector, and how fast it
+runs does not hang on the allocator's state.
 
 A workspace may carry a one-thread `ThreadPoolExecutor`; `training.train`
 gives it the one `training._second_core` yields, which exists only
@@ -41,10 +42,10 @@ LOSS_FLOOR. `evaluate` computes it as logsumexp(logits) - logit_target
 and never builds the probability matrix. Rows that share a context share
 their logits, so it runs the forward pass once per distinct context, in
 chunks of EVAL_CHUNK_ROWS contexts, over the groups `group_contexts`
-builds (`training.train` builds them once per split and run). Each row's
-loss goes to its slot of a per-row array in dataset order, which is
-clamped and summed in chunks of EVAL_CHUNK_ROWS rows. Its memory is the
-workspace, the grouping and the per-row losses: at most 16 bytes per row.
+builds. Each row's loss goes to its slot of a per-row array in dataset
+order, which is clamped and summed in chunks of EVAL_CHUNK_ROWS rows. Its
+memory is the workspace, the grouping and the per-row losses: at most 16
+bytes per row.
 The training step (`backward_arrays`) applies `softmax` to the logits
 for the gradient only and returns the gradient in the parameters' own
 layout: one flat vector with a view per array (`ModelParams`). The hot
@@ -81,13 +82,13 @@ from typing import Callable
 
 import numpy as np
 
-from .corpus import _row_order
+from .corpus import BOUNDARY_TOKENS, _row_order
 from .manifest import read_container, write_container
 
 logger = logging.getLogger(__name__)
 
 N_CONTEXT = 4
-N_BOUNDARY = 4
+N_BOUNDARY = len(BOUNDARY_TOKENS)
 LOSS_FLOOR = 1e-12
 # -ln(LOSS_FLOOR): a row's loss is capped here, i.e. p_target is clamped at LOSS_FLOOR.
 MAX_NLL = float(-np.log(LOSS_FLOOR))
@@ -211,11 +212,11 @@ def sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(logits: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise softmax with max subtraction for stability, into `out`
-    (which may be `logits` itself) or a new array."""
-    logits = np.asarray(logits, dtype=np.float64)
-    out = np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
+def softmax(logits: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of a float64 array with max subtraction for
+    stability, into `out`, an array of its shape, which may be `logits`
+    itself."""
+    np.subtract(logits, logits.max(axis=-1, keepdims=True), out=out)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
     return out
@@ -322,7 +323,8 @@ def group_contexts(contexts: np.ndarray, vocab_size: int) -> tuple[np.ndarray, n
     `order` lists the row indices with the rows of each distinct context
     together, contexts ascending; group j is order[starts[j]:starts[j + 1]],
     and starts[-1] = N. Both are int32 while N < 2^31, so the grouping holds
-    at most 8 bytes per row. The sort is `corpus._row_order`'s packed key
+    at most 8 bytes per row; building it peaks at about 25 (the packed key,
+    its argsort and the sorted key). The sort is `corpus._row_order`'s packed key
     over the four columns. When all N >= 2 rows share one context, its
     group is cut in two after the first row, so that `evaluate` runs no
     one-row product (see `evaluate`).
@@ -347,32 +349,30 @@ def _chunk_bounds(n: int) -> list[int]:
 
 
 def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
-             ws: Workspace | None = None,
-             groups: tuple[np.ndarray, np.ndarray] | None = None) -> float:
+             ws: Workspace, groups: tuple[np.ndarray, np.ndarray]) -> float:
     """Mean cross entropy over a dataset, one forward pass per distinct context.
 
     Rows that share a context differ only in the target, so the forward
     pass runs once per group of `groups`, the `group_contexts` of the
-    contexts, built here when not given (`training.train` builds one per
-    split and run). Each row's loss, -ln p_target, is (top - logit_target)
-    + log sum exp(logits - top), top the maximum of its context's logits:
-    the two roundings a pass over the rows themselves makes, computed in
-    place on the workspace's logits; no probability matrix is built. The
-    groups run in chunks of EVAL_CHUNK_ROWS (all of them when fewer), the
-    last two sharing their groups when the last would be one group long,
-    and each row's loss goes to its slot of a float64 array in dataset
-    order. That array is clamped at MAX_NLL, summed in chunks of
-    EVAL_CHUNK_ROWS rows (the last two sharing theirs likewise), and the
-    sums added in order. So the loss's bits depend on neither |V|, the
-    batch size, the grouping nor the workspace, which needs a chunk's rows
-    (`training.train` builds max(batch, EVAL_CHUNK_ROWS); without `ws`,
-    min(groups, EVAL_CHUNK_ROWS) are built). Beside the workspace, memory
-    is the grouping and the losses, at most 16 bytes per row; building a
-    grouping here peaks at about 25 (the packed key, its argsort and the
-    sorted key). The LOSS_FLOOR clamp warns at most once per call, with
-    the count over all rows. With a pool in `ws`, a chunk whose halves
-    have 2 groups and PART_MIN_VALUES logits each runs as two halves at
-    once, each writing its own rows' losses.
+    contexts (`training.train` builds one per split and run). Each row's
+    loss, -ln p_target, is (top - logit_target) + log sum exp(logits -
+    top), top the maximum of its context's logits: the two roundings a
+    pass over the rows themselves makes, computed in place on the
+    workspace's logits; no probability matrix is built. The groups run in
+    chunks of EVAL_CHUNK_ROWS (all of them when fewer), the last two
+    sharing their groups when the last would be one group long, and each
+    row's loss goes to its slot of a float64 array in dataset order. That
+    array is clamped at MAX_NLL, summed in chunks of EVAL_CHUNK_ROWS rows
+    (the last two sharing theirs likewise), and the sums added in order.
+    So the loss's bits depend on neither |V|, the batch size, the grouping
+    nor the workspace, which needs a chunk's rows: EVAL_CHUNK_ROWS, or
+    the number of groups when fewer (`training.train` builds
+    max(batch, EVAL_CHUNK_ROWS)). Beside the workspace and the grouping
+    (at most 8 bytes per row), memory is the losses, 8 bytes per row. The
+    LOSS_FLOOR clamp warns at most once per call, with the count over all
+    rows. With a pool in `ws`, a chunk whose halves have 2 groups and
+    PART_MIN_VALUES logits each runs as two halves at once, each writing
+    its own rows' losses.
 
     A group's logits round like those of the same context in any other
     product when the BLAS computes each row of a product the same way
@@ -391,10 +391,8 @@ def evaluate(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
     n = targets.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    order, starts = group_contexts(contexts, params.hyper.vocab_size) if groups is None else groups
+    order, starts = groups
     n_groups = starts.shape[0] - 1
-    if ws is None:
-        ws = Workspace(params.hyper, min(n_groups, EVAL_CHUNK_ROWS))
     nll = np.empty(n)
     bounds = _chunk_bounds(n_groups)
     for lo, hi in zip(bounds, bounds[1:]):
@@ -434,23 +432,21 @@ def _nll_groups(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
 
 
 def backward_arrays(params: ModelParams, contexts: np.ndarray, targets: np.ndarray,
-                    ws: Workspace | None = None) -> ModelParams:
+                    ws: Workspace) -> ModelParams:
     """Exact gradient of mean cross entropy over a packed batch, in the
     parameters' layout.
 
-    Every intermediate is written into `ws` (one of the batch's rows when
-    not given), so the gradient vector is the one array the call
-    allocates. The shared input matrix accumulates contributions from all
-    four context positions, in one `np.bincount` (see the module
-    docstring); rows for ids absent from the batch stay zero. With a
-    pool in `ws`, the row passes and the output layer's gradient run in
-    two parts (see the module docstring).
+    Every intermediate is written into `ws`, which needs the batch's rows
+    (`training.train` builds one for the run), so the gradient vector is
+    the one array the call allocates. The shared input matrix accumulates
+    contributions from all four context positions, in one `np.bincount`
+    (see the module docstring); rows for ids absent from the batch stay
+    zero. With a pool in `ws`, the row passes and the output layer's
+    gradient run in two parts (see the module docstring).
     """
     batch = targets.shape[0]
     if batch == 0:
         raise ValueError("backward pass needs a non-empty batch")
-    if ws is None:
-        ws = Workspace(params.hyper, batch)
 
     def rows(lo: int, hi: int) -> None:
         _backward_rows(params, contexts[lo:hi], targets[lo:hi], ws, lo, batch)

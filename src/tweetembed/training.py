@@ -46,21 +46,14 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class TrainConfig:
+    """The training flags' values; the fields are their defaults, and the
+    parser (`cli.build_parser`) checks each value before it gets here."""
+
     epochs: int = 40
     batch_size: int = 256
     learning_rate: float = 0.001
     seed: int = 13
     deterministic: bool = False
-
-    def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not 0 < self.learning_rate < math.inf:  # also refuses NaN
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass

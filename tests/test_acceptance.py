@@ -18,14 +18,17 @@ from tweetembed.dataset import filter_ngrams, select_vocabulary, split_dataset
 from tweetembed.embeddings import export_embeddings
 from tweetembed.evaluation import run_standard_suite
 from tweetembed.model import (
+    EVAL_CHUNK_ROWS,
     PARAM_FIELDS,
     ModelHyper,
-    backward_arrays,
+    Workspace,
     evaluate,
+    group_contexts,
     init_params,
 )
 from tweetembed.training import TrainConfig, train
 
+from hotpath import gradient_of, loss_of
 from oracles import (db_records, dictionary_entries, example_grams, oracle_count,
                      oracle_dictionary, oracle_filter)
 from synth import class_corpus, class_gold, zipf_corpus
@@ -49,7 +52,7 @@ def class_tuples():
     db = count_ngrams(tweets)
     dictionary = build_dictionary(db)
     vocab = select_vocabulary(dictionary, 256)
-    tuples = filter_ngrams(db, dictionary.ids[:256])
+    tuples = filter_ngrams(db, dictionary.ids[:256], include_boundary=False)
     return vocab, tuples
 
 
@@ -85,11 +88,14 @@ def test_criterion_1_gradient_correctness():
                     dtype=np.int64)
     contexts, targets = rows[:, :4], rows[:, 4]
 
+    ws = Workspace(hyper, EVAL_CHUNK_ROWS)
+    groups = group_contexts(contexts, hyper.vocab_size)
+
     def mean_loss():
-        return evaluate(params, contexts, targets)
+        return evaluate(params, contexts, targets, ws, groups)
 
     started = time.perf_counter()
-    grads = backward_arrays(params, contexts, targets)
+    grads = gradient_of(params, contexts, targets)
     h = 1e-4
     worst = 0.0
     for name in PARAM_FIELDS:
@@ -130,7 +136,7 @@ def test_criterion_2_pipeline_oracle():
     dict_ok = dictionary_entries(dictionary) == oracle_dictionary(records)
 
     top = select_vocabulary(dictionary, 6)
-    tuples = filter_ngrams(db, dictionary.ids[:6])
+    tuples = filter_ngrams(db, dictionary.ids[:6], include_boundary=False)
     reconstructed = set(example_grams(top, tuples))
     filter_ok = reconstructed == oracle_filter(db_records(db), top)
     elapsed = time.perf_counter() - started
@@ -159,7 +165,7 @@ def test_criterion_4_tuple_counts_grow_with_vocabulary():
     dictionary = build_dictionary(db)
     counts = []
     for size in (256, 1024, 4096):
-        counts.append(len(filter_ngrams(db, dictionary.ids[:size])))
+        counts.append(len(filter_ngrams(db, dictionary.ids[:size], include_boundary=False)))
     ok = counts[0] <= counts[1] <= counts[2]
     verdict(4, ok, f"tuples {counts[0]} -> {counts[1]} -> {counts[2]}")
     assert ok
@@ -169,8 +175,8 @@ def test_criterion_5_learning_sanity(full_run):
     split, params, logs, elapsed = full_run
     target = math.log(256)
     epoch1_val = logs[0].validation_loss
-    initial = evaluate(init_params(ModelHyper(**HYPER), FULL_CFG["seed"]),
-                       split.train[:, :4], split.train[:, 4])
+    initial = loss_of(init_params(ModelHyper(**HYPER), FULL_CFG["seed"]),
+                      split.train[:, :4], split.train[:, 4])
     final = logs[-1].train_loss
     band_ok = abs(epoch1_val - target) / target < 0.05
     halved_ok = final < 0.5 * initial
@@ -287,7 +293,7 @@ def test_criterion_9_throughput_scaling_shape(tmp_path):
     fractions = (0.25, 0.5, 1.0)
     cells = {}
     for size in vocab_sizes:
-        tuples = filter_ngrams(db, dictionary.ids[:size])
+        tuples = filter_ngrams(db, dictionary.ids[:size], include_boundary=False)
         for fraction in fractions:
             split = split_dataset(tuples, validation_ratio=0.1,
                                   fraction=fraction, seed=13)

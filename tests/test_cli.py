@@ -1394,6 +1394,53 @@ def test_malformed_input_exits_2_without_traceback(case, prepared_dataset, tmp_p
         assert not Path(argv[argv.index("--out-checkpoint") + 1]).is_file()
 
 
+def _required_arguments(command, d):
+    """`command`'s required arguments, naming files under `d` that do not exist."""
+    return {"dataset": [d / "ngrams.tsv", "--vocab-size", "8", "--out", d / "dataset.tsv"],
+            "train": [d / "dataset.tsv", "--out-checkpoint", d / "model.ckpt",
+                      "--out-log", d / "run_log.tsv"],
+            "eval": [d / "embeddings.txt", "--out", d / "report.json"],
+            "grid": [d / "corpus.txt", "--out-dir", d / "grid", "--vocab-sizes", "8"]}[command]
+
+
+# Values that only the parser refuses: no library function checks them
+# again. (command, flag, its text); a list's last item is the bad one.
+PARSER_REFUSALS = [
+    ("train", "--epochs", "0"),
+    ("grid", "--epochs", "0"),
+    ("train", "--batch-size", "0"),
+    ("train", "--learning-rate", "0"),
+    ("train", "--learning-rate", "-1"),
+    ("train", "--learning-rate", "nan"),
+    ("train", "--learning-rate", "inf"),
+    ("train", "--seed", "-1"),
+    ("dataset", "--validation-ratio", "0"),
+    ("dataset", "--validation-ratio", "1"),
+    ("dataset", "--validation-ratio", "-0.3"),
+    ("dataset", "--validation-ratio", "1.5"),
+    ("grid", "--validation-ratio", "1"),
+    ("dataset", "--fraction", "0.3"),
+    ("dataset", "--vocab-size", "0"),
+    ("eval", "--membership-thresholds", "0.5,0"),
+    ("eval", "--membership-thresholds", "1.2"),
+    ("eval", "--distinction-thresholds", "0.5,1"),
+    ("eval", "--equivalence-thresholds", "0"),
+]
+
+
+@pytest.mark.parametrize("command,flag,text", PARSER_REFUSALS,
+                         ids=[" ".join(row) for row in PARSER_REFUSALS])
+def test_parser_alone_refuses_the_value(command, flag, text, tmp_path, capsys):
+    argv = [command, *map(str, _required_arguments(command, tmp_path)), flag, text]
+    message = f"argument {flag}: {text.split(',')[-1]!r} is not "
+    with pytest.raises(ValueError) as refused:
+        build_parser().parse_args(argv)
+    assert str(refused.value).startswith(message)
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: " + message)
+    assert not any(tmp_path.iterdir())
+
+
 def test_invalid_utf8_error_names_the_corpus_and_the_offset(tmp_path, capsys):
     argv = _corpus_with_invalid_utf8("ingest")(None, tmp_path)
     corpus = tmp_path / "corpus.txt"

@@ -153,10 +153,6 @@ class TestClassMembership:
         assert report.covered_pairs == 1
         assert report.coverage == pytest.approx(1 / 6)
 
-    def test_bad_threshold(self):
-        with pytest.raises(ValueError):
-            membership_report(clustered_table(), clustered_gold(), 1.2)
-
 
 class TestClassDistinction:
     def test_orthogonal_clusters_full_true_negatives(self):

@@ -26,6 +26,7 @@ from tweetembed.model import (
     softmax,
 )
 
+from hotpath import gradient_of, loss_of
 from memory import traced_held, traced_peak
 from oracles import oracle_backward, oracle_evaluate, oracle_nll, oracle_sigmoid, oracle_softmax
 
@@ -40,6 +41,12 @@ def fresh_sigmoid(x):
     """`sigmoid` into a new array, leaving `x` alone."""
     x = np.array(x, dtype=np.float64)  # a copy, which sigmoid overwrites as scratch
     return sigmoid(x, np.empty_like(x))
+
+
+def fresh_softmax(logits):
+    """`softmax` into a new array."""
+    logits = np.asarray(logits, dtype=np.float64)
+    return softmax(logits, np.empty_like(logits))
 
 
 def one(context):
@@ -123,7 +130,7 @@ class TestFlatLayout:
 def losses(params, context):
     """evaluate's loss for `context` with every target in turn, i.e. -ln p over |V|."""
     n = params.hyper.vocab_size
-    return np.array([evaluate(params, one(context), np.array([t])) for t in range(n)])
+    return np.array([loss_of(params, one(context), np.array([t])) for t in range(n)])
 
 
 class TestForward:
@@ -158,10 +165,11 @@ class TestForward:
 class TestSoftmaxAndLoss:
     def test_shift_invariance(self):
         logits = np.array([0.1, -2.0, 3.5, 0.0])
-        np.testing.assert_allclose(softmax(logits), softmax(logits + 123.4), atol=1e-12)
+        np.testing.assert_allclose(fresh_softmax(logits), fresh_softmax(logits + 123.4),
+                                   atol=1e-12)
 
     def test_extreme_logits_stable(self):
-        probs = softmax(np.array([1000.0, 0.0, -1000.0]))
+        probs = fresh_softmax([1000.0, 0.0, -1000.0])
         assert np.isfinite(probs).all()
         assert abs(probs.sum() - 1.0) < 1e-12
 
@@ -176,25 +184,25 @@ class TestSoftmaxAndLoss:
                           rng.normal(0.0, 5.0, (6, 8)), rng.normal(0.0, 300.0, (6, 8))])
         for x in (rows, rows[4], edges[:6]):
             assert np.array_equal(fresh_sigmoid(x), oracle_sigmoid(x), equal_nan=True)
-            assert np.array_equal(softmax(x), oracle_softmax(x), equal_nan=True)
+            assert np.array_equal(fresh_softmax(x), oracle_softmax(x), equal_nan=True)
         for x in (np.array(-0.0), np.array(745.0), np.array(np.nan)):
             assert np.array_equal(fresh_sigmoid(x), oracle_sigmoid(x), equal_nan=True)
 
     def test_uniform_loss_is_log_vocab(self):
         params = zero_params(tiny_hyper(vocab_size=2048))
-        loss = evaluate(params, one((0, 1, 2, 3)), np.array([17]))
+        loss = loss_of(params, one((0, 1, 2, 3)), np.array([17]))
         assert loss == pytest.approx(math.log(2048), abs=1e-9)
         assert loss == pytest.approx(7.6246, abs=1e-4)
 
     def test_certain_prediction_has_zero_loss(self):
         params = zero_params(tiny_hyper(vocab_size=4))
         params.b_out[2] = 1e3
-        assert evaluate(params, one((0, 1, 2, 3)), np.array([2])) == 0.0
+        assert loss_of(params, one((0, 1, 2, 3)), np.array([2])) == 0.0
 
     def test_zero_probability_clamped(self, caplog):
         params = zero_params(tiny_hyper(vocab_size=4))
         params.b_out[3] = -1e3
-        loss = evaluate(params, one((0, 1, 2, 3)), np.array([3]))
+        loss = loss_of(params, one((0, 1, 2, 3)), np.array([3]))
         assert loss == MAX_NLL == pytest.approx(-math.log(LOSS_FLOOR))
         assert [r.getMessage() for r in caplog.records] == [
             "1 target probabilities clamped to 1e-12 before log"]
@@ -204,9 +212,11 @@ def numeric_gradient(params, batch, name, h=1e-4):
     """Central finite differences through `evaluate` (forward + cross entropy) only."""
     arr = getattr(params, name)
     contexts, targets = batch
+    ws = Workspace(params.hyper, EVAL_CHUNK_ROWS)
+    groups = group_contexts(contexts, params.hyper.vocab_size)
 
     def mean_loss():
-        return evaluate(params, contexts, targets)
+        return evaluate(params, contexts, targets, ws, groups)
 
     grad = np.zeros_like(arr)
     it = np.nditer(arr, flags=["multi_index"])
@@ -263,7 +273,7 @@ class TestBackward:
         params = init_params(hyper, seed=3)
         rng = np.random.default_rng(0)
         batch = random_batch(rng, hyper, 7)
-        grads = backward_arrays(params, *batch)
+        grads = gradient_of(params, *batch)
         for name in PARAM_FIELDS:
             numeric = numeric_gradient(params, batch, name)
             analytic = getattr(grads, name)
@@ -285,7 +295,7 @@ class TestBackward:
         for zero_ctx in (False, True):
             if zero_ctx:
                 params.w_ctx[...] = 0.0
-            fast = backward_arrays(params, contexts, targets)
+            fast = gradient_of(params, contexts, targets)
             slow = oracle_backward(params, contexts, targets)
             assert np.array_equal(fast.flat.view(np.int64), slow.flat.view(np.int64)), zero_ctx
             assert fast.w_input.any() != zero_ctx
@@ -305,13 +315,13 @@ class TestBackward:
 
     def test_shared_input_gradient_sparsity(self):
         params = init_params(tiny_hyper(), seed=5)
-        grads = backward_arrays(params, one((0, 3, 7, 10)), np.array([2]))
+        grads = gradient_of(params, one((0, 3, 7, 10)), np.array([2]))
         nonzero_rows = {int(i) for i in np.nonzero(grads.w_input.any(axis=1))[0]}
         assert nonzero_rows == {0, 3, 7, 10}
 
     def test_repeated_context_id_accumulates(self):
         params = init_params(tiny_hyper(), seed=5)
-        grads = backward_arrays(params, one((6, 6, 6, 6)), np.array([2]))
+        grads = gradient_of(params, one((6, 6, 6, 6)), np.array([2]))
         nonzero_rows = {int(i) for i in np.nonzero(grads.w_input.any(axis=1))[0]}
         assert nonzero_rows == {6}
 
@@ -319,9 +329,9 @@ class TestBackward:
         params = init_params(tiny_hyper(), seed=6)
         rng = np.random.default_rng(2)
         contexts, targets = random_batch(rng, params.hyper, 5)
-        once = backward_arrays(params, contexts, targets)
-        twice = backward_arrays(params, np.concatenate([contexts, contexts]),
-                                np.concatenate([targets, targets]))
+        once = gradient_of(params, contexts, targets)
+        twice = gradient_of(params, np.concatenate([contexts, contexts]),
+                            np.concatenate([targets, targets]))
         for name in PARAM_FIELDS:
             np.testing.assert_allclose(getattr(once, name), getattr(twice, name), atol=1e-12)
 
@@ -329,17 +339,17 @@ class TestBackward:
         params = init_params(tiny_hyper(), seed=6)
         with pytest.raises(ValueError):
             backward_arrays(params, np.empty((0, 4), dtype=np.int64),
-                            np.empty(0, dtype=np.int64))
+                            np.empty(0, dtype=np.int64), Workspace(params.hyper, 1))
 
     def test_small_step_reduces_single_example_loss(self):
         params = init_params(tiny_hyper(), seed=8)
         contexts, targets = one((1, 2, 3, 4)), np.array([5])
-        before = evaluate(params, contexts, targets)
-        grads = backward_arrays(params, contexts, targets)
+        before = loss_of(params, contexts, targets)
+        grads = gradient_of(params, contexts, targets)
         step = 0.05  # well below the quadratic-approximation breakdown here
         for name in PARAM_FIELDS:
             getattr(params, name)[...] -= step * getattr(grads, name)
-        after = evaluate(params, contexts, targets)
+        after = loss_of(params, contexts, targets)
         assert after < before
 
 
@@ -364,7 +374,7 @@ class TestEvaluate:
             for chunk in (default_chunk, 5, 4):
                 monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", chunk)
                 caplog.clear()
-                got = evaluate(params, contexts, targets)
+                got = loss_of(params, contexts, targets)
                 assert abs(got - expected) <= 1e-12 * expected, (clamped, chunk)
                 warnings = [r.getMessage() for r in caplog.records]
                 assert warnings == (
@@ -374,23 +384,22 @@ class TestEvaluate:
     def test_empty_rejected(self):
         params = init_params(tiny_hyper(), seed=1)
         with pytest.raises(ValueError):
-            evaluate(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
+            loss_of(params, np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64))
 
     def test_loss_bits_do_not_follow_the_workspace(self):
         # A training workspace is as tall as the batch, or taller. At
         # |V| = 302, where the BLAS rounds some logits with a product's row
-        # count, workspaces of 256, 512 and 5000 rows and none at all run
-        # the same chunks, 31 of 256 rows and one of 64, so the loss keeps
-        # its bits.
+        # count, workspaces of 256, 512 and 5000 rows run the same chunks,
+        # 31 of 256 rows and one of 64, so the loss keeps its bits.
         hyper = ModelHyper(vocab_size=302)
         params = init_params(hyper, seed=2)
         rng = np.random.default_rng(5)
         contexts = rng.integers(0, hyper.vocab_size + 4, (8000, 4))
         targets = rng.integers(0, hyper.vocab_size, 8000)
-        whole = evaluate(params, contexts, targets)
-        for rows in (256, 512, 5000):
-            got = evaluate(params, contexts, targets, Workspace(hyper, rows))
-            assert got.hex() == whole.hex(), rows
+        groups = group_contexts(contexts, hyper.vocab_size)
+        got = [evaluate(params, contexts, targets, Workspace(hyper, rows), groups).hex()
+               for rows in (256, 512, 5000)]
+        assert got == got[:1] * 3
 
     def test_chunk_height_does_not_follow_a_wider_workspace(self, monkeypatch):
         # A batch above EVAL_CHUNK_ROWS must not widen evaluate's chunks,
@@ -403,7 +412,8 @@ class TestEvaluate:
             contexts = rng.integers(0, hyper.vocab_size + 4, (n, 4))
             targets = rng.integers(0, hyper.vocab_size, n)
             calls = record_forward_rows(monkeypatch)
-            loss = evaluate(params, contexts, targets, Workspace(hyper, rows))
+            loss = evaluate(params, contexts, targets, Workspace(hyper, rows),
+                            group_contexts(contexts, hyper.vocab_size))
             return calls, loss.hex()
 
         hyper = ModelHyper(vocab_size=300)
@@ -427,7 +437,7 @@ class TestEvaluate:
             monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", chunk)
             for n in range(2, len(targets)):
                 calls.clear()
-                evaluate(params, contexts[:n], targets[:n])
+                loss_of(params, contexts[:n], targets[:n])
                 distinct = len(np.unique(contexts[:n], axis=0))
                 if distinct > 1:
                     assert sum(calls) == distinct, (chunk, n)
@@ -435,7 +445,7 @@ class TestEvaluate:
         monkeypatch.setattr(tweetembed.model, "EVAL_CHUNK_ROWS", 3)
         for rows, expected in ((np.arange(7), [3, 2, 2]), (np.zeros(5, dtype=int), [2])):
             calls.clear()
-            evaluate(params, np.repeat(rows[:, None], 4, axis=1), np.arange(len(rows)) % 12)
+            loss_of(params, np.repeat(rows[:, None], 4, axis=1), np.arange(len(rows)) % 12)
             assert calls == expected
 
     def test_peak_memory_is_at_most_16_bytes_per_row(self):
@@ -463,14 +473,13 @@ class TestEvaluate:
         params = init_params(hyper, seed=vocab_size)
         contexts, targets = repeated_contexts(np.random.default_rng(vocab_size), hyper, 700)
         expected = oracle_evaluate(params, contexts, targets)[0].hex()
-        cached = group_contexts(contexts, vocab_size)
+        groups = group_contexts(contexts, vocab_size)
         monkeypatch.setattr(tweetembed.model, "PART_MIN_VALUES", 0)
         with ThreadPoolExecutor(max_workers=1) as pool:
             for ws_pool in (None, pool):
-                for groups in (None, cached):
-                    ws = Workspace(hyper, EVAL_CHUNK_ROWS, ws_pool)
-                    got = evaluate(params, contexts, targets, ws, groups)
-                    assert got.hex() == expected, (ws_pool, groups is None)
+                ws = Workspace(hyper, EVAL_CHUNK_ROWS, ws_pool)
+                got = evaluate(params, contexts, targets, ws, groups)
+                assert got.hex() == expected, ws_pool
 
     def test_clamped_rows_match_the_oracle_and_its_count(self, caplog):
         # Two targets' logits are pinned far below the rest, so every row
@@ -481,11 +490,9 @@ class TestEvaluate:
         params.b_out[[targets[0], targets[1]]] = -100.0
         expected, n_clamped = oracle_evaluate(params, contexts, targets)
         assert n_clamped > 2
-        for groups in (None, group_contexts(contexts, hyper.vocab_size)):
-            caplog.clear()
-            assert evaluate(params, contexts, targets, groups=groups).hex() == expected.hex()
-            assert [r.getMessage() for r in caplog.records] == [
-                f"{n_clamped} target probabilities clamped to 1e-12 before log"]
+        assert loss_of(params, contexts, targets).hex() == expected.hex()
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{n_clamped} target probabilities clamped to 1e-12 before log"]
 
 
 class TestGroupContexts:
@@ -523,9 +530,11 @@ class TestWorkspace:
         for size in (9, 4, 9, 1):
             contexts, targets = random_batch(rng, hyper, size)
             shared = backward_arrays(params, contexts, targets, ws)
-            fresh = backward_arrays(params, contexts, targets)
+            fresh = gradient_of(params, contexts, targets)
             assert np.array_equal(shared.flat.view(np.int64), fresh.flat.view(np.int64)), size
-            assert evaluate(params, contexts, targets, ws) == evaluate(params, contexts, targets)
+            groups = group_contexts(contexts, hyper.vocab_size)
+            assert (evaluate(params, contexts, targets, ws, groups)
+                    == loss_of(params, contexts, targets))
 
 
 class TestCheckpoint:
@@ -557,6 +566,16 @@ class TestCheckpoint:
         save_checkpoint(params, a, seed=1, vocab_hash="")
         save_checkpoint(params, b, seed=1, vocab_hash="")
         assert a.read_bytes() == b.read_bytes()
+
+    def test_one_trailing_value_rejected(self, tmp_path):
+        # Eight bytes more would read as one more float64, so the body's
+        # length against the hyperparameters is all that refuses them.
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(init_params(tiny_hyper(), seed=1), path, seed=1, vocab_hash="")
+        with path.open("ab") as fh:
+            fh.write(np.float64(1.0).tobytes())
+        with pytest.raises(ValueError, match=r"model\.ckpt: 8 trailing bytes after the last array"):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -18,6 +18,7 @@ from tweetembed.dataset import (
 )
 from tweetembed.model import (
     EVAL_CHUNK_ROWS,
+    MAX_NLL,
     PARAM_FIELDS,
     ModelHyper,
     ModelParams,
@@ -41,6 +42,7 @@ from tweetembed.training import (
     write_run_log,
 )
 
+from hotpath import loss_of
 from memory import count_calls, traced_peak
 from oracles import oracle_adam_step, oracle_sigmoid, oracle_softmax, read_run_log
 from synth import zipf_corpus
@@ -145,6 +147,22 @@ class TestAdamStep:
             assert np.array_equal(got, expected)
         assert state.t == 1
 
+    @pytest.mark.parametrize("infinity", [math.inf, -math.inf])
+    def test_infinite_gradient_updates_nothing(self, infinity):
+        # The gradient holds no NaN, so a check for NaN alone would apply
+        # the step and spoil m, v and the parameters.
+        params = init_params(tiny_hyper(), seed=3)
+        state = AdamState.for_params(params)
+        adam_step(params, grad_like(params, 0.5), state, TrainConfig())
+        before = [params.flat.copy(), state.m.flat.copy(), state.v.flat.copy()]
+        grads = grad_like(params, 0.5)
+        grads.w_output[1, 2] = infinity
+        with pytest.raises(TrainingDiverged, match="non-finite gradient in w_output at step 2"):
+            adam_step(params, grads, state, TrainConfig())
+        for got, expected in zip((params.flat, state.m.flat, state.v.flat), before):
+            assert np.array_equal(got, expected)
+        assert state.t == 1
+
 
 def toy_split(seed=13):
     """Tiny 5-word toy language with deterministic successors."""
@@ -193,7 +211,7 @@ class TestTrain:
         split = toy_split()
         hyper = ModelHyper(vocab_size=5, d_in=8, d_ctx=8)
         params = init_params(hyper, seed=11)
-        val0 = evaluate(params, split.validation[:, :4], split.validation[:, 4])
+        val0 = loss_of(params, split.validation[:, :4], split.validation[:, 4])
         assert abs(val0 - math.log(5)) / math.log(5) < 0.05
 
     def test_one_epoch_one_log(self, tmp_path):
@@ -202,10 +220,6 @@ class TestTrain:
                         tmp_path / "model.ckpt", tmp_path / "run_log.tsv", "")
         assert len(logs) == 1
         assert logs[0].epoch == 1
-
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
 
     def test_empty_train_split_rejected(self, tmp_path):
         split = toy_split()
@@ -242,6 +256,27 @@ class TestTrain:
                   TrainConfig(epochs=5, batch_size=16, seed=3, learning_rate=1000.0),
                   diverging, tmp_path / "diverging.log", "")
         assert diverging.read_bytes() == reference.read_bytes()
+
+    @pytest.mark.parametrize("loss,diverges", [(15.0, True), (13.0, False)])
+    def test_loss_past_half_the_cap_stops_below_ten_ln_v(self, loss, diverges, tmp_path,
+                                                         monkeypatch):
+        # At |V| = 5 the limit is MAX_NLL / 2 = 13.82, below 10 ln|V| = 16.09:
+        # a train loss of 15 stops the run before its first checkpoint, 13 trains on.
+        hyper = ModelHyper(vocab_size=5, d_in=4, d_ctx=4)
+        assert 13.0 < MAX_NLL / 2 < 15.0 < 10 * math.log(5)
+        monkeypatch.setattr(tweetembed.training, "evaluate", lambda *args: loss)
+        ckpt = tmp_path / "model.ckpt"
+
+        def run():
+            return train(toy_split(), hyper, TrainConfig(epochs=2, batch_size=16, seed=1), ckpt,
+                         tmp_path / "run_log.tsv", "")
+
+        if diverges:
+            with pytest.raises(TrainingDiverged, match="train loss 15.0000 at epoch 1"):
+                run()
+            assert not ckpt.exists()
+        else:
+            assert [entry.train_loss for entry in run()[1]] == [13.0, 13.0]
 
     def test_hot_path_bytes_match_reference_implementations(self, tmp_path, monkeypatch):
         # Guard for hot-path rewrites: swapping softmax, sigmoid and adam_step
@@ -396,8 +431,7 @@ class TestTrain:
         # divergence limit, so both epochs run.
         db = count_ngrams(zipf_corpus(300, seed=3, vocab_types=60))
         examples = filter_ngrams(db, build_dictionary(db).ids[:32], include_boundary=True)
-        split = split_dataset(examples,
-                              validation_ratio=0.2, seed=1)
+        split = split_dataset(examples, validation_ratio=0.2, fraction=1.0, seed=1)
         hyper = ModelHyper(vocab_size=32, d_in=4, d_ctx=4)
         cfg = TrainConfig(epochs=2, batch_size=64, learning_rate=5.0, seed=3)
         assert len(split.train) > 10 * cfg.batch_size  # many batches per epoch
@@ -475,7 +509,7 @@ class TestTrain:
 
     def test_each_split_is_grouped_once_per_run(self, tmp_path, monkeypatch):
         # Every epoch's two evaluations reuse the groupings built before the
-        # first epoch, and still report the loss of an ungrouped call.
+        # first epoch, and report the loss of a call with fresh buffers.
         hyper = ModelHyper(vocab_size=16, d_in=4, d_ctx=4)
         split = random_split(hyper, 3000, 400, seed=6)
         split.train[1::2, :4] = split.train[::2, :4]  # half the train rows repeat a context
@@ -485,10 +519,9 @@ class TestTrain:
                         tmp_path / "run_log.tsv", "")
         assert [len(args[0]) for args in groupings] == [3000, 400]
         assert len(evaluations) == 6
-        assert all(args[4] is not None for args in evaluations)
         params, _ = load_checkpoint(tmp_path / "model.ckpt")
-        assert evaluate(params, split.train[:, :4], split.train[:, 4]) == logs[-1].train_loss
-        assert (evaluate(params, split.validation[:, :4], split.validation[:, 4])
+        assert loss_of(params, split.train[:, :4], split.train[:, 4]) == logs[-1].train_loss
+        assert (loss_of(params, split.validation[:, :4], split.validation[:, 4])
                 == logs[-1].validation_loss)
 
     def test_peak_memory_is_what_the_fit_check_counts(self, tmp_path):
